@@ -9,7 +9,13 @@ second stage, an asymptotic-normal posterior sampler, two synthetic data
 designs, and a replicated benchmark harness round out the library; the
 `dpls-iv` command line exposes simulate / fit / benchmark / predict.
 """
-from .bench import KNOWN_METHODS, ExperimentConfig, MetricsReport, run_benchmark
+from .bench import (
+    KNOWN_METHODS,
+    ExperimentConfig,
+    MetricsReport,
+    fit_first_stage,
+    run_benchmark,
+)
 from .data import (
     AugmentedInstruments,
     Dataset,
@@ -37,6 +43,7 @@ from .ivreg import (
     estimate_tobit_constants,
     gmm_beta,
     identity_constants,
+    iv_fit,
     recenter_outcome,
     sample_posterior,
     sandwich_variance,
@@ -50,13 +57,10 @@ from .network import (
     SgdParams,
     activation_apply,
     dpls_fit,
-    load_model,
-    model_from_dict,
-    model_to_dict,
     network_loss_and_grads,
-    save_model,
     sgd_refine,
 )
+from .dataio import model_from_dict, model_to_dict
 from .pls import (
     KrylovBasis,
     PlsFit,
@@ -129,6 +133,7 @@ __all__ = [
     "estimate_tobit_constants",
     "experiment1_spec",
     "experiment2_spec",
+    "fit_first_stage",
     "fit_lasso",
     "fit_ols",
     "fit_pls_closed_form",
@@ -139,7 +144,7 @@ __all__ = [
     "gen_preferential_attachment",
     "gmm_beta",
     "identity_constants",
-    "load_model",
+    "iv_fit",
     "model_from_dict",
     "model_to_dict",
     "network_loss_and_grads",
@@ -150,7 +155,6 @@ __all__ = [
     "sample_cov_pair",
     "sample_posterior",
     "sandwich_variance",
-    "save_model",
     "select_q_cv",
     "sgd_refine",
     "shortest_path_matrix",

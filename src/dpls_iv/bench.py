@@ -2,8 +2,8 @@
 
 Each replication draws a fresh dataset (seed = base_seed + replication),
 splits it, fits every requested method's treatment model on the training
-half, and pushes the resulting treatment predictions through one shared
-censored-outcome second stage so outcome numbers differ only through the
+half, and pushes the resulting treatment predictions through the one
+outcome stage (ivreg.iv_fit) so outcome numbers differ only through the
 first stage. Per-cell failures are recorded and the study continues.
 """
 from __future__ import annotations
@@ -13,26 +13,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, SeededRng, augment_instruments, split_dataset
+from .data import SeededRng, augment_instruments, split_dataset
 from .errors import DataError, NumericalError
-from .ivreg import (
-    control_function_fit,
-    dpls_iv_fit,
-    estimate_tobit_constants,
-    gmm_beta,
-    identity_constants,
-    recenter_outcome,
-)
+from .ivreg import dpls_iv_fit
+from .ivreg import iv_fit as _outcome_stage
 from .linear import fit_lasso, fit_ols, fit_ridge
 from .metrics import abs_bias_summary, r_squared, rmse
 from .network import DplsConfig
-from .pls import fit_pls_closed_form, select_q_cv
+from .pls import AUTO_Q_CAP, fit_pls_closed_form, select_q_cv
 from .synthetic import SyntheticSpec, gen_experiment1, gen_experiment2
 
-__all__ = ["ExperimentConfig", "MetricsReport", "run_benchmark", "KNOWN_METHODS"]
+__all__ = [
+    "ExperimentConfig",
+    "MetricsReport",
+    "fit_first_stage",
+    "run_benchmark",
+    "KNOWN_METHODS",
+]
 
 KNOWN_METHODS = ("ols", "ridge", "lasso", "pls", "dpls_iv")
-_PLS_Q_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -86,46 +85,25 @@ class MetricsReport:
     methods: tuple[str, ...]
 
 
-def _first_stage(method: str, zbar, p, cfg: ExperimentConfig, rng: SeededRng):
-    """Fit one treatment model; returns (predict(zbar), instrument coefs).
+def fit_first_stage(method: str, zbar, p, q, rng: SeededRng):
+    """Fit one baseline treatment model: ols, ridge, lasso or pls.
 
     Linear baselines are fit in the structural form p = zbar @ a + noise,
-    which carries no constant term; PLS centers by construction.
+    which carries no constant term; PLS centers by construction. q is the
+    PLS component count or "auto", which picks it by 5-fold CV on the
+    rng.child(7) stream. The network (dpls_iv) is fit by dpls_iv_fit.
     """
     if method == "ols":
-        fit = fit_ols(zbar, p)
-    elif method == "ridge":
-        fit = fit_ridge(zbar, p, lam="auto")
-    elif method == "lasso":
-        fit = fit_lasso(zbar, p, lam="auto")
-    elif method == "pls":
-        q = cfg.dpls.first_layer_q
+        return fit_ols(zbar, p)
+    if method == "ridge":
+        return fit_ridge(zbar, p, lam="auto")
+    if method == "lasso":
+        return fit_lasso(zbar, p, lam="auto")
+    if method == "pls":
         if q == "auto":
-            q = select_q_cv(zbar, p, min(zbar.shape[1], _PLS_Q_CAP), 5, rng.child(7))
-        fit = fit_pls_closed_form(zbar, p, q)
-    else:
-        raise DataError(f"unknown first-stage method: {method}")
-    return fit.predict, fit.coef
-
-
-def _outcome_stage(cfg, p_hat_tr, train: Dataset):
-    """Shared second stage; returns coefficient closure over test design."""
-    constants = (
-        estimate_tobit_constants(train.y) if cfg.censored else identity_constants()
-    )
-    y_tilde = recenter_outcome(train.y, constants)
-    if cfg.mode == "rescale_gmm":
-        fit = gmm_beta(p_hat_tr, train.x, y_tilde, constants, p_observed=train.p)
-        b_p, b_x = float(fit.beta[0]), fit.beta[1:]
-    else:
-        fit = control_function_fit(train.p, p_hat_tr, train.x, y_tilde)
-        b_p, b_x = fit.beta, fit.beta_x
-
-    def predict(p_hat_te, x_te):
-        index = p_hat_te * b_p + x_te @ b_x
-        return np.maximum(index, 0.0) if cfg.censored else index
-
-    return predict
+            q = select_q_cv(zbar, p, min(zbar.shape[1], AUTO_Q_CAP), 5, rng.child(7))
+        return fit_pls_closed_form(zbar, p, q)
+    raise DataError(f"unknown first-stage method: {method}")
 
 
 def _run_replication(cfg: ExperimentConfig, rep: int):
@@ -135,27 +113,24 @@ def _run_replication(cfg: ExperimentConfig, rep: int):
     ds, truth = gen(cfg.spec, rng.child(0))
     train, test = split_dataset(ds, cfg.test_fraction, rng.child(1))
     zbar_tr = augment_instruments(train.z, train.x).zbar
-    zbar_te = augment_instruments(test.z, test.x).zbar
     truth_coefs = np.concatenate([truth.alpha, truth.alpha_x])
     rows, failures, bias = [], [], {}
     for method in cfg.methods:
         try:
             if method == "dpls_iv":
                 fit = dpls_iv_fit(train, cfg.dpls, mode=cfg.mode, censored=cfg.censored)
-                p_hat_te = fit.predict_treatment(test.z, test.x)
-                y_hat_te = fit.predict_outcome(test.z, test.x)
-                coefs = fit.first_stage.first_layer.coef
             else:
-                predict_p, coefs = _first_stage(method, zbar_tr, train.p, cfg, rng)
-                p_hat_tr = predict_p(zbar_tr)
-                p_hat_te = predict_p(zbar_te)
-                predict_y = _outcome_stage(cfg, p_hat_tr, train)
-                y_hat_te = predict_y(p_hat_te, test.x)
+                first = fit_first_stage(
+                    method, zbar_tr, train.p, cfg.dpls.first_layer_q, rng
+                )
+                fit = _outcome_stage(first, train, mode=cfg.mode, censored=cfg.censored)
+            p_hat_te = fit.predict_treatment(test.z, test.x)
+            y_hat_te = fit.predict_outcome(test.z, test.x)
             rows.append((method, rep, "treatment_r2", r_squared(test.p, p_hat_te)))
             rows.append((method, rep, "treatment_rmse", rmse(test.p, p_hat_te)))
             rows.append((method, rep, "outcome_r2", r_squared(test.y, y_hat_te)))
             rows.append((method, rep, "outcome_rmse", rmse(test.y, y_hat_te)))
-            summary = abs_bias_summary(coefs, truth_coefs)
+            summary = abs_bias_summary(fit.first_stage.coef, truth_coefs)
             rows.append((method, rep, "coef_abs_bias_sum", summary.total))
             bias[method] = summary.cdf_samples
         except (DataError, NumericalError) as exc:

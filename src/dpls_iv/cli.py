@@ -15,25 +15,14 @@ import sys
 import numpy as np
 
 from . import dataio
-from .bench import KNOWN_METHODS, ExperimentConfig, MetricsReport, run_benchmark
-from .data import Dataset, SeededRng, augment_instruments
+from .bench import KNOWN_METHODS, ExperimentConfig, fit_first_stage, run_benchmark
+from .data import SeededRng, augment_instruments
 from .errors import DataError, NumericalError
-from .ivreg import (
-    dpls_iv_fit,
-    estimate_tobit_constants,
-    gmm_beta,
-    identity_constants,
-    recenter_outcome,
-    sample_posterior,
-)
-from .linear import fit_lasso, fit_ols, fit_ridge
+from .ivreg import dpls_iv_fit, iv_fit, sample_posterior
 from .network import DplsConfig, SgdParams
-from .pls import fit_pls_closed_form, select_q_cv
 from .synthetic import experiment1_spec, experiment2_spec, gen_experiment1, gen_experiment2
 
 __all__ = ["main"]
-
-_PLS_Q_CAP = 30
 
 _SPEC_DEFAULTS = {
     "dgp": "experiment1",
@@ -199,9 +188,11 @@ def _spec_from_config(cfg):
 
 
 def _dpls_from_config(cfg, seed: int) -> DplsConfig:
-    widths = tuple(
-        int(w) for w in cfg["dpls.widths"].split(",") if w.strip() != ""
-    )
+    text = cfg["dpls.widths"]
+    try:
+        widths = tuple(int(w) for w in text.split(",") if w.strip() != "")
+    except ValueError:
+        raise DataError(f"config key dpls.widths must be integers, got {text!r}")
     q = cfg["dpls.q"]
     if q != "auto":
         q = _as_int(cfg, "dpls.q")
@@ -235,28 +226,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _fit_baseline(method: str, ds: Dataset, cfg, seed: int):
-    """First-stage fit for a linear method; returns (coef, p_hat)."""
-    zbar = augment_instruments(ds.z, ds.x).zbar
-    if method == "ols":
-        fit = fit_ols(zbar, ds.p)
-    elif method == "ridge":
-        fit = fit_ridge(zbar, ds.p, lam="auto")
-    elif method == "lasso":
-        fit = fit_lasso(zbar, ds.p, lam="auto")
-    else:
-        q = cfg["dpls.q"]
-        if q == "auto":
-            q = select_q_cv(
-                zbar, ds.p, min(zbar.shape[1], _PLS_Q_CAP), 5,
-                SeededRng(seed).child(7),
-            )
-        else:
-            q = _as_int(cfg, "dpls.q")
-        fit = fit_pls_closed_form(zbar, ds.p, q)
-    return fit.coef, fit.predict(zbar)
-
-
 def _cmd_fit(args) -> int:
     cfg = _resolve_config("fit", args)
     if cfg["data"] == "":
@@ -268,49 +237,24 @@ def _cmd_fit(args) -> int:
         raise DataError(f"unknown method {method!r}")
     mode = cfg["mode"]
     censored = _as_bool(cfg, "censored")
+    dpls = _dpls_from_config(cfg, seed)
     os.makedirs(args.out_dir, exist_ok=True)
     if method == "dpls_iv":
-        fit = dpls_iv_fit(
-            ds, _dpls_from_config(cfg, seed), mode=mode, censored=censored
-        )
-        dataio.write_fit(os.path.join(args.out_dir, "fit.json"), fit, len(ds.y))
-        p_hat = fit.predict_treatment(ds.z, ds.x)
-        y_hat = fit.predict_outcome(ds.z, ds.x, p=ds.p)
-        effect = fit.policy_effect
+        fit = dpls_iv_fit(ds, dpls, mode=mode, censored=censored)
     else:
-        coef, p_hat = _fit_baseline(method, ds, cfg, seed)
-        constants = (
-            estimate_tobit_constants(ds.y) if censored else identity_constants()
-        )
-        y_tilde = recenter_outcome(ds.y, constants)
-        gfit = gmm_beta(p_hat, ds.x, y_tilde, constants, p_observed=ds.p)
-        index = p_hat * gfit.beta[0]
-        if ds.x.size:
-            index = index + ds.x @ gfit.beta[1:]
-        y_hat = np.maximum(index, 0.0) if censored else index
-        effect = float(gfit.beta[0])
-        doc = {
-            "format": "dpls-iv-linear-fit",
-            "version": 1,
-            "method": method,
-            "censored": censored,
-            "first_stage_coef": [float(v) for v in coef],
-            "outcome_beta": [float(v) for v in gfit.beta],
-            "constants": {
-                "psi1": constants.psi1,
-                "psi2": constants.psi2,
-                "sigma_star": constants.sigma_star,
-                "phi_hat": constants.phi_hat,
-                "c_k": constants.c_k,
-            },
-        }
-        dataio._write_json(os.path.join(args.out_dir, "fit.json"), doc)
+        zbar = augment_instruments(ds.z, ds.x).zbar
+        first = fit_first_stage(method, zbar, ds.p, dpls.first_layer_q, SeededRng(seed))
+        fit = iv_fit(first, ds, mode=mode, censored=censored)
+    dataio.write_fit(os.path.join(args.out_dir, "fit.json"), fit, len(ds.y))
     dataio.write_predictions_csv(
         os.path.join(args.out_dir, "predictions.csv"),
-        {"p_hat": p_hat, "y_hat": y_hat},
+        {
+            "p_hat": fit.predict_treatment(ds.z, ds.x),
+            "y_hat": fit.predict_outcome(ds.z, ds.x, p=ds.p),
+        },
     )
     _echo_config(args.out_dir, cfg)
-    print(f"fit: method={method} policy_effect={effect!r}")
+    print(f"fit: method={method} policy_effect={fit.policy_effect!r}")
     return 0
 
 
@@ -357,50 +301,23 @@ def _cmd_predict(args) -> int:
         raise _UsageError("predict requires a fit path (config key 'fit')")
     if cfg["data"] == "":
         raise _UsageError("predict requires a data path (config key 'data')")
-    doc = dataio._read_json(cfg["fit"])
+    fit, n_train = dataio.read_fit(cfg["fit"])
     ds = dataio.csv_read(cfg["data"])
     draws = _as_int(cfg, "draws")
     level = _as_float(cfg, "level")
     if not (0.0 < level < 1.0):
         raise DataError(f"level must lie in (0, 1), got {level}")
     seed = _as_int(cfg, "seed")
-    columns: dict[str, np.ndarray] = {}
-    if doc.get("format") == "dpls-iv-linear-fit":
-        coef = np.asarray(doc["first_stage_coef"], dtype=np.float64)
-        beta = np.asarray(doc["outcome_beta"], dtype=np.float64)
-        zbar = augment_instruments(ds.z, ds.x).zbar
-        if zbar.shape[1] != len(coef):
-            raise DataError(
-                f"fit expects {len(coef)} design columns, data has {zbar.shape[1]}"
-            )
-        p_hat = zbar @ coef
-        index = p_hat * beta[0]
-        if ds.x.size:
-            index = index + ds.x @ beta[1:]
-        y_hat = np.maximum(index, 0.0) if doc["censored"] else index
-        columns["p_hat"] = p_hat
-        columns["y_hat"] = y_hat
-        if draws > 0:
-            raise DataError(
-                "posterior intervals need a dpls_iv fit with a gmm stage"
-            )
-    else:
-        fit, n_train = dataio.read_fit(cfg["fit"])
-        p_hat = fit.predict_treatment(ds.z, ds.x)
-        y_hat = fit.predict_outcome(ds.z, ds.x, p=ds.p)
-        columns["p_hat"] = p_hat
-        columns["y_hat"] = y_hat
-        if draws > 0:
-            if fit.gmm is None or fit.gmm.corrected_matrix is None:
-                raise DataError(
-                    "posterior intervals need a dpls_iv fit with a gmm stage"
-                )
-            post = sample_posterior(fit.gmm, n_train, draws, SeededRng(seed))
-            design = np.column_stack([p_hat, ds.x])
-            latent = post.predictive(design)
-            lo = (1.0 - level) / 2.0
-            columns[f"y_lo_{level:g}"] = np.quantile(latent, lo, axis=1)
-            columns[f"y_hi_{level:g}"] = np.quantile(latent, 1.0 - lo, axis=1)
+    p_hat = fit.predict_treatment(ds.z, ds.x)
+    columns = {"p_hat": p_hat, "y_hat": fit.predict_outcome(ds.z, ds.x, p=ds.p)}
+    if draws > 0:
+        if fit.gmm is None:
+            raise DataError("posterior intervals need a fit with a gmm stage")
+        post = sample_posterior(fit.gmm, n_train, draws, SeededRng(seed))
+        latent = post.predictive(np.column_stack([p_hat, ds.x]))
+        lo = (1.0 - level) / 2.0
+        columns[f"y_lo_{level:g}"] = np.quantile(latent, lo, axis=1)
+        columns[f"y_hi_{level:g}"] = np.quantile(latent, 1.0 - lo, axis=1)
     os.makedirs(args.out_dir, exist_ok=True)
     dataio.write_predictions_csv(
         os.path.join(args.out_dir, "predictions.csv"), columns

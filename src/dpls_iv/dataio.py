@@ -1,4 +1,4 @@
-"""CSV, config, and report serialization for the command-line tools.
+"""CSV, config, fit-record and report serialization for the command-line tools.
 
 All numeric text is written with Python's shortest round-trip float repr,
 so write-then-read reproduces arrays bit for bit. Errors carry 1-based
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -20,7 +21,9 @@ from .ivreg import (
     TobitConstants,
     TobitGmmFit,
 )
-from .network import model_from_dict, model_to_dict
+from .linear import LinearFit
+from .network import ActivationKind, DplsModel
+from .pls import PlsFit
 from .synthetic import SyntheticTruth
 
 __all__ = [
@@ -34,6 +37,8 @@ __all__ = [
     "truth_from_dict",
     "write_truth",
     "read_truth",
+    "model_to_dict",
+    "model_from_dict",
     "fit_to_dict",
     "fit_from_dict",
     "write_fit",
@@ -46,8 +51,10 @@ __all__ = [
 ]
 
 _TRUTH_FORMAT = "dpls-iv-truth"
+_TRUTH_VERSION = 1
 _FIT_FORMAT = "dpls-iv-fit"
-_VERSION = 1
+# 2: one record for every method, first stage tagged by method name
+_FIT_VERSION = 2
 
 
 def _fmt(value: float) -> str:
@@ -209,7 +216,7 @@ def _vec(a) -> list:
 def truth_to_dict(truth: SyntheticTruth) -> dict:
     doc = {
         "format": _TRUTH_FORMAT,
-        "version": _VERSION,
+        "version": _TRUTH_VERSION,
         "alpha": _vec(truth.alpha),
         "gamma": _vec(truth.gamma),
         "alpha_x": _vec(truth.alpha_x),
@@ -228,7 +235,7 @@ def truth_to_dict(truth: SyntheticTruth) -> dict:
 def truth_from_dict(doc: dict) -> SyntheticTruth:
     if doc.get("format") != _TRUTH_FORMAT:
         raise DataError(f"not a truth record: format={doc.get('format')!r}")
-    if doc.get("version") != _VERSION:
+    if doc.get("version") != _TRUTH_VERSION:
         raise DataError(f"unsupported truth version {doc.get('version')!r}")
     arr = lambda key: np.asarray(doc[key], dtype=np.float64)
     return SyntheticTruth(
@@ -270,37 +277,114 @@ def read_truth(path) -> SyntheticTruth:
 # ----------------------------------------------------------------- fit bundle
 
 
+def _pls_to_dict(fl: PlsFit) -> dict:
+    # scores and x_loadings are training artifacts and are not serialized;
+    # prediction needs only the fields below
+    return {
+        "method": fl.method,
+        "q": int(fl.q),
+        "coef": fl.coef.tolist(),
+        "weights": fl.weights.tolist(),
+        "y_loadings": fl.y_loadings.tolist(),
+        "means": fl.means.tolist(),
+        "p_mean": float(fl.p_mean),
+    }
+
+
+def _pls_from_dict(fl: dict) -> PlsFit:
+    weights = np.asarray(fl["weights"], dtype=np.float64)
+    d, q = weights.shape
+    return PlsFit(
+        coef=np.asarray(fl["coef"], dtype=np.float64),
+        q=int(fl["q"]),
+        scores=np.zeros((0, q)),
+        x_loadings=np.zeros((d, 0)),
+        y_loadings=np.asarray(fl["y_loadings"], dtype=np.float64),
+        weights=weights,
+        means=np.asarray(fl["means"], dtype=np.float64),
+        p_mean=float(fl["p_mean"]),
+        method=str(fl["method"]),
+    )
+
+
+def model_to_dict(model: DplsModel) -> dict:
+    """Network weights, activation, and SGD history as plain JSON values."""
+    return {
+        "activation": {"tag": model.activation.tag, "slope": model.activation.slope},
+        "first_layer": _pls_to_dict(model.first_layer),
+        "hidden": [
+            {"w": w.tolist(), "b": b.tolist()} for w, b in model.hidden
+        ],
+        "history": list(model.history),
+        "best_epoch": model.best_epoch,
+    }
+
+
+def model_from_dict(doc: dict) -> DplsModel:
+    act = ActivationKind(doc["activation"]["tag"], float(doc["activation"]["slope"]))
+    hidden = tuple(
+        (np.asarray(h["w"], dtype=np.float64), np.asarray(h["b"], dtype=np.float64))
+        for h in doc["hidden"]
+    )
+    return DplsModel(
+        first_layer=_pls_from_dict(doc["first_layer"]),
+        hidden=hidden,
+        activation=act,
+        history=tuple(float(v) for v in doc["history"]),
+        best_epoch=doc["best_epoch"],
+    )
+
+
+def _first_stage_to_dict(first) -> dict:
+    """First stage tagged with the method name that fit it."""
+    if isinstance(first, DplsModel):
+        return {"method": "dpls_iv", "network": model_to_dict(first)}
+    if isinstance(first, PlsFit):
+        return {"method": "pls", "pls": _pls_to_dict(first)}
+    return {
+        "method": first.method,
+        "coef": _vec(first.coef),
+        "intercept": float(first.intercept),
+        "lam": float(first.lam),
+    }
+
+
+def _first_stage_from_dict(doc: dict):
+    method = doc.get("method")
+    if method == "dpls_iv":
+        return model_from_dict(doc["network"])
+    if method == "pls":
+        return _pls_from_dict(doc["pls"])
+    if method in ("ols", "ridge", "lasso"):
+        return LinearFit(
+            coef=np.asarray(doc["coef"], dtype=np.float64),
+            intercept=float(doc["intercept"]),
+            method=method,
+            lam=float(doc["lam"]),
+        )
+    raise DataError(f"unknown first-stage method {method!r}")
+
+
 def fit_to_dict(fit: DplsIvFit, n_train: int) -> dict:
-    """Self-contained fit record: network weights plus outcome coefficients.
+    """Self-contained fit record: first stage plus outcome coefficients.
 
     Training-data-sized arrays (designs, residuals) are not kept; the
     record supports prediction and posterior sampling, not refitting.
     """
     doc = {
         "format": _FIT_FORMAT,
-        "version": _VERSION,
+        "version": _FIT_VERSION,
         "mode": fit.mode,
         "censored": fit.censored,
         "n_train": int(n_train),
-        "constants": {
-            "psi1": fit.constants.psi1,
-            "psi2": fit.constants.psi2,
-            "sigma_star": fit.constants.sigma_star,
-            "phi_hat": fit.constants.phi_hat,
-            "c_k": fit.constants.c_k,
-        },
-        "first_stage": model_to_dict(fit.first_stage),
+        "constants": asdict(fit.constants),
+        "first_stage": _first_stage_to_dict(fit.first_stage),
     }
     if fit.gmm is not None:
         doc["gmm"] = {
             "beta": _vec(fit.gmm.beta),
-            "weighting": fit.gmm.weighting,
-            "sigma_star_matrix": None
-            if fit.gmm.sigma_star_matrix is None
-            else [_vec(row) for row in fit.gmm.sigma_star_matrix],
-            "corrected_matrix": None
-            if fit.gmm.corrected_matrix is None
-            else [_vec(row) for row in fit.gmm.corrected_matrix],
+            "sigma_star_matrix": [_vec(row) for row in fit.gmm.sigma_star_matrix],
+            "corrected_matrix": [_vec(row) for row in fit.gmm.corrected_matrix],
         }
     if fit.cf is not None:
         doc["cf"] = {
@@ -314,26 +398,15 @@ def fit_to_dict(fit: DplsIvFit, n_train: int) -> dict:
 def fit_from_dict(doc: dict) -> tuple[DplsIvFit, int]:
     if doc.get("format") != _FIT_FORMAT:
         raise DataError(f"not a fit record: format={doc.get('format')!r}")
-    if doc.get("version") != _VERSION:
+    if doc.get("version") != _FIT_VERSION:
         raise DataError(f"unsupported fit version {doc.get('version')!r}")
-    c = doc["constants"]
-    constants = TobitConstants(
-        psi1=float(c["psi1"]),
-        psi2=float(c["psi2"]),
-        sigma_star=float(c["sigma_star"]),
-        phi_hat=float(c["phi_hat"]),
-        c_k=float(c["c_k"]),
-    )
+    constants = TobitConstants(**{k: float(v) for k, v in doc["constants"].items()})
     gmm = cf = None
     if "gmm" in doc:
         g = doc["gmm"]
         beta = np.asarray(g["beta"], dtype=np.float64)
         dim = len(beta)
-        mat = lambda key: (
-            None
-            if g.get(key) is None
-            else np.asarray(g[key], dtype=np.float64).reshape(dim, dim)
-        )
+        mat = lambda key: np.asarray(g[key], dtype=np.float64).reshape(dim, dim)
         gmm = TobitGmmFit(
             beta=beta,
             constants=constants,
@@ -342,7 +415,6 @@ def fit_from_dict(doc: dict) -> tuple[DplsIvFit, int]:
             residuals=np.zeros(0),
             sigma_star_matrix=mat("sigma_star_matrix"),
             corrected_matrix=mat("corrected_matrix"),
-            weighting=g.get("weighting"),
         )
     if "cf" in doc:
         f = doc["cf"]
@@ -350,13 +422,11 @@ def fit_from_dict(doc: dict) -> tuple[DplsIvFit, int]:
             beta=float(f["beta"]),
             beta_eta=float(f["beta_eta"]),
             beta_x=np.asarray(f["beta_x"], dtype=np.float64),
-            eta_hat=np.zeros(0),
-            residuals=np.zeros(0),
         )
     fit = DplsIvFit(
         mode=doc["mode"],
         censored=bool(doc["censored"]),
-        first_stage=model_from_dict(doc["first_stage"]),
+        first_stage=_first_stage_from_dict(doc["first_stage"]),
         constants=constants,
         gmm=gmm,
         cf=cf,

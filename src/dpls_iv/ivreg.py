@@ -7,7 +7,8 @@ outcome variance; the policy coefficients are then recovered by linear GMM
 of y_tilde on [p_hat, x] with a heteroskedasticity-robust sandwich. A
 control-function fit (regress on [p, p - p_hat, x]) is provided as an
 alternative second stage, and an asymptotic-normal posterior sampler covers
-interval summaries.
+interval summaries. iv_fit is the one outcome stage: it runs over any fitted
+first stage, network or linear baseline alike.
 """
 from __future__ import annotations
 
@@ -17,10 +18,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, SeededRng, augment_instruments
-from .errors import DataError, DegenerateDataError, SingularDesignError
+from .errors import DataError, DegenerateDataError
+from .linear import LinearFit, fit_ols
 from .network import DplsConfig, DplsModel, dpls_fit
+from .pls import PlsFit
 from .statnum import std_normal_pdf, std_normal_quantile
-from .linear import fit_ols
 
 __all__ = [
     "TobitConstants",
@@ -35,6 +37,7 @@ __all__ = [
     "sandwich_variance",
     "corrected_covariance",
     "control_function_fit",
+    "iv_fit",
     "dpls_iv_fit",
     "sample_posterior",
 ]
@@ -117,7 +120,6 @@ class TobitGmmFit:
     residuals: np.ndarray
     sigma_star_matrix: np.ndarray | None = None
     corrected_matrix: np.ndarray | None = None
-    weighting: str | None = None
 
 
 def gmm_beta(
@@ -173,39 +175,23 @@ def _robust_inverse(a: np.ndarray) -> np.ndarray:
     return np.linalg.inv(a + lam * np.eye(dim))
 
 
-def sandwich_variance(fit: TobitGmmFit, zbar, weighting: str = "efficient") -> np.ndarray:
+def sandwich_variance(fit: TobitGmmFit, zbar) -> np.ndarray:
     """Heteroskedasticity-robust covariance of sqrt(n)(beta_hat - beta).
 
-    Sigma* = n (PtZ G ZtP)^-1 PtZ G (nA) G ZtP (PtZ G ZtP)^-1 with the
-    score-covariance matrix A = (1/n) sum e_i^2 zbar_i zbar_i'. The default
-    weighting G = A^-1 collapses the sandwich to n^2 (PtZ A^-1 ZtP)^-1 and
+    Sigma* = n^2 (PtZ A^-1 ZtP)^-1, the efficiently weighted GMM sandwich
+    with the score-covariance matrix A = (1/n) sum e_i^2 zbar_i zbar_i'. It
     reduces to the classical robust OLS form when zbar equals the design.
-    weighting="trace_ratio" instead builds G = H(H^-1 - ZtZ/tr(Z H Zt))H
-    with H = A^-1; it is exposed for comparison but has no optimality
-    property and can be indefinite, so it is labeled experimental.
     """
     zbar = np.asarray(zbar, dtype=np.float64)
     n, d = zbar.shape
     if fit.residuals.shape != (n,):
         raise DataError("zbar rows must match the fitted sample")
-    if weighting not in ("efficient", "trace_ratio"):
-        raise DataError("weighting must be 'efficient' or 'trace_ratio'")
     ezsq = fit.residuals**2
     a_hat = (zbar * ezsq[:, None]).T @ zbar / n
     a_inv = _robust_inverse(a_hat)
     ptz = fit.design.T @ zbar
-    if weighting == "efficient":
-        bread = _robust_inverse(ptz @ a_inv @ ptz.T)
-        sigma = n * n * bread
-    else:
-        h = a_inv
-        denom = float(np.trace(zbar @ h @ zbar.T))
-        if denom == 0.0:
-            raise DegenerateDataError("trace_ratio weighting has zero denominator")
-        g = h @ (a_hat - (zbar.T @ zbar) / denom) @ h
-        bread = _robust_inverse(ptz @ g @ ptz.T)
-        meat = ptz @ g @ (n * a_hat) @ g @ ptz.T
-        sigma = n * bread @ meat @ bread
+    bread = _robust_inverse(ptz @ a_inv @ ptz.T)
+    sigma = n * n * bread
     return (sigma + sigma.T) / 2.0
 
 
@@ -238,8 +224,6 @@ class ControlFunctionFit:
     beta: float
     beta_eta: float
     beta_x: np.ndarray
-    eta_hat: np.ndarray
-    residuals: np.ndarray
 
 
 def control_function_fit(p, p_hat, x, y) -> ControlFunctionFit:
@@ -263,18 +247,20 @@ def control_function_fit(p, p_hat, x, y) -> ControlFunctionFit:
         beta=float(ls.coef[0]),
         beta_eta=float(ls.coef[1]),
         beta_x=ls.coef[2:],
-        eta_hat=eta,
-        residuals=y - design @ ls.coef,
     )
 
 
 @dataclass(frozen=True)
 class DplsIvFit:
-    """Full two-network pipeline: treatment network plus outcome stage."""
+    """A fitted first stage plus the outcome stage run on its predictions.
+
+    first_stage is any fitted treatment model with predict(zbar) and coef:
+    the deep PLS network, or a linear, ridge, lasso or PLS baseline.
+    """
 
     mode: str
     censored: bool
-    first_stage: DplsModel
+    first_stage: DplsModel | PlsFit | LinearFit
     constants: TobitConstants
     gmm: TobitGmmFit | None = None
     cf: ControlFunctionFit | None = None
@@ -287,6 +273,11 @@ class DplsIvFit:
 
     def predict_treatment(self, z, x) -> np.ndarray:
         zbar = augment_instruments(z, x).zbar
+        width = len(self.first_stage.coef)
+        if zbar.shape[1] != width:
+            raise DataError(
+                f"fit expects {width} design columns, data has {zbar.shape[1]}"
+            )
         return self.first_stage.predict(zbar)
 
     def predict_outcome(self, z, x, p=None) -> np.ndarray:
@@ -316,40 +307,52 @@ class DplsIvFit:
         return index
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("rescale_gmm", "control_function"):
+        raise DataError("mode must be 'rescale_gmm' or 'control_function'")
+
+
+def iv_fit(
+    first_stage, ds: Dataset, mode: str = "rescale_gmm", censored: bool = True
+) -> DplsIvFit:
+    """Run the outcome stage on a fitted first stage's treatment predictions.
+
+    censored=False skips recentering (identity constants), under which the
+    rescale_gmm mode is exactly two-stage least squares on the first stage's
+    treatment predictions. The rescale_gmm mode always carries the sandwich
+    and corrected covariances, so every such fit supports posterior draws.
+    """
+    _check_mode(mode)
+    zbar = augment_instruments(ds.z, ds.x).zbar
+    p_hat = first_stage.predict(zbar)
+    constants = estimate_tobit_constants(ds.y) if censored else identity_constants()
+    y_tilde = recenter_outcome(ds.y, constants)
+    gmm = cf = None
+    if mode == "rescale_gmm":
+        gmm = gmm_beta(p_hat, ds.x, y_tilde, constants, p_observed=ds.p)
+        gmm = replace(gmm, sigma_star_matrix=sandwich_variance(gmm, zbar))
+        gmm = replace(gmm, corrected_matrix=corrected_covariance(gmm))
+    else:
+        cf = control_function_fit(ds.p, p_hat, ds.x, y_tilde)
+    return DplsIvFit(
+        mode=mode, censored=censored, first_stage=first_stage,
+        constants=constants, gmm=gmm, cf=cf,
+    )
+
+
 def dpls_iv_fit(
     ds: Dataset,
     cfg: DplsConfig,
     mode: str = "rescale_gmm",
     censored: bool = True,
-    weighting: str = "efficient",
 ) -> DplsIvFit:
-    """Chain the treatment network and the selected outcome stage.
+    """Train the treatment network, then run iv_fit on it.
 
-    censored=False skips recentering (identity constants), under which the
-    rescale_gmm mode is exactly two-stage least squares on the network's
-    treatment predictions.
+    A bad mode is rejected before the network trains.
     """
-    if mode not in ("rescale_gmm", "control_function"):
-        raise DataError("mode must be 'rescale_gmm' or 'control_function'")
-    aug = augment_instruments(ds.z, ds.x)
-    first = dpls_fit(aug.zbar, ds.p, cfg)
-    p_hat = first.predict(aug.zbar)
-    constants = estimate_tobit_constants(ds.y) if censored else identity_constants()
-    y_tilde = recenter_outcome(ds.y, constants)
-    if mode == "rescale_gmm":
-        fit = gmm_beta(p_hat, ds.x, y_tilde, constants, p_observed=ds.p)
-        sigma = sandwich_variance(fit, aug.zbar, weighting=weighting)
-        fit = replace(fit, sigma_star_matrix=sigma, weighting=weighting)
-        fit = replace(fit, corrected_matrix=corrected_covariance(fit))
-        return DplsIvFit(
-            mode=mode, censored=censored, first_stage=first,
-            constants=constants, gmm=fit,
-        )
-    cf = control_function_fit(ds.p, p_hat, ds.x, y_tilde)
-    return DplsIvFit(
-        mode=mode, censored=censored, first_stage=first,
-        constants=constants, cf=cf,
-    )
+    _check_mode(mode)
+    first = dpls_fit(augment_instruments(ds.z, ds.x).zbar, ds.p, cfg)
+    return iv_fit(first, ds, mode=mode, censored=censored)
 
 
 @dataclass(frozen=True)

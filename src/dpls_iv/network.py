@@ -7,13 +7,9 @@ output layer are initialized by per-layer least squares on the previous
 layer's activated features, then refined jointly by mini-batch SGD on
 squared loss. With zero hidden layers the model degenerates to the plain
 PLS prediction passed through the activation.
-
-Serialization is a versioned JSON text format; floats round-trip bit-exactly
-through their shortest decimal representation.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,7 +17,7 @@ import numpy as np
 from .data import SeededRng
 from .errors import DataError, NumericalError
 from .linear import fit_ols
-from .pls import PlsFit, fit_pls_closed_form, fit_pls_deflation, select_q_cv
+from .pls import AUTO_Q_CAP, PlsFit, fit_pls_closed_form, select_q_cv
 
 __all__ = [
     "ActivationKind",
@@ -30,16 +26,9 @@ __all__ = [
     "DplsModel",
     "activation_apply",
     "dpls_fit",
-    "dpls_predict",
     "sgd_refine",
     "network_loss_and_grads",
-    "save_model",
-    "load_model",
-    "model_to_dict",
-    "model_from_dict",
 ]
-
-_AUTO_Q_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -103,28 +92,35 @@ class DplsConfig:
     layer_widths names hidden widths only; a width-1 output layer is always
     appended after the last hidden layer (or directly after the PLS layer
     when layer_widths is empty, in which case no trainable layers exist).
-    linear_output=False applies the activation to the final output as well.
+    The activation follows every trainable layer, the output layer included.
     """
 
     layer_widths: tuple[int, ...] = (30,)
     activation: ActivationKind = field(default_factory=ActivationKind.relu)
     first_layer_q: int | str = "auto"
     sgd: SgdParams = field(default_factory=SgdParams)
-    second_layer_method: str = "ols"
-    use_bias: bool = True
-    linear_output: bool = False
 
     def __post_init__(self):
         widths = tuple(int(w) for w in self.layer_widths)
         if any(w < 1 for w in widths):
             raise DataError("layer widths must be positive")
         object.__setattr__(self, "layer_widths", widths)
-        if self.second_layer_method not in ("ols", "pls"):
-            raise DataError("second_layer_method must be 'ols' or 'pls'")
         if self.first_layer_q != "auto":
             if int(self.first_layer_q) < 1:
                 raise DataError("first_layer_q must be >= 1 or 'auto'")
             object.__setattr__(self, "first_layer_q", int(self.first_layer_q))
+
+
+def _forward(hidden, kind: ActivationKind, feats):
+    """Pre-activations and activations of the trainable stack on PLS features.
+
+    acts[0] is feats and acts[-1] the (n, 1) network output.
+    """
+    pres, acts = [], [feats]
+    for w, b in hidden:
+        pres.append(acts[-1] @ w + b)
+        acts.append(activation_apply(kind, pres[-1]))
+    return pres, acts
 
 
 @dataclass(frozen=True)
@@ -134,10 +130,13 @@ class DplsModel:
     first_layer: PlsFit
     hidden: tuple[tuple[np.ndarray, np.ndarray], ...]
     activation: ActivationKind
-    linear_output: bool
-    use_bias: bool
     history: tuple[float, ...] = ()
     best_epoch: int | None = None
+
+    @property
+    def coef(self) -> np.ndarray:
+        """Instrument coefficients of the frozen PLS first layer."""
+        return self.first_layer.coef
 
     def features(self, zbar) -> np.ndarray:
         zbar = np.asarray(zbar, dtype=np.float64)
@@ -150,77 +149,40 @@ class DplsModel:
 
     def predict(self, zbar) -> np.ndarray:
         if not self.hidden:
-            pre = self.first_layer.predict(zbar)
-            if self.linear_output:
-                return pre
-            return activation_apply(self.activation, pre)
-        h = self.features(zbar)
-        last = len(self.hidden) - 1
-        for i, (w, b) in enumerate(self.hidden):
-            pre = h @ w + b
-            if i == last and self.linear_output:
-                h = pre
-            else:
-                h = activation_apply(self.activation, pre)
-        return h.ravel()
+            return activation_apply(self.activation, self.first_layer.predict(zbar))
+        _, acts = _forward(self.hidden, self.activation, self.features(zbar))
+        return acts[-1].ravel()
 
 
-def dpls_predict(model: DplsModel, zbar) -> np.ndarray:
-    return model.predict(zbar)
-
-
-def network_loss_and_grads(hidden, kind: ActivationKind, feats, target, linear_output=False):
+def network_loss_and_grads(hidden, kind: ActivationKind, feats, target):
     """Mean-squared loss and reverse-mode gradients for the trainable stack.
 
-    hidden is the ordered list of (weight, bias) pairs applied to feats; the
-    activation follows every layer except, when linear_output, the last.
-    Returns (loss, [(dW, db), ...]) aligned with hidden.
+    hidden is the ordered list of (weight, bias) pairs applied to feats, each
+    followed by the activation. Returns (loss, [(dW, db), ...]) aligned with
+    hidden.
     """
     feats = np.asarray(feats, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    n_layers = len(hidden)
-    acts = [feats]
-    pres = []
-    h = feats
-    for i, (w, b) in enumerate(hidden):
-        pre = h @ w + b
-        pres.append(pre)
-        if i == n_layers - 1 and linear_output:
-            h = pre
-        else:
-            h = activation_apply(kind, pre)
-        acts.append(h)
+    pres, acts = _forward(hidden, kind, feats)
     resid = acts[-1].ravel() - target
     n = len(target)
     loss = float(resid @ resid) / n
     dh = (2.0 / n) * resid.reshape(-1, 1)
-    grads = [None] * n_layers
-    for i in range(n_layers - 1, -1, -1):
-        if i == n_layers - 1 and linear_output:
-            dpre = dh
-        else:
-            dpre = dh * _activation_grad(kind, pres[i])
+    grads = [None] * len(hidden)
+    for i in range(len(hidden) - 1, -1, -1):
+        dpre = dh * _activation_grad(kind, pres[i])
         grads[i] = (acts[i].T @ dpre, dpre.sum(axis=0))
         if i:
             dh = dpre @ hidden[i][0].T
     return loss, grads
 
 
-def _train_loss(model: DplsModel, feats, p) -> float:
-    if not model.hidden:
-        pred = model.first_layer.p_mean + feats @ model.first_layer.y_loadings
-        if not model.linear_output:
-            pred = activation_apply(model.activation, pred)
-        return float(np.mean((pred - p) ** 2))
-    h = feats
-    last = len(model.hidden) - 1
-    for i, (w, b) in enumerate(model.hidden):
-        pre = h @ w + b
-        h = pre if (i == last and model.linear_output) else activation_apply(model.activation, pre)
-    return float(np.mean((h.ravel() - p) ** 2))
+def _train_loss(hidden, kind: ActivationKind, feats, p) -> float:
+    _, acts = _forward(hidden, kind, feats)
+    return float(np.mean((acts[-1].ravel() - p) ** 2))
 
 
-def _layer_solve(features, target, method, q_cap=10):
+def _layer_solve(features, target):
     """Least-squares direction + intercept for layer initialization.
 
     lstsq (not the pivoted-QR fit) because activated features routinely
@@ -228,41 +190,29 @@ def _layer_solve(features, target, method, q_cap=10):
     is the right degenerate behavior here.
     """
     n = features.shape[0]
-    if method == "pls":
-        try:
-            fit = fit_pls_deflation(features, target, min(features.shape[1], q_cap))
-            return fit.coef, float(fit.p_mean - fit.means @ fit.coef)
-        except DataError:
-            pass  # no covariance left; fall through to lstsq
     design = np.hstack([features, np.ones((n, 1))])
     sol, *_ = np.linalg.lstsq(design, target, rcond=None)
     return sol[:-1], float(sol[-1])
 
 
-def _init_hidden(feats, p, cfg: DplsConfig, rng: SeededRng):
+def _init_hidden(feats, p, cfg: DplsConfig):
     """Stack layers: least-squares direction per layer, kinks spread over
-    pre-activation quantiles (bias on) or positive rescalings (bias off)."""
+    pre-activation quantiles."""
     layers = []
     h = feats
     for width in cfg.layer_widths:
-        beta, b0 = _layer_solve(h, p, cfg.second_layer_method)
+        beta, b0 = _layer_solve(h, p)
         w = np.tile(beta.reshape(-1, 1), (1, width))
-        if cfg.use_bias:
-            scores = h @ beta + b0
-            qs = np.quantile(scores, (np.arange(width) + 0.5) / width)
-            # one unit keeps the plain least-squares offset so the layer can
-            # always reproduce its own linear initialization
-            b = b0 - qs
-            b[0] = b0
-        else:
-            scales = rng.uniform(0.5, 1.5, size=width)
-            w = w * scales
-            b = np.zeros(width)
+        scores = h @ beta + b0
+        qs = np.quantile(scores, (np.arange(width) + 0.5) / width)
+        # one unit keeps the plain least-squares offset so the layer can
+        # always reproduce its own linear initialization
+        b = b0 - qs
+        b[0] = b0
         layers.append((w, b))
         h = activation_apply(cfg.activation, h @ w + b)
-    beta, b0 = _layer_solve(h, p, cfg.second_layer_method)
-    b_out = np.array([b0 if cfg.use_bias else 0.0])
-    layers.append((beta.reshape(-1, 1), b_out))
+    beta, b0 = _layer_solve(h, p)
+    layers.append((beta.reshape(-1, 1), np.array([b0])))
     return layers
 
 
@@ -272,30 +222,18 @@ def dpls_fit(zbar, p, cfg: DplsConfig) -> DplsModel:
     p = np.asarray(p, dtype=np.float64)
     if zbar.ndim != 2 or p.shape != (zbar.shape[0],):
         raise DataError("zbar must be a matrix and p a matching vector")
-    rng = SeededRng(cfg.sgd.seed)
     q = cfg.first_layer_q
     if q == "auto":
-        q_max = min(zbar.shape[1], _AUTO_Q_CAP)
-        q = select_q_cv(zbar, p, q_max, folds=5, rng=rng.child(0))
+        q_max = min(zbar.shape[1], AUTO_Q_CAP)
+        q = select_q_cv(zbar, p, q_max, folds=5, rng=SeededRng(cfg.sgd.seed).child(0))
     first = fit_pls_closed_form(zbar, p, q)
     feats = (zbar - first.means) @ first.weights
-    if cfg.layer_widths:
-        hidden = _init_hidden(feats, p, cfg, rng.child(1))
-    else:
-        hidden = []
-    model = DplsModel(
-        first_layer=first,
-        hidden=tuple((w.copy(), b.copy()) for w, b in hidden),
-        activation=cfg.activation,
-        linear_output=cfg.linear_output,
-        use_bias=cfg.use_bias,
-    )
+    hidden = _init_hidden(feats, p, cfg) if cfg.layer_widths else []
+    model = DplsModel(first_layer=first, hidden=tuple(hidden), activation=cfg.activation)
     if model.hidden and cfg.sgd.epochs > 0:
-        model = sgd_refine(model, zbar, p, cfg.sgd)
-    else:
-        loss0 = _train_loss(model, feats, p)
-        model = replace(model, history=(loss0,), best_epoch=0)
-    return model
+        return sgd_refine(model, zbar, p, cfg.sgd)
+    loss0 = float(np.mean((model.predict(zbar) - p) ** 2))
+    return replace(model, history=(loss0,), best_epoch=0)
 
 
 def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
@@ -309,11 +247,12 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
     feats = model.features(zbar)
     if not model.hidden:
         raise DataError("model has no trainable layers to refine")
+    kind = model.activation
     hidden = [(w.copy(), b.copy()) for w, b in model.hidden]
     rng = SeededRng(params.seed).child(2)
     n = len(p)
     history = list(model.history)
-    loss0 = _train_loss(model, feats, p)
+    loss0 = _train_loss(hidden, kind, feats, p)
     history.append(loss0)
     best_loss = loss0
     best_state = [(w.copy(), b.copy()) for w, b in hidden]
@@ -323,21 +262,11 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
         order = rng.permutation(n)
         for start in range(0, n, params.batch_size):
             rows = order[start : start + params.batch_size]
-            _, grads = network_loss_and_grads(
-                hidden, model.activation, feats[rows], p[rows], model.linear_output
-            )
+            _, grads = network_loss_and_grads(hidden, kind, feats[rows], p[rows])
             for (w, b), (gw, gb) in zip(hidden, grads):
                 w -= lr * gw
-                if model.use_bias:
-                    b -= lr * gb
-        state = DplsModel(
-            first_layer=model.first_layer,
-            hidden=tuple(hidden),
-            activation=model.activation,
-            linear_output=model.linear_output,
-            use_bias=model.use_bias,
-        )
-        loss = _train_loss(state, feats, p)
+                b -= lr * gb
+        loss = _train_loss(hidden, kind, feats, p)
         if not np.isfinite(loss):
             raise NumericalError(
                 f"SGD diverged at epoch {epoch}; reduce learning_rate"
@@ -349,90 +278,8 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
             best_epoch = epoch
     return DplsModel(
         first_layer=model.first_layer,
-        hidden=tuple((w, b) for w, b in best_state),
-        activation=model.activation,
-        linear_output=model.linear_output,
-        use_bias=model.use_bias,
+        hidden=tuple(best_state),
+        activation=kind,
         history=tuple(history),
         best_epoch=best_epoch,
     )
-
-
-# ---------------------------------------------------------------------------
-# Serialization: versioned JSON, floats in shortest round-trip decimal form.
-
-_FORMAT = "dpls-model"
-_VERSION = 1
-
-
-def model_to_dict(model: DplsModel) -> dict:
-    fl = model.first_layer
-    return {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "activation": {"tag": model.activation.tag, "slope": model.activation.slope},
-        "linear_output": model.linear_output,
-        "use_bias": model.use_bias,
-        "first_layer": {
-            # scores and x_loadings are training artifacts and are not
-            # serialized; prediction needs only the fields below
-            "method": fl.method,
-            "q": int(fl.q),
-            "coef": fl.coef.tolist(),
-            "weights": fl.weights.tolist(),
-            "y_loadings": fl.y_loadings.tolist(),
-            "means": fl.means.tolist(),
-            "p_mean": float(fl.p_mean),
-        },
-        "hidden": [
-            {"w": w.tolist(), "b": b.tolist()} for w, b in model.hidden
-        ],
-        "history": list(model.history),
-        "best_epoch": model.best_epoch,
-    }
-
-
-def model_from_dict(doc: dict) -> DplsModel:
-    if doc.get("format") != _FORMAT:
-        raise DataError("not a dpls-model document")
-    if doc.get("version") != _VERSION:
-        raise DataError(f"unsupported model version: {doc.get('version')!r}")
-    fl = doc["first_layer"]
-    weights = np.asarray(fl["weights"], dtype=np.float64)
-    d, q = weights.shape
-    first = PlsFit(
-        coef=np.asarray(fl["coef"], dtype=np.float64),
-        q=int(fl["q"]),
-        scores=np.zeros((0, q)),
-        x_loadings=np.zeros((d, 0)),
-        y_loadings=np.asarray(fl["y_loadings"], dtype=np.float64),
-        weights=weights,
-        means=np.asarray(fl["means"], dtype=np.float64),
-        p_mean=float(fl["p_mean"]),
-        method=str(fl["method"]),
-    )
-    act = ActivationKind(doc["activation"]["tag"], float(doc["activation"]["slope"]))
-    hidden = tuple(
-        (np.asarray(h["w"], dtype=np.float64), np.asarray(h["b"], dtype=np.float64))
-        for h in doc["hidden"]
-    )
-    return DplsModel(
-        first_layer=first,
-        hidden=hidden,
-        activation=act,
-        linear_output=bool(doc["linear_output"]),
-        use_bias=bool(doc["use_bias"]),
-        history=tuple(float(v) for v in doc["history"]),
-        best_epoch=doc["best_epoch"],
-    )
-
-
-def save_model(model: DplsModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path) -> DplsModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))

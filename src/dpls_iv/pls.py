@@ -32,6 +32,9 @@ __all__ = [
 
 _RANK_RTOL = 1e-10
 
+# Largest q tried when q is chosen by cross-validation (q = "auto").
+AUTO_Q_CAP = 30
+
 
 @dataclass(frozen=True)
 class KrylovBasis:

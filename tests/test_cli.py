@@ -39,15 +39,25 @@ def dpls_fit_dir(sim_dir, tmp_path_factory):
     return out
 
 
-@pytest.fixture(scope="module")
-def ols_fit_dir(sim_dir, tmp_path_factory):
-    out = tmp_path_factory.mktemp("fit_ols")
+def _fit_baseline(sim_dir, out, method, *flags):
+    out.mkdir(exist_ok=True)
     cfg = out / "fit.txt"
     write_config(cfg, {"data": str(sim_dir / "data.csv")})
-    rc = main(["fit", "--config", str(cfg), "--method", "ols",
+    rc = main(["fit", "--config", str(cfg), "--method", method, *flags,
                "--out-dir", str(out)])
     assert rc == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def ols_fit_dir(sim_dir, tmp_path_factory):
+    return _fit_baseline(sim_dir, tmp_path_factory.mktemp("fit_ols"), "ols")
+
+
+@pytest.fixture(scope="module")
+def ols_cf_fit_dir(sim_dir, tmp_path_factory):
+    return _fit_baseline(sim_dir, tmp_path_factory.mktemp("fit_ols_cf"), "ols",
+                         "--mode", "control_function")
 
 
 def _read_predictions(path):
@@ -122,12 +132,20 @@ def test_fit_dpls_writes_bundle_and_predictions(dpls_fit_dir):
 
 def test_fit_linear_baseline_record(ols_fit_dir):
     doc = json.loads((ols_fit_dir / "fit.json").read_text())
-    assert doc["format"] == "dpls-iv-linear-fit"
-    assert doc["method"] == "ols"
+    assert doc["format"] == "dpls-iv-fit"
+    assert doc["first_stage"]["method"] == "ols"
     # structural-form coefficients over the 20 + 6 augmented columns
-    assert len(doc["first_stage_coef"]) == 26
+    assert len(doc["first_stage"]["coef"]) == 26
     # treatment slope plus the six covariate slopes
-    assert len(doc["outcome_beta"]) == 7
+    assert len(doc["gmm"]["beta"]) == 7
+
+
+def test_fit_baseline_honours_control_function_mode(ols_cf_fit_dir):
+    doc = json.loads((ols_cf_fit_dir / "fit.json").read_text())
+    assert doc["mode"] == "control_function"
+    assert "gmm" not in doc
+    assert set(doc["cf"]) == {"beta", "beta_eta", "beta_x"}
+    assert len(doc["cf"]["beta_x"]) == 6
 
 
 def test_fit_rejects_malformed_csv(tmp_path, capsys):
@@ -148,6 +166,15 @@ def test_fit_rejects_unknown_method_in_config(tmp_path, sim_dir, capsys):
     assert "unknown method" in capsys.readouterr().err
 
 
+def test_fit_rejects_non_integer_width(tmp_path, sim_dir, capsys):
+    cfg = tmp_path / "fit.txt"
+    write_config(cfg, {"data": str(sim_dir / "data.csv"), "dpls.widths": "a"})
+    rc = main(["fit", "--config", str(cfg), "--method", "ols",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "dpls.widths must be integers" in capsys.readouterr().err
+
+
 def test_predict_reproduces_fit_predictions(sim_dir, dpls_fit_dir, tmp_path):
     cfg = tmp_path / "pred.txt"
     write_config(cfg, {"fit": str(dpls_fit_dir / "fit.json"),
@@ -158,20 +185,35 @@ def test_predict_reproduces_fit_predictions(sim_dir, dpls_fit_dir, tmp_path):
         (dpls_fit_dir / "predictions.csv").read_bytes()
 
 
-def test_predict_linear_bundle_round_trip(sim_dir, ols_fit_dir, tmp_path):
+@pytest.mark.parametrize("method", ["ols", "ridge", "lasso", "pls"])
+def test_predict_baseline_round_trip(sim_dir, method, tmp_path):
+    fit_dir = _fit_baseline(sim_dir, tmp_path / "fit", method)
     cfg = tmp_path / "pred.txt"
-    write_config(cfg, {"fit": str(ols_fit_dir / "fit.json"),
+    write_config(cfg, {"fit": str(fit_dir / "fit.json"),
                        "data": str(sim_dir / "data.csv")})
     rc = main(["predict", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "predictions.csv").read_bytes() == \
-        (ols_fit_dir / "predictions.csv").read_bytes()
+        (fit_dir / "predictions.csv").read_bytes()
 
 
-def test_predict_draws_rejected_for_linear_bundle(sim_dir, ols_fit_dir,
-                                                  tmp_path, capsys):
+def test_predict_draws_on_baseline_fit(sim_dir, ols_fit_dir, tmp_path):
     cfg = tmp_path / "pred.txt"
     write_config(cfg, {"fit": str(ols_fit_dir / "fit.json"),
+                       "data": str(sim_dir / "data.csv")})
+    rc = main(["predict", "--config", str(cfg), "--draws", "10",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    _, cols = _read_predictions(tmp_path / "predictions.csv")
+    lo, hi = cols["y_lo_0.95"], cols["y_hi_0.95"]
+    assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
+    assert np.all(lo <= hi)
+
+
+def test_predict_draws_rejected_without_gmm_stage(sim_dir, ols_cf_fit_dir,
+                                                  tmp_path, capsys):
+    cfg = tmp_path / "pred.txt"
+    write_config(cfg, {"fit": str(ols_cf_fit_dir / "fit.json"),
                        "data": str(sim_dir / "data.csv")})
     rc = main(["predict", "--config", str(cfg), "--draws", "10",
                "--out-dir", str(tmp_path)])

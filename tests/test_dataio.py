@@ -285,7 +285,6 @@ def test_fit_bundle_round_trip_gmm_mode(tmp_path):
     assert back.censored is True
     assert back.cf is None
     assert back.gmm.beta.tobytes() == fit.gmm.beta.tobytes()
-    assert back.gmm.weighting == fit.gmm.weighting
     assert_array_equal(back.gmm.sigma_star_matrix, fit.gmm.sigma_star_matrix)
     assert_array_equal(back.gmm.corrected_matrix, fit.gmm.corrected_matrix)
     for field in ("psi1", "psi2", "sigma_star", "phi_hat", "c_k"):
@@ -316,9 +315,11 @@ def test_fit_from_dict_rejects_foreign_documents():
         fit_from_dict({"format": "something-else"})
     _, fit = _small_fit("rescale_gmm", censored=False)
     doc = fit_to_dict(fit, n_train=200)
-    doc["version"] = 0
-    with pytest.raises(DataError, match="unsupported fit version 0"):
-        fit_from_dict(doc)
+    # version 1 is the record layout before every method shared one format
+    for old in (0, 1):
+        doc["version"] = old
+        with pytest.raises(DataError, match=f"unsupported fit version {old}"):
+            fit_from_dict(doc)
 
 
 # -------------------------------------------------------------- report files

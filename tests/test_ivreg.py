@@ -163,17 +163,6 @@ def test_sandwich_zero_residuals_takes_jitter_path():
     assert np.max(np.abs(sigma)) < 1e-3
 
 
-def test_sandwich_weighting_validation():
-    rng = SeededRng(9)
-    design = rng.normal(size=(30, 2))
-    y = rng.normal(size=30)
-    fit = gmm_beta(design[:, 0], design[:, 1:], y)
-    with pytest.raises(DataError, match="weighting"):
-        sandwich_variance(fit, design, weighting="optimal")
-    experimental = sandwich_variance(fit, design, weighting="trace_ratio")
-    np.testing.assert_array_equal(experimental, experimental.T)
-
-
 def test_corrected_covariance_requires_sandwich_first():
     fit = gmm_beta(np.array([1.0, 2.0, 3.0]), np.empty(0), np.array([1.0, 2.0, 3.1]))
     with pytest.raises(DataError, match="sandwich_variance"):

@@ -12,11 +12,9 @@ from dpls_iv import (
     SgdParams,
     activation_apply,
     dpls_fit,
-    load_model,
     model_from_dict,
     model_to_dict,
     network_loss_and_grads,
-    save_model,
     sgd_refine,
 )
 
@@ -117,8 +115,6 @@ def _manual_model(weight, bias):
         first_layer=first,
         hidden=((np.array([[weight]]), np.array([bias])),),
         activation=ActivationKind.relu(),
-        linear_output=True,
-        use_bias=True,
     )
 
 
@@ -154,6 +150,8 @@ def test_sgd_zero_learning_rate_is_identity():
 
 
 def test_sgd_divergence_raises():
+    # the output unit is a relu: a step that does not overflow at once can
+    # leave it dead with a finite loss, so the first epoch must overflow
     model = _manual_model(0.5, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="diverged"):
@@ -161,7 +159,7 @@ def test_sgd_divergence_raises():
                 model,
                 np.array([[2.0]]),
                 np.array([2.0]),
-                SgdParams(learning_rate=1e12, batch_size=1, epochs=400, seed=0),
+                SgdParams(learning_rate=1e200, batch_size=1, epochs=400, seed=0),
             )
 
 
@@ -216,8 +214,6 @@ def test_config_validation():
     with pytest.raises(DataError):
         DplsConfig(layer_widths=(0,))
     with pytest.raises(DataError):
-        DplsConfig(second_layer_method="ridge")
-    with pytest.raises(DataError):
         DplsConfig(first_layer_q=0)
     with pytest.raises(DataError):
         SgdParams(learning_rate=-0.1)
@@ -232,16 +228,6 @@ def test_model_dict_round_trip():
     clone = model_from_dict(model_to_dict(model))
     np.testing.assert_array_equal(model.predict(zbar), clone.predict(zbar))
     assert clone.best_epoch == model.best_epoch
-
-
-def test_model_file_round_trip(tmp_path):
-    zbar, p = _nonlinear_training_data(7)
-    model = dpls_fit(zbar, p, DplsConfig(layer_widths=(3,), first_layer_q=2,
-                                         sgd=SgdParams(epochs=3, seed=2)))
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    clone = load_model(path)
-    np.testing.assert_array_equal(model.predict(zbar), clone.predict(zbar))
 
 
 def test_fit_beats_linear_first_layer_on_kinked_target():
