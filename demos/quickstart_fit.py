@@ -33,8 +33,8 @@ def main():
           f"outcome R2 {r_squared(test.y, y_hat):.3f}")
 
     # linear first stage on the same augmented design, same outcome stage
-    zbar_tr = augment_instruments(train.z, train.x).zbar
-    zbar_te = augment_instruments(test.z, test.x).zbar
+    zbar_tr = augment_instruments(train.z, train.x)
+    zbar_te = augment_instruments(test.z, test.x)
     ols = fit_ols(zbar_tr, train.p)
     print(f"ols      treatment R2 {r_squared(test.p, ols.predict(zbar_te)):.3f}")
 

@@ -17,7 +17,6 @@ from .bench import (
     run_benchmark,
 )
 from .data import (
-    AugmentedInstruments,
     Dataset,
     SeededRng,
     augment_instruments,
@@ -62,7 +61,6 @@ from .network import (
 )
 from .dataio import model_from_dict, model_to_dict
 from .pls import (
-    KrylovBasis,
     PlsFit,
     compute_krylov,
     fit_pls_closed_form,
@@ -95,7 +93,6 @@ __all__ = [
     "__version__",
     "ActivationKind",
     "AbsBiasSummary",
-    "AugmentedInstruments",
     "ControlFunctionFit",
     "ConvergenceError",
     "CovPair",
@@ -108,7 +105,6 @@ __all__ = [
     "ExperimentConfig",
     "InstrumentGraph",
     "KNOWN_METHODS",
-    "KrylovBasis",
     "LinearFit",
     "MetricsReport",
     "NumericalError",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import SeededRng, augment_instruments, split_dataset
 from .errors import DataError, NumericalError
-from .ivreg import dpls_iv_fit
+from .ivreg import _check_mode, dpls_iv_fit
 from .ivreg import iv_fit as _outcome_stage
 from .linear import fit_lasso, fit_ols, fit_ridge
 from .metrics import abs_bias_summary, r_squared, rmse
@@ -60,8 +60,7 @@ class ExperimentConfig:
             )
         if self.replications < 1:
             raise DataError("replications must be >= 1")
-        if self.mode not in ("rescale_gmm", "control_function"):
-            raise DataError("mode must be 'rescale_gmm' or 'control_function'")
+        _check_mode(self.mode)
         if not (0.0 < self.test_fraction < 1.0):
             raise DataError("test_fraction must lie in (0, 1)")
         if self.jobs < 1:
@@ -112,7 +111,7 @@ def _run_replication(cfg: ExperimentConfig, rep: int):
     gen = gen_experiment1 if cfg.dgp == "experiment1" else gen_experiment2
     ds, truth = gen(cfg.spec, rng.child(0))
     train, test = split_dataset(ds, cfg.test_fraction, rng.child(1))
-    zbar_tr = augment_instruments(train.z, train.x).zbar
+    zbar_tr = augment_instruments(train.z, train.x)
     truth_coefs = np.concatenate([truth.alpha, truth.alpha_x])
     rows, failures, bias = [], [], {}
     for method in cfg.methods:

@@ -242,7 +242,7 @@ def _cmd_fit(args) -> int:
     if method == "dpls_iv":
         fit = dpls_iv_fit(ds, dpls, mode=mode, censored=censored)
     else:
-        zbar = augment_instruments(ds.z, ds.x).zbar
+        zbar = augment_instruments(ds.z, ds.x)
         first = fit_first_stage(method, zbar, ds.p, dpls.first_layer_q, SeededRng(seed))
         fit = iv_fit(first, ds, mode=mode, censored=censored)
     dataio.write_fit(os.path.join(args.out_dir, "fit.json"), fit, len(ds.y))

@@ -5,7 +5,7 @@ package targets are on the order of 10^4 x 10^2, so no sparse path exists.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,8 +13,6 @@ from .errors import DataError
 
 __all__ = [
     "Dataset",
-    "AugmentedInstruments",
-    "SplitIndices",
     "SeededRng",
     "augment_instruments",
     "split_indices",
@@ -43,8 +41,6 @@ class SeededRng:
     other, which is how replications and pipeline stages stay decoupled.
     """
 
-    algorithm = "philox4x64 keyed by SeedSequence((seed, *path))"
-
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         seed = int(seed)
         if seed < 0:
@@ -68,12 +64,6 @@ class SeededRng:
     # numpy's global state.
     def normal(self, size=None, loc=0.0, scale=1.0):
         return self.generator.normal(loc=loc, scale=scale, size=size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self.generator.uniform(low, high, size)
-
-    def integers(self, low, high=None, size=None):
-        return self.generator.integers(low, high=high, size=size)
 
     def permutation(self, n: int) -> np.ndarray:
         return self.generator.permutation(n)
@@ -138,27 +128,8 @@ class Dataset:
         return Dataset(self.y[idx], self.p[idx], self.z[idx], self.x[idx])
 
 
-@dataclass(frozen=True)
-class AugmentedInstruments:
-    """Column concatenation [z, x]: instruments first, covariates after."""
-
-    zbar: np.ndarray
-    m: int
-    k: int
-
-    def __post_init__(self):
-        zbar = _as_float_matrix(self.zbar, "zbar", 2)
-        if zbar.shape[1] != self.m + self.k:
-            raise DataError("zbar column count must equal m + k")
-        object.__setattr__(self, "zbar", zbar)
-
-    @property
-    def n(self) -> int:
-        return self.zbar.shape[0]
-
-
-def augment_instruments(z, x) -> AugmentedInstruments:
-    """Build the augmented instrument matrix [z, x]."""
+def augment_instruments(z, x) -> np.ndarray:
+    """Build the augmented instrument matrix [z, x]: instruments first."""
     z = np.asarray(z, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1 and x.size == 0:
@@ -169,36 +140,17 @@ def augment_instruments(z, x) -> AugmentedInstruments:
         raise DataError(
             f"row counts differ: z has {z.shape[0]}, x has {x.shape[0]}"
         )
-    zbar = np.hstack([z, x]) if x.shape[1] else z.copy()
-    return AugmentedInstruments(zbar=zbar, m=z.shape[1], k=x.shape[1])
+    zbar = np.hstack([z, x])
+    if not np.all(np.isfinite(zbar)):
+        raise DataError("zbar contains non-finite entries")
+    return zbar
 
 
-@dataclass(frozen=True)
-class SplitIndices:
-    """Disjoint train/test row indices covering 0..n-1."""
-
-    train: np.ndarray
-    test: np.ndarray
-
-    def __post_init__(self):
-        train = np.asarray(self.train, dtype=np.intp)
-        test = np.asarray(self.test, dtype=np.intp)
-        if len(train) == 0 or len(test) == 0:
-            raise DataError("both splits must be non-empty")
-        joined = np.concatenate([train, test])
-        n = len(joined)
-        if not np.array_equal(np.sort(joined), np.arange(n)):
-            raise DataError("train/test must partition 0..n-1")
-        train = train.copy()
-        test = test.copy()
-        train.setflags(write=False)
-        test.setflags(write=False)
-        object.__setattr__(self, "train", train)
-        object.__setattr__(self, "test", test)
-
-
-def split_indices(n: int, test_fraction: float, rng: SeededRng) -> SplitIndices:
-    """Uniformly random permutation cut; deterministic given the rng seed."""
+def split_indices(
+    n: int, test_fraction: float, rng: SeededRng
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (train, test) row indices from a uniformly random permutation
+    cut; deterministic given the rng seed."""
     if not (0.0 < test_fraction < 1.0):
         raise DataError("test_fraction must lie strictly inside (0, 1)")
     if n < 4:
@@ -206,10 +158,7 @@ def split_indices(n: int, test_fraction: float, rng: SeededRng) -> SplitIndices:
     n_test = int(round(n * test_fraction))
     n_test = min(max(n_test, 1), n - 1)
     perm = rng.permutation(n)
-    return SplitIndices(
-        train=np.sort(perm[n_test:]),
-        test=np.sort(perm[:n_test]),
-    )
+    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
 def split_dataset(
@@ -220,12 +169,12 @@ def split_dataset(
     Both partitions must individually satisfy m + k < n_split, otherwise the
     downstream estimators are unidentified and the split is refused.
     """
-    idx = split_indices(ds.n, test_fraction, rng)
+    train, test = split_indices(ds.n, test_fraction, rng)
     d = ds.m + ds.k
-    for name, part in (("train", idx.train), ("test", idx.test)):
+    for name, part in (("train", train), ("test", test)):
         if d >= len(part):
             raise DataError(
                 f"{name} split of {len(part)} rows violates m + k < n "
                 f"(m + k = {d})"
             )
-    return ds.take(idx.train), ds.take(idx.test)
+    return ds.take(train), ds.take(test)

@@ -110,15 +110,24 @@ def _role_columns(header: list[str]):
     return roles
 
 
+def _read_text(path) -> str:
+    """Contents of an input file; an unreadable file is a data error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: not UTF-8 text at byte {exc.start}") from None
+
+
 def csv_read(path) -> Dataset:
     """Read a role-prefixed CSV back into a Dataset.
 
     Cells must parse as finite decimal reals; the offending 1-based line
     and column name are reported otherwise.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
-    rows = [line for line in raw_lines if line.strip() != ""]
+    rows = [line for line in _read_text(path).splitlines() if line.strip() != ""]
     if not rows:
         raise DataError("line 1: empty file, header row required")
     header = [cell.strip() for cell in rows[0].split(",")]
@@ -192,8 +201,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def read_config(path) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    return parse_config_text(_read_text(path))
 
 
 def render_config(mapping: dict) -> str:
@@ -261,8 +269,7 @@ def _write_json(path, doc: dict) -> None:
 
 
 def _read_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return json.loads(_read_text(path))
 
 
 def write_truth(path, truth: SyntheticTruth) -> None:
@@ -278,8 +285,6 @@ def read_truth(path) -> SyntheticTruth:
 
 
 def _pls_to_dict(fl: PlsFit) -> dict:
-    # scores and x_loadings are training artifacts and are not serialized;
-    # prediction needs only the fields below
     return {
         "method": fl.method,
         "q": int(fl.q),
@@ -292,15 +297,11 @@ def _pls_to_dict(fl: PlsFit) -> dict:
 
 
 def _pls_from_dict(fl: dict) -> PlsFit:
-    weights = np.asarray(fl["weights"], dtype=np.float64)
-    d, q = weights.shape
     return PlsFit(
         coef=np.asarray(fl["coef"], dtype=np.float64),
         q=int(fl["q"]),
-        scores=np.zeros((0, q)),
-        x_loadings=np.zeros((d, 0)),
         y_loadings=np.asarray(fl["y_loadings"], dtype=np.float64),
-        weights=weights,
+        weights=np.asarray(fl["weights"], dtype=np.float64),
         means=np.asarray(fl["means"], dtype=np.float64),
         p_mean=float(fl["p_mean"]),
         method=str(fl["method"]),
@@ -411,7 +412,6 @@ def fit_from_dict(doc: dict) -> tuple[DplsIvFit, int]:
             beta=beta,
             constants=constants,
             design=np.zeros((0, dim)),
-            y_tilde=np.zeros(0),
             residuals=np.zeros(0),
             sigma_star_matrix=mat("sigma_star_matrix"),
             corrected_matrix=mat("corrected_matrix"),
@@ -439,7 +439,15 @@ def write_fit(path, fit: DplsIvFit, n_train: int) -> None:
 
 
 def read_fit(path) -> tuple[DplsIvFit, int]:
-    return fit_from_dict(_read_json(path))
+    """Load a fit record; a file that is not one is a data error."""
+    try:
+        return fit_from_dict(_read_json(path))
+    except DataError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(
+            f"{path} is not a valid fit record ({type(exc).__name__}: {exc})"
+        ) from None
 
 
 # -------------------------------------------------------------- report files

@@ -116,7 +116,6 @@ class TobitGmmFit:
     beta: np.ndarray
     constants: TobitConstants
     design: np.ndarray
-    y_tilde: np.ndarray
     residuals: np.ndarray
     sigma_star_matrix: np.ndarray | None = None
     corrected_matrix: np.ndarray | None = None
@@ -157,7 +156,6 @@ def gmm_beta(
         beta=beta,
         constants=constants if constants is not None else identity_constants(),
         design=design,
-        y_tilde=y_tilde,
         residuals=resid,
     )
 
@@ -272,7 +270,7 @@ class DplsIvFit:
         return self.cf.beta
 
     def predict_treatment(self, z, x) -> np.ndarray:
-        zbar = augment_instruments(z, x).zbar
+        zbar = augment_instruments(z, x)
         width = len(self.first_stage.coef)
         if zbar.shape[1] != width:
             raise DataError(
@@ -323,7 +321,7 @@ def iv_fit(
     and corrected covariances, so every such fit supports posterior draws.
     """
     _check_mode(mode)
-    zbar = augment_instruments(ds.z, ds.x).zbar
+    zbar = augment_instruments(ds.z, ds.x)
     p_hat = first_stage.predict(zbar)
     constants = estimate_tobit_constants(ds.y) if censored else identity_constants()
     y_tilde = recenter_outcome(ds.y, constants)
@@ -351,7 +349,7 @@ def dpls_iv_fit(
     A bad mode is rejected before the network trains.
     """
     _check_mode(mode)
-    first = dpls_fit(augment_instruments(ds.z, ds.x).zbar, ds.p, cfg)
+    first = dpls_fit(augment_instruments(ds.z, ds.x), ds.p, cfg)
     return iv_fit(first, ds, mode=mode, censored=censored)
 
 
@@ -361,7 +359,6 @@ class PosteriorDraws:
 
     beta_draws: np.ndarray
     psi1_draws: np.ndarray
-    seed_path: tuple
 
     def predictive(self, design) -> np.ndarray:
         """Latent-index draws design @ beta per draw; shape (rows, draws)."""
@@ -389,6 +386,4 @@ def sample_posterior(fit: TobitGmmFit, n: int, draws: int, rng: SeededRng) -> Po
     p1 = fit.constants.psi1
     psi_draws = p1 + np.sqrt(p1 * (1.0 - p1) / n) * gen.standard_normal(size=draws)
     psi_draws = np.clip(psi_draws, _PSI_EPS, 1.0 - _PSI_EPS)
-    return PosteriorDraws(
-        beta_draws=beta_draws, psi1_draws=psi_draws, seed_path=rng.path
-    )
+    return PosteriorDraws(beta_draws=beta_draws, psi1_draws=psi_draws)

@@ -35,7 +35,6 @@ class LinearFit:
     intercept: float
     method: str
     lam: float = 0.0
-    n_iter: int | None = None
 
     def predict(self, design) -> np.ndarray:
         design = np.asarray(design, dtype=np.float64)
@@ -145,11 +144,9 @@ def fit_lasso(
     if lam < 0:
         raise DataError("lam must be non-negative")
     xc, yc, means, y_mean = _center(design, target, fit_intercept)
-    coef, n_iter = _lasso_cd(xc, yc, lam, tol, max_iter)
+    coef = _lasso_cd(xc, yc, lam, tol, max_iter)
     intercept = y_mean - float(means @ coef)
-    return LinearFit(
-        coef=coef, intercept=intercept, method="lasso", lam=lam, n_iter=n_iter
-    )
+    return LinearFit(coef=coef, intercept=intercept, method="lasso", lam=lam)
 
 
 def _lasso_cd(xc, yc, lam, tol, max_iter, warm=None):
@@ -159,7 +156,7 @@ def _lasso_cd(xc, yc, lam, tol, max_iter, warm=None):
     coef = np.zeros(d) if warm is None else warm.astype(np.float64).copy()
     gdiag = np.diag(gram).copy()
     prev_obj = _lasso_objective(xc, yc, coef, lam)
-    for sweep in range(1, max_iter + 1):
+    for _ in range(max_iter):
         for j in range(d):
             if gdiag[j] <= 0.0:
                 coef[j] = 0.0  # constant-zero column carries no signal
@@ -168,7 +165,7 @@ def _lasso_cd(xc, yc, lam, tol, max_iter, warm=None):
             coef[j] = soft_threshold(rho, lam) / gdiag[j]
         obj = _lasso_objective(xc, yc, coef, lam)
         if prev_obj - obj < tol:
-            return coef, sweep
+            return coef
         prev_obj = obj
     raise ConvergenceError(
         f"lasso did not converge in {max_iter} sweeps", last_iterate=coef
@@ -200,7 +197,7 @@ def _cv_lambda(design, target, method, fit_intercept, n_folds=5, n_grid=50):
             if method == "lasso":
                 xc, yt, means, y_mean = _center(x_tr, y_tr, fit_intercept)
                 try:
-                    coef, _ = _lasso_cd(xc, yt, lam, 1e-8, 1000, warm=warm)
+                    coef = _lasso_cd(xc, yt, lam, 1e-8, 1000, warm=warm)
                 except ConvergenceError as err:
                     coef = err.last_iterate
                 warm = coef

@@ -5,8 +5,7 @@ is never touched by SGD; consistency of the instrument directions rests on
 the PLS estimator alone. Hidden layers (widths from config) and a width-1
 output layer are initialized by per-layer least squares on the previous
 layer's activated features, then refined jointly by mini-batch SGD on
-squared loss. With zero hidden layers the model degenerates to the plain
-PLS prediction passed through the activation.
+squared loss.
 """
 from __future__ import annotations
 
@@ -89,10 +88,9 @@ class SgdParams:
 class DplsConfig:
     """Architecture and training knobs for the treatment network.
 
-    layer_widths names hidden widths only; a width-1 output layer is always
-    appended after the last hidden layer (or directly after the PLS layer
-    when layer_widths is empty, in which case no trainable layers exist).
-    The activation follows every trainable layer, the output layer included.
+    layer_widths names the hidden widths, at least one; a width-1 output
+    layer is always appended after the last hidden layer. The activation
+    follows every trainable layer, the output layer included.
     """
 
     layer_widths: tuple[int, ...] = (30,)
@@ -102,8 +100,8 @@ class DplsConfig:
 
     def __post_init__(self):
         widths = tuple(int(w) for w in self.layer_widths)
-        if any(w < 1 for w in widths):
-            raise DataError("layer widths must be positive")
+        if not widths or any(w < 1 for w in widths):
+            raise DataError("layer_widths needs at least one layer, all widths positive")
         object.__setattr__(self, "layer_widths", widths)
         if self.first_layer_q != "auto":
             if int(self.first_layer_q) < 1:
@@ -148,8 +146,6 @@ class DplsModel:
         return (zbar - self.first_layer.means) @ self.first_layer.weights
 
     def predict(self, zbar) -> np.ndarray:
-        if not self.hidden:
-            return activation_apply(self.activation, self.first_layer.predict(zbar))
         _, acts = _forward(self.hidden, self.activation, self.features(zbar))
         return acts[-1].ravel()
 
@@ -228,9 +224,9 @@ def dpls_fit(zbar, p, cfg: DplsConfig) -> DplsModel:
         q = select_q_cv(zbar, p, q_max, folds=5, rng=SeededRng(cfg.sgd.seed).child(0))
     first = fit_pls_closed_form(zbar, p, q)
     feats = (zbar - first.means) @ first.weights
-    hidden = _init_hidden(feats, p, cfg) if cfg.layer_widths else []
+    hidden = _init_hidden(feats, p, cfg)
     model = DplsModel(first_layer=first, hidden=tuple(hidden), activation=cfg.activation)
-    if model.hidden and cfg.sgd.epochs > 0:
+    if cfg.sgd.epochs > 0:
         return sgd_refine(model, zbar, p, cfg.sgd)
     loss0 = float(np.mean((model.predict(zbar) - p) ** 2))
     return replace(model, history=(loss0,), best_epoch=0)

@@ -22,7 +22,6 @@ from .errors import DataError, SingularDesignError
 from .statnum import CovPair, sample_cov_pair
 
 __all__ = [
-    "KrylovBasis",
     "PlsFit",
     "compute_krylov",
     "fit_pls_closed_form",
@@ -37,36 +36,19 @@ AUTO_Q_CAP = 30
 
 
 @dataclass(frozen=True)
-class KrylovBasis:
-    """Raw Krylov columns and their orthonormalized companion.
-
-    raw: (d, q) with column j+1 = S_zz @ column j; ortho: (d, rank) from
-    modified Gram-Schmidt with one re-orthogonalization pass, truncated when
-    a column's residual norm falls below 1e-10 of its pre-projection norm.
-    """
-
-    raw: np.ndarray
-    ortho: np.ndarray
-    rank: int
-
-
-@dataclass(frozen=True)
 class PlsFit:
     """Fitted PLS state.
 
     coef is the implied regression vector on the original (uncentered)
     columns; predictions are p_mean + (zbar - means) @ coef. weights W holds
     the projection directions (unit-norm for the deflation route,
-    S_zz-orthonormal for the closed form), scores T = (zbar - means) @ W has
+    S_zz-orthonormal for the closed form), the scores (zbar - means) @ W have
     mutually orthogonal columns for both routes, and y_loadings is defined so
-    that coef = weights @ y_loadings. x_loadings are the regression loadings
-    of the centered instruments on the scores.
+    that coef = weights @ y_loadings.
     """
 
     coef: np.ndarray
     q: int
-    scores: np.ndarray
-    x_loadings: np.ndarray
     y_loadings: np.ndarray
     weights: np.ndarray
     means: np.ndarray
@@ -97,8 +79,10 @@ def _mgs(columns, rtol=_RANK_RTOL):
     return np.column_stack(basis)
 
 
-def compute_krylov(cov: CovPair, q: int) -> KrylovBasis:
-    """Krylov matrix (s_zp, S_zz s_zp, ..., S_zz^{q-1} s_zp) plus basis."""
+def compute_krylov(cov: CovPair, q: int) -> np.ndarray:
+    """Orthonormal basis, shape (d, rank), of the Krylov matrix
+    (s_zp, S_zz s_zp, ..., S_zz^{q-1} s_zp); rank < q when _mgs drops a
+    numerically dependent column."""
     if q < 1:
         raise DataError("q must be at least 1")
     s_zz, s_zp = cov.s_zz, cov.s_zp
@@ -110,8 +94,7 @@ def compute_krylov(cov: CovPair, q: int) -> KrylovBasis:
     cols[:, 0] = s_zp
     for j in range(1, q):
         cols[:, j] = s_zz @ cols[:, j - 1]
-    ortho = _mgs(cols)
-    return KrylovBasis(raw=cols, ortho=ortho, rank=ortho.shape[1])
+    return _mgs(cols)
 
 
 def _s_orthonormalize(basis, s_zz):
@@ -141,24 +124,17 @@ def fit_pls_closed_form(zbar, p, q: int) -> PlsFit:
     d = len(cov.s_zp)
     if not (1 <= q <= d):
         raise DataError(f"q must lie in [1, {d}]")
-    kb = compute_krylov(cov, q)
-    if kb.rank < q:
+    basis = compute_krylov(cov, q)
+    if basis.shape[1] < q:
         raise SingularDesignError(
-            f"effective Krylov rank {kb.rank} < requested q = {q}; reduce q"
+            f"effective Krylov rank {basis.shape[1]} < requested q = {q}; reduce q"
         )
-    weights = _s_orthonormalize(kb.ortho, cov.s_zz)
+    weights = _s_orthonormalize(basis, cov.s_zz)
     y_loadings = weights.T @ cov.s_zp
     coef = weights @ y_loadings
-    zbar = np.asarray(zbar, dtype=np.float64)
-    zc = zbar - cov.means
-    scores = zc @ weights
-    gram = scores.T @ scores
-    x_loadings = np.linalg.solve(gram, scores.T @ zc).T
     return PlsFit(
         coef=coef,
         q=q,
-        scores=scores,
-        x_loadings=x_loadings,
         y_loadings=y_loadings,
         weights=weights,
         means=cov.means,
@@ -192,7 +168,7 @@ def fit_pls_deflation(zbar, p, q: int) -> PlsFit:
         raise DataError(
             "s_zp is the zero vector: no instrument-policy covariance"
         )
-    ws, ts, vs, y_loads = [], [], [], []
+    ws, y_loads = [], []
     loading_basis = []
     for _ in range(q):
         if float(np.linalg.norm(s)) <= 1e-12 * s0:
@@ -206,8 +182,6 @@ def fit_pls_deflation(zbar, p, q: int) -> PlsFit:
         v = zc.T @ t
         q_a = float(pc @ t)
         ws.append(w)
-        ts.append(t)
-        vs.append(v)
         y_loads.append(q_a / tn)
         vb = v.copy()
         for _ in range(2):
@@ -223,15 +197,11 @@ def fit_pls_deflation(zbar, p, q: int) -> PlsFit:
     if achieved == 0:
         raise DataError("no usable PLS component found")
     weights = np.column_stack(ws)
-    scores = np.column_stack(ts)
-    x_loadings = np.column_stack(vs)
     y_loadings = np.asarray(y_loads)
     coef = weights @ y_loadings
     return PlsFit(
         coef=coef,
         q=achieved,
-        scores=scores,
-        x_loadings=x_loadings,
         y_loadings=y_loadings,
         weights=weights,
         means=means,
@@ -264,8 +234,7 @@ def select_q_cv(zbar, p, q_max: int, folds: int, rng: SeededRng) -> int:
         mask[test_idx] = False
         cov = sample_cov_pair(zbar[mask], p[mask])
         try:
-            kb = compute_krylov(cov, q_max)
-            weights = _s_orthonormalize(kb.ortho[:, : kb.rank], cov.s_zz)
+            weights = _s_orthonormalize(compute_krylov(cov, q_max), cov.s_zz)
         except (DataError, SingularDesignError):
             continue
         zc_te = zbar[test_idx] - cov.means
@@ -287,10 +256,10 @@ def select_q_cv(zbar, p, q_max: int, folds: int, rng: SeededRng) -> int:
         if not np.isfinite(mean_err[qq - 1]):
             break
         try:
-            kb = compute_krylov(cov_full, int(qq))
-            if kb.rank < qq:
+            basis = compute_krylov(cov_full, int(qq))
+            if basis.shape[1] < qq:
                 continue
-            _s_orthonormalize(kb.ortho, cov_full.s_zz)
+            _s_orthonormalize(basis, cov_full.s_zz)
             return int(qq)
         except (DataError, SingularDesignError):
             continue

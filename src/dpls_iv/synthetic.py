@@ -35,8 +35,6 @@ __all__ = [
     "distance_to_cov",
 ]
 
-_DEFAULT_SIGMA_JOINT = ((3.000, -0.087), (-0.087, 0.010))
-
 
 @dataclass(frozen=True, eq=False)
 class SyntheticSpec:
@@ -46,14 +44,7 @@ class SyntheticSpec:
     I + cov_param * (off-diagonal ones); "network" uses cov_param ** D for
     shortest-path distances D of a preferential-attachment graph with
     edges_per_node links per arriving node. Coefficients are drawn from
-    coef_seed unless given explicitly; mu_x and sigma_xx are optional slots
-    for closed-form oracles and are never consumed by the generators.
-
-    treatment_margin names the column of the joint (2-dimensional) noise
-    draw that enters the treatment equation as w; the other column is the
-    outcome disturbance xi. The default assigns the small-variance margin
-    of sigma_joint to the treatment, which is the regime where the ReLU
-    signal dominates treatment variation.
+    coef_seed unless given explicitly.
     """
 
     n: int = 1000
@@ -61,7 +52,7 @@ class SyntheticSpec:
     m_redundant: int = 10
     k: int = 25
     k_null: int = 20
-    sigma_joint: tuple = _DEFAULT_SIGMA_JOINT
+    sigma_joint: tuple = ((3.000, -0.087), (-0.087, 0.010))
     sigma_eps: float = 0.5
     activation_g: ActivationKind | None = field(default_factory=ActivationKind.relu)
     activation_f: ActivationKind | None = field(default_factory=ActivationKind.relu)
@@ -69,14 +60,11 @@ class SyntheticSpec:
     cov_mode: str = "near_diagonal"
     cov_param: float = 0.001
     edges_per_node: int = 2
-    treatment_margin: int = 1
     alpha: np.ndarray | None = None
     gamma: np.ndarray | None = None
     alpha_x: np.ndarray | None = None
     beta: float | None = None
     beta_x: np.ndarray | None = None
-    mu_x: np.ndarray | None = None
-    sigma_xx: np.ndarray | None = None
 
     def __post_init__(self):
         if not (0 <= self.m_redundant <= self.m and 0 <= self.k_null <= self.k):
@@ -90,32 +78,21 @@ class SyntheticSpec:
             raise DataError("sigma_eps must be non-negative")
         if self.cov_mode not in ("near_diagonal", "network"):
             raise DataError("cov_mode must be 'near_diagonal' or 'network'")
-        if self.treatment_margin not in (0, 1):
-            raise DataError("treatment_margin must be 0 or 1")
 
 
 def experiment1_spec(**overrides) -> SyntheticSpec:
-    """Sparse design: fifty near-independent instruments, ten redundant,
-    twenty-five covariates with twenty absent from the outcome equation."""
-    base = dict(
-        n=1000, m=50, m_redundant=10, k=25, k_null=20,
-        sigma_joint=_DEFAULT_SIGMA_JOINT, sigma_eps=0.5,
-        cov_mode="near_diagonal", cov_param=0.001, coef_seed=28,
-    )
-    base.update(overrides)
-    return SyntheticSpec(**base)
+    """Sparse design: the SyntheticSpec defaults (fifty near-independent
+    instruments, ten redundant, twenty-five covariates with twenty absent
+    from the outcome equation) under coefficient seed 28."""
+    return SyntheticSpec(**{"coef_seed": 28, **overrides})
 
 
 def experiment2_spec(**overrides) -> SyntheticSpec:
     """Network design: same equations, instrument covariance 0.7^distance
     over a 50-node preferential-attachment graph."""
-    base = dict(
-        n=1000, m=50, m_redundant=10, k=25, k_null=20,
-        sigma_joint=_DEFAULT_SIGMA_JOINT, sigma_eps=0.5,
-        cov_mode="network", cov_param=0.7, edges_per_node=2, coef_seed=28,
+    return SyntheticSpec(
+        **{"coef_seed": 28, "cov_mode": "network", "cov_param": 0.7, **overrides}
     )
-    base.update(overrides)
-    return SyntheticSpec(**base)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,8 +172,10 @@ def _gen_core(spec: SyntheticSpec, rng: SeededRng, sigma_z, cov_repair=0.0, grap
     joint = rng.child(2).normal(size=(spec.n, 2)) @ _psd_factor(
         np.asarray(spec.sigma_joint, dtype=np.float64)
     ).T
-    w = joint[:, spec.treatment_margin]
-    xi = joint[:, 1 - spec.treatment_margin]
+    # the small-variance margin of sigma_joint is the treatment noise w, the
+    # regime where the ReLU signal dominates treatment variation
+    w = joint[:, 1]
+    xi = joint[:, 0]
     eps = spec.sigma_eps * rng.child(3).normal(size=spec.n)
     treat_index = z @ alpha + expit(z**2) @ gamma + x @ alpha_x
     p = _apply(spec.activation_g, treat_index) + w

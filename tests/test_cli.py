@@ -249,6 +249,38 @@ def test_predict_requires_both_paths(sim_dir, capsys, tmp_path):
     assert "predict requires a data path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["header_only", "not_json", "constants_missing_keys",
+                                  "missing_fit", "missing_data", "binary_data",
+                                  "missing_config"])
+def test_predict_bad_input_file_is_data_error(case, sim_dir, dpls_fit_dir, tmp_path,
+                                              capsys):
+    fit_path, data_path = dpls_fit_dir / "fit.json", sim_dir / "data.csv"
+    bad = tmp_path / "bad_input"
+    if case == "header_only":
+        bad.write_text('{"format": "dpls-iv-fit", "version": 2}')
+    elif case == "not_json":
+        bad.write_text("p_hat,y_hat\n1.0,2.0\n")
+    elif case == "constants_missing_keys":
+        doc = json.loads(fit_path.read_text())
+        del doc["constants"]["psi2"]
+        bad.write_text(json.dumps(doc))
+    elif case == "binary_data":
+        bad.write_bytes(b"\xff\xfey,p\n")
+    if case in ("missing_data", "binary_data"):
+        data_path = bad
+    elif case != "missing_config":
+        fit_path = bad
+    cfg = tmp_path / "pred.txt"
+    write_config(cfg, {"fit": str(fit_path), "data": str(data_path)})
+    if case == "missing_config":
+        cfg = bad
+    rc = main(["predict", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert str(bad) in err
+
+
 def test_predict_rejects_bad_level(sim_dir, dpls_fit_dir, tmp_path, capsys):
     cfg = tmp_path / "pred.txt"
     write_config(cfg, {"fit": str(dpls_fit_dir / "fit.json"),

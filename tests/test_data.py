@@ -89,16 +89,14 @@ def test_dataset_allows_empty_covariates():
 
 
 def test_augment_concatenates_instruments_first():
-    aug = augment_instruments(np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]]))
-    np.testing.assert_array_equal(aug.zbar, [[1.0, 3.0], [2.0, 4.0]])
-    assert (aug.m, aug.k, aug.n) == (1, 1, 2)
+    zbar = augment_instruments(np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]]))
+    np.testing.assert_array_equal(zbar, [[1.0, 3.0], [2.0, 4.0]])
 
 
 def test_augment_empty_covariates():
     z = np.array([[1.0, 2.0], [3.0, 4.0]])
-    aug = augment_instruments(z, np.empty(0))
-    np.testing.assert_array_equal(aug.zbar, z)
-    assert aug.k == 0
+    zbar = augment_instruments(z, np.empty(0))
+    np.testing.assert_array_equal(zbar, z)
 
 
 def test_augment_rejects_row_mismatch():
@@ -106,18 +104,24 @@ def test_augment_rejects_row_mismatch():
         augment_instruments(np.ones((3, 1)), np.ones((2, 1)))
 
 
+def test_augment_rejects_non_finite_entries():
+    with pytest.raises(DataError, match="non-finite"):
+        augment_instruments(np.array([[1.0], [np.inf]]), np.ones((2, 1)))
+
+
 def test_split_indices_partition_and_size():
-    idx = split_indices(20, 0.25, SeededRng(5))
-    assert len(idx.test) == 5 and len(idx.train) == 15
-    joined = np.sort(np.concatenate([idx.train, idx.test]))
+    train, test = split_indices(20, 0.25, SeededRng(5))
+    assert len(test) == 5 and len(train) == 15
+    assert np.all(np.diff(train) > 0) and np.all(np.diff(test) > 0)
+    joined = np.sort(np.concatenate([train, test]))
     np.testing.assert_array_equal(joined, np.arange(20))
 
 
 def test_split_indices_deterministic():
-    a = split_indices(50, 0.5, SeededRng(9))
-    b = split_indices(50, 0.5, SeededRng(9))
-    np.testing.assert_array_equal(a.train, b.train)
-    np.testing.assert_array_equal(a.test, b.test)
+    a_train, a_test = split_indices(50, 0.5, SeededRng(9))
+    b_train, b_test = split_indices(50, 0.5, SeededRng(9))
+    np.testing.assert_array_equal(a_train, b_train)
+    np.testing.assert_array_equal(a_test, b_test)
 
 
 def test_split_indices_fraction_bounds():

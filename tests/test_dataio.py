@@ -1,4 +1,5 @@
 """Round trips and error reporting for the on-disk formats."""
+import dataclasses
 import os
 import re
 import tempfile
@@ -15,11 +16,14 @@ from dpls_iv import (
     MetricsReport,
     SeededRng,
     SgdParams,
+    augment_instruments,
     dpls_iv_fit,
     experiment1_spec,
     experiment2_spec,
+    fit_first_stage,
     gen_experiment1,
     gen_experiment2,
+    iv_fit,
 )
 from dpls_iv.dataio import (
     csv_read,
@@ -308,6 +312,34 @@ def test_fit_bundle_round_trip_control_function_mode(tmp_path):
     assert back.cf.beta_x.tobytes() == fit.cf.beta_x.tobytes()
     assert_array_equal(back.predict_outcome(ds.z, ds.x),
                        fit.predict_outcome(ds.z, ds.x))
+
+
+def _assert_bit_equal(a, b):
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            _assert_bit_equal(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_bit_equal(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    else:
+        assert a == b
+
+
+@pytest.mark.parametrize("method", ["dpls_iv", "pls", "ols", "ridge", "lasso"])
+def test_fit_record_reproduces_the_first_stage(method):
+    if method == "dpls_iv":
+        _, fit = _small_fit("rescale_gmm")
+    else:
+        ds, _ = gen_experiment1(experiment1_spec(n=200), SeededRng(41))
+        zbar = augment_instruments(ds.z, ds.x)
+        first = fit_first_stage(method, zbar, ds.p, "auto", SeededRng(0))
+        fit = iv_fit(first, ds)
+    back, _ = fit_from_dict(fit_to_dict(fit, n_train=200))
+    _assert_bit_equal(back.first_stage, fit.first_stage)
 
 
 def test_fit_from_dict_rejects_foreign_documents():

@@ -1,0 +1,13 @@
+"""Every demo script runs to completion against the current library API."""
+import runpy
+from pathlib import Path
+
+import pytest
+
+_DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", _DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip() != ""

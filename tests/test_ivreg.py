@@ -155,7 +155,6 @@ def test_sandwich_zero_residuals_takes_jitter_path():
         beta=np.array([1.0, 2.0]),
         constants=identity_constants(),
         design=design,
-        y_tilde=design @ np.array([1.0, 2.0]),
         residuals=np.zeros(50),
     )
     with pytest.warns(UserWarning, match="ridge jitter"):
@@ -294,7 +293,6 @@ def _posterior_fixture(dim=3):
         beta=np.zeros(dim),
         constants=identity_constants(),
         design=np.zeros((0, dim)),
-        y_tilde=np.zeros(0),
         residuals=np.zeros(0),
         sigma_star_matrix=np.eye(dim),
     )

@@ -103,8 +103,6 @@ def _manual_model(weight, bias):
     first = PlsFit(
         coef=np.array([1.0]),
         q=1,
-        scores=np.zeros((1, 1)),
-        x_loadings=np.ones((1, 1)),
         y_loadings=np.array([1.0]),
         weights=np.array([[1.0]]),
         means=np.array([0.0]),
@@ -193,15 +191,6 @@ def test_treatment_scale_carries_to_first_layer():
     np.testing.assert_array_equal(2.0 * a.first_layer.coef, b.first_layer.coef)
 
 
-def test_no_hidden_layers_applies_activation_to_pls_output():
-    zbar, p = _nonlinear_training_data(4)
-    cfg = DplsConfig(layer_widths=(), first_layer_q=2)
-    model = dpls_fit(zbar, p, cfg)
-    assert model.hidden == ()
-    expected = np.maximum(model.first_layer.predict(zbar), 0.0)
-    np.testing.assert_array_equal(model.predict(zbar), expected)
-
-
 def test_model_rejects_wrong_input_width():
     zbar, p = _nonlinear_training_data(5)
     model = dpls_fit(zbar, p, DplsConfig(layer_widths=(3,), first_layer_q=2,
@@ -213,6 +202,8 @@ def test_model_rejects_wrong_input_width():
 def test_config_validation():
     with pytest.raises(DataError):
         DplsConfig(layer_widths=(0,))
+    with pytest.raises(DataError, match="at least one layer"):
+        DplsConfig(layer_widths=())
     with pytest.raises(DataError):
         DplsConfig(first_layer_q=0)
     with pytest.raises(DataError):

@@ -31,10 +31,12 @@ def test_krylov_columns_iterate_the_covariance():
         p_mean=0.0,
         n=10,
     )
-    kb = compute_krylov(cov, 2)
-    np.testing.assert_allclose(kb.raw[:, 0], [1.0, 1.0])
-    np.testing.assert_allclose(kb.raw[:, 1], [1.0, 2.0])
-    assert kb.rank == 2
+    basis = compute_krylov(cov, 2)
+    assert basis.shape == (2, 2)
+    # the basis spans s_zp = (1, 1) and S_zz s_zp = (1, 2), first column first
+    np.testing.assert_allclose(basis[:, 0], np.array([1.0, 1.0]) / np.sqrt(2.0))
+    raw = np.array([[1.0, 1.0], [1.0, 2.0]])
+    np.testing.assert_allclose(basis @ (basis.T @ raw), raw, atol=1e-12)
 
 
 def test_krylov_rejects_zero_cross_covariance():
@@ -47,9 +49,9 @@ def test_krylov_rejects_zero_cross_covariance():
 
 def test_krylov_orthonormal_basis():
     zbar, p = _regression_data(0)
-    kb = compute_krylov(sample_cov_pair(zbar, p), 4)
-    gram = kb.ortho.T @ kb.ortho
-    np.testing.assert_allclose(gram, np.eye(kb.rank), atol=1e-10)
+    basis = compute_krylov(sample_cov_pair(zbar, p), 4)
+    assert basis.shape == (6, 4)
+    np.testing.assert_allclose(basis.T @ basis, np.eye(4), atol=1e-10)
 
 
 def test_full_q_equals_ols_predictions():
@@ -70,7 +72,8 @@ def test_closed_form_and_deflation_agree():
 def test_scores_are_orthogonal():
     zbar, p = _regression_data(3, d=5)
     for fit in (fit_pls_closed_form(zbar, p, 4), fit_pls_deflation(zbar, p, 4)):
-        gram = fit.scores.T @ fit.scores
+        scores = (zbar - fit.means) @ fit.weights
+        gram = scores.T @ scores
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) < 1e-8 * np.max(np.abs(gram))
 

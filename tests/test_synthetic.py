@@ -30,8 +30,6 @@ def test_spec_validation():
         SyntheticSpec(sigma_eps=-0.1)
     with pytest.raises(DataError):
         SyntheticSpec(cov_mode="toeplitz")
-    with pytest.raises(DataError):
-        SyntheticSpec(treatment_margin=2)
 
 
 def test_experiment1_defaults_match_design_table():
@@ -41,6 +39,15 @@ def test_experiment1_defaults_match_design_table():
     )
     sj = np.asarray(spec.sigma_joint)
     np.testing.assert_allclose(sj, [[3.000, -0.087], [-0.087, 0.010]])
+    assert (spec.sigma_eps, spec.cov_mode, spec.cov_param, spec.coef_seed) == (
+        0.5, "near_diagonal", 0.001, 28
+    )
+    spec2 = experiment2_spec()
+    assert (spec2.n, spec2.m, spec2.m_redundant, spec2.k, spec2.k_null) == (
+        1000, 50, 10, 25, 20
+    )
+    assert (spec2.cov_mode, spec2.cov_param, spec2.edges_per_node,
+            spec2.coef_seed) == ("network", 0.7, 2, 28)
 
 
 def test_noiseless_identity_generator_is_deterministic_arithmetic():
@@ -90,18 +97,10 @@ def test_joint_noise_moments_match_sigma():
     spec = SyntheticSpec(n=100000, m=2, m_redundant=0, k=1, k_null=0, coef_seed=0)
     _, truth = gen_experiment1(spec, SeededRng(4))
     emp = np.cov(truth.w, truth.xi)
-    # default margin assignment: treatment takes the small variance
+    # the treatment noise w takes the small-variance margin
     assert emp[0, 0] == pytest.approx(0.010, rel=0.05)
     assert emp[1, 1] == pytest.approx(3.000, rel=0.05)
     assert emp[0, 1] == pytest.approx(-0.087, rel=0.05)
-
-
-def test_treatment_margin_swaps_noise_roles():
-    spec = SyntheticSpec(n=100000, m=2, m_redundant=0, k=1, k_null=0,
-                         coef_seed=0, treatment_margin=0)
-    _, truth = gen_experiment1(spec, SeededRng(4))
-    assert truth.w.var() == pytest.approx(3.000, rel=0.05)
-    assert truth.xi.var() == pytest.approx(0.010, rel=0.05)
 
 
 def test_same_seed_reproduces_dataset():
