@@ -1,4 +1,4 @@
-"""Baseline linear solvers: OLS, ridge, and coordinate-descent lasso.
+"""Baseline linear solvers: OLS, ridge, and lasso.
 
 These serve both as standalone comparators and as the per-layer solvers
 inside the deep PLS network. The lasso objective is
@@ -6,8 +6,12 @@ inside the deep PLS network. The lasso objective is
     (1 / (2n)) * ||y - X b||^2 + lam * ||b||_1
 
 so the all-zero solution is optimal exactly when lam >= max_j |X_j' y| / n
-at b = 0. No internal rescaling of columns is performed; callers control
-the scale of their designs.
+at b = 0. Below that the solution is piecewise linear in lam, and the
+LARS-lasso homotopy follows it exactly; one coordinate-descent sweep from
+that point certifies each lasso fit. Cross-validated penalties score every
+grid point of a fold from one exact computation: the homotopy path for the
+lasso, one thin SVD for ridge. No internal rescaling of columns is
+performed; callers control the scale of their designs.
 """
 from __future__ import annotations
 
@@ -25,6 +29,10 @@ __all__ = [
     "fit_lasso",
     "soft_threshold",
 ]
+
+# A column whose residual after projection on the active columns keeps
+# less than this share of its squared norm lies in their span.
+_SPAN_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -128,12 +136,13 @@ def fit_lasso(
     max_iter: int = 1000,
     fit_intercept: bool = False,
 ) -> LinearFit:
-    """Cyclic coordinate descent for the l1-penalized least squares.
+    """l1-penalized least squares: exact homotopy path, then a CD check.
 
-    Gram and cross products are precomputed once, so each coordinate update
-    is O(d). Exits when the objective decrease over a full sweep drops below
-    tol; exceeding max_iter sweeps raises ConvergenceError carrying the last
-    iterate.
+    The homotopy path gives the exact solution at lam. Cyclic coordinate
+    descent then starts from it; at the optimum its first sweep leaves the
+    objective unchanged, which certifies the solution. Exits when the
+    objective decrease over a full sweep drops below tol; exceeding
+    max_iter sweeps raises ConvergenceError carrying the last iterate.
     """
     design, target = _check_design(design, target)
     if isinstance(lam, str):
@@ -144,16 +153,17 @@ def fit_lasso(
     if lam < 0:
         raise DataError("lam must be non-negative")
     xc, yc, means, y_mean = _center(design, target, fit_intercept)
-    coef = _lasso_cd(xc, yc, lam, tol, max_iter)
+    start = _lasso_path(xc, yc, [lam])[:, 0]
+    coef = _lasso_cd(xc, yc, lam, tol, max_iter, start)
     intercept = y_mean - float(means @ coef)
     return LinearFit(coef=coef, intercept=intercept, method="lasso", lam=lam)
 
 
-def _lasso_cd(xc, yc, lam, tol, max_iter, warm=None):
+def _lasso_cd(xc, yc, lam, tol, max_iter, start):
     n, d = xc.shape
     gram = xc.T @ xc / n
     cross = xc.T @ yc / n
-    coef = np.zeros(d) if warm is None else warm.astype(np.float64).copy()
+    coef = start.copy()
     gdiag = np.diag(gram).copy()
     prev_obj = _lasso_objective(xc, yc, coef, lam)
     for _ in range(max_iter):
@@ -172,11 +182,84 @@ def _lasso_cd(xc, yc, lam, tol, max_iter, warm=None):
     )
 
 
+def _lasso_path(xc, yc, lams):
+    """Exact lasso coefficients at every lam of a descending grid.
+
+    LARS-lasso homotopy (Efron et al. 2004): below lam_max = max|X'y|/n
+    the solution is piecewise linear in lam. On each piece the active set A
+    and its signs s are fixed and the KKT system gives
+    b_A(lam) = G_AA^{-1} (c_A - lam s), with G = X'X/n and c = X'y/n,
+    solved afresh at every kink so no error carries from piece to piece.
+    A piece ends where an inactive correlation reaches +-lam (join) or an
+    active coefficient reaches zero (drop). A column in the span of the
+    active columns (a duplicate, an all-zero column, or any column once
+    the active set spans the rows) cannot join: its correlation is a fixed
+    combination of the active ones and stays within +-lam. Returns the
+    (d, len(lams)) coefficients; grid points at or above lam_max are zero.
+    """
+    n, d = xc.shape
+    gram = xc.T @ xc / n
+    cross = xc.T @ yc / n
+    gdiag = np.diag(gram)
+    lams = np.asarray(lams, dtype=np.float64)
+    coefs = np.zeros((d, len(lams)))
+    active, signs = [], []
+    lam, filled, changed, side = np.inf, 0, -1, 0.0
+    while filled < len(lams):
+        if active:
+            rhs = np.column_stack([gram[active], cross[active], signs])
+            sol = linalg.solve(gram[np.ix_(active, active)], rhs, assume_a="pos")
+            v, u = sol[:, d], sol[:, d + 1]
+            resid = cross - gram[:, active] @ v  # c(lam) = resid + lam * slope
+            slope = gram[:, active] @ u
+            spanned = gdiag - np.einsum("ij,ij->j", gram[active], sol[:, :d])
+            free = spanned > _SPAN_RTOL * gdiag
+            free[active] = False
+        else:
+            v = u = np.zeros(0)
+            resid, slope, free = cross, np.zeros(d), gdiag > 0.0
+        # Largest lam below the current one where |c_j(lam)| = lam, for
+        # each side whose gap to the correlation closes as lam falls.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = np.where(free & (1.0 - slope > 0.0), resid / (1.0 - slope), -np.inf)
+            down = np.where(free & (1.0 + slope > 0.0), -resid / (1.0 + slope), -np.inf)
+            shrinking = np.asarray(signs) * u < 0.0
+            drops = np.where(shrinking, v / u, -np.inf)
+        # The kink just passed is a root of the variable that moved there:
+        # a dropped one may not rejoin on the side it left, and a joined
+        # one's coefficient, linear on this piece, has no other zero.
+        if changed in active:
+            drops[active.index(changed)] = -np.inf
+        elif changed >= 0:
+            (up if side > 0.0 else down)[changed] = -np.inf
+        joins = np.maximum(up, down)
+        j_join = int(np.argmax(joins))
+        drop_lam = drops.max(initial=-np.inf)
+        nxt = max(joins[j_join], drop_lam)
+        nxt = min(nxt, lam) if nxt > 0.0 else 0.0
+        while filled < len(lams) and lams[filled] >= nxt:
+            coefs[active, filled] = v - lams[filled] * u
+            filled += 1
+        if nxt == 0.0:
+            break
+        if drop_lam >= joins[j_join]:
+            k = int(np.argmax(drops))
+            changed, side = active.pop(k), signs.pop(k)
+        else:
+            changed = j_join
+            active.append(j_join)
+            signs.append(1.0 if up[j_join] >= down[j_join] else -1.0)
+        lam = nxt
+    return coefs
+
+
 def _cv_lambda(design, target, method, fit_intercept, n_folds=5, n_grid=50):
     """5-fold CV over a descending 50-point log grid; ties keep more shrinkage.
 
     Folds are strided row slices (fold i takes rows i::n_folds), which is
-    deterministic without threading an rng through every fit call.
+    deterministic without threading an rng through every fit call. The
+    errors come from exact solutions at every grid point (_cv_errors), so
+    no fit inside CV can stop short of its optimum.
     """
     n = design.shape[0]
     if n < 2 * n_folds:
@@ -186,25 +269,31 @@ def _cv_lambda(design, target, method, fit_intercept, n_folds=5, n_grid=50):
     if lam_max <= 0.0:
         return 0.0
     grid = np.geomspace(lam_max * 10.0, lam_max * 1e-4, n_grid)
-    errors = np.zeros(n_grid)
+    errors = _cv_errors(design, target, method, fit_intercept, grid, n_folds)
+    best = int(np.argmin(errors))  # first index in the descending grid
+    return float(grid[best])
+
+
+def _cv_errors(design, target, method, fit_intercept, grid, n_folds):
+    """Summed held-out squared error at each grid point, over strided folds.
+
+    Each fold's coefficients at all grid points come from one exact
+    computation: the lasso homotopy path, or one thin SVD of the centred
+    fold, which gives every ridge solution as V diag(s / (s^2 + lam)) U'y.
+    Each fold is then scored against the whole grid in one matrix product.
+    """
+    n = design.shape[0]
+    errors = np.zeros(len(grid))
     for fold in range(n_folds):
         mask = np.zeros(n, dtype=bool)
         mask[fold::n_folds] = True
-        x_tr, y_tr = design[~mask], target[~mask]
-        x_te, y_te = design[mask], target[mask]
-        warm = None
-        for gi, lam in enumerate(grid):
-            if method == "lasso":
-                xc, yt, means, y_mean = _center(x_tr, y_tr, fit_intercept)
-                try:
-                    coef = _lasso_cd(xc, yt, lam, 1e-8, 1000, warm=warm)
-                except ConvergenceError as err:
-                    coef = err.last_iterate
-                warm = coef
-                pred = x_te @ coef + (y_mean - means @ coef)
-            else:
-                fit = fit_ridge(x_tr, y_tr, lam, fit_intercept=fit_intercept)
-                pred = fit.predict(x_te)
-            errors[gi] += float(np.sum((y_te - pred) ** 2))
-    best = int(np.argmin(errors))  # first index in the descending grid
-    return float(grid[best])
+        xc, yt, means, y_mean = _center(design[~mask], target[~mask], fit_intercept)
+        if method == "lasso":
+            coefs = _lasso_path(xc, yt, grid)
+        else:
+            left, sing, right_t = linalg.svd(xc, full_matrices=False)
+            shrink = sing[:, None] / (sing[:, None] ** 2 + grid)
+            coefs = right_t.T @ (shrink * (left.T @ yt)[:, None])
+        pred = design[mask] @ coefs + (y_mean - means @ coefs)
+        errors += np.sum((target[mask][:, None] - pred) ** 2, axis=0)
+    return errors

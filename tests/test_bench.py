@@ -7,6 +7,7 @@ from dpls_iv import (
     ExperimentConfig,
     SgdParams,
     SyntheticSpec,
+    experiment2_spec,
     run_benchmark,
 )
 
@@ -120,3 +121,12 @@ def test_config_validation():
         _small_cfg(jobs=0)
     with pytest.raises(DataError):
         _small_cfg(mode="bayes")
+
+
+def test_experiment2_lasso_seed_5_records_no_failure():
+    """This replication's final lasso fit once stopped at its sweep cap."""
+    cfg = ExperimentConfig(dgp="experiment2", spec=experiment2_spec(),
+                           methods=("lasso",), replications=1, base_seed=5)
+    report = run_benchmark(cfg)
+    assert report.failures == ()
+    assert len(report.rows) == 5

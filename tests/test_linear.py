@@ -10,6 +10,7 @@ from dpls_iv import (
     fit_ridge,
     soft_threshold,
 )
+from dpls_iv.linear import _cv_errors, _lasso_path
 
 
 def test_ols_identity_design():
@@ -120,3 +121,133 @@ def test_predict_applies_intercept():
     fit = fit_ols(np.arange(8.0).reshape(-1, 1), 3.0 * np.arange(8.0) + 4.0,
                   fit_intercept=True)
     np.testing.assert_allclose(fit.predict(np.array([[10.0]])), [34.0])
+
+
+def _kkt_violation(design, y, lams, coefs):
+    """Largest breach of the lasso optimality conditions over a grid."""
+    n = len(y)
+    worst = 0.0
+    for lam, coef in zip(lams, coefs.T):
+        corr = design.T @ (y - design @ coef) / n
+        active = coef != 0.0
+        worst = max(
+            worst,
+            np.max(np.abs(corr[~active]) - lam, initial=0.0),
+            np.max(np.abs(corr[active] - lam * np.sign(coef[active])), initial=0.0),
+        )
+    return worst
+
+
+def _grid(design, y):
+    lam_max = np.max(np.abs(design.T @ y)) / len(y)
+    return np.geomspace(lam_max * 10.0, lam_max * 1e-4, 50)
+
+
+def test_lasso_path_meets_kkt_at_every_grid_point():
+    rng = np.random.default_rng(8)
+    design = rng.normal(size=(80, 12))
+    y = design[:, :4] @ np.array([2.0, -1.0, 0.5, 0.2]) + rng.normal(size=80)
+    lams = _grid(design, y)
+    coefs = _lasso_path(design, y, lams)
+    assert _kkt_violation(design, y, lams, coefs) <= 1e-10
+    lam_max = np.max(np.abs(design.T @ y)) / 80
+    np.testing.assert_array_equal(coefs[:, lams >= lam_max], 0.0)
+    assert np.all(coefs[:, -1] != 0.0)  # the smallest penalty keeps every column
+
+
+def test_lasso_path_meets_kkt_across_random_designs():
+    """Paths whose coefficients drop out and rejoin with the other sign."""
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        n, d = int(rng.integers(8, 60)), int(rng.integers(2, 25))
+        design = rng.normal(size=(n, d))
+        y = design[:, :3] @ rng.normal(size=min(d, 3)) + rng.normal(size=n)
+        lams = _grid(design, y)
+        assert _kkt_violation(design, y, lams, _lasso_path(design, y, lams)) <= 1e-10
+
+
+def test_lasso_path_soft_thresholds_orthonormal_design():
+    n = 64
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(n, 4)))
+    design = np.sqrt(n) * q
+    y = design @ np.array([2.0, -0.5, 0.05, 0.0]) + 0.01 * rng.normal(size=n)
+    lams = _grid(design, y)
+    coefs = _lasso_path(design, y, lams)
+    for lam, coef in zip(lams, coefs.T):
+        np.testing.assert_allclose(
+            coef, soft_threshold(design.T @ y / n, lam), rtol=0.0, atol=1e-12
+        )
+
+
+def _duplicated_column(rng):
+    design = rng.normal(size=(40, 6))
+    design[:, 3] = design[:, 0]
+    return design
+
+
+def _zero_column(rng):
+    design = rng.normal(size=(40, 6))
+    design[:, 2] = 0.0
+    return design
+
+
+def _wide(rng):
+    return rng.normal(size=(12, 30))  # fewer rows than columns
+
+
+@pytest.mark.parametrize("make", [_duplicated_column, _zero_column, _wide])
+def test_lasso_path_degenerate_design_is_finite_and_optimal(make):
+    rng = np.random.default_rng(9)
+    design = make(rng)
+    y = design[:, :3] @ np.array([1.5, -1.0, 0.5]) + rng.normal(size=len(design))
+    lams = _grid(design, y)
+    coefs = _lasso_path(design, y, lams)
+    assert np.all(np.isfinite(coefs))
+    assert _kkt_violation(design, y, lams, coefs) <= 1e-10
+
+
+def test_lasso_auto_penalty_on_wide_folds():
+    rng = np.random.default_rng(10)
+    design = rng.normal(size=(20, 30))  # each CV fold trains on 16 rows
+    y = design[:, 0] - design[:, 1] + 0.1 * rng.normal(size=20)
+    fit = fit_lasso(design, y, lam="auto", fit_intercept=True)
+    assert fit.lam > 0.0 and np.all(np.isfinite(fit.coef))
+
+
+def test_lasso_fit_is_certified_by_one_sweep():
+    rng = np.random.default_rng(11)
+    base = rng.normal(size=(60, 1))
+    design = np.column_stack([base, base + 0.01 * rng.normal(size=(60, 1)),
+                              rng.normal(size=(60, 3))])
+    y = design @ np.array([1.0, 1.0, 0.5, 0.0, -0.3]) + 0.1 * rng.normal(size=60)
+    for lam in (0.5, 0.05, 0.001):
+        fit = fit_lasso(design, y, lam=lam, max_iter=1)
+        path = _lasso_path(design, y, [lam])[:, 0]
+        np.testing.assert_allclose(fit.coef, path, rtol=0.0, atol=1e-12)
+
+
+def _ridge_cv_reference(design, y, fit_intercept, grid, n_folds=5):
+    """Held-out error of one fit_ridge solve per fold and penalty."""
+    errors = np.zeros(len(grid))
+    for fold in range(n_folds):
+        mask = np.zeros(len(y), dtype=bool)
+        mask[fold::n_folds] = True
+        for gi, lam in enumerate(grid):
+            fit = fit_ridge(design[~mask], y[~mask], lam, fit_intercept=fit_intercept)
+            errors[gi] += np.sum((y[mask] - fit.predict(design[mask])) ** 2)
+    return errors
+
+
+@pytest.mark.parametrize("fit_intercept", [True, False])
+def test_ridge_svd_cv_errors_match_per_penalty_solves(fit_intercept):
+    rng = np.random.default_rng(12)
+    design = rng.normal(size=(45, 7)) + 0.5
+    y = design @ rng.normal(size=7) + 2.0 + rng.normal(size=45)
+    yc = y - y.mean() if fit_intercept else y
+    grid = _grid(design, yc)
+    errors = _cv_errors(design, y, "ridge", fit_intercept, grid, 5)
+    reference = _ridge_cv_reference(design, y, fit_intercept, grid)
+    np.testing.assert_allclose(errors, reference, rtol=1e-9)
+    chosen = fit_ridge(design, y, lam="auto", fit_intercept=fit_intercept).lam
+    assert chosen == grid[np.argmin(reference)]
