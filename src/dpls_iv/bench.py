@@ -50,8 +50,14 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.dgp not in ("experiment1", "experiment2"):
+        cov_mode = {"experiment1": "near_diagonal", "experiment2": "network"}.get(self.dgp)
+        if cov_mode is None:
             raise DataError("dgp must be 'experiment1' or 'experiment2'")
+        if self.spec.cov_mode != cov_mode:
+            raise DataError(
+                f"dgp {self.dgp!r} needs spec.cov_mode {cov_mode!r}, "
+                f"got {self.spec.cov_mode!r}"
+            )
         unknown = set(self.methods) - set(KNOWN_METHODS)
         if not self.methods or unknown:
             raise DataError(

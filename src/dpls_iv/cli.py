@@ -314,10 +314,9 @@ def _cmd_predict(args) -> int:
         if fit.gmm is None:
             raise DataError("posterior intervals need a fit with a gmm stage")
         post = sample_posterior(fit.gmm, n_train, draws, SeededRng(seed))
-        latent = post.predictive(np.column_stack([p_hat, ds.x]))
-        lo = (1.0 - level) / 2.0
-        columns[f"y_lo_{level:g}"] = np.quantile(latent, lo, axis=1)
-        columns[f"y_hi_{level:g}"] = np.quantile(latent, 1.0 - lo, axis=1)
+        columns[f"y_lo_{level:g}"], columns[f"y_hi_{level:g}"] = post.band(
+            np.column_stack([p_hat, ds.x]), level
+        )
     os.makedirs(args.out_dir, exist_ok=True)
     dataio.write_predictions_csv(
         os.path.join(args.out_dir, "predictions.csv"), columns

@@ -7,8 +7,10 @@ outcome variance; the policy coefficients are then recovered by linear GMM
 of y_tilde on [p_hat, x] with a heteroskedasticity-robust sandwich. A
 control-function fit (regress on [p, p - p_hat, x]) is provided as an
 alternative second stage, and an asymptotic-normal posterior sampler covers
-interval summaries. iv_fit is the one outcome stage: it runs over any fitted
-first stage, network or linear baseline alike.
+interval summaries; its predictive band walks the design in row blocks, so
+memory stays bounded however many rows and draws there are. iv_fit is the one
+outcome stage: it runs over any fitted first stage, network or linear
+baseline alike.
 """
 from __future__ import annotations
 
@@ -43,6 +45,8 @@ __all__ = [
 ]
 
 _PSI_EPS = 1e-6
+# Latent cells (rows x draws) one predictive-band block may hold: 8 MB.
+_BAND_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -364,6 +368,31 @@ class PosteriorDraws:
         """Latent-index draws design @ beta per draw; shape (rows, draws)."""
         design = np.asarray(design, dtype=np.float64)
         return design @ self.beta_draws.T
+
+    def band(self, design, level: float) -> tuple[np.ndarray, np.ndarray]:
+        """Equal-tailed predictive band per design row at coverage level.
+
+        Rows go through predictive in blocks of at most _BAND_CELLS latent
+        cells (three rows when draws exceed a third of it), and each block's
+        two quantiles come from one np.quantile call. The result is
+        bit-identical to quantiles over the full (rows, draws) matrix, which
+        is never built.
+        """
+        design = np.asarray(design, dtype=np.float64)
+        n = len(design)
+        tail = (1.0 - level) / 2.0
+        out = np.empty((2, n))
+        rows = max(3, _BAND_CELLS // len(self.beta_draws))
+        start = 0
+        while start < n:
+            # A one-row product takes numpy's matrix-vector path, which rounds
+            # differently from the product over all rows, so a block that
+            # would leave one row behind gives up a row to the last block.
+            stop = start + rows - (n - start == rows + 1)
+            block = self.predictive(design[start:stop])
+            out[:, start:stop] = np.quantile(block, [tail, 1.0 - tail], axis=1)
+            start = stop
+        return out[0], out[1]
 
 
 def sample_posterior(fit: TobitGmmFit, n: int, draws: int, rng: SeededRng) -> PosteriorDraws:

@@ -123,6 +123,14 @@ def test_config_validation():
         _small_cfg(mode="bayes")
 
 
+def test_config_rejects_a_spec_of_the_other_design():
+    # raised by the constructor, so no study can start drawing data
+    with pytest.raises(DataError, match="dgp 'experiment2' needs spec.cov_mode 'network'"):
+        ExperimentConfig(dgp="experiment2")
+    with pytest.raises(DataError, match="needs spec.cov_mode 'near_diagonal'"):
+        ExperimentConfig(dgp="experiment1", spec=experiment2_spec())
+
+
 def test_experiment2_lasso_seed_5_records_no_failure():
     """This replication's final lasso fit once stopped at its sweep cap."""
     cfg = ExperimentConfig(dgp="experiment2", spec=experiment2_spec(),

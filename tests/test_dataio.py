@@ -46,6 +46,7 @@ from dpls_iv.dataio import (
     write_summary,
     write_truth,
 )
+from dpls_iv import dataio
 from dpls_iv.errors import DataError
 
 
@@ -71,6 +72,65 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     assert back.p.tobytes() == ds.p.tobytes()
     assert back.z.tobytes() == ds.z.tobytes()
     assert back.x.tobytes() == ds.x.tobytes()
+
+
+def _wide_dataset(n, m=50, k=25, seed=31):
+    """Values over the whole double range, with signed zeros and subnormals."""
+    rng = np.random.default_rng(seed)
+    cells = rng.normal(size=(n, 2 + m + k)) * 10.0 ** rng.integers(-300, 300, size=(n, 2 + m + k))
+    cells[0, :4] = [0.0, -0.0, 5e-324, -2.2250738585072014e-308]
+    return Dataset(y=cells[:, 0], p=cells[:, 1], z=cells[:, 2:2 + m], x=cells[:, 2 + m:])
+
+
+def _csv_reference_text(ds):
+    """The per-cell writer the block writer replaced, kept as the reference."""
+    header = ["y", "p"] + [f"z_{j + 1}" for j in range(ds.z.shape[1])]
+    header += [f"x_{j + 1}" for j in range(ds.x.shape[1])]
+    lines = [",".join(header)]
+    for i in range(len(ds.y)):
+        values = [ds.y[i], ds.p[i], *ds.z[i], *ds.x[i]]
+        lines.append(",".join(repr(float(v)) for v in values))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_round_trip_over_several_blocks_is_bit_exact(tmp_path):
+    per_block = dataio._CSV_BLOCK_CELLS // 77
+    ds = _wide_dataset(3 * per_block + 17)
+    path = tmp_path / "data.csv"
+    csv_write(path, ds)
+    assert path.read_text(encoding="utf-8") == _csv_reference_text(ds)
+    back = csv_read(path)
+    for field in "ypzx":
+        assert getattr(back, field).tobytes() == getattr(ds, field).tobytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda cells: cells[:-1], "line 1500: expected 77 cells, found 76"),
+    (lambda cells: cells[:8] + [" abc "] + cells[9:], "line 1500, column z_7: non-numeric cell 'abc'"),
+    (lambda cells: cells[:54] + ["nan"] + cells[55:], "line 1500, column x_3: non-finite value 'nan'"),
+    (lambda cells: cells[:30] + ["-inf"] + cells[31:], "line 1500, column z_29: non-finite value '-inf'"),
+], ids=["cell_count", "non_numeric", "nan", "minus_inf"])
+def test_csv_read_reports_a_bad_line_in_a_late_block(tmp_path, edit, message):
+    """2000 lines of 77 cells (the header is line 1); line 1500 is bad."""
+    assert 1500 > dataio._CSV_BLOCK_CELLS // 77 + 1  # not in the first block
+    lines = _csv_reference_text(_wide_dataset(1999)).splitlines()
+    lines[1499] = ",".join(edit(lines[1499].split(",")))
+    lines[1599] = "1.0,2.0"  # a later bad line in the same block must not win
+    path = tmp_path / "late.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        csv_read(path)
+
+
+def test_csv_read_accepts_whitespace_padded_cells(tmp_path):
+    pads = [" 1.5", "-2e-3\t", "\u00a03.25\u2003", " \t7 ", "8\x1f", "\u30009.5"]
+    path = tmp_path / "padded.csv"
+    lines = ["y,p,z_1,z_2,z_3,x_1"]
+    lines += [",".join(pads[i:] + pads[:i]) for i in range(len(pads))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ds = csv_read(path)
+    expected = np.array([[float(cell.strip()) for cell in line.split(",")] for line in lines[1:]])
+    assert_array_equal(np.column_stack([ds.y, ds.p, ds.z, ds.x]), expected)
 
 
 def test_csv_header_names_follow_roles(tmp_path):
@@ -383,6 +443,17 @@ def test_write_predictions_csv_layout(tmp_path):
     write_predictions_csv(path, {"y": np.array([1.5, 2.5]),
                                  "y_hat": np.array([1.0, 3.0])})
     assert path.read_text() == "row,y,y_hat\n1,1.5,1.0\n2,2.5,3.0\n"
+
+
+def test_write_predictions_csv_matches_per_cell_repr_over_several_blocks(tmp_path):
+    n = 3 * (dataio._CSV_BLOCK_CELLS // 2) + 5
+    columns = {"p_hat": _wide_dataset(n, m=1, k=1).z[:, 0], "y_hat": np.arange(n) / 7.0}
+    path = tmp_path / "pred.csv"
+    write_predictions_csv(path, columns)
+    expected = ["row,p_hat,y_hat"] + [
+        f"{i + 1},{float(a)!r},{float(b)!r}" for i, (a, b) in enumerate(zip(*columns.values()))
+    ]
+    assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
 
 def test_write_predictions_csv_rejects_ragged_columns(tmp_path):

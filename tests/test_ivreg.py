@@ -25,6 +25,8 @@ from dpls_iv import (
     sample_posterior,
     sandwich_variance,
 )
+from dpls_iv import ivreg
+from dpls_iv.ivreg import PosteriorDraws
 
 
 def test_constants_half_censored_sample():
@@ -331,6 +333,50 @@ def test_posterior_predictive_shape():
     draws = sample_posterior(fit, 100, 64, SeededRng(20))
     latent = draws.predictive(np.ones((5, 3)))
     assert latent.shape == (5, 64)
+
+
+def _band_reference(draws, design, level):
+    latent = draws.predictive(design)
+    tail = (1.0 - level) / 2.0
+    return np.quantile(latent, tail, axis=1), np.quantile(latent, 1.0 - tail, axis=1)
+
+
+@pytest.mark.parametrize("cells, n_draws, rows", [
+    (None, 2000, 1100),  # the module's budget: blocks of 524, 524 and a ragged 52
+    (None, 2000, 1049),  # 524, 523, 2: no block of one row
+    (1000, 30, 100),     # 33, 33, 32, 2
+    (64, 100, 7),        # draws exceed the budget: 3, 2, 2 rows
+    (64, 100, 1),        # a one-row design is one block
+])
+def test_band_matches_quantiles_of_the_full_matrix(monkeypatch, cells, n_draws, rows):
+    if cells is not None:
+        monkeypatch.setattr(ivreg, "_BAND_CELLS", cells)
+    draws = sample_posterior(_posterior_fixture(), 100, n_draws, SeededRng(21))
+    design = np.random.default_rng(22).normal(size=(rows, 3))
+    for level in (0.95, 0.5):
+        lo, hi = draws.band(design, level)
+        ref_lo, ref_hi = _band_reference(draws, design, level)
+        assert lo.tobytes() == ref_lo.tobytes()
+        assert hi.tobytes() == ref_hi.tobytes()
+
+
+def test_band_blocks_stay_within_the_cell_budget(monkeypatch):
+    shapes = []
+    original = PosteriorDraws.predictive
+
+    def recording(self, design):
+        latent = original(self, design)
+        shapes.append(latent.shape)
+        return latent
+
+    monkeypatch.setattr(PosteriorDraws, "predictive", recording)
+    draws = sample_posterior(_posterior_fixture(), 100, 2000, SeededRng(23))
+    for n in (1100, 1049, 524):
+        shapes.clear()
+        draws.band(np.ones((n, 3)), 0.9)
+        assert all(rows * cols <= ivreg._BAND_CELLS and cols == 2000 for rows, cols in shapes)
+        assert min(rows for rows, _ in shapes) >= 2
+        assert sum(rows * cols for rows, cols in shapes) == n * 2000
 
 
 def test_posterior_argument_validation():
