@@ -48,7 +48,7 @@ from .ivreg import (
     sandwich_variance,
 )
 from .linear import LinearFit, fit_lasso, fit_ols, fit_ridge, soft_threshold
-from .metrics import AbsBiasSummary, abs_bias_summary, r_squared, rmse
+from .metrics import r_squared, rmse
 from .network import (
     ActivationKind,
     DplsConfig,
@@ -67,13 +67,7 @@ from .pls import (
     fit_pls_deflation,
     select_q_cv,
 )
-from .statnum import (
-    CovPair,
-    sample_cov_pair,
-    std_normal_cdf,
-    std_normal_pdf,
-    std_normal_quantile,
-)
+from .statnum import CovPair, sample_cov_pair
 from .synthetic import (
     InstrumentGraph,
     SyntheticSpec,
@@ -92,7 +86,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "ActivationKind",
-    "AbsBiasSummary",
     "ControlFunctionFit",
     "ConvergenceError",
     "CovPair",
@@ -117,7 +110,6 @@ __all__ = [
     "SyntheticTruth",
     "TobitConstants",
     "TobitGmmFit",
-    "abs_bias_summary",
     "activation_apply",
     "augment_instruments",
     "compute_krylov",
@@ -157,7 +149,4 @@ __all__ = [
     "soft_threshold",
     "split_dataset",
     "split_indices",
-    "std_normal_cdf",
-    "std_normal_pdf",
-    "std_normal_quantile",
 ]

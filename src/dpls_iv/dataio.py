@@ -3,16 +3,16 @@
 All numeric text is written with Python's shortest round-trip float repr,
 so write-then-read reproduces arrays bit for bit. Errors carry 1-based
 line numbers because the files are meant to be hand-editable. CSV tables are
-formatted and parsed in row blocks of at most _CSV_BLOCK_CELLS cells, so no
-whole-file line or cell list is built on the way out and no list of every
-cell on the way in.
+formatted in row blocks of at most _CSV_BLOCK_CELLS cells and parsed by one
+np.loadtxt call over the open file, so no whole-file text, line list or cell
+list is built either way.
 """
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import asdict
-from itertools import chain
 
 import numpy as np
 
@@ -61,7 +61,7 @@ _FIT_FORMAT = "dpls-iv-fit"
 _FIT_VERSION = 2
 
 
-# Cells one CSV row block holds while it is formatted or parsed: 53 rows of
+# Cells one CSV row block holds while it is formatted: 53 rows of
 # the 77-column experiment table. Larger blocks were no faster, and 2**16
 # left a 10k-row fit about 1.5 MB higher in resident memory.
 _CSV_BLOCK_CELLS = 2**12
@@ -102,8 +102,13 @@ def csv_write(path, ds: Dataset) -> None:
             fh.write("\n".join(lines) + "\n")
 
 
-def _role_columns(header: list[str]):
-    """Map header names to (role, order) slots; reject unknown or duplicate."""
+def _header_columns(header: list[str]) -> tuple[np.ndarray, int]:
+    """File column of each table column, the table in role order y, p,
+    z_1..z_m, x_1..x_k, and m.
+
+    Rejects unknown, duplicate or missing names, and z_*/x_* suffixes that
+    do not cover 1..count.
+    """
     seen = set()
     roles = []
     for name in header:
@@ -129,7 +134,16 @@ def _role_columns(header: list[str]):
     for required in ("y", "p"):
         if required not in seen:
             raise DataError(f"line 1: missing required column '{required}'")
-    return roles
+    z_orders = sorted(order for role, order in roles if role == "z")
+    x_orders = sorted(order for role, order in roles if role == "x")
+    for name, orders in (("z", z_orders), ("x", x_orders)):
+        if orders and orders != list(range(1, len(orders) + 1)):
+            raise DataError(
+                f"line 1: {name}_* suffixes must cover 1..{len(orders)}"
+            )
+    m = len(z_orders)
+    base = {"y": 0, "p": 1, "z": 1, "x": 1 + m}
+    return np.argsort([base[role] + order for role, order in roles]), m
 
 
 def _read_text(path) -> str:
@@ -143,87 +157,87 @@ def _read_text(path) -> str:
         raise DataError(f"cannot read {path}: not UTF-8 text at byte {exc.start}") from None
 
 
-def _parse_lines(lines: list[str], first_line: int, header: list[str]) -> np.ndarray:
-    """Cell-by-cell parse of data lines into a (len(lines), width) table.
+def _nonblank_lines(fh):
+    """(1-based line number, text) of each non-blank line of an open text file.
+
+    A line ends at \\n, \\r\\n or \\r: the universal-newline mode of open()
+    turns the last two into \\n, and both this iteration and np.loadtxt split
+    at \\n only.
+    """
+    for number, line in enumerate(fh, start=1):
+        if line.strip() != "":
+            yield number, line
+
+
+def _parse_lines(lines, header: list[str]) -> np.ndarray:
+    """Cell-by-cell parse of (line number, text) pairs into a (rows, width) table.
 
     Raises at the first bad line or cell in file order, naming its 1-based
-    line number (first_line is that of lines[0]) and column.
+    line number and column.
     """
-    out = np.empty((len(lines), len(header)))
-    for i, line in enumerate(lines):
+    rows = []
+    for number, line in lines:
         cells = line.split(",")
         if len(cells) != len(header):
             raise DataError(
-                f"line {first_line + i}: expected {len(header)} cells, found {len(cells)}"
+                f"line {number}: expected {len(header)} cells, found {len(cells)}"
             )
-        for j, (cell, name) in enumerate(zip(cells, header)):
+        row = []
+        for cell, name in zip(cells, header):
             text = cell.strip()
             try:
                 value = float(text)
             except ValueError:
                 raise DataError(
-                    f"line {first_line + i}, column {name}: non-numeric cell '{text}'"
+                    f"line {number}, column {name}: non-numeric cell '{text}'"
                 ) from None
             if not math.isfinite(value):
                 raise DataError(
-                    f"line {first_line + i}, column {name}: non-finite value '{text}'"
+                    f"line {number}, column {name}: non-finite value '{text}'"
                 )
-            out[i, j] = value
-    return out
-
-
-def _parse_block(lines: list[str], first_line: int, header: list[str]) -> np.ndarray:
-    """Parse a row block at once; a block that fails goes through _parse_lines.
-
-    float() strips the whitespace str.strip() does except U+001F, so any
-    cell the fast path accepts has the same value in _parse_lines. A block
-    it rejects is rescanned cell by cell, which raises the exact message, or
-    returns the block when the only difference was a U+001F pad.
-    """
-    width = len(header)
-    if all(line.count(",") == width - 1 for line in lines):
-        # One line's cells at a time: a block-wide list of cell strings left
-        # the rest of a 10k-row fit about 5 MB higher in resident memory.
-        cells = chain.from_iterable(line.split(",") for line in lines)
-        try:
-            block = np.fromiter(map(float, cells), dtype=np.float64, count=len(lines) * width)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(block).all():
-                return block.reshape(len(lines), width)
-    return _parse_lines(lines, first_line, header)
+            row.append(value)
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
 
 
 def csv_read(path) -> Dataset:
     """Read a role-prefixed CSV back into a Dataset.
 
     Cells must parse as finite decimal reals; the offending 1-based line
-    and column name are reported otherwise. Data lines are parsed in row
-    blocks into one preallocated table whose columns are in role order.
+    and column name are reported otherwise. Blank lines are skipped but
+    counted. One np.loadtxt call parses the data lines. When it fails, or
+    yields the wrong width or a non-finite value, _parse_lines rescans them:
+    it names the first bad line, or accepts the cells that float() reads and
+    loadtxt does not (digit separators, non-ASCII digits). loadtxt skips
+    empty lines and rejects whitespace-only ones, so its table has one row
+    per non-blank line, as the rescan's has.
     """
-    rows = [line for line in _read_text(path).splitlines() if line.strip() != ""]
-    if not rows:
-        raise DataError("line 1: empty file, header row required")
-    header = [cell.strip() for cell in rows[0].split(",")]
-    roles = _role_columns(header)
-    z_orders = sorted(order for role, order in roles if role == "z")
-    x_orders = sorted(order for role, order in roles if role == "x")
-    for name, orders in (("z", z_orders), ("x", x_orders)):
-        if orders and orders != list(range(1, len(orders) + 1)):
-            raise DataError(
-                f"line 1: {name}_* suffixes must cover 1..{len(orders)}"
-            )
-    # Table column of each file column, in role order y, p, z_1..z_m, x_1..x_k.
-    m = len(z_orders)
-    base = {"y": 0, "p": 1, "z": 1, "x": 1 + m}
-    dest = np.array([base[role] + order for role, order in roles])
-    n = len(rows) - 1
-    table = np.empty((n, len(header)))
-    step = max(1, _CSV_BLOCK_CELLS // len(header))
-    for start in range(0, n, step):
-        lines = rows[1 + start:1 + start + step]
-        table[start:start + len(lines), dest] = _parse_block(lines, start + 2, header)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = _nonblank_lines(fh)
+            _, first = next(lines, (None, None))
+            if first is None:
+                raise DataError("line 1: empty file, header row required")
+            header = [cell.strip() for cell in first.split(",")]
+            columns, m = _header_columns(header)
+            try:
+                with warnings.catch_warnings():
+                    # A header-only file is left for Dataset to reject.
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                table = None
+            if table is None or table.shape[1] != len(header) or not np.isfinite(table).all():
+                fh.seek(0)
+                lines = _nonblank_lines(fh)
+                next(lines)
+                table = _parse_lines(lines, header)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        _read_text(path)  # raises, naming the bad byte's offset in the file
+        raise
+    table = table[:, columns]
     return Dataset(y=table[:, 0], p=table[:, 1], z=table[:, 2:2 + m], x=table[:, 2 + m:])
 
 

@@ -18,14 +18,7 @@ class SingularDesignError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """Iterative solver hit its iteration cap before meeting tolerance.
-
-    Carries the last iterate so callers can inspect or reuse it.
-    """
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """Iterative solver hit its iteration cap before meeting tolerance."""
 
 
 class DegenerateDataError(NumericalError):

@@ -18,13 +18,13 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import ndtri
 
 from .data import Dataset, SeededRng, augment_instruments
 from .errors import DataError, DegenerateDataError
 from .linear import LinearFit, fit_ols
 from .network import DplsConfig, DplsModel, dpls_fit
 from .pls import PlsFit
-from .statnum import std_normal_pdf, std_normal_quantile
 
 __all__ = [
     "TobitConstants",
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _PSI_EPS = 1e-6
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
 # Latent cells (rows x draws) one predictive-band block may hold: 8 MB.
 _BAND_CELLS = 2**20
 
@@ -85,8 +86,8 @@ def estimate_tobit_constants(y) -> TobitConstants:
             stacklevel=2,
         )
         psi1 = min(max(psi1, _PSI_EPS), 1.0 - _PSI_EPS)
-    k = std_normal_quantile(psi1)
-    phi = std_normal_pdf(k)
+    k = float(ndtri(psi1))
+    phi = float(np.exp(-0.5 * k * k) / _SQRT_2PI)
     c_k = psi1 - (phi - k * (1.0 - psi1)) * (phi + k * psi1)
     if c_k <= 0.0:
         raise DegenerateDataError(f"variance rescaling factor is not positive: {c_k}")
@@ -125,19 +126,13 @@ class TobitGmmFit:
     corrected_matrix: np.ndarray | None = None
 
 
-def gmm_beta(
-    p_hat,
-    x,
-    y_tilde,
-    constants: TobitConstants | None = None,
-    p_observed=None,
-) -> TobitGmmFit:
+def gmm_beta(p_hat, x, y_tilde, constants: TobitConstants, p_observed) -> TobitGmmFit:
     """Least-squares coefficients of y_tilde on the design [p_hat, x].
 
-    When the observed treatment is supplied, stored residuals are taken
-    against [p_observed, x]; those are the moment residuals the variance
-    estimator needs (residuals against the projected treatment fold the
-    first-stage error into the error variance and overstate it).
+    Stored residuals are taken against [p_observed, x]; those are the moment
+    residuals the variance estimator needs (residuals against the projected
+    treatment fold the first-stage error into the error variance and
+    overstate it).
     """
     p_hat = np.asarray(p_hat, dtype=np.float64).ravel()
     y_tilde = np.asarray(y_tilde, dtype=np.float64).ravel()
@@ -149,19 +144,11 @@ def gmm_beta(
     design = np.column_stack([p_hat, x])
     ls = fit_ols(design, y_tilde)
     beta = ls.coef
-    if p_observed is not None:
-        p_observed = np.asarray(p_observed, dtype=np.float64).ravel()
-        if len(p_observed) != len(p_hat):
-            raise DataError("p_observed must align with p_hat")
-        resid = y_tilde - np.column_stack([p_observed, x]) @ beta
-    else:
-        resid = y_tilde - design @ beta
-    return TobitGmmFit(
-        beta=beta,
-        constants=constants if constants is not None else identity_constants(),
-        design=design,
-        residuals=resid,
-    )
+    p_observed = np.asarray(p_observed, dtype=np.float64).ravel()
+    if len(p_observed) != len(p_hat):
+        raise DataError("p_observed must align with p_hat")
+    resid = y_tilde - np.column_stack([p_observed, x]) @ beta
+    return TobitGmmFit(beta=beta, constants=constants, design=design, residuals=resid)
 
 
 def _robust_inverse(a: np.ndarray) -> np.ndarray:
@@ -359,10 +346,9 @@ def dpls_iv_fit(
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """Asymptotic-normal draws for the policy coefficients and psi1."""
+    """Asymptotic-normal draws for the policy coefficients."""
 
     beta_draws: np.ndarray
-    psi1_draws: np.ndarray
 
     def predictive(self, design) -> np.ndarray:
         """Latent-index draws design @ beta per draw; shape (rows, draws)."""
@@ -396,23 +382,15 @@ class PosteriorDraws:
 
 
 def sample_posterior(fit: TobitGmmFit, n: int, draws: int, rng: SeededRng) -> PosteriorDraws:
-    """Draw from N(beta_hat, corrected/n) and N(psi1, psi1(1-psi1)/n).
+    """Draw from N(beta_hat, corrected/n).
 
     Sampling goes through the eigendecomposition of the PSD-projected
-    corrected covariance, so indefiniteness cannot leak in. psi1 draws are
-    clipped to the open unit interval.
+    corrected covariance, so indefiniteness cannot leak in.
     """
     if draws < 1 or n < 1:
         raise DataError("draws and n must be positive")
     cov = fit.corrected_matrix
-    if cov is None:
-        cov = corrected_covariance(fit)
     vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
     scale = vecs * np.sqrt(np.maximum(vals, 0.0) / n)
-    gen = rng.generator
-    shocks = gen.standard_normal(size=(draws, len(fit.beta)))
-    beta_draws = fit.beta + shocks @ scale.T
-    p1 = fit.constants.psi1
-    psi_draws = p1 + np.sqrt(p1 * (1.0 - p1) / n) * gen.standard_normal(size=draws)
-    psi_draws = np.clip(psi_draws, _PSI_EPS, 1.0 - _PSI_EPS)
-    return PosteriorDraws(beta_draws=beta_draws, psi1_draws=psi_draws)
+    shocks = rng.generator.standard_normal(size=(draws, len(fit.beta)))
+    return PosteriorDraws(beta_draws=fit.beta + shocks @ scale.T)

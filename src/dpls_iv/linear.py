@@ -177,9 +177,7 @@ def _lasso_cd(xc, yc, lam, tol, max_iter, start):
         if prev_obj - obj < tol:
             return coef
         prev_obj = obj
-    raise ConvergenceError(
-        f"lasso did not converge in {max_iter} sweeps", last_iterate=coef
-    )
+    raise ConvergenceError(f"lasso did not converge in {max_iter} sweeps")
 
 
 def _lasso_path(xc, yc, lams):

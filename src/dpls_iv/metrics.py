@@ -1,13 +1,11 @@
-"""Out-of-sample fit metrics and coefficient-bias summaries."""
+"""Out-of-sample fit metrics."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DegenerateDataError
 
-__all__ = ["r_squared", "rmse", "AbsBiasSummary", "abs_bias_summary"]
+__all__ = ["r_squared", "rmse"]
 
 
 def _pair(actual, predicted):
@@ -31,22 +29,3 @@ def rmse(actual, predicted) -> float:
     a, b = _pair(actual, predicted)
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
-
-@dataclass(frozen=True, eq=False)
-class AbsBiasSummary:
-    """Elementwise |estimated - truth| with its sum and sorted CDF samples."""
-
-    per_coef: np.ndarray
-    total: float
-    cdf_samples: np.ndarray
-
-
-def abs_bias_summary(estimated, truth) -> AbsBiasSummary:
-    est = np.asarray(estimated, dtype=np.float64).ravel()
-    tru = np.asarray(truth, dtype=np.float64).ravel()
-    if est.shape != tru.shape:
-        raise DataError("estimated and truth must have equal length")
-    per = np.abs(est - tru)
-    return AbsBiasSummary(
-        per_coef=per, total=float(per.sum()), cdf_samples=np.sort(per)
-    )

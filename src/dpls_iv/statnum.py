@@ -1,27 +1,17 @@
-"""Covariance operators and standard-normal primitives.
+"""Sample covariance operators.
 
 The covariance pair (S_zz, s_zp) uses the n-1 divisor and exact two-pass
-centering; downstream PLS consumes both. Normal pdf/cdf/quantile are the
-scalar primitives behind the censoring constants.
+centering; downstream PLS consumes both.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DataError
 
-__all__ = [
-    "CovPair",
-    "sample_cov_pair",
-    "std_normal_pdf",
-    "std_normal_cdf",
-    "std_normal_quantile",
-]
-
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
+__all__ = ["CovPair", "sample_cov_pair"]
 
 
 @dataclass(frozen=True)
@@ -59,25 +49,3 @@ def sample_cov_pair(zbar, p) -> CovPair:
     s_zp = zc.T @ pc / (n - 1)
     return CovPair(s_zz=s_zz, s_zp=s_zp, means=means, p_mean=p_mean, n=n)
 
-
-def std_normal_pdf(t):
-    """Standard normal density, vectorized."""
-    t = np.asarray(t, dtype=np.float64)
-    out = np.exp(-0.5 * t * t) / _SQRT_2PI
-    return float(out) if out.ndim == 0 else out
-
-
-def std_normal_cdf(t):
-    """Standard normal distribution function, accurate to ~1e-15."""
-    t = np.asarray(t, dtype=np.float64)
-    out = special.ndtr(t)
-    return float(out) if out.ndim == 0 else out
-
-
-def std_normal_quantile(u):
-    """Inverse of std_normal_cdf on the open interval (0, 1)."""
-    arr = np.asarray(u, dtype=np.float64)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DataError("quantile argument must lie strictly inside (0, 1)")
-    out = special.ndtri(arr)
-    return float(out) if out.ndim == 0 else out

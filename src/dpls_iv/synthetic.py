@@ -43,8 +43,10 @@ class SyntheticSpec:
     cov_mode selects the instrument covariance: "near_diagonal" uses
     I + cov_param * (off-diagonal ones); "network" uses cov_param ** D for
     shortest-path distances D of a preferential-attachment graph with
-    edges_per_node links per arriving node. Coefficients are drawn from
-    coef_seed unless given explicitly.
+    edges_per_node links per arriving node. cov_param must keep that
+    covariance positive definite: -1/(m-1) < cov_param < 1 for
+    near_diagonal, 0 < cov_param < 1 for network. Coefficients are drawn
+    from coef_seed.
     """
 
     n: int = 1000
@@ -60,11 +62,6 @@ class SyntheticSpec:
     cov_mode: str = "near_diagonal"
     cov_param: float = 0.001
     edges_per_node: int = 2
-    alpha: np.ndarray | None = None
-    gamma: np.ndarray | None = None
-    alpha_x: np.ndarray | None = None
-    beta: float | None = None
-    beta_x: np.ndarray | None = None
 
     def __post_init__(self):
         if not (0 <= self.m_redundant <= self.m and 0 <= self.k_null <= self.k):
@@ -78,6 +75,15 @@ class SyntheticSpec:
             raise DataError("sigma_eps must be non-negative")
         if self.cov_mode not in ("near_diagonal", "network"):
             raise DataError("cov_mode must be 'near_diagonal' or 'network'")
+        c = self.cov_param
+        if self.cov_mode == "near_diagonal":
+            # I + c * (ones - I) has eigenvalues 1 - c and 1 + (m - 1) c
+            if not (c < 1.0 and 1.0 + (self.m - 1) * c > 0.0):
+                raise DataError(
+                    f"cov_param must lie in (-1/(m-1), 1) for near_diagonal, got {c}"
+                )
+        elif not (0.0 < c < 1.0):
+            raise DataError(f"cov_param must lie in (0, 1) for network, got {c}")
 
 
 def experiment1_spec(**overrides) -> SyntheticSpec:
@@ -117,30 +123,14 @@ class SyntheticTruth:
 
 def _draw_coefficients(spec: SyntheticSpec):
     crng = SeededRng(spec.coef_seed)
-    alpha = spec.alpha
-    if alpha is None:
-        alpha = crng.child(10).normal(size=spec.m)
-    alpha = np.array(alpha, dtype=np.float64)
-    if spec.m_redundant:
-        alpha[spec.m - spec.m_redundant :] = 0.0
-    gamma = spec.gamma
-    if gamma is None:
-        gamma = crng.child(11).normal(size=spec.m)
-    gamma = np.array(gamma, dtype=np.float64)
-    alpha_x = spec.alpha_x
-    if alpha_x is None:
-        alpha_x = crng.child(12).normal(size=spec.k)
-    alpha_x = np.array(alpha_x, dtype=np.float64)
-    beta = spec.beta
-    if beta is None:
-        beta = float(crng.child(13).normal())
-    beta_x = spec.beta_x
-    if beta_x is None:
-        beta_x = crng.child(14).normal(size=spec.k)
-    beta_x = np.array(beta_x, dtype=np.float64)
-    if spec.k_null:
-        beta_x[spec.k - spec.k_null :] = 0.0
-    return alpha, gamma, alpha_x, float(beta), beta_x
+    alpha = crng.child(10).normal(size=spec.m)
+    alpha[spec.m - spec.m_redundant :] = 0.0
+    gamma = crng.child(11).normal(size=spec.m)
+    alpha_x = crng.child(12).normal(size=spec.k)
+    beta = float(crng.child(13).normal())
+    beta_x = crng.child(14).normal(size=spec.k)
+    beta_x[spec.k - spec.k_null :] = 0.0
+    return alpha, gamma, alpha_x, beta, beta_x
 
 
 def _psd_factor(sigma: np.ndarray) -> np.ndarray:
@@ -149,24 +139,16 @@ def _psd_factor(sigma: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.maximum(vals, 0.0))
 
 
-def _chol_with_jitter(sigma: np.ndarray) -> np.ndarray:
-    lam = 1e-10
-    for _ in range(4):
-        try:
-            return np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError:
-            sigma = sigma + lam * np.eye(sigma.shape[0])
-            lam *= 10.0
-    raise NumericalError("covariance not factorizable even after jitter")
-
-
 def _apply(kind: ActivationKind | None, t):
     return t if kind is None else activation_apply(kind, t)
 
 
 def _gen_core(spec: SyntheticSpec, rng: SeededRng, sigma_z, cov_repair=0.0, graph=None):
     alpha, gamma, alpha_x, beta, beta_x = _draw_coefficients(spec)
-    factor = _chol_with_jitter(np.asarray(sigma_z, dtype=np.float64))
+    try:
+        factor = np.linalg.cholesky(np.asarray(sigma_z, dtype=np.float64))
+    except np.linalg.LinAlgError:
+        raise NumericalError("instrument covariance is not positive definite") from None
     z = rng.child(0).normal(size=(spec.n, spec.m)) @ factor.T
     x = rng.child(1).normal(size=(spec.n, spec.k))
     joint = rng.child(2).normal(size=(spec.n, 2)) @ _psd_factor(
@@ -215,7 +197,11 @@ class InstrumentGraph:
         if np.any(np.diag(a)) or not np.array_equal(a, a.T):
             raise DataError("adjacency must be symmetric with empty diagonal")
         object.__setattr__(self, "adjacency", a)
-        if not np.all(_bfs_distances(a, 0) < a.shape[0] + 1):
+        # Imported here, not at module level: scipy.sparse adds about 50 ms
+        # to every package import, and only the network design needs it.
+        from scipy.sparse.csgraph import connected_components
+
+        if connected_components(a, directed=False, return_labels=False) != 1:
             raise DataError("graph must be connected")
 
     @property
@@ -255,33 +241,12 @@ def gen_preferential_attachment(p: int, edges_per_node: int, rng: SeededRng) -> 
     return InstrumentGraph(adjacency=adj, edges_per_node=edges_per_node)
 
 
-def _bfs_distances(adj: np.ndarray, start: int) -> np.ndarray:
-    n = adj.shape[0]
-    dist = np.full(n, n + 1, dtype=np.int64)
-    dist[start] = 0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[start] = True
-    seen = frontier.copy()
-    d = 0
-    while frontier.any():
-        d += 1
-        nxt = (adj[frontier].any(axis=0)) & ~seen
-        dist[nxt] = d
-        seen |= nxt
-        frontier = nxt
-    return dist
-
-
 def shortest_path_matrix(g: InstrumentGraph) -> np.ndarray:
-    """All-pairs unweighted shortest paths by breadth-first search."""
-    n = g.n_nodes
-    out = np.empty((n, n), dtype=np.float64)
-    for s in range(n):
-        d = _bfs_distances(g.adjacency, s)
-        if np.any(d > n):
-            raise DataError("graph must be connected")
-        out[s] = d
-    return out
+    """All-pairs unweighted shortest-path lengths (hop counts) as floats."""
+    # Imported here for the reason given in InstrumentGraph.__post_init__.
+    from scipy.sparse.csgraph import shortest_path
+
+    return shortest_path(g.adjacency, directed=False, unweighted=True)
 
 
 def distance_to_cov(dist: np.ndarray, base: float) -> tuple[np.ndarray, float]:

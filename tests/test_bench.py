@@ -5,19 +5,32 @@ from dpls_iv import (
     DataError,
     DplsConfig,
     ExperimentConfig,
+    SeededRng,
     SgdParams,
     SyntheticSpec,
+    augment_instruments,
     experiment2_spec,
+    fit_ols,
+    gen_experiment1,
     run_benchmark,
+    split_dataset,
 )
+from dpls_iv import synthetic
 
 
-def _linear_noiseless_spec():
+def _linear_noiseless_spec(monkeypatch):
+    """A noiseless design whose treatment is linear in z: gamma drawn as zero."""
+    draw = synthetic._draw_coefficients
+
+    def without_gamma(spec):
+        alpha, gamma, alpha_x, beta, beta_x = draw(spec)
+        return alpha, np.zeros_like(gamma), alpha_x, beta, beta_x
+
+    monkeypatch.setattr(synthetic, "_draw_coefficients", without_gamma)
     return SyntheticSpec(
         n=120, m=6, m_redundant=0, k=2, k_null=0,
         sigma_joint=((0.0, 0.0), (0.0, 0.0)), sigma_eps=0.0,
-        activation_g=None, activation_f=None,
-        gamma=np.zeros(6), coef_seed=4,
+        activation_g=None, activation_f=None, coef_seed=4,
     )
 
 
@@ -36,14 +49,27 @@ def _small_cfg(**overrides):
     return ExperimentConfig(**base)
 
 
-def test_ols_is_exact_on_noiseless_linear_data():
-    cfg = _small_cfg(spec=_linear_noiseless_spec(), methods=("ols",),
+def test_ols_is_exact_on_noiseless_linear_data(monkeypatch):
+    cfg = _small_cfg(spec=_linear_noiseless_spec(monkeypatch), methods=("ols",),
                      censored=False, replications=1)
     report = run_benchmark(cfg)
     values = {metric: value for _, _, metric, value in report.rows}
     assert values["treatment_r2"] == pytest.approx(1.0, abs=1e-8)
     assert values["outcome_r2"] == pytest.approx(1.0, abs=1e-8)
     assert values["outcome_rmse"] == pytest.approx(0.0, abs=1e-6)
+
+
+def test_coef_bias_is_the_abs_error_against_the_truth():
+    cfg = _small_cfg(methods=("ols",), replications=1)
+    report = run_benchmark(cfg)
+    rng = SeededRng(cfg.base_seed)
+    ds, truth = gen_experiment1(cfg.spec, rng.child(0))
+    train, _ = split_dataset(ds, cfg.test_fraction, rng.child(1))
+    coef = fit_ols(augment_instruments(train.z, train.x), train.p).coef
+    abs_bias = np.abs(coef - np.concatenate([truth.alpha, truth.alpha_x]))
+    values = {metric: value for _, _, metric, value in report.rows}
+    assert values["coef_abs_bias_sum"] == abs_bias.sum()
+    np.testing.assert_array_equal(report.bias_samples["ols"], np.sort(abs_bias))
 
 
 def test_identical_config_identical_report():

@@ -112,6 +112,14 @@ def test_simulate_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys: bogus" in capsys.readouterr().err
 
 
+def test_simulate_rejects_a_singular_instrument_covariance(tmp_path, capsys):
+    cfg = tmp_path / "spec.txt"
+    write_config(cfg, {**_SMALL_SPEC, "spec.cov_param": "1"})
+    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "cov_param must lie in (-1/(m-1), 1)" in capsys.readouterr().err
+
+
 def test_fit_requires_data_path(tmp_path, capsys):
     rc = main(["fit", "--out-dir", str(tmp_path)])
     assert rc == 1

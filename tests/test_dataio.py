@@ -3,6 +3,8 @@ import dataclasses
 import os
 import re
 import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -173,6 +175,85 @@ def test_csv_read_skips_blank_lines(tmp_path):
     ds = csv_read(path)
     assert len(ds.y) == 2
     assert_array_equal(ds.y, [1.0, 4.0])
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_csv_read_numbers_lines_counting_blank_ones(tmp_path, newline):
+    path = tmp_path / "gaps.csv"
+    path.write_bytes(newline.join(["y,p,z_1", "1,2,3", "", "4,x,6", ""]).encode())
+    with pytest.raises(DataError, match="^line 4, column p: non-numeric cell 'x'$"):
+        csv_read(path)
+
+
+def test_csv_read_ends_lines_only_at_newlines(tmp_path):
+    # form feed, file separator and U+2028 are cell characters, not line ends
+    path = tmp_path / "breaks.csv"
+    path.write_bytes("y,p,z_1\n1,2,3\x0c4,5,6\n".encode())
+    with pytest.raises(DataError, match="^line 2: expected 3 cells, found 5$"):
+        csv_read(path)
+    path.write_bytes("y,p,z_1\n1,2,3\x1c\u2028\n4,5,6\n7,8,9\n".encode())
+    assert_array_equal(csv_read(path).z[:, 0], [3.0, 6.0, 9.0])
+
+
+def test_csv_read_header_only_file_fails_on_its_row_count(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("y,p,z_1\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=re.escape("m + k = 1 must be < n = 0")):
+            csv_read(path)
+
+
+def test_csv_read_names_the_file_offset_of_a_non_utf8_byte(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"y,p\n" + b"1,2\n" * 5000 + b"3,\xff\n")
+    with pytest.raises(DataError, match="not UTF-8 text at byte 20006$"):
+        csv_read(path)
+
+
+_ODD_CELLS = st.one_of(
+    st.sampled_from(["", "nan", "-inf", "1_0", "\u0661", "\x1f2", "\xa03\x0c", "+.5"]),
+    st.text(alphabet="0123456789+-.e_ \t\x1f\x0c\xa0\u0661", max_size=5),
+)
+
+
+@given(
+    values=st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+        min_size=2, max_size=5,
+    ),
+    edits=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3), _ODD_CELLS), max_size=2),
+    gaps=st.lists(st.tuples(st.integers(0, 6), st.sampled_from(["", " ", "\t\xa0"])), max_size=2),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+)
+def test_csv_read_fast_path_agrees_with_the_line_rescan(values, edits, gaps, newline):
+    """loadtxt and the cell-by-cell rescan give the same table or error."""
+    rows = [[repr(v) for v in row] for row in values]
+    for i, j, text in edits:
+        row = rows[i % len(rows)]
+        if j < len(row):
+            row[j] = text
+        else:
+            row.append(text)  # one cell too many
+    lines = ["y,p,z_1"] + [",".join(row) for row in rows]
+    for at, blank in gaps:
+        lines.insert(at % (len(lines) + 1), blank)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        with open(path, "wb") as fh:
+            fh.write((newline.join(lines) + newline).encode("utf-8"))
+        fast = _read_outcome(path)
+        with mock.patch.object(dataio.np, "loadtxt", side_effect=ValueError):
+            rescan = _read_outcome(path)
+    assert fast == rescan
+
+
+def _read_outcome(path):
+    try:
+        ds = csv_read(path)
+    except DataError as exc:
+        return str(exc)
+    return np.column_stack([ds.y, ds.p, ds.z, ds.x]).tobytes()
 
 
 def test_csv_read_rejects_duplicate_column(tmp_path):

@@ -40,6 +40,17 @@ def test_constants_half_censored_sample():
     assert c.psi2 == c.sigma_star * c.phi_hat
 
 
+def test_constants_off_the_median_split():
+    c = estimate_tobit_constants(np.array([0.0, 1.0, 2.0, 3.0]))
+    assert c.psi1 == 0.75
+    k = 0.6744897501960817  # the 75% standard normal quantile
+    assert c.phi_hat == pytest.approx(np.exp(-k * k / 2) / np.sqrt(2 * np.pi), abs=1e-15)
+    assert c.phi_hat == pytest.approx(0.317776572684107, abs=1e-15)
+    assert c.c_k == pytest.approx(0.75 - (c.phi_hat - 0.25 * k) * (c.phi_hat + 0.75 * k), abs=1e-15)
+    assert c.c_k == pytest.approx(0.6271501086241272, abs=1e-15)
+    assert c.psi2 == c.sigma_star * c.phi_hat
+
+
 def test_constants_reject_constant_outcome():
     with pytest.raises(DegenerateDataError, match="zero variance"):
         estimate_tobit_constants(np.full(5, 2.0))
@@ -91,7 +102,8 @@ def test_recenter_round_trip():
 
 
 def test_gmm_scalar_ratio_without_covariates():
-    fit = gmm_beta(np.array([1.0, 2.0, 3.0]), np.empty(0), np.array([2.0, 4.0, 6.0]))
+    p_hat = np.array([1.0, 2.0, 3.0])
+    fit = gmm_beta(p_hat, np.empty(0), np.array([2.0, 4.0, 6.0]), identity_constants(), p_hat)
     np.testing.assert_allclose(fit.beta, [2.0])
 
 
@@ -100,7 +112,7 @@ def test_gmm_reduces_to_ols_without_endogeneity():
     p = rng.child(0).normal(size=80)
     x = rng.child(1).normal(size=(80, 2))
     y = 1.5 * p + x @ np.array([0.5, -1.0]) + 0.1 * rng.child(2).normal(size=80)
-    fit = gmm_beta(p, x, y)
+    fit = gmm_beta(p, x, y, identity_constants(), p_observed=p)
     ols = fit_ols(np.column_stack([p, x]), y)
     np.testing.assert_allclose(fit.beta, ols.coef, atol=1e-12)
 
@@ -110,8 +122,8 @@ def test_gmm_scale_equivariance():
     p_hat = rng.child(0).normal(size=50)
     x = rng.child(1).normal(size=(50, 2))
     y = rng.child(2).normal(size=50)
-    base = gmm_beta(p_hat, x, y)
-    scaled = gmm_beta(p_hat, x, 2.0 * y)
+    base = gmm_beta(p_hat, x, y, identity_constants(), p_observed=p_hat)
+    scaled = gmm_beta(p_hat, x, 2.0 * y, identity_constants(), p_observed=p_hat)
     np.testing.assert_array_equal(scaled.beta, 2.0 * base.beta)
 
 
@@ -121,7 +133,7 @@ def test_gmm_residuals_use_observed_treatment_when_given():
     p_hat = p + 0.5 * rng.child(1).normal(size=60)
     x = rng.child(2).normal(size=(60, 1))
     y = rng.child(3).normal(size=60)
-    fit = gmm_beta(p_hat, x, y, p_observed=p)
+    fit = gmm_beta(p_hat, x, y, identity_constants(), p_observed=p)
     expected = y - np.column_stack([p, x]) @ fit.beta
     np.testing.assert_allclose(fit.residuals, expected, atol=1e-14)
     # stored design keeps the projected treatment
@@ -132,7 +144,7 @@ def test_gmm_rank_deficiency_raises():
     rng = SeededRng(6)
     x = rng.normal(size=(40, 1))
     with pytest.raises(SingularDesignError):
-        gmm_beta(x.ravel(), x, rng.normal(size=40))
+        gmm_beta(x.ravel(), x, rng.normal(size=40), identity_constants(), x.ravel())
 
 
 def test_sandwich_equals_robust_ols_form_when_just_identified():
@@ -142,7 +154,7 @@ def test_sandwich_equals_robust_ols_form_when_just_identified():
         rng.child(1).normal(size=(100, 2)),
     ])
     y = design @ np.array([1.0, 0.5, -0.5]) + rng.child(2).normal(size=100)
-    fit = gmm_beta(design[:, 0], design[:, 1:], y)
+    fit = gmm_beta(design[:, 0], design[:, 1:], y, identity_constants(), design[:, 0])
     sigma = sandwich_variance(fit, design)
     e2 = fit.residuals**2
     xtx_inv = np.linalg.inv(design.T @ design)
@@ -165,7 +177,8 @@ def test_sandwich_zero_residuals_takes_jitter_path():
 
 
 def test_corrected_covariance_requires_sandwich_first():
-    fit = gmm_beta(np.array([1.0, 2.0, 3.0]), np.empty(0), np.array([1.0, 2.0, 3.1]))
+    p_hat = np.array([1.0, 2.0, 3.0])
+    fit = gmm_beta(p_hat, np.empty(0), np.array([1.0, 2.0, 3.1]), identity_constants(), p_hat)
     with pytest.raises(DataError, match="sandwich_variance"):
         corrected_covariance(fit)
 
@@ -178,7 +191,7 @@ def test_corrected_covariance_is_psd():
     x = rng.child(1).normal(size=(200, 1))
     y = np.maximum(2.0 * p_hat + 0.3 * rng.child(2).normal(size=200), 0.0)
     c = estimate_tobit_constants(y)
-    fit = gmm_beta(p_hat, x, recenter_outcome(y, c), c)
+    fit = gmm_beta(p_hat, x, recenter_outcome(y, c), c, p_observed=p_hat)
     fit = replace(fit, sigma_star_matrix=sandwich_variance(fit, fit.design))
     corrected = corrected_covariance(fit)
     assert np.linalg.eigvalsh(corrected)[0] >= -1e-12
@@ -297,6 +310,7 @@ def _posterior_fixture(dim=3):
         design=np.zeros((0, dim)),
         residuals=np.zeros(0),
         sigma_star_matrix=np.eye(dim),
+        corrected_matrix=np.eye(dim),
     )
 
 
@@ -312,7 +326,6 @@ def test_posterior_same_seed_identical():
     a = sample_posterior(fit, 50, 200, SeededRng(17))
     b = sample_posterior(fit, 50, 200, SeededRng(17))
     np.testing.assert_array_equal(a.beta_draws, b.beta_draws)
-    np.testing.assert_array_equal(a.psi1_draws, b.psi1_draws)
 
 
 def test_posterior_mean_recovers_beta_hat():
@@ -320,12 +333,6 @@ def test_posterior_mean_recovers_beta_hat():
     draws = sample_posterior(fit, 100, 100000, SeededRng(18))
     mcse = draws.beta_draws.std(axis=0, ddof=1) / np.sqrt(draws.beta_draws.shape[0])
     np.testing.assert_array_less(np.abs(draws.beta_draws.mean(axis=0)), 3 * mcse)
-
-
-def test_posterior_psi_draws_stay_in_unit_interval():
-    fit = _posterior_fixture()
-    draws = sample_posterior(fit, 10, 5000, SeededRng(19))
-    assert np.all(draws.psi1_draws > 0.0) and np.all(draws.psi1_draws < 1.0)
 
 
 def test_posterior_predictive_shape():

@@ -4,7 +4,6 @@ import pytest
 from dpls_iv import (
     DataError,
     DegenerateDataError,
-    abs_bias_summary,
     r_squared,
     rmse,
 )
@@ -46,25 +45,3 @@ def test_metrics_invariant_under_joint_permutation():
     assert r_squared(a, b) == pytest.approx(r_squared(a[perm], b[perm]), abs=1e-14)
     assert rmse(a, b) == pytest.approx(rmse(a[perm], b[perm]), abs=1e-14)
 
-
-def test_abs_bias_zero_when_exact():
-    t = np.array([1.0, -2.0, 0.5])
-    summary = abs_bias_summary(t, t)
-    np.testing.assert_array_equal(summary.per_coef, np.zeros(3))
-    assert summary.total == 0.0
-
-
-def test_abs_bias_unit_shift():
-    t = np.zeros(5)
-    summary = abs_bias_summary(t + 1.0, t)
-    assert summary.total == 5.0
-
-
-def test_abs_bias_cdf_samples_sorted():
-    summary = abs_bias_summary(np.array([3.0, 0.0, -1.0]), np.zeros(3))
-    np.testing.assert_array_equal(summary.cdf_samples, [0.0, 1.0, 3.0])
-
-
-def test_abs_bias_length_mismatch():
-    with pytest.raises(DataError):
-        abs_bias_summary(np.ones(2), np.ones(3))

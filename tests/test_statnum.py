@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from dpls_iv import (
-    DataError,
-    sample_cov_pair,
-    std_normal_cdf,
-    std_normal_pdf,
-    std_normal_quantile,
-)
+from dpls_iv import DataError, sample_cov_pair
 
 
 def test_cov_pair_two_point_example():
@@ -45,33 +39,3 @@ def test_cov_pair_rejects_misaligned_p():
     with pytest.raises(DataError):
         sample_cov_pair(np.ones((4, 2)), np.ones(3))
 
-
-def test_pdf_at_zero():
-    assert std_normal_pdf(0.0) == pytest.approx(0.3989422804014327, abs=1e-12)
-
-
-def test_cdf_at_upper_critical_value():
-    assert std_normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
-
-
-def test_cdf_symmetry():
-    t = np.linspace(-4, 4, 33)
-    np.testing.assert_allclose(std_normal_cdf(t) + std_normal_cdf(-t), 1.0, atol=1e-14)
-
-
-def test_quantile_inverts_cdf():
-    t = np.linspace(-6.0, 6.0, 121)
-    np.testing.assert_allclose(std_normal_quantile(std_normal_cdf(t)), t, atol=1e-7)
-
-
-def test_quantile_rejects_boundary():
-    for u in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(DataError):
-            std_normal_quantile(u)
-
-
-def test_scalar_in_scalar_out():
-    assert isinstance(std_normal_pdf(1.0), float)
-    assert isinstance(std_normal_cdf(1.0), float)
-    assert isinstance(std_normal_quantile(0.5), float)
-    assert isinstance(std_normal_pdf(np.zeros(3)), np.ndarray)

@@ -5,6 +5,7 @@ from scipy.special import expit
 from dpls_iv import (
     DataError,
     InstrumentGraph,
+    NumericalError,
     SeededRng,
     SyntheticSpec,
     distance_to_cov,
@@ -30,6 +31,20 @@ def test_spec_validation():
         SyntheticSpec(sigma_eps=-0.1)
     with pytest.raises(DataError):
         SyntheticSpec(cov_mode="toeplitz")
+    # the instrument covariance must be positive definite, never jittered
+    for cov_param in (1.0, 1.5, -0.5, -0.03):  # m = 50 needs cov_param > -1/49
+        with pytest.raises(DataError, match="cov_param"):
+            SyntheticSpec(cov_param=cov_param)
+    for cov_param in (0.0, 1.0, -0.1):
+        with pytest.raises(DataError, match="cov_param"):
+            SyntheticSpec(cov_mode="network", cov_param=cov_param)
+
+
+def test_valid_cov_param_too_close_to_singular_is_a_numerical_error():
+    spec = SyntheticSpec(n=20, m=10, m_redundant=0, k=1, k_null=0,
+                         cov_param=np.nextafter(1.0, 0.0))
+    with pytest.raises(NumericalError, match="not positive definite"):
+        gen_experiment1(spec, SeededRng(0))
 
 
 def test_experiment1_defaults_match_design_table():
@@ -82,15 +97,6 @@ def test_trailing_coefficients_are_zeroed():
     np.testing.assert_array_equal(truth.alpha[-3:], np.zeros(3))
     assert np.all(truth.alpha[:-3] != 0.0)
     np.testing.assert_array_equal(truth.beta_x[-2:], np.zeros(2))
-
-
-def test_explicit_coefficients_override_the_draw():
-    alpha = np.arange(1.0, 5.0)
-    spec = SyntheticSpec(n=60, m=4, m_redundant=1, k=2, k_null=0,
-                         alpha=alpha, beta=2.5, coef_seed=3)
-    _, truth = gen_experiment1(spec, SeededRng(3))
-    np.testing.assert_array_equal(truth.alpha, [1.0, 2.0, 3.0, 0.0])
-    assert truth.beta == 2.5
 
 
 def test_joint_noise_moments_match_sigma():
