@@ -9,6 +9,9 @@ second stage, an asymptotic-normal posterior sampler, two synthetic data
 designs, and a replicated benchmark harness round out the library; the
 `dpls-iv` command line exposes simulate / fit / benchmark / predict.
 """
+# scipy and the process pool are imported inside the functions that call
+# them, never at module level: scipy about triples the package's import time
+# and doubles its resident size, and `predict` never calls it.
 from .bench import (
     KNOWN_METHODS,
     ExperimentConfig,

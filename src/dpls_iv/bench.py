@@ -8,7 +8,6 @@ first stage. Per-cell failures are recorded and the study continues.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,6 +163,8 @@ def run_benchmark(cfg: ExperimentConfig) -> MetricsReport:
     the report is identical whether replications ran serially or in a pool."""
     reps = range(cfg.replications)
     if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_run_replication, [cfg] * cfg.replications, reps))
     else:

@@ -102,18 +102,18 @@ def csv_write(path, ds: Dataset) -> None:
             fh.write("\n".join(lines) + "\n")
 
 
-def _header_columns(header: list[str]) -> tuple[np.ndarray, int]:
+def _header_columns(header: list[str], number: int) -> tuple[np.ndarray, int]:
     """File column of each table column, the table in role order y, p,
     z_1..z_m, x_1..x_k, and m.
 
     Rejects unknown, duplicate or missing names, and z_*/x_* suffixes that
-    do not cover 1..count.
+    do not cover 1..count, naming the header's 1-based line number.
     """
     seen = set()
     roles = []
     for name in header:
         if name in seen:
-            raise DataError(f"line 1: duplicate column '{name}'")
+            raise DataError(f"line {number}: duplicate column '{name}'")
         seen.add(name)
         if name in ("y", "p"):
             roles.append((name, 0))
@@ -123,23 +123,23 @@ def _header_columns(header: list[str]) -> tuple[np.ndarray, int]:
                 suffix = name[len(prefix):]
                 if not suffix.isdigit() or int(suffix) < 1:
                     raise DataError(
-                        f"line 1: column '{name}' needs a positive integer suffix"
+                        f"line {number}: column '{name}' needs a positive integer suffix"
                     )
                 roles.append((prefix[0], int(suffix)))
                 break
         else:
             raise DataError(
-                f"line 1: unrecognized column '{name}' (expected y, p, z_*, x_*)"
+                f"line {number}: unrecognized column '{name}' (expected y, p, z_*, x_*)"
             )
     for required in ("y", "p"):
         if required not in seen:
-            raise DataError(f"line 1: missing required column '{required}'")
+            raise DataError(f"line {number}: missing required column '{required}'")
     z_orders = sorted(order for role, order in roles if role == "z")
     x_orders = sorted(order for role, order in roles if role == "x")
     for name, orders in (("z", z_orders), ("x", x_orders)):
         if orders and orders != list(range(1, len(orders) + 1)):
             raise DataError(
-                f"line 1: {name}_* suffixes must cover 1..{len(orders)}"
+                f"line {number}: {name}_* suffixes must cover 1..{len(orders)}"
             )
     m = len(z_orders)
     base = {"y": 0, "p": 1, "z": 1, "x": 1 + m}
@@ -205,26 +205,28 @@ def csv_read(path) -> Dataset:
 
     Cells must parse as finite decimal reals; the offending 1-based line
     and column name are reported otherwise. Blank lines are skipped but
-    counted. One np.loadtxt call parses the data lines. When it fails, or
-    yields the wrong width or a non-finite value, _parse_lines rescans them:
-    it names the first bad line, or accepts the cells that float() reads and
-    loadtxt does not (digit separators, non-ASCII digits). loadtxt skips
-    empty lines and rejects whitespace-only ones, so its table has one row
-    per non-blank line, as the rescan's has.
+    counted. One np.loadtxt call parses the non-blank data lines, so a
+    whitespace-only line, which loadtxt alone would reject as a one-cell
+    row, is skipped there too. When it fails, or yields the wrong width or a
+    non-finite value, _parse_lines rescans them: it names the first bad
+    line, or accepts the cells that float() reads and loadtxt does not
+    (digit separators, non-ASCII digits).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = _nonblank_lines(fh)
-            _, first = next(lines, (None, None))
+            number, first = next(lines, (None, None))
             if first is None:
                 raise DataError("line 1: empty file, header row required")
             header = [cell.strip() for cell in first.split(",")]
-            columns, m = _header_columns(header)
+            columns, m = _header_columns(header, number)
             try:
                 with warnings.catch_warnings():
                     # A header-only file is left for Dataset to reject.
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                    table = np.loadtxt(
+                        (line for _, line in lines), delimiter=",", comments=None, ndmin=2
+                    )
             except ValueError:
                 table = None
             if table is None or table.shape[1] != len(header) or not np.isfinite(table).all():

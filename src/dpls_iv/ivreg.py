@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import Dataset, SeededRng, augment_instruments
 from .errors import DataError, DegenerateDataError
@@ -73,6 +72,8 @@ def estimate_tobit_constants(y) -> TobitConstants:
     because the quantile transform diverges at the boundary. c_k rescales
     the raw outcome variance to the latent scale.
     """
+    from scipy.special import ndtri
+
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or len(y) < 2:
         raise DataError("y must be a vector with at least 2 entries")
@@ -359,14 +360,20 @@ class PosteriorDraws:
         """Equal-tailed predictive band per design row at coverage level.
 
         Rows go through predictive in blocks of at most _BAND_CELLS latent
-        cells (three rows when draws exceed a third of it), and each block's
-        two quantiles come from one np.quantile call. The result is
-        bit-identical to quantiles over the full (rows, draws) matrix, which
-        is never built.
+        cells (three rows when draws exceed a third of it). Each block's rows
+        are sorted in place before its one np.quantile call, whose partition
+        then finds them in order; sort plus quantile takes about half the
+        time of the quantile alone on unsorted rows. An order statistic does
+        not depend on how it is found, but a NaN's bits do: np.quantile
+        returns a NaN of the row, while numpy's sort writes NaNs back as the
+        default NaN. So rows holding a NaN take the quantile unsorted. The
+        result is bit-identical to quantiles over the full (rows, draws)
+        matrix, which is never built.
         """
         design = np.asarray(design, dtype=np.float64)
         n = len(design)
         tail = (1.0 - level) / 2.0
+        levels = [tail, 1.0 - tail]
         out = np.empty((2, n))
         rows = max(3, _BAND_CELLS // len(self.beta_draws))
         start = 0
@@ -376,7 +383,12 @@ class PosteriorDraws:
             # would leave one row behind gives up a row to the last block.
             stop = start + rows - (n - start == rows + 1)
             block = self.predictive(design[start:stop])
-            out[:, start:stop] = np.quantile(block, [tail, 1.0 - tail], axis=1)
+            nan_rows = np.flatnonzero(np.isnan(block).any(axis=1))
+            held = block[nan_rows]
+            block.sort(axis=1)
+            out[:, start:stop] = np.quantile(block, levels, axis=1, overwrite_input=True)
+            if len(nan_rows):
+                out[:, start + nan_rows] = np.quantile(held, levels, axis=1)
             start = stop
         return out[0], out[1]
 

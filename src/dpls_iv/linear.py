@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import ConvergenceError, DataError, SingularDesignError
 
@@ -75,6 +74,8 @@ def fit_ols(design, target, fit_intercept: bool = False, rtol: float = 1e-10) ->
     Raises SingularDesignError when any pivoted diagonal of R falls below
     rtol times the leading one; callers wanting a ridge fallback catch it.
     """
+    from scipy import linalg
+
     design, target = _check_design(design, target)
     xc, yc, means, y_mean = _center(design, target, fit_intercept)
     q, r, piv = linalg.qr(xc, mode="economic", pivoting=True)
@@ -98,6 +99,8 @@ def fit_ridge(design, target, lam, fit_intercept: bool = False) -> LinearFit:
     fit_ols and inherits its error rules; lam = "auto" picks lam by 5-fold
     cross-validation over a 50-point logarithmic grid.
     """
+    from scipy import linalg
+
     design, target = _check_design(design, target)
     if isinstance(lam, str):
         if lam != "auto":
@@ -195,6 +198,8 @@ def _lasso_path(xc, yc, lams):
     combination of the active ones and stays within +-lam. Returns the
     (d, len(lams)) coefficients; grid points at or above lam_max are zero.
     """
+    from scipy import linalg
+
     n, d = xc.shape
     gram = xc.T @ xc / n
     cross = xc.T @ yc / n
@@ -280,6 +285,8 @@ def _cv_errors(design, target, method, fit_intercept, grid, n_folds):
     fold, which gives every ridge solution as V diag(s / (s^2 + lam)) U'y.
     Each fold is then scored against the whole grid in one matrix product.
     """
+    from scipy import linalg
+
     n = design.shape[0]
     errors = np.zeros(len(grid))
     for fold in range(n_folds):

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, SeededRng
 from .errors import DataError, NumericalError
@@ -144,6 +143,8 @@ def _apply(kind: ActivationKind | None, t):
 
 
 def _gen_core(spec: SyntheticSpec, rng: SeededRng, sigma_z, cov_repair=0.0, graph=None):
+    from scipy.special import expit
+
     alpha, gamma, alpha_x, beta, beta_x = _draw_coefficients(spec)
     try:
         factor = np.linalg.cholesky(np.asarray(sigma_z, dtype=np.float64))
@@ -197,8 +198,6 @@ class InstrumentGraph:
         if np.any(np.diag(a)) or not np.array_equal(a, a.T):
             raise DataError("adjacency must be symmetric with empty diagonal")
         object.__setattr__(self, "adjacency", a)
-        # Imported here, not at module level: scipy.sparse adds about 50 ms
-        # to every package import, and only the network design needs it.
         from scipy.sparse.csgraph import connected_components
 
         if connected_components(a, directed=False, return_labels=False) != 1:
@@ -243,7 +242,6 @@ def gen_preferential_attachment(p: int, edges_per_node: int, rng: SeededRng) -> 
 
 def shortest_path_matrix(g: InstrumentGraph) -> np.ndarray:
     """All-pairs unweighted shortest-path lengths (hop counts) as floats."""
-    # Imported here for the reason given in InstrumentGraph.__post_init__.
     from scipy.sparse.csgraph import shortest_path
 
     return shortest_path(g.adjacency, directed=False, unweighted=True)

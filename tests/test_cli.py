@@ -1,9 +1,13 @@
 """End-to-end command-line behavior through in-process main() calls."""
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dpls_iv
 from dpls_iv.cli import main
 from dpls_iv.dataio import read_config, write_config
 
@@ -329,3 +333,46 @@ def test_benchmark_exit_3_when_every_cell_fails(tmp_path, capsys):
     assert "every method failed in every replication" in capsys.readouterr().err
     # the failure report is still written for the post-mortem
     assert (out / "summary.txt").exists()
+
+
+def _modules_loaded_by(code):
+    """Names in sys.modules after a fresh interpreter runs code."""
+    src = os.path.dirname(os.path.dirname(dpls_iv.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    return set(json.loads(run.stdout.splitlines()[-1]))
+
+
+def _scipy(modules):
+    return {name for name in modules if name.split(".")[0] == "scipy"}
+
+
+def test_package_import_loads_no_scipy_and_no_process_pool():
+    modules = _modules_loaded_by("import dpls_iv")
+    assert _scipy(modules) == set()
+    assert "concurrent.futures.process" not in modules
+
+
+@pytest.mark.parametrize("fit_fixture, draws", [
+    ("dpls_fit_dir", ["--draws", "50"]),
+    ("ols_cf_fit_dir", []),  # posterior draws need a gmm stage
+], ids=["rescale_gmm", "control_function"])
+def test_predict_loads_no_scipy(sim_dir, fit_fixture, draws, request, tmp_path):
+    fit_dir = request.getfixturevalue(fit_fixture)
+    cfg = tmp_path / "pred.txt"
+    write_config(cfg, {"fit": str(fit_dir / "fit.json"), "data": str(sim_dir / "data.csv")})
+    argv = ["predict", "--config", str(cfg), "--out-dir", str(tmp_path), *draws]
+    code = f"from dpls_iv.cli import main\nassert main({argv!r}) == 0"
+    assert _scipy(_modules_loaded_by(code)) == set()
+    assert (tmp_path / "predictions.csv").exists()
+
+
+def test_simulate_loads_scipy_special_but_not_linalg(tmp_path):
+    cfg = tmp_path / "spec.txt"
+    write_config(cfg, _SMALL_SPEC)
+    argv = ["simulate", "--config", str(cfg), "--seed", "3", "--out-dir", str(tmp_path)]
+    modules = _modules_loaded_by(f"from dpls_iv.cli import main\nassert main({argv!r}) == 0")
+    assert "scipy.special" in modules
+    assert "scipy.linalg" not in modules

@@ -177,6 +177,31 @@ def test_csv_read_skips_blank_lines(tmp_path):
     assert_array_equal(ds.y, [1.0, 4.0])
 
 
+@pytest.mark.parametrize("blank", ["   ", "\t", "\xa0 \u3000"], ids=["spaces", "tab", "unicode"])
+def test_csv_read_keeps_whitespace_only_lines_on_the_fast_path(tmp_path, monkeypatch, blank):
+    lines = _csv_reference_text(_wide_dataset(120)).splitlines()
+    plain = tmp_path / "plain.csv"
+    plain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    gapped = tmp_path / "gapped.csv"
+    gapped.write_text("\n".join(lines[:60] + [blank] + lines[60:]) + "\n", encoding="utf-8")
+    expected = csv_read(plain)
+
+    def no_rescan(lines, header):
+        raise AssertionError("a whitespace-only line sent the file to the line rescan")
+
+    monkeypatch.setattr(dataio, "_parse_lines", no_rescan)
+    back = csv_read(gapped)
+    for field in "ypzx":
+        assert getattr(back, field).tobytes() == getattr(expected, field).tobytes()
+
+
+def test_csv_read_numbers_a_bad_line_after_a_whitespace_only_line(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("y,p,z_1\n1,2,3\n   \n4,5,6\n7,x,9\n", encoding="utf-8")
+    with pytest.raises(DataError, match="^line 5, column p: non-numeric cell 'x'$"):
+        csv_read(path)
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 def test_csv_read_numbers_lines_counting_blank_ones(tmp_path, newline):
     path = tmp_path / "gaps.csv"
@@ -278,6 +303,17 @@ def test_csv_read_rejects_unknown_column(tmp_path):
     path.write_text("y,p,q\n1,2,3\n")
     msg = re.escape("line 1: unrecognized column 'q' (expected y, p, z_*, x_*)")
     with pytest.raises(DataError, match=msg):
+        csv_read(path)
+
+
+def test_csv_read_names_the_physical_line_of_the_header(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n\ny,p,q\n1,2,3\n")
+    msg = re.escape("line 3: unrecognized column 'q' (expected y, p, z_*, x_*)")
+    with pytest.raises(DataError, match=f"^{msg}$"):
+        csv_read(path)
+    path.write_text(" \r\ny,p,p\n1,2,3\n")
+    with pytest.raises(DataError, match="^line 2: duplicate column 'p'$"):
         csv_read(path)
 
 

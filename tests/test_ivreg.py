@@ -367,6 +367,42 @@ def test_band_matches_quantiles_of_the_full_matrix(monkeypatch, cells, n_draws, 
         assert hi.tobytes() == ref_hi.tobytes()
 
 
+def _edge_case_draws_and_design(case):
+    rng = np.random.default_rng(24)
+    beta_draws = rng.normal(size=(100, 3))
+    design = rng.normal(size=(37, 3))
+    if case == "tied":
+        beta_draws[:] = [0.5, -1.0, 2.0]  # zero covariance: every draw alike
+    elif case == "nan_lane":
+        design[3] = [np.nan, 1.0, 1.0]  # a lane of NaN only
+        design[17] = [np.inf, 1.0, 1.0]
+        beta_draws[40, 0] = 0.0  # inf * 0: one NaN among +-inf in lane 17
+    elif case == "inf":
+        design[::4, 0] = np.inf
+        design[1::4, 1] = -np.inf
+        design[2::4] = 1e308  # overflows to +-inf in some draws
+    elif case == "signed_zero":
+        design[::3] = -0.0
+        design[1::3] = 0.0
+        beta_draws[::2, 1:] = -0.0
+        beta_draws[1::5] = 0.0
+    return PosteriorDraws(beta_draws=beta_draws), design
+
+
+@pytest.mark.parametrize("cells", [None, 1000])  # one block; blocks of 10 rows
+@pytest.mark.parametrize("case", ["tied", "nan_lane", "inf", "signed_zero"])
+def test_band_matches_quantiles_on_ties_nan_inf_and_signed_zeros(monkeypatch, case, cells):
+    if cells is not None:
+        monkeypatch.setattr(ivreg, "_BAND_CELLS", cells)
+    draws, design = _edge_case_draws_and_design(case)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for level in (0.95, 0.5):
+            lo, hi = draws.band(design, level)
+            ref_lo, ref_hi = _band_reference(draws, design, level)
+            assert lo.tobytes() == ref_lo.tobytes()
+            assert hi.tobytes() == ref_hi.tobytes()
+
+
 def test_band_blocks_stay_within_the_cell_budget(monkeypatch):
     shapes = []
     original = PosteriorDraws.predictive
