@@ -230,7 +230,6 @@ def _cmd_fit(args) -> int:
     cfg = _resolve_config("fit", args)
     if cfg["data"] == "":
         raise _UsageError("fit requires a data path (config key 'data')")
-    ds = dataio.csv_read(cfg["data"])
     seed = _as_int(cfg, "seed")
     method = cfg["method"]
     if method not in KNOWN_METHODS:
@@ -238,6 +237,7 @@ def _cmd_fit(args) -> int:
     mode = cfg["mode"]
     censored = _as_bool(cfg, "censored")
     dpls = _dpls_from_config(cfg, seed)
+    ds = dataio.csv_read(cfg["data"])
     os.makedirs(args.out_dir, exist_ok=True)
     if method == "dpls_iv":
         fit = dpls_iv_fit(ds, dpls, mode=mode, censored=censored)
@@ -301,13 +301,15 @@ def _cmd_predict(args) -> int:
         raise _UsageError("predict requires a fit path (config key 'fit')")
     if cfg["data"] == "":
         raise _UsageError("predict requires a data path (config key 'data')")
-    fit, n_train = dataio.read_fit(cfg["fit"])
-    ds = dataio.csv_read(cfg["data"])
     draws = _as_int(cfg, "draws")
+    if draws < 0:
+        raise DataError(f"draws must be non-negative, got {draws}")
     level = _as_float(cfg, "level")
     if not (0.0 < level < 1.0):
         raise DataError(f"level must lie in (0, 1), got {level}")
     seed = _as_int(cfg, "seed")
+    fit, n_train = dataio.read_fit(cfg["fit"])
+    ds = dataio.csv_read(cfg["data"])
     p_hat = fit.predict_treatment(ds.z, ds.x)
     columns = {"p_hat": p_hat, "y_hat": fit.predict_outcome(ds.z, ds.x, p=ds.p)}
     if draws > 0:

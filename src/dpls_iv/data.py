@@ -5,6 +5,7 @@ package targets are on the order of 10^4 x 10^2, so no sparse path exists.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +145,17 @@ def augment_instruments(z, x) -> np.ndarray:
     if not np.all(np.isfinite(zbar)):
         raise DataError("zbar contains non-finite entries")
     return zbar
+
+
+def part_count(work: int, part_min: int) -> int:
+    """Parts to split `work` units of order-free row work into: one per CPU
+    this process may run on, with at least part_min units in each part.
+
+    Only Linux reports those CPUs (os.sched_getaffinity); elsewhere, and
+    below 2 * part_min units, the work is one part.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cpus, work // part_min))
 
 
 def split_indices(

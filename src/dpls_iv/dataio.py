@@ -3,21 +3,35 @@
 All numeric text is written with Python's shortest round-trip float repr,
 so write-then-read reproduces arrays bit for bit. Errors carry 1-based
 line numbers because the files are meant to be hand-editable. CSV tables are
-formatted in row blocks of at most _CSV_BLOCK_CELLS cells and parsed by one
-np.loadtxt call over the open file, so no whole-file text, line list or cell
+formatted in row blocks of at most _CSV_BLOCK_CELLS cells and parsed by
+np.loadtxt over streamed lines, so no whole-file text, line list or cell
 list is built either way.
+
+Float formatting and parsing hold the interpreter lock, so large CSV tables
+are cut into contiguous parts, one per usable CPU (data.part_count), that
+forked children format or parse while this process does part 0. Every part
+still streams in row blocks or lines. A part is worth a fork from
+_CSV_PART_CELLS cells (write) or _CSV_PART_BYTES bytes (read); below that,
+and off Linux, the same code runs one part in-process. The output bytes and
+the parsed tables do not depend on the number of parts.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import json
 import math
+import os
+import shutil
+import tempfile
 import warnings
 from dataclasses import asdict
 
 import numpy as np
 
 from .bench import MetricsReport
-from .data import Dataset
+from .data import Dataset, part_count
 from .errors import DataError
 from .ivreg import (
     ControlFunctionFit,
@@ -65,23 +79,123 @@ _FIT_VERSION = 2
 # the 77-column experiment table. Larger blocks were no faster, and 2**16
 # left a 10k-row fit about 1.5 MB higher in resident memory.
 _CSV_BLOCK_CELLS = 2**12
+# Least cells a forked CSV write part formats, and least bytes a forked read
+# part parses. A fork, its pipe or spill file and the reaping cost 5-10 ms in
+# a 140 MB process; two parts broke even at about 16k cells written (about
+# 1 us each) and 0.5 MB read, and halved the time of 10k x 77 tables.
+_CSV_PART_CELLS = 2**13
+_CSV_PART_BYTES = 2**19
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _row_blocks(columns, n: int):
-    """CSV lines of aligned float columns (1-D or 2-D), one row block at a time.
+class _Children:
+    """Forked children that each run one function and leave through os._exit.
 
-    Yields (index of the block's first row, its lines). Each cell is the
-    repr of a Python float, the same text as _fmt.
+    A child exits 0 if its function returned and 1 if it raised; os._exit
+    skips the inherited buffers and exit handlers. fork returns None when
+    the system refuses a process, and the caller does that part itself.
+    Leaving the with block kills and reaps every child not yet waited for,
+    so none outlives the call, whether it succeeded or failed. A child runs
+    only numpy formatting or parsing and file I/O, never BLAS.
     """
-    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
-    rows = max(1, _CSV_BLOCK_CELLS // max(width, 1))
-    for start in range(0, n, rows):
-        block = np.column_stack([c[start:start + rows] for c in columns])
-        yield start, [",".join(map(repr, row)) for row in block.tolist()]
+
+    def __init__(self):
+        self._pids: list[int] = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        import signal
+
+        for pid in self._pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        self._pids.clear()
+
+    def fork(self, work) -> int | None:
+        try:
+            pid = os.fork()
+        except OSError:
+            return None
+        if pid == 0:
+            code = 1
+            try:
+                work()
+                code = 0
+            finally:
+                os._exit(code)
+        self._pids.append(pid)
+        return pid
+
+    def wait(self, pid: int) -> bool:
+        """Reap one child; True if it exited 0."""
+        self._pids.remove(pid)
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+
+
+def _width(columns) -> int:
+    return sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+
+
+def _write_part(fh, columns, start: int, stop: int, numbered: bool) -> None:
+    """Write rows start..stop-1 of aligned float columns (1-D or 2-D) as CSV
+    lines, one row block at a time, numbered from 1 if asked.
+
+    Each cell is the repr of a Python float, the same text as _fmt.
+    """
+    rows = max(1, _CSV_BLOCK_CELLS // max(_width(columns), 1))
+    for first in range(start, stop, rows):
+        block = np.column_stack([c[first:min(first + rows, stop)] for c in columns])
+        lines = [",".join(map(repr, row)) for row in block.tolist()]
+        if numbered:
+            lines = [f"{i},{line}" for i, line in enumerate(lines, start=first + 1)]
+        fh.write("\n".join(lines) + "\n")
+
+
+def _write_spill(spill, columns, start: int, stop: int, numbered: bool) -> None:
+    """Child side of _write_rows: stream one part into its spill file."""
+    with open(spill.fileno(), "w", encoding="utf-8", closefd=False) as out:
+        _write_part(out, columns, start, stop, numbered)
+
+
+def _write_rows(fh, columns, n: int, numbered: bool) -> None:
+    """Write the n rows of aligned columns to fh, a text file opened by path.
+
+    Each part but the first is formatted by a forked child into an unnamed
+    temporary file beside fh while this process writes part 0 to fh; the
+    parts are then appended in order. A part whose spill file or child could
+    not be made, or whose child failed, is formatted here instead, so such a
+    failure costs time, not output.
+    """
+    parts = part_count(n * _width(columns), _CSV_PART_CELLS)
+    bounds = [n * i // parts for i in range(parts + 1)]
+    with contextlib.ExitStack() as stack:
+        children = stack.enter_context(_Children())
+        spills = []
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            pid = spill = None
+            try:
+                spill = stack.enter_context(
+                    tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(fh.name)))
+                )
+            except OSError:  # no room or no write access beside fh (a device, say)
+                pass
+            else:
+                work = functools.partial(_write_spill, spill, columns, start, stop, numbered)
+                pid = children.fork(work)
+            spills.append((pid, spill, start, stop))
+        _write_part(fh, columns, 0, bounds[1], numbered)
+        for pid, spill, start, stop in spills:
+            if pid is not None and children.wait(pid):
+                fh.flush()
+                spill.seek(0)
+                shutil.copyfileobj(spill, fh.buffer)
+            else:
+                _write_part(fh, columns, start, stop, numbered)
 
 
 # ---------------------------------------------------------------- dataset CSV
@@ -90,7 +204,8 @@ def _row_blocks(columns, n: int):
 def csv_write(path, ds: Dataset) -> None:
     """Write a dataset as CSV with role-prefixed headers y, p, z_*, x_*.
 
-    Rows are formatted and written one block at a time.
+    Rows are formatted and written one block at a time, in parts on every
+    usable CPU when the table is large (_write_rows).
     """
     m, k = ds.z.shape[1], ds.x.shape[1]
     header = ["y", "p"]
@@ -98,8 +213,7 @@ def csv_write(path, ds: Dataset) -> None:
     header += [f"x_{j + 1}" for j in range(k)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for _, lines in _row_blocks((ds.y, ds.p, ds.z, ds.x), len(ds.y)):
-            fh.write("\n".join(lines) + "\n")
+        _write_rows(fh, (ds.y, ds.p, ds.z, ds.x), len(ds.y), numbered=False)
 
 
 def _header_columns(header: list[str], number: int) -> tuple[np.ndarray, int]:
@@ -169,6 +283,145 @@ def _nonblank_lines(fh):
             yield number, line
 
 
+class _ByteRange(io.RawIOBase):
+    """Raw reader of bytes start..stop-1 of a file."""
+
+    def __init__(self, path, start: int, stop: int):
+        self._fh = open(path, "rb", buffering=0)
+        self._fh.seek(start)
+        self._left = stop - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        got = self._fh.readinto(memoryview(buf)[:self._left])
+        self._left -= got
+        return got
+
+    def close(self) -> None:
+        self._fh.close()
+        super().close()
+
+
+def _text_range(path, start: int, stop: int):
+    """Bytes start..stop-1 of a file as the text stream open(path, "r",
+    encoding="utf-8") would give: UTF-8, universal newlines."""
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop)), encoding="utf-8")
+
+
+def _line_cuts(path, size: int, parts: int) -> list[int]:
+    """Byte offsets 0 = c_0 < c_1 < ... < c_j = size, j <= parts, that cut a
+    file into ranges of whole lines near multiples of size / parts.
+
+    Each inner cut follows a \\n. A \\n is never inside a UTF-8 character or
+    a \\r\\n line end, so every range decodes, and splits into lines, as it
+    does inside the whole file. One part opens nothing, so a pipe or FIFO,
+    whose size reads 0, is read once.
+    """
+    if parts == 1:
+        return [0, size]
+    cuts = [0]
+    with open(path, "rb") as fh:
+        for i in range(1, parts):
+            fh.seek(max(size * i // parts, cuts[-1]))
+            while (chunk := fh.readline(2**16)) and not chunk.endswith(b"\n"):
+                pass
+            if fh.tell() >= size:
+                break
+            cuts.append(fh.tell())
+    return cuts + [size]
+
+
+def _header(number, line) -> tuple[list[str], np.ndarray, int]:
+    """Header cells, their columns in role order, and m, from the first
+    non-blank line and its number; line is None when the file has none."""
+    if line is None:
+        raise DataError("line 1: empty file, header row required")
+    header = [cell.strip() for cell in line.split(",")]
+    columns, m = _header_columns(header, number)
+    return header, columns, m
+
+
+def _load(lines, width: int) -> np.ndarray | None:
+    """One np.loadtxt call over (line number, text) pairs; None if it fails,
+    or yields the wrong width or a non-finite value."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(
+                (line for _, line in lines), delimiter=",", comments=None, ndmin=2
+            )
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if len(table) == 0:  # a part of blank lines, or a header-only file for Dataset to reject
+        return np.empty((0, width))
+    if table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _send_part(path, start: int, stop: int, columns, sink, sources) -> None:
+    """Child side of _parse_parts: parse one byte range and write to sink
+    its row count as an int64, then its float64 cells in role order; nothing
+    if _load fails.
+
+    The child first closes its copies of the pipes' read ends, so a child
+    left behind by a killed parent meets a broken pipe, not a full one.
+    """
+    for source in sources:
+        source.close()
+    with sink:
+        with _text_range(path, start, stop) as fh:
+            table = _load(_nonblank_lines(fh), len(columns))
+        if table is not None:
+            sink.write(np.int64(len(table)).tobytes())
+            sink.write(np.take(table, columns, axis=1).reshape(-1).view(np.uint8))
+
+
+def _parse_parts(path, cuts: list[int], lines, columns) -> np.ndarray | None:
+    """The data lines of the byte ranges cuts[i]..cuts[i + 1] - 1 as one
+    table in role order, or None if any part fails.
+
+    lines is the rest of this process's own range, part 0, after its header.
+    Forked children parse the other ranges and send their tables back
+    through pipes, which are read only after part 0 is parsed, straight into
+    the result. This process never holds more than one line of text, and
+    beyond the result only part 0's table.
+    """
+    width = len(columns)
+    with contextlib.ExitStack() as stack:
+        children = stack.enter_context(_Children())
+        sources, pids = [], []
+        for start, stop in zip(cuts[1:-1], cuts[2:]):
+            read_fd, write_fd = os.pipe()
+            sources.append(stack.enter_context(open(read_fd, "rb")))
+            with open(write_fd, "wb") as sink:
+                work = functools.partial(_send_part, path, start, stop, columns, sink, sources)
+                pids.append(children.fork(work))
+            if pids[-1] is None:
+                return None
+        first = _load(lines, width)
+        if first is None:
+            return None
+        counts = [len(first)]
+        for source in sources:
+            head = source.read(8)
+            if len(head) != 8:
+                return None
+            counts.append(int(np.frombuffer(head, dtype=np.int64)[0]))
+        table = np.empty((sum(counts), width))
+        np.take(first, columns, axis=1, out=table[:counts[0]], mode="clip")
+        del first
+        row = counts[0]
+        for pid, source, count in zip(pids, sources, counts[1:]):
+            cells = table[row:row + count].reshape(-1).view(np.uint8)
+            if source.readinto(cells) != cells.nbytes or not children.wait(pid):
+                return None
+            row += count
+        return table
+
+
 def _parse_lines(lines, header: list[str]) -> np.ndarray:
     """Cell-by-cell parse of (line number, text) pairs into a (rows, width) table.
 
@@ -205,41 +458,42 @@ def csv_read(path) -> Dataset:
 
     Cells must parse as finite decimal reals; the offending 1-based line
     and column name are reported otherwise. Blank lines are skipped but
-    counted. One np.loadtxt call parses the non-blank data lines, so a
-    whitespace-only line, which loadtxt alone would reject as a one-cell
-    row, is skipped there too. When it fails, or yields the wrong width or a
-    non-finite value, _parse_lines rescans them: it names the first bad
-    line, or accepts the cells that float() reads and loadtxt does not
-    (digit separators, non-ASCII digits).
+    counted. The file is cut at line boundaries into parts, one per usable
+    CPU when it is large (_line_cuts, _parse_parts), and one np.loadtxt call
+    parses the non-blank data lines of each part, so a whitespace-only line,
+    which loadtxt alone would reject as a one-cell row, is skipped there too.
+    When any part fails (a bad cell, the wrong width, a non-finite value, a
+    byte that is not UTF-8, a dead child), _parse_lines rescans the whole
+    file in this process: it names the first bad line, or accepts the cells
+    that float() reads and loadtxt does not (digit separators, non-ASCII
+    digits).
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        size = os.path.getsize(path)
+        cuts = _line_cuts(path, size, part_count(size, _CSV_PART_BYTES))
+        whole = len(cuts) == 2  # one part: the file is opened once, as a plain file
+        with contextlib.ExitStack() as stack:
+            fh = stack.enter_context(
+                open(path, "r", encoding="utf-8") if whole else _text_range(path, 0, cuts[1])
+            )
             lines = _nonblank_lines(fh)
-            number, first = next(lines, (None, None))
-            if first is None:
-                raise DataError("line 1: empty file, header row required")
-            header = [cell.strip() for cell in first.split(",")]
-            columns, m = _header_columns(header, number)
-            try:
-                with warnings.catch_warnings():
-                    # A header-only file is left for Dataset to reject.
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    table = np.loadtxt(
-                        (line for _, line in lines), delimiter=",", comments=None, ndmin=2
-                    )
-            except ValueError:
-                table = None
-            if table is None or table.shape[1] != len(header) or not np.isfinite(table).all():
+            first = next(lines, None)
+            table = None
+            if first is not None:  # else an empty file, or blank lines up to cuts[1]
+                header, columns, m = _header(*first)
+                table = _parse_parts(path, cuts, lines, columns)
+            if table is None:
+                if not whole:
+                    fh = stack.enter_context(open(path, "r", encoding="utf-8"))
                 fh.seek(0)
                 lines = _nonblank_lines(fh)
-                next(lines)
-                table = _parse_lines(lines, header)
+                header, columns, m = _header(*next(lines, (None, None)))
+                table = _parse_lines(lines, header)[:, columns]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         _read_text(path)  # raises, naming the bad byte's offset in the file
         raise
-    table = table[:, columns]
     return Dataset(y=table[:, 0], p=table[:, 1], z=table[:, 2:2 + m], x=table[:, 2 + m:])
 
 
@@ -533,10 +787,7 @@ def write_predictions_csv(path, columns: dict[str, np.ndarray]) -> None:
             raise DataError(f"column {name} has {len(arr)} rows, expected {n}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(["row"] + names) + "\n")
-        for start, lines in _row_blocks(arrays, n):
-            fh.write("".join(
-                f"{i},{line}\n" for i, line in enumerate(lines, start=start + 1)
-            ))
+        _write_rows(fh, arrays, n, numbered=True)
 
 
 def write_metrics_csv(path, report: MetricsReport) -> None:

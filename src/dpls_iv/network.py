@@ -78,8 +78,10 @@ class SgdParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise DataError("learning_rate must be non-negative")
+        if not (0.0 <= self.learning_rate < np.inf):
+            raise DataError(
+                f"learning_rate must be finite and non-negative, got {self.learning_rate}"
+            )
         if self.batch_size < 1 or self.epochs < 0:
             raise DataError("batch_size must be >= 1 and epochs >= 0")
 

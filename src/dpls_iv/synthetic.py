@@ -70,8 +70,10 @@ class SyntheticSpec:
             raise DataError("sigma_joint must be a symmetric 2x2 matrix")
         if np.linalg.eigvalsh(sj)[0] < -1e-12:
             raise DataError("sigma_joint must be positive semidefinite")
-        if self.sigma_eps < 0:
-            raise DataError("sigma_eps must be non-negative")
+        if not (0.0 <= self.sigma_eps < np.inf):
+            raise DataError(
+                f"sigma_eps must be finite and non-negative, got {self.sigma_eps}"
+            )
         if self.cov_mode not in ("near_diagonal", "network"):
             raise DataError("cov_mode must be 'near_diagonal' or 'network'")
         c = self.cov_param

@@ -376,3 +376,41 @@ def test_simulate_loads_scipy_special_but_not_linalg(tmp_path):
     modules = _modules_loaded_by(f"from dpls_iv.cli import main\nassert main({argv!r}) == 0")
     assert "scipy.special" in modules
     assert "scipy.linalg" not in modules
+
+
+def test_predict_rejects_negative_draws(sim_dir, dpls_fit_dir, tmp_path, capsys):
+    cfg = tmp_path / "pred.txt"
+    write_config(cfg, {"fit": str(dpls_fit_dir / "fit.json"),
+                       "data": str(sim_dir / "data.csv")})
+    rc = main(["predict", "--config", str(cfg), "--draws", "-5",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "data error: draws must be non-negative, got -5\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("epochs", ["0", "3"])
+def test_fit_rejects_a_non_finite_learning_rate(sim_dir, tmp_path, capsys, epochs):
+    cfg = tmp_path / "fit.txt"
+    write_config(cfg, {"data": str(sim_dir / "data.csv"), **_FAST_NET,
+                       "dpls.epochs": epochs, "dpls.learning_rate": "nan"})
+    rc = main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "learning_rate must be finite and non-negative, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "config.txt").exists()
+
+
+def test_simulate_rejects_a_non_finite_sigma_eps(tmp_path, capsys):
+    cfg = tmp_path / "spec.txt"
+    write_config(cfg, {**_SMALL_SPEC, "spec.sigma_eps": "nan"})
+    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "sigma_eps must be finite and non-negative, got nan" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_module_of_the_parallel_row_work():
+    # the band's thread pool and the signal used to kill CSV children are
+    # imported where they run
+    modules = _modules_loaded_by("import dpls_iv.cli")
+    assert _scipy(modules) == set()
+    assert {"concurrent.futures", "concurrent.futures.thread", "signal"} & modules == set()

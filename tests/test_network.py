@@ -212,6 +212,12 @@ def test_config_validation():
         SgdParams(batch_size=0)
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_sgd_params_reject_a_non_finite_learning_rate(rate):
+    with pytest.raises(DataError, match="learning_rate must be finite and non-negative"):
+        SgdParams(learning_rate=rate, epochs=0)
+
+
 def test_model_dict_round_trip():
     zbar, p = _nonlinear_training_data(6)
     model = dpls_fit(zbar, p, DplsConfig(layer_widths=(4,), first_layer_q=2,

@@ -1,0 +1,340 @@
+"""The CLI's row work split across CPUs gives the one-part bytes and tables.
+
+CSV writes and reads run in forked parts and the posterior band in threads
+once the input passes private size thresholds. These tests lower the
+thresholds and fake the number of usable CPUs, so small inputs take the
+parallel path, and compare every result with the one-part run of the same
+code.
+"""
+import os
+import re
+import signal
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from dpls_iv import Dataset, PosteriorDraws, dataio, ivreg
+from dpls_iv.errors import DataError
+
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="parts are forked")
+
+
+def _use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Force CSV parts on tiny inputs; returns a list of the pids forked."""
+    monkeypatch.setattr(dataio, "_CSV_PART_CELLS", 1)
+    monkeypatch.setattr(dataio, "_CSV_PART_BYTES", 1)
+    pids = []
+    original = dataio._Children.fork
+
+    def counting(self, work):
+        pid = original(self, work)
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(dataio._Children, "fork", counting)
+    return pids
+
+
+def _one_part(monkeypatch, call):
+    """call() with every threshold out of reach: one part, in this process."""
+    with monkeypatch.context() as m:
+        m.setattr(dataio, "_CSV_PART_CELLS", 2**62)
+        m.setattr(dataio, "_CSV_PART_BYTES", 2**62)
+        return call()
+
+
+def _dataset(n, m=1, k=1, seed=5):
+    rng = np.random.default_rng(seed)
+    cells = rng.normal(size=(n, 2 + m + k)) * 10.0 ** rng.integers(-300, 300, size=(n, 2 + m + k))
+    return Dataset(y=cells[:, 0], p=cells[:, 1], z=cells[:, 2:2 + m], x=cells[:, 2 + m:])
+
+
+def _outcome(path):
+    try:
+        ds = dataio.csv_read(path)
+    except DataError as exc:
+        return str(exc)
+    return np.column_stack([ds.y, ds.p, ds.z, ds.x]).tobytes()
+
+
+def _open_fds():
+    return set(os.listdir("/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# ------------------------------------------------------------------ csv_write
+
+
+@pytest.mark.parametrize("n, cpus", [(4, 2), (5, 3), (4, 7), (3, 3)],
+                         ids=["halves", "thirds", "more_parts_than_rows", "one_row_parts"])
+def test_csv_write_parts_give_the_one_part_bytes(tmp_path, monkeypatch, forked, n, cpus):
+    ds = _dataset(n)
+    expected = tmp_path / "one.csv"
+    _one_part(monkeypatch, lambda: dataio.csv_write(expected, ds))
+    assert forked == []
+    _use_cpus(monkeypatch, cpus)
+    fds = _open_fds()
+    dataio.csv_write(tmp_path / "parts.csv", ds)
+    assert len(forked) == cpus - 1
+    assert (tmp_path / "parts.csv").read_bytes() == expected.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["one.csv", "parts.csv"]  # no spill file left
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9])
+def test_write_predictions_csv_parts_give_the_one_part_bytes(tmp_path, monkeypatch, forked, n):
+    rng = np.random.default_rng(n)
+    columns = {"p_hat": rng.normal(size=n), "y_hat": rng.normal(size=n) * 1e-300}
+    expected = tmp_path / "one.csv"
+    _one_part(monkeypatch, lambda: dataio.write_predictions_csv(expected, columns))
+    _use_cpus(monkeypatch, 4)
+    dataio.write_predictions_csv(tmp_path / "parts.csv", columns)
+    assert len(forked) == max(1, min(4, 2 * n)) - 1  # parts of at least one cell
+    assert (tmp_path / "parts.csv").read_bytes() == expected.read_bytes()
+    _assert_no_child_left()
+
+
+def test_csv_write_formats_a_dead_childs_part_itself(tmp_path, monkeypatch, forked):
+    ds = _dataset(6)
+    expected = tmp_path / "one.csv"
+    _one_part(monkeypatch, lambda: dataio.csv_write(expected, ds))
+    _use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(dataio, "_write_spill",
+                        lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+    fds = _open_fds()
+    dataio.csv_write(tmp_path / "parts.csv", ds)
+    assert len(forked) == 2
+    assert (tmp_path / "parts.csv").read_bytes() == expected.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["one.csv", "parts.csv"]
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+def _refuse(*args, **kwargs):
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("refused", ["fork", "spill"])
+def test_csv_write_formats_a_part_itself_when_it_cannot_fork(tmp_path, monkeypatch, forked, refused):
+    ds = _dataset(6)
+    expected = tmp_path / "one.csv"
+    _one_part(monkeypatch, lambda: dataio.csv_write(expected, ds))
+    _use_cpus(monkeypatch, 3)
+    if refused == "fork":
+        monkeypatch.setattr(os, "fork", _refuse)
+    else:
+        monkeypatch.setattr(dataio.tempfile, "TemporaryFile", _refuse)
+    dataio.csv_write(tmp_path / "parts.csv", ds)
+    assert (tmp_path / "parts.csv").read_bytes() == expected.read_bytes()
+    _assert_no_child_left()
+
+
+# ------------------------------------------------------------------- csv_read
+
+
+def _gapped_text(ds, newline):
+    """The dataset's CSV with a blank or whitespace-only line after every
+    line, so every cut lands next to one."""
+    lines = []
+    for i, line in enumerate(_csv_text(ds).splitlines()):
+        lines += [line, ["", "   ", "\t\xa0", "\u3000 "][i % 4]]
+    return newline.join(lines) + newline
+
+
+def _csv_text(ds):
+    header = ["y", "p"] + [f"z_{j + 1}" for j in range(ds.z.shape[1])]
+    header += [f"x_{j + 1}" for j in range(ds.x.shape[1])]
+    rows = np.column_stack([ds.y, ds.p, ds.z, ds.x]).tolist()
+    return "\n".join([",".join(header)] + [",".join(map(repr, row)) for row in rows]) + "\n"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("cpus", [2, 3, 40])
+def test_csv_read_parts_give_the_one_part_table(tmp_path, monkeypatch, forked, newline, cpus):
+    ds = _dataset(12)
+    path = tmp_path / "gapped.csv"
+    path.write_bytes(_gapped_text(ds, newline).encode("utf-8"))
+    expected = _one_part(monkeypatch, lambda: _outcome(path))
+    assert expected == np.column_stack([ds.y, ds.p, ds.z, ds.x]).tobytes()
+
+    def no_rescan(lines, header):
+        raise AssertionError("a part failed and sent the file to the line rescan")
+
+    monkeypatch.setattr(dataio, "_parse_lines", no_rescan)
+    _use_cpus(monkeypatch, cpus)
+    fds = _open_fds()
+    assert _outcome(path) == expected
+    if newline != "\r":  # a file without \n is one part
+        assert len(forked) >= min(cpus - 1, 2)
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+def test_csv_read_line_cuts_follow_newlines(tmp_path):
+    text = b"y,p\r\n1,2\r\n\r\n3,4\n\xc3\xa9\n"
+    path = tmp_path / "cuts.csv"
+    path.write_bytes(text)
+    for parts in range(1, 8):
+        cuts = dataio._line_cuts(path, len(text), parts)
+        assert cuts[0] == 0 and cuts[-1] == len(text) and len(cuts) <= parts + 1
+        assert all(a < b for a, b in zip(cuts, cuts[1:]))
+        assert all(text[c - 1:c] == b"\n" for c in cuts[1:-1])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda cells: cells[:-1], "line 15: expected 5 cells, found 4"),
+    (lambda cells: cells[:2] + [" abc "] + cells[3:], "line 15, column z_1: non-numeric cell 'abc'"),
+    (lambda cells: cells[:4] + ["nan"] + cells[5:], "line 15, column x_1: non-finite value 'nan'"),
+], ids=["cell_count", "non_numeric", "nan"])
+def test_csv_read_bad_cell_in_a_later_part_gives_the_one_part_message(
+        tmp_path, monkeypatch, forked, edit, message):
+    lines = _csv_text(_dataset(20, m=2)).splitlines()
+    lines[14] = ",".join(edit(lines[14].split(",")))
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cut = dataio._line_cuts(path, os.path.getsize(path), 2)[1]
+    assert len("\n".join(lines[:14]).encode()) > cut  # line 15 is in the child's part
+    assert _one_part(monkeypatch, lambda: _outcome(path)) == message
+    _use_cpus(monkeypatch, 2)
+    fds = _open_fds()
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        dataio.csv_read(path)
+    assert len(forked) == 1
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+def test_csv_read_non_utf8_byte_in_a_later_part_names_its_offset(tmp_path, monkeypatch, forked):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"y,p\n" + b"1,2\n" * 50 + b"3,\xff\n" + b"4,5\n" * 10)
+    _use_cpus(monkeypatch, 2)
+    with pytest.raises(DataError, match="not UTF-8 text at byte 206$"):
+        dataio.csv_read(path)
+    assert len(forked) == 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("child", ["killed", "silent"])
+def test_csv_read_falls_back_to_the_rescan_when_a_child_dies(tmp_path, monkeypatch, forked, child):
+    ds = _dataset(30)
+    path = tmp_path / "data.csv"
+    path.write_text(_csv_text(ds), encoding="utf-8")
+    expected = _one_part(monkeypatch, lambda: _outcome(path))
+    rescans = []
+    original = dataio._parse_lines
+    monkeypatch.setattr(dataio, "_parse_lines",
+                        lambda lines, header: rescans.append(1) or original(lines, header))
+    die = (lambda *args: os.kill(os.getpid(), signal.SIGKILL)) if child == "killed" else (
+        lambda *args: None)
+    monkeypatch.setattr(dataio, "_send_part", die)
+    _use_cpus(monkeypatch, 3)
+    fds = _open_fds()
+    assert _outcome(path) == expected
+    assert len(forked) == 2 and rescans == [1]
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+def test_csv_read_rescans_when_it_cannot_fork(tmp_path, monkeypatch, forked):
+    path = tmp_path / "data.csv"
+    path.write_text(_csv_text(_dataset(30)), encoding="utf-8")
+    expected = _one_part(monkeypatch, lambda: _outcome(path))
+    monkeypatch.setattr(os, "fork", _refuse)
+    _use_cpus(monkeypatch, 3)
+    fds = _open_fds()
+    assert _outcome(path) == expected
+    assert _open_fds() == fds
+
+
+def test_csv_read_header_error_leaves_no_child(tmp_path, monkeypatch, forked):
+    path = tmp_path / "bad.csv"
+    path.write_text("y,p,q\n" + "1,2,3\n" * 40, encoding="utf-8")
+    _use_cpus(monkeypatch, 3)
+    with pytest.raises(DataError, match="^line 1: unrecognized column 'q'"):
+        dataio.csv_read(path)
+    assert forked == []  # the header is checked before any fork
+    _assert_no_child_left()
+
+
+# ---------------------------------------------------------------------- band
+
+
+def _band_case(nan_rows):
+    rng = np.random.default_rng(7)
+    beta_draws = rng.normal(size=(50, 3))
+    design = rng.normal(size=(23, 3))
+    if nan_rows:
+        design[[0, 5, 22], 0] = np.nan
+        design[9] = [np.inf, 1.0, 1.0]
+        beta_draws[4, 0] = 0.0  # inf * 0: one NaN in row 9
+    return PosteriorDraws(beta_draws=beta_draws), design
+
+
+@pytest.mark.parametrize("block_rows", [None, 22, 4], ids=["one_block", "n_minus_1", "blocks_of_4"])
+@pytest.mark.parametrize("nan_rows", [False, True], ids=["finite", "nan_rows"])
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_band_threads_are_bit_identical_and_predictive_stays_on_the_caller(
+        monkeypatch, block_rows, nan_rows, cpus):
+    draws, design = _band_case(nan_rows)
+    if block_rows is not None:
+        monkeypatch.setattr(ivreg, "_BAND_CELLS", block_rows * len(draws.beta_draws))
+    tail = (1.0 - 0.95) / 2.0
+    with np.errstate(invalid="ignore"):
+        latent = design @ draws.beta_draws.T
+        reference = np.quantile(latent, [tail, 1.0 - tail], axis=1)
+    callers, workers = [], set()
+    predictive, band_rows = PosteriorDraws.predictive, ivreg._band_rows
+
+    def recording_predictive(self, rows):
+        callers.append(threading.get_ident())
+        return predictive(self, rows)
+
+    def recording_band_rows(*args):
+        workers.add(threading.get_ident())
+        band_rows(*args)
+
+    monkeypatch.setattr(PosteriorDraws, "predictive", recording_predictive)
+    monkeypatch.setattr(ivreg, "_band_rows", recording_band_rows)
+    monkeypatch.setattr(ivreg, "_BAND_PART_CELLS", 1)
+    _use_cpus(monkeypatch, cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with np.errstate(invalid="ignore"):
+            lo, hi = draws.band(design, 0.95)
+    finally:
+        sys.setswitchinterval(interval)
+    assert lo.tobytes() == reference[0].tobytes()
+    assert hi.tobytes() == reference[1].tobytes()
+    assert set(callers) == {threading.get_ident()}
+    assert len(workers) > 1
+
+
+def test_band_worker_threads_run_under_the_callers_errstate(monkeypatch):
+    rng = np.random.default_rng(8)
+    draws = PosteriorDraws(beta_draws=rng.normal(size=(40, 2)))
+    design = rng.normal(size=(16, 2))
+    # Only the last part's rows hold infinities of both signs: interpolating
+    # between two -inf order statistics is an invalid operation, and only a
+    # worker thread meets it.
+    design[12:, 0] = np.inf
+    monkeypatch.setattr(ivreg, "_BAND_PART_CELLS", 1)
+    _use_cpus(monkeypatch, 4)
+    with np.errstate(invalid="ignore"):
+        lo, _ = draws.band(design, 0.9)
+    assert np.isnan(lo[12:]).all() and np.isfinite(lo[:12]).all()
+    with np.errstate(invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            draws.band(design, 0.9)

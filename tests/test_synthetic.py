@@ -40,6 +40,12 @@ def test_spec_validation():
             SyntheticSpec(cov_mode="network", cov_param=cov_param)
 
 
+@pytest.mark.parametrize("sigma_eps", [float("nan"), float("inf")])
+def test_spec_rejects_a_non_finite_sigma_eps(sigma_eps):
+    with pytest.raises(DataError, match="sigma_eps must be finite and non-negative"):
+        SyntheticSpec(sigma_eps=sigma_eps)
+
+
 def test_valid_cov_param_too_close_to_singular_is_a_numerical_error():
     spec = SyntheticSpec(n=20, m=10, m_redundant=0, k=1, k_null=0,
                          cov_param=np.nextafter(1.0, 0.0))
