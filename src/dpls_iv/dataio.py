@@ -260,13 +260,19 @@ def _header_columns(header: list[str], number: int) -> tuple[np.ndarray, int]:
     return np.argsort([base[role] + order for role, order in roles]), m
 
 
+def _os_reason(exc: OSError) -> str:
+    """Why an OSError was raised; some, like io.UnsupportedOperation, carry
+    no strerror."""
+    return exc.strerror or str(exc) or type(exc).__name__
+
+
 def _read_text(path) -> str:
     """Contents of an input file; an unreadable file is a data error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+        raise DataError(f"cannot read {path}: {_os_reason(exc)}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {path}: not UTF-8 text at byte {exc.start}") from None
 
@@ -466,7 +472,8 @@ def csv_read(path) -> Dataset:
     byte that is not UTF-8, a dead child), _parse_lines rescans the whole
     file in this process: it names the first bad line, or accepts the cells
     that float() reads and loadtxt does not (digit separators, non-ASCII
-    digits).
+    digits). A pipe or FIFO cannot be read twice, so there a failed parse,
+    or a byte that is not UTF-8, is reported without the line or offset.
     """
     try:
         size = os.path.getsize(path)
@@ -485,13 +492,20 @@ def csv_read(path) -> Dataset:
             if table is None:
                 if not whole:
                     fh = stack.enter_context(open(path, "r", encoding="utf-8"))
+                if not fh.seekable():
+                    raise DataError(
+                        f"cannot read {path}: a data line needs the line-by-line "
+                        "parse, and a pipe cannot be read a second time"
+                    )
                 fh.seek(0)
                 lines = _nonblank_lines(fh)
                 header, columns, m = _header(*next(lines, (None, None)))
                 table = _parse_lines(lines, header)[:, columns]
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+        raise DataError(f"cannot read {path}: {_os_reason(exc)}") from None
     except UnicodeDecodeError:
+        if not os.path.isfile(path):  # a pipe: opening it again would wait for a new writer
+            raise DataError(f"cannot read {path}: not UTF-8 text") from None
         _read_text(path)  # raises, naming the bad byte's offset in the file
         raise
     return Dataset(y=table[:, 0], p=table[:, 1], z=table[:, 2:2 + m], x=table[:, 2 + m:])

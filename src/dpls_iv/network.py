@@ -6,9 +6,19 @@ the PLS estimator alone. Hidden layers (widths from config) and a width-1
 output layer are initialized by per-layer least squares on the previous
 layer's activated features, then refined jointly by mini-batch SGD on
 squared loss.
+
+SGD works on one flat parameter vector theta, of which every trainable
+(weight, bias) is a view, and a flat gradient vector with the same layout:
+a step is one network_loss_and_grads call that writes the gradient and one
+theta -= lr * grad. Each epoch stages its shuffled rows once, and its steps
+take contiguous slices of that copy. _forward is the one layer loop behind
+predict, the training loss and the gradients. It writes each activation
+over its pre-activation, and the backward pass reads the activation mask
+off the activation, which is positive exactly where the pre-activation is.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,19 +65,31 @@ class ActivationKind:
 
 
 def activation_apply(kind: ActivationKind, t):
-    t = np.asarray(t, dtype=np.float64)
-    if kind.tag == "relu":
-        out = np.maximum(t, 0.0)
-    else:
-        out = np.where(t > 0.0, t, kind.slope * t)
+    out = _activate(kind, np.array(t, dtype=np.float64))
     return float(out) if out.ndim == 0 else out
 
 
-def _activation_grad(kind: ActivationKind, pre):
-    """Derivative wrt pre-activation; the subgradient at 0 is 0 for relu."""
+def _activate(kind: ActivationKind, t):
+    """Apply the activation to the float array t in place and return t.
+
+    leaky_relu scales only the entries that are <= 0, so a NaN stays as it is.
+    """
     if kind.tag == "relu":
-        return (pre > 0.0).astype(np.float64)
-    return np.where(pre > 0.0, 1.0, kind.slope)
+        return np.maximum(t, 0.0, out=t)
+    return np.multiply(t, kind.slope, out=t, where=t <= 0.0)
+
+
+def _activation_grad(kind: ActivationKind, act):
+    """Derivative wrt the pre-activation, read off the activation act.
+
+    An activation is > 0 exactly where its pre-activation is: the leaky
+    slope is positive, so slope * pre is never > 0, and NaN compares false
+    either way. The subgradient at 0 is 0 for relu, whose mask stays bool
+    and multiplies as 1.0 and 0.0.
+    """
+    if kind.tag == "relu":
+        return act > 0.0
+    return np.where(act > 0.0, 1.0, kind.slope)
 
 
 @dataclass(frozen=True)
@@ -82,6 +104,10 @@ class SgdParams:
             raise DataError(
                 f"learning_rate must be finite and non-negative, got {self.learning_rate}"
             )
+        for name in ("batch_size", "epochs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DataError(f"{name} must be an integer, got {value!r}")
         if self.batch_size < 1 or self.epochs < 0:
             raise DataError("batch_size must be >= 1 and epochs >= 0")
 
@@ -111,16 +137,20 @@ class DplsConfig:
             object.__setattr__(self, "first_layer_q", int(self.first_layer_q))
 
 
-def _forward(hidden, kind: ActivationKind, feats):
-    """Pre-activations and activations of the trainable stack on PLS features.
+def _forward(hidden, kind: ActivationKind, feats, work=None):
+    """Activations of the trainable stack on PLS features.
 
-    acts[0] is feats and acts[-1] the (n, 1) network output.
+    acts[0] is feats and acts[-1] the (n, 1) network output. Each layer's
+    pre-activation is computed into the array that then holds its
+    activation: a fresh one, or work[i] when work gives one (n, width)
+    array per trainable layer.
     """
-    pres, acts = [], [feats]
-    for w, b in hidden:
-        pres.append(acts[-1] @ w + b)
-        acts.append(activation_apply(kind, pres[-1]))
-    return pres, acts
+    acts = [feats]
+    for (w, b), out in zip(hidden, work or [None] * len(hidden)):
+        h = np.matmul(acts[-1], w, out=out)
+        h += b
+        acts.append(_activate(kind, h))
+    return acts
 
 
 @dataclass(frozen=True)
@@ -148,36 +178,53 @@ class DplsModel:
         return (zbar - self.first_layer.means) @ self.first_layer.weights
 
     def predict(self, zbar) -> np.ndarray:
-        _, acts = _forward(self.hidden, self.activation, self.features(zbar))
-        return acts[-1].ravel()
+        return _forward(self.hidden, self.activation, self.features(zbar))[-1].ravel()
 
 
-def network_loss_and_grads(hidden, kind: ActivationKind, feats, target):
+def network_loss_and_grads(hidden, kind: ActivationKind, feats, target, out=None):
     """Mean-squared loss and reverse-mode gradients for the trainable stack.
 
     hidden is the ordered list of (weight, bias) pairs applied to feats, each
     followed by the activation. Returns (loss, [(dW, db), ...]) aligned with
-    hidden.
+    hidden. out, if given, is such a list of arrays: the gradients are
+    written into it and it is the list returned. The values do not depend
+    on it.
     """
     feats = np.asarray(feats, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    pres, acts = _forward(hidden, kind, feats)
+    acts = _forward(hidden, kind, feats)
     resid = acts[-1].ravel() - target
     n = len(target)
     loss = float(resid @ resid) / n
     dh = (2.0 / n) * resid.reshape(-1, 1)
     grads = [None] * len(hidden)
     for i in range(len(hidden) - 1, -1, -1):
-        dpre = dh * _activation_grad(kind, pres[i])
-        grads[i] = (acts[i].T @ dpre, dpre.sum(axis=0))
+        dpre = dh * _activation_grad(kind, acts[i + 1])
+        dw, db = (None, None) if out is None else out[i]
+        grads[i] = (np.matmul(acts[i].T, dpre, out=dw), np.add.reduce(dpre, axis=0, out=db))
         if i:
             dh = dpre @ hidden[i][0].T
-    return loss, grads
+    return loss, grads if out is None else out
 
 
-def _train_loss(hidden, kind: ActivationKind, feats, p) -> float:
-    _, acts = _forward(hidden, kind, feats)
-    return float(np.mean((acts[-1].ravel() - p) ** 2))
+def _train_loss(hidden, kind: ActivationKind, feats, p, work) -> float:
+    """Mean squared loss on the full training set, computed in work."""
+    resid = _forward(hidden, kind, feats, work)[-1].ravel()
+    resid -= p
+    return float(np.mean(np.square(resid, out=resid)))
+
+
+def _flat_views(flat, hidden):
+    """(weight, bias) views into flat, shaped like the pairs of hidden.
+
+    The layout is layer by layer, each weight row-major, then its bias.
+    """
+    views, start = [], 0
+    for w, b in hidden:
+        mid = start + w.size
+        views.append((flat[start:mid].reshape(w.shape), flat[mid:mid + b.size].reshape(b.shape)))
+        start = mid + b.size
+    return views
 
 
 def _layer_solve(features, target):
@@ -240,31 +287,40 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
     The returned model carries the parameters from the best epoch measured
     on the full training loss (epoch 0 is the pre-SGD state, so refinement
     can never end worse than it started) and the full loss history.
+
+    Every trainable weight and bias is a view into one flat vector theta,
+    and every gradient a view into grad, which has the same layout, so a
+    step is one network_loss_and_grads call that writes grad and one update
+    of theta. Each epoch gathers its shuffled rows once, and its steps take
+    contiguous slices of that copy. The epoch loss runs in (n, width) work
+    arrays allocated once per call.
     """
     p = np.asarray(p, dtype=np.float64)
     feats = model.features(zbar)
     if not model.hidden:
         raise DataError("model has no trainable layers to refine")
     kind = model.activation
-    hidden = [(w.copy(), b.copy()) for w, b in model.hidden]
+    theta = np.concatenate([a.ravel() for layer in model.hidden for a in layer])
+    hidden = _flat_views(theta, model.hidden)
+    grad = np.empty_like(theta)
+    grads = _flat_views(grad, model.hidden)
     rng = SeededRng(params.seed).child(2)
-    n = len(p)
+    n, batch, lr = len(p), params.batch_size, params.learning_rate
+    work = [np.empty((n, w.shape[1])) for w, _ in hidden]
     history = list(model.history)
-    loss0 = _train_loss(hidden, kind, feats, p)
-    history.append(loss0)
-    best_loss = loss0
-    best_state = [(w.copy(), b.copy()) for w, b in hidden]
-    best_epoch = 0
-    lr = params.learning_rate
+    best_loss = _train_loss(hidden, kind, feats, p, work)
+    history.append(best_loss)
+    best_theta, best_epoch = theta.copy(), 0
     for epoch in range(1, params.epochs + 1):
         order = rng.permutation(n)
-        for start in range(0, n, params.batch_size):
-            rows = order[start : start + params.batch_size]
-            _, grads = network_loss_and_grads(hidden, kind, feats[rows], p[rows])
-            for (w, b), (gw, gb) in zip(hidden, grads):
-                w -= lr * gw
-                b -= lr * gb
-        loss = _train_loss(hidden, kind, feats, p)
+        feats_epoch, p_epoch = feats[order], p[order]
+        for start in range(0, n, batch):
+            network_loss_and_grads(
+                hidden, kind, feats_epoch[start:start + batch], p_epoch[start:start + batch],
+                out=grads,
+            )
+            theta -= lr * grad
+        loss = _train_loss(hidden, kind, feats, p, work)
         if not np.isfinite(loss):
             raise NumericalError(
                 f"SGD diverged at epoch {epoch}; reduce learning_rate"
@@ -272,11 +328,10 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
         history.append(loss)
         if loss < best_loss:
             best_loss = loss
-            best_state = [(w.copy(), b.copy()) for w, b in hidden]
-            best_epoch = epoch
+            best_theta, best_epoch = theta.copy(), epoch
     return DplsModel(
         first_layer=model.first_layer,
-        hidden=tuple(best_state),
+        hidden=tuple(_flat_views(best_theta, model.hidden)),
         activation=kind,
         history=tuple(history),
         best_epoch=best_epoch,

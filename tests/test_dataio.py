@@ -3,6 +3,7 @@ import dataclasses
 import os
 import re
 import tempfile
+import threading
 import warnings
 from unittest import mock
 
@@ -363,6 +364,87 @@ def test_csv_read_rejects_empty_file(tmp_path):
     path.write_text("\n   \n")
     with pytest.raises(DataError, match="empty file"):
         csv_read(path)
+
+
+def _through_fifo(path, payload, read) -> dict:
+    """Run read() while a writer thread sends payload through a new FIFO at
+    path; {"value": result} or {"error": exception}.
+
+    Both threads are joined with a timeout. A reader that opens the FIFO a
+    second time would wait for another writer, so one is opened to free it
+    before the test fails.
+    """
+    os.mkfifo(path)
+    outcome = {}
+
+    def write():
+        with open(path, "wb") as fh:
+            fh.write(payload)
+
+    def run():
+        try:
+            outcome["value"] = read()
+        except Exception as exc:
+            outcome["error"] = exc
+
+    writer = threading.Thread(target=write, daemon=True)
+    reader = threading.Thread(target=run, daemon=True)
+    writer.start()
+    reader.start()
+    reader.join(timeout=30)
+    if reader.is_alive():
+        with open(path, "wb"):
+            pass
+        reader.join(timeout=30)
+        pytest.fail("the reader opened the FIFO a second time")
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    return outcome
+
+
+_needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+
+
+@_needs_fifo
+@pytest.mark.parametrize("payload,reason", [
+    (b"y,p,z_1\n1,2,3\n4,x,6\n", "a pipe cannot be read a second time"),
+    (b"y,p,z_1\n1,2,3\n4,\xff,6\n", "not UTF-8 text"),
+    (b"y,p,\xffz_1\n1,2,3\n", "not UTF-8 text"),
+], ids=["bad_cell", "bad_byte", "bad_byte_in_header"])
+def test_csv_read_of_a_bad_fifo_gives_a_reason(tmp_path, payload, reason):
+    path = tmp_path / "data.csv"
+    err = _through_fifo(path, payload, lambda: csv_read(path))["error"]
+    assert isinstance(err, DataError)
+    assert str(err).startswith(f"cannot read {path}: ")
+    assert reason in str(err) and not str(err).endswith("None")
+
+
+@_needs_fifo
+def test_csv_read_of_a_good_fifo(tmp_path):
+    path = tmp_path / "data.csv"
+    ds = _through_fifo(path, b"y,p,z_1\n1,2,3\n\n4,5,6\n", lambda: csv_read(path))["value"]
+    assert_array_equal(ds.y, [1.0, 4.0])
+    assert_array_equal(ds.z, [[3.0], [6.0]])
+
+
+@_needs_fifo
+@pytest.mark.parametrize("command", ["fit", "predict"])
+def test_cli_exits_2_on_a_bad_fifo(tmp_path, capsys, command):
+    from dpls_iv.cli import main
+
+    data = tmp_path / "data.csv"
+    keys = {"data": str(data)}
+    if command == "predict":
+        _, fit = _small_fit("control_function")
+        write_fit(tmp_path / "fit.json", fit, n_train=200)
+        keys["fit"] = str(tmp_path / "fit.json")
+    write_config(tmp_path / "cfg.txt", keys)
+    argv = [command, "--config", str(tmp_path / "cfg.txt"), "--out-dir", str(tmp_path / "out")]
+    outcome = _through_fifo(data, b"y,p,z_1\n1,2,3\n4,x,6\n", lambda: main(argv))
+    assert outcome["value"] == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"data error: cannot read {data}: ")
+    assert not err.endswith("None")
 
 
 # --------------------------------------------------------------- config files

@@ -210,6 +210,11 @@ def test_config_validation():
         SgdParams(learning_rate=-0.1)
     with pytest.raises(DataError):
         SgdParams(batch_size=0)
+    for field, value in (("batch_size", 2.5), ("epochs", 1.5), ("batch_size", True),
+                         ("epochs", False), ("batch_size", 32.0), ("epochs", "3")):
+        with pytest.raises(DataError, match=f"{field} must be an integer"):
+            SgdParams(**{field: value})
+    assert SgdParams(batch_size=np.int64(8), epochs=np.int32(2)).batch_size == 8
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
@@ -235,3 +240,214 @@ def test_fit_beats_linear_first_layer_on_kinked_target():
     mse_net = float(np.mean((model.predict(zbar) - p) ** 2))
     mse_pls = float(np.mean((model.first_layer.predict(zbar) - p) ** 2))
     assert mse_net < mse_pls
+
+
+# The SGD loop as it stood before every weight and bias became a view into
+# one flat vector: a fresh array per gradient, fancy-indexed minibatches and
+# masks read off kept pre-activations. The flat loop must match its bits.
+
+
+def _ref_activation_apply(kind, t):
+    t = np.asarray(t, dtype=np.float64)
+    if kind.tag == "relu":
+        out = np.maximum(t, 0.0)
+    else:
+        out = np.where(t > 0.0, t, kind.slope * t)
+    return float(out) if out.ndim == 0 else out
+
+
+def _ref_activation_grad(kind, pre):
+    if kind.tag == "relu":
+        return (pre > 0.0).astype(np.float64)
+    return np.where(pre > 0.0, 1.0, kind.slope)
+
+
+def _ref_forward(hidden, kind, feats):
+    pres, acts = [], [feats]
+    for w, b in hidden:
+        pres.append(acts[-1] @ w + b)
+        acts.append(_ref_activation_apply(kind, pres[-1]))
+    return pres, acts
+
+
+def _ref_network_loss_and_grads(hidden, kind, feats, target):
+    feats = np.asarray(feats, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    pres, acts = _ref_forward(hidden, kind, feats)
+    resid = acts[-1].ravel() - target
+    n = len(target)
+    loss = float(resid @ resid) / n
+    dh = (2.0 / n) * resid.reshape(-1, 1)
+    grads = [None] * len(hidden)
+    for i in range(len(hidden) - 1, -1, -1):
+        dpre = dh * _ref_activation_grad(kind, pres[i])
+        grads[i] = (acts[i].T @ dpre, dpre.sum(axis=0))
+        if i:
+            dh = dpre @ hidden[i][0].T
+    return loss, grads
+
+
+def _ref_train_loss(hidden, kind, feats, p):
+    _, acts = _ref_forward(hidden, kind, feats)
+    return float(np.mean((acts[-1].ravel() - p) ** 2))
+
+
+def _ref_sgd_refine(model, zbar, p, params):
+    p = np.asarray(p, dtype=np.float64)
+    feats = model.features(zbar)
+    kind = model.activation
+    hidden = [(w.copy(), b.copy()) for w, b in model.hidden]
+    rng = SeededRng(params.seed).child(2)
+    n = len(p)
+    history = list(model.history)
+    loss0 = _ref_train_loss(hidden, kind, feats, p)
+    history.append(loss0)
+    best_loss = loss0
+    best_state = [(w.copy(), b.copy()) for w, b in hidden]
+    best_epoch = 0
+    lr = params.learning_rate
+    for epoch in range(1, params.epochs + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, params.batch_size):
+            rows = order[start : start + params.batch_size]
+            _, grads = _ref_network_loss_and_grads(hidden, kind, feats[rows], p[rows])
+            for (w, b), (gw, gb) in zip(hidden, grads):
+                w -= lr * gw
+                b -= lr * gb
+        loss = _ref_train_loss(hidden, kind, feats, p)
+        if not np.isfinite(loss):
+            raise NumericalError(
+                f"SGD diverged at epoch {epoch}; reduce learning_rate"
+            )
+        history.append(loss)
+        if loss < best_loss:
+            best_loss = loss
+            best_state = [(w.copy(), b.copy()) for w, b in hidden]
+            best_epoch = epoch
+    return DplsModel(
+        first_layer=model.first_layer,
+        hidden=tuple(best_state),
+        activation=kind,
+        history=tuple(history),
+        best_epoch=best_epoch,
+    )
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _initialized_model(kind, widths, n=50, d=4):
+    rng = SeededRng(21)
+    zbar = rng.child(0).normal(size=(n, d))
+    coef = rng.child(1).normal(size=d)
+    p = np.maximum(zbar @ coef, 0.0) + 0.1 * rng.child(2).normal(size=n)
+    cfg = DplsConfig(layer_widths=widths, activation=kind, first_layer_q=2,
+                     sgd=SgdParams(epochs=0))
+    return dpls_fit(zbar, p, cfg), zbar, p
+
+
+def _assert_same_refinement(got, ref, zbar):
+    assert len(got.hidden) == len(ref.hidden)
+    for (w, b), (rw, rb) in zip(got.hidden, ref.hidden):
+        assert _bits(w) == _bits(rw)
+        assert _bits(b) == _bits(rb)
+    assert _bits(got.history) == _bits(ref.history)
+    assert got.best_epoch == ref.best_epoch
+    assert _bits(got.predict(zbar)) == _bits(ref.predict(zbar))
+
+
+@pytest.mark.parametrize("batch_size", [1, 16, 64], ids=["one", "ragged", "above_n"])
+@pytest.mark.parametrize("widths", [(5,), (4, 3), (3, 4, 2)], ids=["1", "2", "3"])
+@pytest.mark.parametrize("kind", [ActivationKind.relu(), ActivationKind.leaky(0.1)],
+                         ids=["relu", "leaky"])
+def test_flat_sgd_matches_reference_loop_bit_for_bit(kind, widths, batch_size):
+    model, zbar, p = _initialized_model(kind, widths)
+    params = SgdParams(learning_rate=0.02, batch_size=batch_size, epochs=6, seed=3)
+    _assert_same_refinement(sgd_refine(model, zbar, p, params),
+                            _ref_sgd_refine(model, zbar, p, params), zbar)
+
+
+def test_flat_sgd_matches_reference_when_units_die():
+    # this rate kills the relu output unit in the first epoch: every later
+    # gradient is zero and the loss stays flat
+    model, zbar, p = _initialized_model(ActivationKind.relu(), (6,))
+    params = SgdParams(learning_rate=0.2, batch_size=8, epochs=5, seed=0)
+    got = sgd_refine(model, zbar, p, params)
+    _assert_same_refinement(got, _ref_sgd_refine(model, zbar, p, params), zbar)
+    epochs = got.history[-params.epochs:]
+    assert len(set(epochs)) == 1 and epochs[0] > got.history[-params.epochs - 1]
+
+
+def test_flat_sgd_diverges_like_reference_loop():
+    model, zbar, p = _initialized_model(ActivationKind.leaky(0.1), (6,))
+    params = SgdParams(learning_rate=1.0, batch_size=8, epochs=50, seed=0)
+    messages = []
+    for refine in (sgd_refine, _ref_sgd_refine):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError) as err:
+                refine(model, zbar, p, params)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == "SGD diverged at epoch 2; reduce learning_rate"
+
+
+@pytest.mark.parametrize("kind", [ActivationKind.relu(), ActivationKind.leaky(0.1)],
+                         ids=["relu", "leaky"])
+def test_loss_and_grads_write_into_out(kind):
+    feats, target, layers = _grad_check_layers(4, widths=(3, 2), n=9)
+    loss, grads = network_loss_and_grads(layers, kind, feats, target)
+    ref_loss, ref_grads = _ref_network_loss_and_grads(layers, kind, feats, target)
+    bufs = [(np.full_like(w, np.nan), np.full_like(b, np.nan)) for w, b in layers]
+    views = [(w, b) for w, b in bufs]
+    out_loss, out = network_loss_and_grads(layers, kind, feats, target, out=bufs)
+    assert out is bufs
+    assert out_loss == loss == ref_loss
+    for (w, b), (gw, gb), (vw, vb), (rw, rb) in zip(bufs, grads, views, ref_grads):
+        assert w is vw and b is vb
+        assert _bits(w) == _bits(gw) == _bits(rw)
+        assert _bits(b) == _bits(gb) == _bits(rb)
+
+
+@pytest.mark.parametrize("kind", [ActivationKind.relu(), ActivationKind.leaky(0.01),
+                                  ActivationKind.leaky(0.5)],
+                         ids=["relu", "leaky_0.01", "leaky_0.5"])
+def test_activation_mask_from_activations_matches_pre_activations(kind):
+    from dpls_iv.network import _activation_grad
+
+    tiny = np.nextafter(0.0, -1.0)  # the negative subnormal nearest zero
+    pre = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, tiny,
+                    2.2250738585072014e-308, -2.2250738585072014e-308, -1e-310,
+                    1.0, -1.0, 1e300, -1e300])
+    if kind.tag == "leaky_relu" and kind.slope < 0.5:
+        under = kind.slope * tiny
+        assert under == 0.0 and np.signbit(under)  # underflows to -0.0
+    act = activation_apply(kind, pre)
+    assert _bits(act) == _bits(_ref_activation_apply(kind, pre))
+    ref = _ref_activation_grad(kind, pre)
+    got = _activation_grad(kind, act)
+    assert _bits(np.asarray(got, dtype=np.float64)) == _bits(ref)
+    # as a factor on signed and infinite upstream gradients too
+    dh = np.array([-2.0, 3.0, -0.0, np.inf, -np.inf] * 3)
+    with np.errstate(invalid="ignore"):  # inf * 0
+        assert _bits(dh * got) == _bits(dh * ref)
+
+
+@pytest.mark.parametrize("n,batch_size,epochs", [(50, 16, 3), (50, 64, 2), (7, 1, 2), (9, 3, 0)])
+def test_sgd_takes_one_loss_and_grads_call_per_step(monkeypatch, n, batch_size, epochs):
+    # perfbench counts SGD steps at this module global
+    import dpls_iv.network as network
+
+    calls = []
+    real = network.network_loss_and_grads
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[3]))
+        return real(*args, **kwargs)
+
+    model, zbar, p = _initialized_model(ActivationKind.relu(), (3,), n=n)
+    monkeypatch.setattr(network, "network_loss_and_grads", counting)
+    sgd_refine(model, zbar, p, SgdParams(learning_rate=0.01, batch_size=batch_size,
+                                         epochs=epochs, seed=0))
+    assert len(calls) == epochs * -(-n // batch_size)
+    assert sum(calls) == epochs * n
