@@ -25,7 +25,6 @@ from .data import (
     SeededRng,
     augment_instruments,
     split_dataset,
-    split_indices,
 )
 from .errors import (
     ConvergenceError,
@@ -40,8 +39,6 @@ from .ivreg import (
     PosteriorDraws,
     TobitConstants,
     TobitGmmFit,
-    control_function_fit,
-    corrected_covariance,
     dpls_iv_fit,
     estimate_tobit_constants,
     gmm_beta,
@@ -51,7 +48,7 @@ from .ivreg import (
     sample_posterior,
     sandwich_variance,
 )
-from .linear import LinearFit, fit_lasso, fit_ols, fit_ridge, soft_threshold
+from .linear import LinearFit, fit_lasso, fit_ols, fit_ridge
 from .metrics import r_squared, rmse
 from .network import (
     ActivationKind,
@@ -61,19 +58,9 @@ from .network import (
     activation_apply,
     dpls_fit,
     network_loss_and_grads,
-    sgd_refine,
 )
-from .dataio import model_from_dict, model_to_dict
-from .pls import (
-    PlsFit,
-    compute_krylov,
-    fit_pls_closed_form,
-    fit_pls_deflation,
-    select_q_cv,
-)
-from .statnum import CovPair, sample_cov_pair
+from .pls import PlsFit, fit_pls_closed_form, fit_pls_deflation, select_q_cv
 from .synthetic import (
-    InstrumentGraph,
     SyntheticSpec,
     SyntheticTruth,
     distance_to_cov,
@@ -92,7 +79,6 @@ __all__ = [
     "ActivationKind",
     "ControlFunctionFit",
     "ConvergenceError",
-    "CovPair",
     "DataError",
     "Dataset",
     "DegenerateDataError",
@@ -100,7 +86,6 @@ __all__ = [
     "DplsIvFit",
     "DplsModel",
     "ExperimentConfig",
-    "InstrumentGraph",
     "KNOWN_METHODS",
     "LinearFit",
     "MetricsReport",
@@ -116,9 +101,6 @@ __all__ = [
     "TobitGmmFit",
     "activation_apply",
     "augment_instruments",
-    "compute_krylov",
-    "control_function_fit",
-    "corrected_covariance",
     "distance_to_cov",
     "dpls_fit",
     "dpls_iv_fit",
@@ -137,20 +119,14 @@ __all__ = [
     "gmm_beta",
     "identity_constants",
     "iv_fit",
-    "model_from_dict",
-    "model_to_dict",
     "network_loss_and_grads",
     "r_squared",
     "recenter_outcome",
     "rmse",
     "run_benchmark",
-    "sample_cov_pair",
     "sample_posterior",
     "sandwich_variance",
     "select_q_cv",
-    "sgd_refine",
     "shortest_path_matrix",
-    "soft_threshold",
     "split_dataset",
-    "split_indices",
 ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SeededRng, augment_instruments, split_dataset
+from .data import SeededRng, augment_instruments, check_int, split_dataset
 from .errors import DataError, NumericalError
 from .ivreg import _check_mode, dpls_iv_fit
 from .ivreg import iv_fit as _outcome_stage
@@ -63,6 +63,8 @@ class ExperimentConfig:
                 f"methods must be a non-empty subset of {KNOWN_METHODS}, "
                 f"unknown: {sorted(unknown)}"
             )
+        for name in ("replications", "base_seed", "jobs"):
+            check_int(name, getattr(self, name))
         if self.replications < 1:
             raise DataError("replications must be >= 1")
         _check_mode(self.mode)
@@ -105,7 +107,7 @@ def fit_first_stage(method: str, zbar, p, q, rng: SeededRng):
         return fit_lasso(zbar, p, lam="auto")
     if method == "pls":
         if q == "auto":
-            q = select_q_cv(zbar, p, min(zbar.shape[1], AUTO_Q_CAP), 5, rng.child(7))
+            q = select_q_cv(zbar, p, min(zbar.shape[1], AUTO_Q_CAP), rng.child(7))
         return fit_pls_closed_form(zbar, p, q)
     raise DataError(f"unknown first-stage method: {method}")
 

@@ -5,6 +5,7 @@ package targets are on the order of 10^4 x 10^2, so no sparse path exists.
 """
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -19,6 +20,14 @@ __all__ = [
     "split_indices",
     "split_dataset",
 ]
+
+
+def check_int(name: str, value) -> int:
+    """value as an int. A bool or a value of a non-integral type, 2.0
+    included, is a DataError naming the field; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_float_matrix(a, name, ndim):
@@ -43,11 +52,11 @@ class SeededRng:
     """
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
-        seed = int(seed)
+        seed = check_int("seed", seed)
         if seed < 0:
             raise DataError("seed must be a non-negative integer")
         self.seed = seed
-        self.path = tuple(int(t) for t in path)
+        self.path = tuple(check_int("path tag", t) for t in path)
         self._gen: np.random.Generator | None = None
 
     @property

@@ -52,9 +52,7 @@ __all__ = [
     "render_config",
     "write_config",
     "truth_to_dict",
-    "truth_from_dict",
     "write_truth",
-    "read_truth",
     "model_to_dict",
     "model_from_dict",
     "fit_to_dict",
@@ -578,28 +576,6 @@ def truth_to_dict(truth: SyntheticTruth) -> dict:
     return doc
 
 
-def truth_from_dict(doc: dict) -> SyntheticTruth:
-    if doc.get("format") != _TRUTH_FORMAT:
-        raise DataError(f"not a truth record: format={doc.get('format')!r}")
-    if doc.get("version") != _TRUTH_VERSION:
-        raise DataError(f"unsupported truth version {doc.get('version')!r}")
-    arr = lambda key: np.asarray(doc[key], dtype=np.float64)
-    return SyntheticTruth(
-        alpha=arr("alpha"),
-        gamma=arr("gamma"),
-        alpha_x=arr("alpha_x"),
-        beta=float(doc["beta"]),
-        beta_x=arr("beta_x"),
-        w=arr("w"),
-        xi=arr("xi"),
-        eps=arr("eps"),
-        treat_index=arr("treat_index"),
-        out_index=arr("out_index"),
-        sigma_z=np.zeros((0, 0)),
-        cov_repair=float(doc["cov_repair"]),
-    )
-
-
 def _write_json(path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -613,10 +589,6 @@ def _read_json(path) -> dict:
 def write_truth(path, truth: SyntheticTruth) -> None:
     """Truth sidecar; sigma_z and the graph are derivable from the config."""
     _write_json(path, truth_to_dict(truth))
-
-
-def read_truth(path) -> SyntheticTruth:
-    return truth_from_dict(_read_json(path))
 
 
 # ----------------------------------------------------------------- fit bundle
@@ -635,7 +607,8 @@ def _pls_to_dict(fl: PlsFit) -> dict:
 
 
 def _pls_from_dict(fl: dict) -> PlsFit:
-    return PlsFit(
+    """A PLS record whose weights (d, q), means (d,) and coef (d,) agree."""
+    fit = PlsFit(
         coef=np.asarray(fl["coef"], dtype=np.float64),
         q=int(fl["q"]),
         y_loadings=np.asarray(fl["y_loadings"], dtype=np.float64),
@@ -644,12 +617,20 @@ def _pls_from_dict(fl: dict) -> PlsFit:
         p_mean=float(fl["p_mean"]),
         method=str(fl["method"]),
     )
+    d = (len(fit.means),)
+    if (fit.means.shape, fit.coef.shape, fit.weights.shape[:1], fit.weights.ndim) != (d, d, d, 2):
+        raise DataError(
+            f"PLS weights {fit.weights.shape}, means {fit.means.shape} and coef "
+            f"{fit.coef.shape} do not fit together"
+        )
+    return fit
 
 
 def model_to_dict(model: DplsModel) -> dict:
-    """Network weights, activation, and SGD history as plain JSON values."""
+    """Network weights, activation, and SGD history as plain JSON values.
+    The activation is always relu; its slope entry keeps the record's bytes."""
     return {
-        "activation": {"tag": model.activation.tag, "slope": model.activation.slope},
+        "activation": {"tag": "relu", "slope": 0.0},
         "first_layer": _pls_to_dict(model.first_layer),
         "hidden": [
             {"w": w.tolist(), "b": b.tolist()} for w, b in model.hidden
@@ -660,15 +641,29 @@ def model_to_dict(model: DplsModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> DplsModel:
-    act = ActivationKind(doc["activation"]["tag"], float(doc["activation"]["slope"]))
+    """A relu network whose layers chain from the q PLS features to one output."""
+    if doc["activation"] != {"tag": "relu", "slope": 0.0}:
+        raise DataError(f"network activation must be relu, got {doc['activation']!r}")
+    first = _pls_from_dict(doc["first_layer"])
     hidden = tuple(
         (np.asarray(h["w"], dtype=np.float64), np.asarray(h["b"], dtype=np.float64))
         for h in doc["hidden"]
     )
+    width = first.weights.shape[1]
+    for w, b in hidden:
+        if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
+            width = None
+            break
+        width = w.shape[1]
+    if not hidden or width != 1:
+        raise DataError(
+            f"network layers {[w.shape for w, _ in hidden]} do not chain from "
+            f"{first.weights.shape[1]} PLS features to one output"
+        )
     return DplsModel(
-        first_layer=_pls_from_dict(doc["first_layer"]),
+        first_layer=first,
         hidden=hidden,
-        activation=act,
+        activation=ActivationKind.relu(),
         history=tuple(float(v) for v in doc["history"]),
         best_epoch=doc["best_epoch"],
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, SeededRng, augment_instruments, part_count
+from .data import Dataset, SeededRng, augment_instruments, check_int, part_count
 from .errors import DataError, DegenerateDataError
 from .linear import LinearFit, fit_ols
 from .network import DplsConfig, DplsModel, dpls_fit
@@ -285,18 +285,21 @@ class DplsIvFit:
         """
         x = np.asarray(x, dtype=np.float64)
         p_hat = self.predict_treatment(z, x)
+        coef_x = self.gmm.beta[1:] if self.gmm is not None else self.cf.beta_x
+        k = x.shape[1] if x.ndim == 2 else 0
+        if len(coef_x) != k:
+            raise DataError(
+                f"fit has {len(coef_x)} covariate coefficients, data has {k} covariates"
+            )
         if self.gmm is not None:
             index = p_hat * self.gmm.beta[0]
-            if x.size:
-                index = index + x @ self.gmm.beta[1:]
+        elif p is None:
+            index = p_hat * self.cf.beta
         else:
-            if p is None:
-                index = p_hat * self.cf.beta
-            else:
-                p = np.asarray(p, dtype=np.float64).ravel()
-                index = p * self.cf.beta + (p - p_hat) * self.cf.beta_eta
-            if x.size:
-                index = index + x @ self.cf.beta_x
+            p = np.asarray(p, dtype=np.float64).ravel()
+            index = p * self.cf.beta + (p - p_hat) * self.cf.beta_eta
+        if x.size:
+            index = index + x @ coef_x
         if self.censored:
             return np.maximum(index, 0.0)
         return index
@@ -430,7 +433,7 @@ def sample_posterior(fit: TobitGmmFit, n: int, draws: int, rng: SeededRng) -> Po
     Sampling goes through the eigendecomposition of the PSD-projected
     corrected covariance, so indefiniteness cannot leak in.
     """
-    if draws < 1 or n < 1:
+    if min(check_int("n", n), check_int("draws", draws)) < 1:
         raise DataError("draws and n must be positive")
     cov = fit.corrected_matrix
     vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)

@@ -11,7 +11,11 @@ LARS-lasso homotopy follows it exactly; one coordinate-descent sweep from
 that point certifies each lasso fit. Cross-validated penalties score every
 grid point of a fold from one exact computation: the homotopy path for the
 lasso, one thin SVD for ridge. No internal rescaling of columns is
-performed; callers control the scale of their designs.
+performed; callers control the scale of their designs. Ridge and lasso fit
+no constant (the structural form p = zbar @ a + noise). The solver and CV
+settings are module constants: the OLS rank tolerance _OLS_RTOL, the lasso
+sweep tolerance _LASSO_TOL and cap _LASSO_MAX_SWEEPS, and the
+_CV_FOLDS-fold, _CV_GRID-point lambda CV.
 """
 from __future__ import annotations
 
@@ -32,6 +36,11 @@ __all__ = [
 # A column whose residual after projection on the active columns keeps
 # less than this share of its squared norm lies in their span.
 _SPAN_RTOL = 1e-10
+_OLS_RTOL = 1e-10
+_LASSO_TOL = 1e-10
+_LASSO_MAX_SWEEPS = 1000
+_CV_FOLDS = 5
+_CV_GRID = 50
 
 
 @dataclass(frozen=True)
@@ -60,28 +69,24 @@ def _check_design(design, target):
     return design, target
 
 
-def _center(design, target, fit_intercept):
-    if not fit_intercept:
-        return design, target, np.zeros(design.shape[1]), 0.0
-    means = design.mean(axis=0)
-    y_mean = float(target.mean())
-    return design - means, target - y_mean, means, y_mean
-
-
-def fit_ols(design, target, fit_intercept: bool = False, rtol: float = 1e-10) -> LinearFit:
+def fit_ols(design, target, fit_intercept: bool = False) -> LinearFit:
     """Least squares via pivoted QR with an explicit rank check.
 
     Raises SingularDesignError when any pivoted diagonal of R falls below
-    rtol times the leading one; callers wanting a ridge fallback catch it.
+    _OLS_RTOL times the leading one; callers wanting a ridge fallback catch
+    it. fit_intercept centres the columns and the target first.
     """
     from scipy import linalg
 
     design, target = _check_design(design, target)
-    xc, yc, means, y_mean = _center(design, target, fit_intercept)
+    xc, yc, means, y_mean = design, target, np.zeros(design.shape[1]), 0.0
+    if fit_intercept:
+        means, y_mean = design.mean(axis=0), float(target.mean())
+        xc, yc = design - means, target - y_mean
     q, r, piv = linalg.qr(xc, mode="economic", pivoting=True)
     d = design.shape[1]
     diag = np.abs(np.diag(r))
-    if diag[0] == 0.0 or np.any(diag < rtol * diag[0]):
+    if diag[0] == 0.0 or np.any(diag < _OLS_RTOL * diag[0]):
         raise SingularDesignError(
             f"design is rank-deficient (effective rank < {d})"
         )
@@ -92,12 +97,12 @@ def fit_ols(design, target, fit_intercept: bool = False, rtol: float = 1e-10) ->
     return LinearFit(coef=coef, intercept=intercept, method="ols", lam=0.0)
 
 
-def fit_ridge(design, target, lam, fit_intercept: bool = False) -> LinearFit:
-    """Shifted normal equations (X'X + lam I) b = X'y.
+def fit_ridge(design, target, lam) -> LinearFit:
+    """Shifted normal equations (X'X + lam I) b = X'y, with no constant.
 
     The identity is sized to the design's column count. lam = 0 delegates to
-    fit_ols and inherits its error rules; lam = "auto" picks lam by 5-fold
-    cross-validation over a 50-point logarithmic grid.
+    fit_ols and inherits its error rules; lam = "auto" picks lam by
+    _CV_FOLDS-fold cross-validation over a _CV_GRID-point logarithmic grid.
     """
     from scipy import linalg
 
@@ -105,19 +110,16 @@ def fit_ridge(design, target, lam, fit_intercept: bool = False) -> LinearFit:
     if isinstance(lam, str):
         if lam != "auto":
             raise DataError("lam must be a non-negative real or 'auto'")
-        lam = _cv_lambda(design, target, "ridge", fit_intercept)
+        lam = _cv_lambda(design, target, "ridge")
     lam = float(lam)
     if lam < 0:
         raise DataError("lam must be non-negative")
     if lam == 0.0:
-        fit = fit_ols(design, target, fit_intercept=fit_intercept)
+        fit = fit_ols(design, target)
         return LinearFit(fit.coef, fit.intercept, "ridge", 0.0)
-    xc, yc, means, y_mean = _center(design, target, fit_intercept)
-    d = design.shape[1]
-    gram = xc.T @ xc + lam * np.eye(d)
-    coef = linalg.solve(gram, xc.T @ yc, assume_a="pos")
-    intercept = y_mean - float(means @ coef)
-    return LinearFit(coef=coef, intercept=intercept, method="ridge", lam=lam)
+    gram = design.T @ design + lam * np.eye(design.shape[1])
+    coef = linalg.solve(gram, design.T @ target, assume_a="pos")
+    return LinearFit(coef=coef, intercept=0.0, method="ridge", lam=lam)
 
 
 def soft_threshold(v, t):
@@ -131,45 +133,37 @@ def _lasso_objective(xc, yc, coef, lam):
     return 0.5 * float(resid @ resid) / n + lam * float(np.abs(coef).sum())
 
 
-def fit_lasso(
-    design,
-    target,
-    lam,
-    tol: float = 1e-10,
-    max_iter: int = 1000,
-    fit_intercept: bool = False,
-) -> LinearFit:
-    """l1-penalized least squares: exact homotopy path, then a CD check.
+def fit_lasso(design, target, lam) -> LinearFit:
+    """l1-penalized least squares with no constant: exact homotopy path,
+    then a CD check.
 
     The homotopy path gives the exact solution at lam. Cyclic coordinate
     descent then starts from it; at the optimum its first sweep leaves the
     objective unchanged, which certifies the solution. Exits when the
-    objective decrease over a full sweep drops below tol; exceeding
-    max_iter sweeps raises ConvergenceError carrying the last iterate.
+    objective decrease over a full sweep drops below _LASSO_TOL; needing
+    more than _LASSO_MAX_SWEEPS sweeps raises ConvergenceError.
     """
     design, target = _check_design(design, target)
     if isinstance(lam, str):
         if lam != "auto":
             raise DataError("lam must be a non-negative real or 'auto'")
-        lam = _cv_lambda(design, target, "lasso", fit_intercept)
+        lam = _cv_lambda(design, target, "lasso")
     lam = float(lam)
     if lam < 0:
         raise DataError("lam must be non-negative")
-    xc, yc, means, y_mean = _center(design, target, fit_intercept)
-    start = _lasso_path(xc, yc, [lam])[:, 0]
-    coef = _lasso_cd(xc, yc, lam, tol, max_iter, start)
-    intercept = y_mean - float(means @ coef)
-    return LinearFit(coef=coef, intercept=intercept, method="lasso", lam=lam)
+    start = _lasso_path(design, target, [lam])[:, 0]
+    coef = _lasso_cd(design, target, lam, start)
+    return LinearFit(coef=coef, intercept=0.0, method="lasso", lam=lam)
 
 
-def _lasso_cd(xc, yc, lam, tol, max_iter, start):
+def _lasso_cd(xc, yc, lam, start):
     n, d = xc.shape
     gram = xc.T @ xc / n
     cross = xc.T @ yc / n
     coef = start.copy()
     gdiag = np.diag(gram).copy()
     prev_obj = _lasso_objective(xc, yc, coef, lam)
-    for _ in range(max_iter):
+    for _ in range(_LASSO_MAX_SWEEPS):
         for j in range(d):
             if gdiag[j] <= 0.0:
                 coef[j] = 0.0  # constant-zero column carries no signal
@@ -177,10 +171,10 @@ def _lasso_cd(xc, yc, lam, tol, max_iter, start):
             rho = cross[j] - gram[j] @ coef + gdiag[j] * coef[j]
             coef[j] = soft_threshold(rho, lam) / gdiag[j]
         obj = _lasso_objective(xc, yc, coef, lam)
-        if prev_obj - obj < tol:
+        if prev_obj - obj < _LASSO_TOL:
             return coef
         prev_obj = obj
-    raise ConvergenceError(f"lasso did not converge in {max_iter} sweeps")
+    raise ConvergenceError(f"lasso did not converge in {_LASSO_MAX_SWEEPS} sweeps")
 
 
 def _lasso_path(xc, yc, lams):
@@ -256,49 +250,49 @@ def _lasso_path(xc, yc, lams):
     return coefs
 
 
-def _cv_lambda(design, target, method, fit_intercept, n_folds=5, n_grid=50):
-    """5-fold CV over a descending 50-point log grid; ties keep more shrinkage.
+def _cv_lambda(design, target, method):
+    """_CV_FOLDS-fold CV over a descending _CV_GRID-point log grid; ties keep
+    more shrinkage.
 
-    Folds are strided row slices (fold i takes rows i::n_folds), which is
+    Folds are strided row slices (fold i takes rows i::_CV_FOLDS), which is
     deterministic without threading an rng through every fit call. The
     errors come from exact solutions at every grid point (_cv_errors), so
     no fit inside CV can stop short of its optimum.
     """
     n = design.shape[0]
-    if n < 2 * n_folds:
-        raise DataError(f"need at least {2 * n_folds} rows for {n_folds}-fold CV")
-    yc = target - target.mean() if fit_intercept else target
-    lam_max = float(np.max(np.abs(design.T @ yc))) / n
+    if n < 2 * _CV_FOLDS:
+        raise DataError(f"need at least {2 * _CV_FOLDS} rows for {_CV_FOLDS}-fold CV")
+    lam_max = float(np.max(np.abs(design.T @ target))) / n
     if lam_max <= 0.0:
         return 0.0
-    grid = np.geomspace(lam_max * 10.0, lam_max * 1e-4, n_grid)
-    errors = _cv_errors(design, target, method, fit_intercept, grid, n_folds)
+    grid = np.geomspace(lam_max * 10.0, lam_max * 1e-4, _CV_GRID)
+    errors = _cv_errors(design, target, method, grid)
     best = int(np.argmin(errors))  # first index in the descending grid
     return float(grid[best])
 
 
-def _cv_errors(design, target, method, fit_intercept, grid, n_folds):
+def _cv_errors(design, target, method, grid):
     """Summed held-out squared error at each grid point, over strided folds.
 
     Each fold's coefficients at all grid points come from one exact
-    computation: the lasso homotopy path, or one thin SVD of the centred
-    fold, which gives every ridge solution as V diag(s / (s^2 + lam)) U'y.
+    computation: the lasso homotopy path, or one thin SVD of the fold,
+    which gives every ridge solution as V diag(s / (s^2 + lam)) U'y.
     Each fold is then scored against the whole grid in one matrix product.
     """
     from scipy import linalg
 
     n = design.shape[0]
     errors = np.zeros(len(grid))
-    for fold in range(n_folds):
+    for fold in range(_CV_FOLDS):
         mask = np.zeros(n, dtype=bool)
-        mask[fold::n_folds] = True
-        xc, yt, means, y_mean = _center(design[~mask], target[~mask], fit_intercept)
+        mask[fold::_CV_FOLDS] = True
+        xt, yt = design[~mask], target[~mask]
         if method == "lasso":
-            coefs = _lasso_path(xc, yt, grid)
+            coefs = _lasso_path(xt, yt, grid)
         else:
-            left, sing, right_t = linalg.svd(xc, full_matrices=False)
+            left, sing, right_t = linalg.svd(xt, full_matrices=False)
             shrink = sing[:, None] / (sing[:, None] ** 2 + grid)
             coefs = right_t.T @ (shrink * (left.T @ yt)[:, None])
-        pred = design[mask] @ coefs + (y_mean - means @ coefs)
+        pred = design[mask] @ coefs
         errors += np.sum((target[mask][:, None] - pred) ** 2, axis=0)
     return errors

@@ -5,25 +5,26 @@ is never touched by SGD; consistency of the instrument directions rests on
 the PLS estimator alone. Hidden layers (widths from config) and a width-1
 output layer are initialized by per-layer least squares on the previous
 layer's activated features, then refined jointly by mini-batch SGD on
-squared loss.
+squared loss. ReLU is the only activation. With q = "auto", q is chosen by
+pls.select_q_cv's fixed 5-fold CV (pls.CV_FOLDS) over q <= pls.AUTO_Q_CAP.
 
 SGD works on one flat parameter vector theta, of which every trainable
 (weight, bias) is a view, and a flat gradient vector with the same layout:
 a step is one network_loss_and_grads call that writes the gradient and one
 theta -= lr * grad. Each epoch stages its shuffled rows once, and its steps
 take contiguous slices of that copy. _forward is the one layer loop behind
-predict, the training loss and the gradients. It writes each activation
-over its pre-activation, and the backward pass reads the activation mask
-off the activation, which is positive exactly where the pre-activation is.
+layer initialization, predict, the training loss and the gradients. It
+writes each activation over its pre-activation, and the backward pass reads
+the activation mask off the activation, which is positive exactly where the
+pre-activation is.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import SeededRng
+from .data import SeededRng, check_int
 from .errors import DataError, NumericalError
 from .linear import fit_ols
 from .pls import AUTO_Q_CAP, PlsFit, fit_pls_closed_form, select_q_cv
@@ -42,54 +43,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ActivationKind:
-    """relu or leaky_relu(slope); slope must lie in (0, 1)."""
+    """The network's activation. relu, max(t, 0), is the only one."""
 
     tag: str = "relu"
-    slope: float = 0.0
 
     def __post_init__(self):
-        if self.tag not in ("relu", "leaky_relu"):
+        if self.tag != "relu":
             raise DataError(f"unknown activation tag: {self.tag!r}")
-        if self.tag == "leaky_relu" and not (0.0 < self.slope < 1.0):
-            raise DataError("leaky_relu slope must lie in (0, 1)")
-        if self.tag == "relu" and self.slope != 0.0:
-            raise DataError("relu takes no slope")
 
     @staticmethod
     def relu() -> "ActivationKind":
-        return ActivationKind("relu", 0.0)
-
-    @staticmethod
-    def leaky(slope: float = 0.01) -> "ActivationKind":
-        return ActivationKind("leaky_relu", slope)
+        return ActivationKind()
 
 
 def activation_apply(kind: ActivationKind, t):
-    out = _activate(kind, np.array(t, dtype=np.float64))
+    out = _activate(np.array(t, dtype=np.float64))
     return float(out) if out.ndim == 0 else out
 
 
-def _activate(kind: ActivationKind, t):
-    """Apply the activation to the float array t in place and return t.
-
-    leaky_relu scales only the entries that are <= 0, so a NaN stays as it is.
-    """
-    if kind.tag == "relu":
-        return np.maximum(t, 0.0, out=t)
-    return np.multiply(t, kind.slope, out=t, where=t <= 0.0)
+def _activate(t):
+    """Apply the ReLU to the float array t in place and return t."""
+    return np.maximum(t, 0.0, out=t)
 
 
-def _activation_grad(kind: ActivationKind, act):
+def _activation_grad(act):
     """Derivative wrt the pre-activation, read off the activation act.
 
-    An activation is > 0 exactly where its pre-activation is: the leaky
-    slope is positive, so slope * pre is never > 0, and NaN compares false
-    either way. The subgradient at 0 is 0 for relu, whose mask stays bool
-    and multiplies as 1.0 and 0.0.
+    An activation is > 0 exactly where its pre-activation is, and NaN
+    compares false. The subgradient at 0 is 0, and the mask stays bool and
+    multiplies as 1.0 and 0.0.
     """
-    if kind.tag == "relu":
-        return act > 0.0
-    return np.where(act > 0.0, 1.0, kind.slope)
+    return act > 0.0
 
 
 @dataclass(frozen=True)
@@ -104,10 +88,8 @@ class SgdParams:
             raise DataError(
                 f"learning_rate must be finite and non-negative, got {self.learning_rate}"
             )
-        for name in ("batch_size", "epochs"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DataError(f"{name} must be an integer, got {value!r}")
+        for name in ("batch_size", "epochs", "seed"):
+            check_int(name, getattr(self, name))
         if self.batch_size < 1 or self.epochs < 0:
             raise DataError("batch_size must be >= 1 and epochs >= 0")
 
@@ -117,27 +99,29 @@ class DplsConfig:
     """Architecture and training knobs for the treatment network.
 
     layer_widths names the hidden widths, at least one; a width-1 output
-    layer is always appended after the last hidden layer. The activation
-    follows every trainable layer, the output layer included.
+    layer is always appended after the last hidden layer. A ReLU follows
+    every trainable layer, the output layer included.
     """
 
     layer_widths: tuple[int, ...] = (30,)
-    activation: ActivationKind = field(default_factory=ActivationKind.relu)
     first_layer_q: int | str = "auto"
     sgd: SgdParams = field(default_factory=SgdParams)
 
     def __post_init__(self):
-        widths = tuple(int(w) for w in self.layer_widths)
+        widths = tuple(
+            check_int(f"layer_widths[{i}]", w) for i, w in enumerate(self.layer_widths)
+        )
         if not widths or any(w < 1 for w in widths):
             raise DataError("layer_widths needs at least one layer, all widths positive")
         object.__setattr__(self, "layer_widths", widths)
         if self.first_layer_q != "auto":
-            if int(self.first_layer_q) < 1:
+            q = check_int("first_layer_q", self.first_layer_q)
+            if q < 1:
                 raise DataError("first_layer_q must be >= 1 or 'auto'")
-            object.__setattr__(self, "first_layer_q", int(self.first_layer_q))
+            object.__setattr__(self, "first_layer_q", q)
 
 
-def _forward(hidden, kind: ActivationKind, feats, work=None):
+def _forward(hidden, feats, work=None):
     """Activations of the trainable stack on PLS features.
 
     acts[0] is feats and acts[-1] the (n, 1) network output. Each layer's
@@ -149,7 +133,7 @@ def _forward(hidden, kind: ActivationKind, feats, work=None):
     for (w, b), out in zip(hidden, work or [None] * len(hidden)):
         h = np.matmul(acts[-1], w, out=out)
         h += b
-        acts.append(_activate(kind, h))
+        acts.append(_activate(h))
     return acts
 
 
@@ -178,28 +162,28 @@ class DplsModel:
         return (zbar - self.first_layer.means) @ self.first_layer.weights
 
     def predict(self, zbar) -> np.ndarray:
-        return _forward(self.hidden, self.activation, self.features(zbar))[-1].ravel()
+        return _forward(self.hidden, self.features(zbar))[-1].ravel()
 
 
 def network_loss_and_grads(hidden, kind: ActivationKind, feats, target, out=None):
     """Mean-squared loss and reverse-mode gradients for the trainable stack.
 
     hidden is the ordered list of (weight, bias) pairs applied to feats, each
-    followed by the activation. Returns (loss, [(dW, db), ...]) aligned with
-    hidden. out, if given, is such a list of arrays: the gradients are
-    written into it and it is the list returned. The values do not depend
-    on it.
+    followed by the activation kind, which is always relu. Returns (loss,
+    [(dW, db), ...]) aligned with hidden. out, if given, is such a list of
+    arrays: the gradients are written into it and it is the list returned.
+    The values do not depend on it.
     """
     feats = np.asarray(feats, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    acts = _forward(hidden, kind, feats)
+    acts = _forward(hidden, feats)
     resid = acts[-1].ravel() - target
     n = len(target)
     loss = float(resid @ resid) / n
     dh = (2.0 / n) * resid.reshape(-1, 1)
     grads = [None] * len(hidden)
     for i in range(len(hidden) - 1, -1, -1):
-        dpre = dh * _activation_grad(kind, acts[i + 1])
+        dpre = dh * _activation_grad(acts[i + 1])
         dw, db = (None, None) if out is None else out[i]
         grads[i] = (np.matmul(acts[i].T, dpre, out=dw), np.add.reduce(dpre, axis=0, out=db))
         if i:
@@ -207,9 +191,9 @@ def network_loss_and_grads(hidden, kind: ActivationKind, feats, target, out=None
     return loss, grads if out is None else out
 
 
-def _train_loss(hidden, kind: ActivationKind, feats, p, work) -> float:
+def _train_loss(hidden, feats, p, work=None) -> float:
     """Mean squared loss on the full training set, computed in work."""
-    resid = _forward(hidden, kind, feats, work)[-1].ravel()
+    resid = _forward(hidden, feats, work)[-1].ravel()
     resid -= p
     return float(np.mean(np.square(resid, out=resid)))
 
@@ -255,7 +239,7 @@ def _init_hidden(feats, p, cfg: DplsConfig):
         b = b0 - qs
         b[0] = b0
         layers.append((w, b))
-        h = activation_apply(cfg.activation, h @ w + b)
+        h = _forward(layers[-1:], h)[-1]
     beta, b0 = _layer_solve(h, p)
     layers.append((beta.reshape(-1, 1), np.array([b0])))
     return layers
@@ -270,15 +254,14 @@ def dpls_fit(zbar, p, cfg: DplsConfig) -> DplsModel:
     q = cfg.first_layer_q
     if q == "auto":
         q_max = min(zbar.shape[1], AUTO_Q_CAP)
-        q = select_q_cv(zbar, p, q_max, folds=5, rng=SeededRng(cfg.sgd.seed).child(0))
+        q = select_q_cv(zbar, p, q_max, SeededRng(cfg.sgd.seed).child(0))
     first = fit_pls_closed_form(zbar, p, q)
     feats = (zbar - first.means) @ first.weights
     hidden = _init_hidden(feats, p, cfg)
-    model = DplsModel(first_layer=first, hidden=tuple(hidden), activation=cfg.activation)
+    model = DplsModel(first_layer=first, hidden=tuple(hidden), activation=ActivationKind())
     if cfg.sgd.epochs > 0:
         return sgd_refine(model, zbar, p, cfg.sgd)
-    loss0 = float(np.mean((model.predict(zbar) - p) ** 2))
-    return replace(model, history=(loss0,), best_epoch=0)
+    return replace(model, history=(_train_loss(hidden, feats, p),), best_epoch=0)
 
 
 def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
@@ -308,7 +291,7 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
     n, batch, lr = len(p), params.batch_size, params.learning_rate
     work = [np.empty((n, w.shape[1])) for w, _ in hidden]
     history = list(model.history)
-    best_loss = _train_loss(hidden, kind, feats, p, work)
+    best_loss = _train_loss(hidden, feats, p, work)
     history.append(best_loss)
     best_theta, best_epoch = theta.copy(), 0
     for epoch in range(1, params.epochs + 1):
@@ -320,7 +303,7 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
                 out=grads,
             )
             theta -= lr * grad
-        loss = _train_loss(hidden, kind, feats, p, work)
+        loss = _train_loss(hidden, feats, p, work)
         if not np.isfinite(loss):
             raise NumericalError(
                 f"SGD diverged at epoch {epoch}; reduce learning_rate"

@@ -10,6 +10,9 @@ The deflation route builds score/loading pairs one at a time, deflating only
 the cross-product vector (the policy is scalar throughout). Both project the
 policy onto the same Krylov space, so their predictions agree to tight
 tolerance; the test suite leans on that equivalence.
+
+select_q_cv picks q by CV_FOLDS-fold cross-validation over q <= q_max;
+callers with q = "auto" cap q_max at AUTO_Q_CAP.
 """
 from __future__ import annotations
 
@@ -33,6 +36,8 @@ _RANK_RTOL = 1e-10
 
 # Largest q tried when q is chosen by cross-validation (q = "auto").
 AUTO_Q_CAP = 30
+# Folds of the cross-validation that chooses q.
+CV_FOLDS = 5
 
 
 @dataclass(frozen=True)
@@ -210,8 +215,8 @@ def fit_pls_deflation(zbar, p, q: int) -> PlsFit:
     )
 
 
-def select_q_cv(zbar, p, q_max: int, folds: int, rng: SeededRng) -> int:
-    """Pick q by minimizing mean out-of-fold squared error.
+def select_q_cv(zbar, p, q_max: int, rng: SeededRng) -> int:
+    """Pick q by minimizing mean out-of-fold squared error over CV_FOLDS folds.
 
     Folds are a seeded permutation sliced by stride. Ties break toward the
     smaller q. Fold fits reuse one Krylov basis per fold, so the scan over q
@@ -220,16 +225,16 @@ def select_q_cv(zbar, p, q_max: int, folds: int, rng: SeededRng) -> int:
     zbar = np.asarray(zbar, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     n, d = zbar.shape
-    if folds < 2 or folds > n:
-        raise DataError("folds must lie in [2, n]")
+    if n < CV_FOLDS:
+        raise DataError(f"need at least {CV_FOLDS} rows for {CV_FOLDS}-fold CV of q")
     if not (1 <= q_max <= d):
         raise DataError(f"q_max must lie in [1, {d}]")
     perm = rng.permutation(n)
     sse = np.zeros(q_max)
     reached = np.zeros(q_max, dtype=bool)
     counts = np.zeros(q_max)
-    for f in range(folds):
-        test_idx = perm[f::folds]
+    for f in range(CV_FOLDS):
+        test_idx = perm[f::CV_FOLDS]
         mask = np.ones(n, dtype=bool)
         mask[test_idx] = False
         cov = sample_cov_pair(zbar[mask], p[mask])
@@ -251,15 +256,11 @@ def select_q_cv(zbar, p, q_max: int, folds: int, rng: SeededRng) -> int:
     # the winner must also be fittable on the full data: the achievable
     # Krylov rank shrinks with the training share, so walk the candidates
     # in score order and return the first that survives a full-data fit
-    cov_full = sample_cov_pair(zbar, p)
     for qq in np.argsort(mean_err, kind="stable") + 1:
         if not np.isfinite(mean_err[qq - 1]):
             break
         try:
-            basis = compute_krylov(cov_full, int(qq))
-            if basis.shape[1] < qq:
-                continue
-            _s_orthonormalize(basis, cov_full.s_zz)
+            fit_pls_closed_form(zbar, p, int(qq))
             return int(qq)
         except (DataError, SingularDesignError):
             continue

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, SeededRng
+from .data import Dataset, SeededRng, check_int
 from .errors import DataError, NumericalError
 from .network import ActivationKind, activation_apply
 
@@ -63,6 +63,8 @@ class SyntheticSpec:
     edges_per_node: int = 2
 
     def __post_init__(self):
+        for name in ("n", "m", "m_redundant", "k", "k_null", "coef_seed", "edges_per_node"):
+            check_int(name, getattr(self, name))
         if not (0 <= self.m_redundant <= self.m and 0 <= self.k_null <= self.k):
             raise DataError("m_redundant <= m and k_null <= k required")
         sj = np.asarray(self.sigma_joint, dtype=np.float64)

@@ -1,14 +1,23 @@
+import re
+
 import numpy as np
 import pytest
 
 from dpls_iv import (
     DataError,
     Dataset,
+    DplsConfig,
+    ExperimentConfig,
     SeededRng,
+    SgdParams,
+    TobitGmmFit,
     augment_instruments,
+    experiment1_spec,
+    identity_constants,
+    sample_posterior,
     split_dataset,
-    split_indices,
 )
+from dpls_iv.data import split_indices
 
 
 def test_seeded_rng_same_seed_same_stream():
@@ -150,3 +159,51 @@ def test_split_dataset_refuses_unidentified_partition():
     )
     with pytest.raises(DataError, match="violates m \\+ k < n"):
         split_dataset(ds, 0.5, SeededRng(1))
+
+
+_GMM = TobitGmmFit(beta=np.zeros(2), constants=identity_constants(), design=np.zeros((0, 2)),
+                   residuals=np.zeros(0), corrected_matrix=np.eye(2))
+
+# (field named in the error, constructor of one value, a legal value)
+_INTEGER_FIELDS = [
+    ("layer_widths[1]", lambda v: DplsConfig(layer_widths=(4, v)), 3),
+    ("first_layer_q", lambda v: DplsConfig(first_layer_q=v), 2),
+    ("seed", lambda v: SgdParams(seed=v), 7),
+    ("seed", lambda v: SeededRng(v), 7),
+    ("path tag", lambda v: SeededRng(0, (1, v)), 7),
+    ("path tag", lambda v: SeededRng(0).child(v), 7),
+    ("n", lambda v: experiment1_spec(n=v), 300),
+    ("m", lambda v: experiment1_spec(m=v), 12),
+    ("m_redundant", lambda v: experiment1_spec(m_redundant=v), 3),
+    ("k", lambda v: experiment1_spec(k=v), 21),
+    ("k_null", lambda v: experiment1_spec(k_null=v), 3),
+    ("coef_seed", lambda v: experiment1_spec(coef_seed=v), 3),
+    ("edges_per_node", lambda v: experiment1_spec(edges_per_node=v), 3),
+    ("replications", lambda v: ExperimentConfig(replications=v), 2),
+    ("base_seed", lambda v: ExperimentConfig(base_seed=v), 2),
+    ("jobs", lambda v: ExperimentConfig(jobs=v), 2),
+    ("n", lambda v: sample_posterior(_GMM, v, 4, SeededRng(0)), 30),
+    ("draws", lambda v: sample_posterior(_GMM, 30, v, SeededRng(0)), 4),
+]
+_IDS = [f"{i}-{field}" for i, (field, _, _) in enumerate(_INTEGER_FIELDS)]
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(2.0), "3"])
+@pytest.mark.parametrize("field, build, legal", _INTEGER_FIELDS, ids=_IDS)
+def test_integer_settings_reject_bools_and_non_integral_values(field, build, legal, value):
+    with pytest.raises(DataError, match=f"^{re.escape(field)} must be an integer, got "
+                                        f"{re.escape(repr(value))}$"):
+        build(value)
+
+
+@pytest.mark.parametrize("field, build, legal", _INTEGER_FIELDS, ids=_IDS)
+def test_integer_settings_accept_numpy_integers(field, build, legal):
+    build(np.int64(legal))
+    build(np.int32(legal))
+
+
+def test_integer_settings_are_stored_as_ints():
+    cfg = DplsConfig(layer_widths=(np.int64(3),), first_layer_q=np.int32(2))
+    assert type(cfg.layer_widths[0]) is int and type(cfg.first_layer_q) is int
+    rng = SeededRng(np.int64(4)).child(np.int32(1))
+    assert type(rng.seed) is int and all(type(t) is int for t in rng.path)

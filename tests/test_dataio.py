@@ -1,5 +1,6 @@
 """Round trips and error reporting for the on-disk formats."""
 import dataclasses
+import json
 import os
 import re
 import tempfile
@@ -36,10 +37,8 @@ from dpls_iv.dataio import (
     parse_config_text,
     read_config,
     read_fit,
-    read_truth,
     render_config,
     render_summary,
-    truth_from_dict,
     truth_to_dict,
     write_bias_cdf_csv,
     write_config,
@@ -491,22 +490,27 @@ def test_config_file_round_trip(tmp_path):
 # -------------------------------------------------------------- truth sidecar
 
 
-def test_truth_round_trip_preserves_arrays_bitwise(tmp_path):
-    _, truth = gen_experiment1(experiment1_spec(n=100), SeededRng(21))
-    back = truth_from_dict(truth_to_dict(truth))
+def _load_truth_file(path, truth):
+    """truth.json as json.load reads it, checked bit for bit against truth."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc == truth_to_dict(truth)
+    assert (doc["format"], doc["version"]) == ("dpls-iv-truth", 1)
     for name in ("alpha", "gamma", "alpha_x", "beta_x", "w", "xi", "eps",
                  "treat_index", "out_index"):
-        assert getattr(back, name).tobytes() == getattr(truth, name).tobytes()
-    assert back.beta == truth.beta
-    assert back.cov_repair == truth.cov_repair
+        assert np.asarray(doc[name], dtype=np.float64).tobytes() == getattr(truth, name).tobytes()
+    assert doc["beta"] == truth.beta
+    assert doc["cov_repair"] == truth.cov_repair
     # sigma_z and the graph are derivable from the config, so they are dropped
-    assert back.sigma_z.shape == (0, 0)
-    assert back.graph is None
+    assert "sigma_z" not in doc and "graph" not in doc
+    return doc
+
+
+def test_truth_round_trip_preserves_arrays_bitwise(tmp_path):
+    _, truth = gen_experiment1(experiment1_spec(n=100), SeededRng(21))
     path = tmp_path / "truth.json"
     write_truth(path, truth)
-    from_file = read_truth(path)
-    assert from_file.alpha.tobytes() == truth.alpha.tobytes()
-    assert from_file.eps.tobytes() == truth.eps.tobytes()
+    _load_truth_file(path, truth)
 
 
 def test_truth_round_trip_keeps_graph_experiment_repair(tmp_path):
@@ -515,19 +519,7 @@ def test_truth_round_trip_keeps_graph_experiment_repair(tmp_path):
     assert truth.graph is not None
     path = tmp_path / "truth.json"
     write_truth(path, truth)
-    back = read_truth(path)
-    assert back.graph is None
-    assert back.cov_repair == truth.cov_repair
-    assert back.w.tobytes() == truth.w.tobytes()
-
-
-def test_truth_from_dict_rejects_foreign_documents():
-    with pytest.raises(DataError, match="not a truth record"):
-        truth_from_dict({"format": "something-else"})
-    doc = truth_to_dict(gen_experiment1(experiment1_spec(n=80), SeededRng(1))[1])
-    doc["version"] = 99
-    with pytest.raises(DataError, match="unsupported truth version 99"):
-        truth_from_dict(doc)
+    assert _load_truth_file(path, truth)["cov_repair"] == truth.cov_repair
 
 
 # ----------------------------------------------------------------- fit bundle
@@ -611,6 +603,67 @@ def test_fit_from_dict_rejects_foreign_documents():
         doc["version"] = old
         with pytest.raises(DataError, match=f"unsupported fit version {old}"):
             fit_from_dict(doc)
+
+
+def _drop_last_column(rows):
+    for row in rows:
+        row.pop()
+
+
+def _shorten_gmm(doc):
+    gmm = doc["gmm"]
+    gmm["beta"].pop()
+    for key in ("sigma_star_matrix", "corrected_matrix"):
+        gmm[key].pop()
+        _drop_last_column(gmm[key])
+
+
+def _network(doc):
+    return doc["first_stage"]["network"]
+
+
+# (mode, edit of the fit record, the reason predict gives)
+_BAD_RECORDS = {
+    "output_layer_row": ("rescale_gmm", lambda d: _network(d)["hidden"][-1]["w"].pop(),
+                         "do not chain from 3 PLS features to one output"),
+    "first_layer_column": ("rescale_gmm",
+                           lambda d: _drop_last_column(_network(d)["first_layer"]["weights"]),
+                           "do not chain from 2 PLS features to one output"),
+    "first_layer_means": ("rescale_gmm", lambda d: _network(d)["first_layer"]["means"].pop(),
+                          "do not fit together"),
+    "gmm_beta": ("rescale_gmm", _shorten_gmm,
+                 "fit has 24 covariate coefficients, data has 25 covariates"),
+    "cf_beta_x": ("control_function", lambda d: d["cf"]["beta_x"].pop(),
+                  "fit has 24 covariate coefficients, data has 25 covariates"),
+    "leaky_activation": ("rescale_gmm",
+                         lambda d: _network(d).update(activation={"tag": "leaky_relu",
+                                                                  "slope": 0.2}),
+                         "network activation must be relu"),
+    "relu_with_slope": ("rescale_gmm",
+                        lambda d: _network(d)["activation"].update(slope=0.3),
+                        "network activation must be relu"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_RECORDS))
+def test_predict_exits_2_on_a_fit_record_whose_arrays_disagree(tmp_path, capsys, case):
+    from dpls_iv.cli import main
+
+    mode, edit, reason = _BAD_RECORDS[case]
+    ds, fit = _small_fit(mode)
+    csv_write(tmp_path / "data.csv", ds)
+    doc = fit_to_dict(fit, n_train=200)
+    edit(doc)
+    (tmp_path / "fit.json").write_text(json.dumps(doc))
+    write_config(tmp_path / "cfg.txt", {"fit": str(tmp_path / "fit.json"),
+                                        "data": str(tmp_path / "data.csv")})
+    rc = main(["predict", "--config", str(tmp_path / "cfg.txt"),
+               "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert reason in err
+    assert not (tmp_path / "out").exists()
 
 
 # -------------------------------------------------------------- report files

@@ -13,8 +13,6 @@ from dpls_iv import (
     SyntheticSpec,
     TobitConstants,
     TobitGmmFit,
-    control_function_fit,
-    corrected_covariance,
     dpls_iv_fit,
     estimate_tobit_constants,
     fit_ols,
@@ -26,7 +24,7 @@ from dpls_iv import (
     sandwich_variance,
 )
 from dpls_iv import ivreg
-from dpls_iv.ivreg import PosteriorDraws
+from dpls_iv.ivreg import PosteriorDraws, control_function_fit, corrected_covariance
 
 
 def test_constants_half_censored_sample():

@@ -8,9 +8,9 @@ from dpls_iv import (
     fit_lasso,
     fit_ols,
     fit_ridge,
-    soft_threshold,
 )
-from dpls_iv.linear import _cv_errors, _lasso_path
+from dpls_iv import linear
+from dpls_iv.linear import _cv_errors, _lasso_path, soft_threshold
 
 
 def test_ols_identity_design():
@@ -95,13 +95,15 @@ def test_lasso_orthonormal_design_soft_thresholds():
     np.testing.assert_allclose(fit.coef, expected, atol=1e-8)
 
 
-def test_lasso_raises_convergence_error_at_the_sweep_cap():
+def test_lasso_raises_convergence_error_at_the_sweep_cap(monkeypatch):
+    monkeypatch.setattr(linear, "_LASSO_TOL", 0.0)
+    monkeypatch.setattr(linear, "_LASSO_MAX_SWEEPS", 3)
     rng = np.random.default_rng(6)
     base = rng.normal(size=(40, 1))
     design = np.column_stack([base, base + 0.01 * rng.normal(size=(40, 1))])
     y = design @ np.array([1.0, 1.0]) + 0.1 * rng.normal(size=40)
     with pytest.raises(ConvergenceError, match="did not converge in 3 sweeps"):
-        fit_lasso(design, y, lam=0.01, tol=0.0, max_iter=3)
+        fit_lasso(design, y, lam=0.01)
 
 
 def test_lasso_auto_penalty_prefers_sparsity():
@@ -209,43 +211,42 @@ def test_lasso_auto_penalty_on_wide_folds():
     rng = np.random.default_rng(10)
     design = rng.normal(size=(20, 30))  # each CV fold trains on 16 rows
     y = design[:, 0] - design[:, 1] + 0.1 * rng.normal(size=20)
-    fit = fit_lasso(design, y, lam="auto", fit_intercept=True)
+    fit = fit_lasso(design, y, lam="auto")
     assert fit.lam > 0.0 and np.all(np.isfinite(fit.coef))
 
 
-def test_lasso_fit_is_certified_by_one_sweep():
+def test_lasso_fit_is_certified_by_one_sweep(monkeypatch):
+    monkeypatch.setattr(linear, "_LASSO_MAX_SWEEPS", 1)
     rng = np.random.default_rng(11)
     base = rng.normal(size=(60, 1))
     design = np.column_stack([base, base + 0.01 * rng.normal(size=(60, 1)),
                               rng.normal(size=(60, 3))])
     y = design @ np.array([1.0, 1.0, 0.5, 0.0, -0.3]) + 0.1 * rng.normal(size=60)
     for lam in (0.5, 0.05, 0.001):
-        fit = fit_lasso(design, y, lam=lam, max_iter=1)
+        fit = fit_lasso(design, y, lam=lam)
         path = _lasso_path(design, y, [lam])[:, 0]
         np.testing.assert_allclose(fit.coef, path, rtol=0.0, atol=1e-12)
 
 
-def _ridge_cv_reference(design, y, fit_intercept, grid, n_folds=5):
+def _ridge_cv_reference(design, y, grid, n_folds=5):
     """Held-out error of one fit_ridge solve per fold and penalty."""
     errors = np.zeros(len(grid))
     for fold in range(n_folds):
         mask = np.zeros(len(y), dtype=bool)
         mask[fold::n_folds] = True
         for gi, lam in enumerate(grid):
-            fit = fit_ridge(design[~mask], y[~mask], lam, fit_intercept=fit_intercept)
+            fit = fit_ridge(design[~mask], y[~mask], lam)
             errors[gi] += np.sum((y[mask] - fit.predict(design[mask])) ** 2)
     return errors
 
 
-@pytest.mark.parametrize("fit_intercept", [True, False])
-def test_ridge_svd_cv_errors_match_per_penalty_solves(fit_intercept):
+def test_ridge_svd_cv_errors_match_per_penalty_solves():
     rng = np.random.default_rng(12)
     design = rng.normal(size=(45, 7)) + 0.5
     y = design @ rng.normal(size=7) + 2.0 + rng.normal(size=45)
-    yc = y - y.mean() if fit_intercept else y
-    grid = _grid(design, yc)
-    errors = _cv_errors(design, y, "ridge", fit_intercept, grid, 5)
-    reference = _ridge_cv_reference(design, y, fit_intercept, grid)
+    grid = _grid(design, y)
+    errors = _cv_errors(design, y, "ridge", grid)
+    reference = _ridge_cv_reference(design, y, grid)
     np.testing.assert_allclose(errors, reference, rtol=1e-9)
-    chosen = fit_ridge(design, y, lam="auto", fit_intercept=fit_intercept).lam
+    chosen = fit_ridge(design, y, lam="auto").lam
     assert chosen == grid[np.argmin(reference)]

@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from dpls_iv import (
-    CovPair,
     DataError,
     SeededRng,
     SingularDesignError,
-    compute_krylov,
     fit_ols,
     fit_pls_closed_form,
     fit_pls_deflation,
-    sample_cov_pair,
     select_q_cv,
 )
+from dpls_iv.pls import compute_krylov
+from dpls_iv.statnum import CovPair, sample_cov_pair
 
 
 def _regression_data(seed, n=120, d=6, noise=0.3):
@@ -131,13 +130,13 @@ def test_select_q_recovers_latent_dimension():
     hits = 0
     for s in range(10):
         zbar, p = _latent_data(s)
-        hits += select_q_cv(zbar, p, 8, 5, SeededRng(100 + s)) == 3
+        hits += select_q_cv(zbar, p, 8, SeededRng(100 + s)) == 3
     assert hits >= 8
 
 
 def test_select_q_respects_q_max_one():
     zbar, p = _regression_data(9)
-    assert select_q_cv(zbar, p, 1, 5, SeededRng(0)) == 1
+    assert select_q_cv(zbar, p, 1, SeededRng(0)) == 1
 
 
 def test_select_q_on_pure_noise_prefers_one():
@@ -146,13 +145,17 @@ def test_select_q_on_pure_noise_prefers_one():
         rng = SeededRng(200 + s)
         zbar = rng.child(0).normal(size=(400, 10))
         p = rng.child(1).normal(size=400)
-        ones += select_q_cv(zbar, p, 6, 5, rng.child(2)) == 1
+        ones += select_q_cv(zbar, p, 6, rng.child(2)) == 1
     assert ones >= 6
 
 
 def test_select_q_argument_validation():
     zbar, p = _regression_data(10, d=4)
     with pytest.raises(DataError):
-        select_q_cv(zbar, p, 5, 5, SeededRng(0))
-    with pytest.raises(DataError):
-        select_q_cv(zbar, p, 2, 1, SeededRng(0))
+        select_q_cv(zbar, p, 5, SeededRng(0))
+
+
+def test_select_q_needs_a_row_per_fold():
+    zbar, p = _regression_data(10, n=4, d=2)
+    with pytest.raises(DataError, match="at least 5 rows"):
+        select_q_cv(zbar, p, 1, SeededRng(0))

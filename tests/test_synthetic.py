@@ -4,7 +4,6 @@ from scipy.special import expit
 
 from dpls_iv import (
     DataError,
-    InstrumentGraph,
     NumericalError,
     SeededRng,
     SyntheticSpec,
@@ -16,6 +15,7 @@ from dpls_iv import (
     gen_preferential_attachment,
     shortest_path_matrix,
 )
+from dpls_iv.synthetic import InstrumentGraph
 
 
 def test_spec_validation():
