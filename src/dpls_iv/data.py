@@ -57,6 +57,8 @@ class SeededRng:
             raise DataError("seed must be a non-negative integer")
         self.seed = seed
         self.path = tuple(check_int("path tag", t) for t in path)
+        if any(t < 0 for t in self.path):
+            raise DataError(f"path tags must be non-negative integers, got {self.path}")
         self._gen: np.random.Generator | None = None
 
     @property

@@ -11,15 +11,25 @@ pls.select_q_cv's fixed 5-fold CV (pls.CV_FOLDS) over q <= pls.AUTO_Q_CAP.
 SGD works on one flat parameter vector theta, of which every trainable
 (weight, bias) is a view, and a flat gradient vector with the same layout:
 a step is one network_loss_and_grads call that writes the gradient and one
-theta -= lr * grad. Each epoch stages its shuffled rows once, and its steps
-take contiguous slices of that copy. _forward is the one layer loop behind
-layer initialization, predict, the training loss and the gradients. It
-writes each activation over its pre-activation, and the backward pass reads
-the activation mask off the activation, which is positive exactly where the
-pre-activation is.
+theta -= lr * grad. Each epoch stages its shuffled rows once, with np.take
+into buffers allocated once per fit, and its steps take contiguous slices
+of that copy. _forward is the one layer loop behind layer initialization,
+predict, the training loss and the gradients. It writes each activation
+over its pre-activation, and the backward pass reads the activation mask
+off the activation, which is positive exactly where the pre-activation is.
+
+A step works on 32 x 30 arrays, so numpy's per-call overhead, not
+arithmetic, sets its cost. Its products are np.dot, which costs less per
+call than np.matmul and gives the same bits, and every intermediate goes
+into a _LossWork that sgd_refine builds once per fit; the masks are
+float64, computed for all layers in one call. Each operand keeps its
+layout, because a product's bits can depend on it, and the bias is added
+after each product, never folded into it, which would change the
+summation order.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,14 +76,15 @@ def _activate(t):
     return np.maximum(t, 0.0, out=t)
 
 
-def _activation_grad(act):
+def _activation_grad(act, out=None):
     """Derivative wrt the pre-activation, read off the activation act.
 
     An activation is > 0 exactly where its pre-activation is, and NaN
-    compares false. The subgradient at 0 is 0, and the mask stays bool and
-    multiplies as 1.0 and 0.0.
+    compares false. The subgradient at 0 is 0. The mask is bool, or 1.0
+    and 0.0 in a float64 out, which multiplies on numpy's faster float loop;
+    either multiplies to the same bits.
     """
-    return act > 0.0
+    return np.greater(act, 0.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -131,7 +142,7 @@ def _forward(hidden, feats, work=None):
     """
     acts = [feats]
     for (w, b), out in zip(hidden, work or [None] * len(hidden)):
-        h = np.matmul(acts[-1], w, out=out)
+        h = np.dot(acts[-1], w, out=out)
         h += b
         acts.append(_activate(h))
     return acts
@@ -165,29 +176,57 @@ class DplsModel:
         return _forward(self.hidden, self.features(zbar))[-1].ravel()
 
 
-def network_loss_and_grads(hidden, kind: ActivationKind, feats, target, out=None):
+class _LossWork:
+    """Scratch for network_loss_and_grads on `rows` rows.
+
+    Per trainable layer a (rows, width) activation, mask and gradient wrt
+    the activation (dhs), then the residual vector. The activations are
+    views into one flat array and the masks into another, laid out alike,
+    so one call computes every layer's mask; each mask is then overwritten
+    with the gradient wrt its pre-activation.
+    """
+
+    def __init__(self, hidden, rows):
+        widths = [w.shape[1] for w, _ in hidden]
+        self.act_flat = np.empty(rows * sum(widths))
+        self.mask_flat = np.empty_like(self.act_flat)
+        self.acts = _views(self.act_flat, [(rows, k) for k in widths])
+        self.masks = _views(self.mask_flat, [(rows, k) for k in widths])
+        self.dhs = [np.empty((rows, k)) for k in widths]
+        self.resid = np.empty(rows)
+        # 1-d views of the (rows, 1) network output and its gradient
+        self.out_flat, self.dh_out = self.acts[-1].reshape(-1), self.dhs[-1].reshape(-1)
+
+
+def network_loss_and_grads(hidden, kind: ActivationKind, feats, target, out=None, work=None):
     """Mean-squared loss and reverse-mode gradients for the trainable stack.
 
     hidden is the ordered list of (weight, bias) pairs applied to feats, each
     followed by the activation kind, which is always relu. Returns (loss,
     [(dW, db), ...]) aligned with hidden. out, if given, is such a list of
     arrays: the gradients are written into it and it is the list returned.
-    The values do not depend on it.
+    work, if given, is a _LossWork for len(target) rows, which sgd_refine
+    builds once per fit: every intermediate is written into its arrays.
+    Without it the same arrays are allocated. Neither changes a value.
     """
     feats = np.asarray(feats, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    acts = _forward(hidden, feats)
-    resid = acts[-1].ravel() - target
     n = len(target)
-    loss = float(resid @ resid) / n
-    dh = (2.0 / n) * resid.reshape(-1, 1)
+    if work is None:
+        work = _LossWork(hidden, n)
+    acts = _forward(hidden, feats, work.acts)
+    masks, dhs, resid = work.masks, work.dhs, work.resid
+    np.subtract(work.out_flat, target, out=resid)
+    loss = float(np.dot(resid, resid)) / n
+    np.multiply(resid, 2.0 / n, out=work.dh_out)
+    _activation_grad(work.act_flat, out=work.mask_flat)
     grads = [None] * len(hidden)
     for i in range(len(hidden) - 1, -1, -1):
-        dpre = dh * _activation_grad(acts[i + 1])
+        dpre = np.multiply(dhs[i], masks[i], out=masks[i])
         dw, db = (None, None) if out is None else out[i]
-        grads[i] = (np.matmul(acts[i].T, dpre, out=dw), np.add.reduce(dpre, axis=0, out=db))
+        grads[i] = (np.dot(acts[i].T, dpre, out=dw), np.add.reduce(dpre, axis=0, out=db))
         if i:
-            dh = dpre @ hidden[i][0].T
+            np.dot(dpre, hidden[i][0].T, out=dhs[i - 1])
     return loss, grads if out is None else out
 
 
@@ -198,17 +237,23 @@ def _train_loss(hidden, feats, p, work=None) -> float:
     return float(np.mean(np.square(resid, out=resid)))
 
 
+def _views(flat, shapes):
+    """Consecutive row-major views into flat, one per shape, in order."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return views
+
+
 def _flat_views(flat, hidden):
     """(weight, bias) views into flat, shaped like the pairs of hidden.
 
     The layout is layer by layer, each weight row-major, then its bias.
     """
-    views, start = [], 0
-    for w, b in hidden:
-        mid = start + w.size
-        views.append((flat[start:mid].reshape(w.shape), flat[mid:mid + b.size].reshape(b.shape)))
-        start = mid + b.size
-    return views
+    views = _views(flat, [a.shape for layer in hidden for a in layer])
+    return list(zip(views[::2], views[1::2]))
 
 
 def _layer_solve(features, target):
@@ -274,9 +319,11 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
     Every trainable weight and bias is a view into one flat vector theta,
     and every gradient a view into grad, which has the same layout, so a
     step is one network_loss_and_grads call that writes grad and one update
-    of theta. Each epoch gathers its shuffled rows once, and its steps take
-    contiguous slices of that copy. The epoch loss runs in (n, width) work
-    arrays allocated once per call.
+    of theta. Each epoch gathers its shuffled rows once, into buffers
+    allocated once per call, and its steps take contiguous slices of that
+    copy. The steps run in two loss work sets built once per call, one for
+    full batches and one for the ragged tail of n % batch_size rows, and
+    the epoch loss in (n, width) work arrays.
     """
     p = np.asarray(p, dtype=np.float64)
     feats = model.features(zbar)
@@ -285,24 +332,30 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
     kind = model.activation
     theta = np.concatenate([a.ravel() for layer in model.hidden for a in layer])
     hidden = _flat_views(theta, model.hidden)
-    grad = np.empty_like(theta)
+    grad, step = np.empty_like(theta), np.empty_like(theta)
     grads = _flat_views(grad, model.hidden)
     rng = SeededRng(params.seed).child(2)
     n, batch, lr = len(p), params.batch_size, params.learning_rate
     work = [np.empty((n, w.shape[1])) for w, _ in hidden]
+    step_work = {rows: _LossWork(hidden, rows) for rows in (min(batch, n), n % batch) if rows}
+    feats_epoch, p_epoch = np.empty(feats.shape), np.empty(n)
     history = list(model.history)
     best_loss = _train_loss(hidden, feats, p, work)
     history.append(best_loss)
     best_theta, best_epoch = theta.copy(), 0
     for epoch in range(1, params.epochs + 1):
         order = rng.permutation(n)
-        feats_epoch, p_epoch = feats[order], p[order]
+        # order is a permutation, so clip never acts; it spares take the
+        # temporary copy that mode="raise" makes of out
+        np.take(feats, order, axis=0, out=feats_epoch, mode="clip")
+        np.take(p, order, out=p_epoch, mode="clip")
         for start in range(0, n, batch):
+            stop = min(start + batch, n)
             network_loss_and_grads(
-                hidden, kind, feats_epoch[start:start + batch], p_epoch[start:start + batch],
-                out=grads,
+                hidden, kind, feats_epoch[start:stop], p_epoch[start:stop],
+                out=grads, work=step_work[stop - start],
             )
-            theta -= lr * grad
+            theta -= np.multiply(grad, lr, out=step)
         loss = _train_loss(hidden, feats, p, work)
         if not np.isfinite(loss):
             raise NumericalError(

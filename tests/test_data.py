@@ -46,6 +46,16 @@ def test_seeded_rng_rejects_negative_seed():
         SeededRng(-1)
 
 
+@pytest.mark.parametrize("build", [lambda: SeededRng(0, (-1,)), lambda: SeededRng(0, (2, -3)),
+                                   lambda: SeededRng(0).child(-1),
+                                   lambda: SeededRng(0).child(1).child(0, -2)],
+                         ids=["path", "path_inner", "child", "child_nested"])
+def test_seeded_rng_rejects_a_negative_path_tag_at_construction(build):
+    # numpy's SeedSequence would refuse it only at the first draw, with a bare ValueError
+    with pytest.raises(DataError, match="^path tags must be non-negative integers, got "):
+        build()
+
+
 def _tiny_dataset(n=8, m=2, k=1):
     rng = SeededRng(0)
     return Dataset(

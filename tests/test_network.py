@@ -15,7 +15,9 @@ from dpls_iv import (
     network_loss_and_grads,
 )
 from dpls_iv.dataio import model_from_dict, model_to_dict
+from dpls_iv.data import augment_instruments
 from dpls_iv.network import sgd_refine
+from dpls_iv.synthetic import experiment1_spec, gen_experiment1
 
 
 def test_relu_values():
@@ -331,6 +333,15 @@ def _initialized_model(widths, n=50, d=4):
     return dpls_fit(zbar, p, cfg), zbar, p
 
 
+def _production_model(widths, n):
+    """An initialized network with q = 9 PLS features on experiment1 data,
+    the q that a default fit picks at n = 10,000."""
+    ds, _truth = gen_experiment1(experiment1_spec(n=n), SeededRng(0).child(0))
+    zbar = augment_instruments(ds.z, ds.x)
+    cfg = DplsConfig(layer_widths=widths, first_layer_q=9, sgd=SgdParams(epochs=0))
+    return dpls_fit(zbar, ds.p, cfg), zbar, ds.p
+
+
 def _assert_same_refinement(got, ref, zbar):
     assert len(got.hidden) == len(ref.hidden)
     for (w, b), (rw, rb) in zip(got.hidden, ref.hidden):
@@ -346,6 +357,17 @@ def _assert_same_refinement(got, ref, zbar):
 def test_flat_sgd_matches_reference_loop_bit_for_bit(widths, batch_size):
     model, zbar, p = _initialized_model(widths)
     params = SgdParams(learning_rate=0.02, batch_size=batch_size, epochs=6, seed=3)
+    _assert_same_refinement(sgd_refine(model, zbar, p, params),
+                            _ref_sgd_refine(model, zbar, p, params), zbar)
+
+
+@pytest.mark.parametrize("widths", [(30,), (30, 20)], ids=["30", "30_20"])
+def test_flat_sgd_matches_reference_loop_at_the_production_shape(widths):
+    # q = 9 features and 32-row batches reach the 32 x 9 x 30 products of a
+    # default fit; 2023 rows leave a ragged tail of 7
+    model, zbar, p = _production_model(widths, n=2023)
+    assert model.first_layer.weights.shape[1] == 9
+    params = SgdParams(batch_size=32, epochs=2, seed=5)
     _assert_same_refinement(sgd_refine(model, zbar, p, params),
                             _ref_sgd_refine(model, zbar, p, params), zbar)
 
@@ -389,6 +411,45 @@ def test_loss_and_grads_write_into_out():
         assert w is vw and b is vb
         assert _bits(w) == _bits(gw) == _bits(rw)
         assert _bits(b) == _bits(gb) == _bits(rb)
+
+
+@pytest.mark.parametrize("rows", [1, 32])
+@pytest.mark.parametrize("widths", [(30,), (3, 2)], ids=["30", "3_2"])
+def test_loss_and_grads_write_into_work(rows, widths):
+    from dpls_iv.network import _LossWork
+
+    kind = ActivationKind.relu()
+    feats, target, layers = _grad_check_layers(6, widths=widths, n=rows, d=9)
+    loss, grads = network_loss_and_grads(layers, kind, feats, target)
+    ref_loss, ref_grads = _ref_network_loss_and_grads(layers, kind, feats, target)
+    work = _LossWork(layers, rows)
+    arrays = [work.act_flat, work.mask_flat, *work.dhs, work.resid]
+    for a in arrays:
+        a.fill(np.nan)
+    work_loss, work_grads = network_loss_and_grads(layers, kind, feats, target, work=work)
+    assert work_loss == loss == ref_loss
+    for (w, b), (gw, gb), (rw, rb) in zip(work_grads, grads, ref_grads):
+        assert _bits(w) == _bits(gw) == _bits(rw)
+        assert _bits(b) == _bits(gb) == _bits(rb)
+    # every intermediate went into the arrays of work, which it keeps
+    assert all(np.all(np.isfinite(a)) for a in arrays)
+    kept = [work.act_flat, work.mask_flat, *work.dhs, work.resid]
+    assert all(a is b for a, b in zip(arrays, kept, strict=True))
+    _, ref_acts = _ref_forward(layers, kind, feats)
+    for act, ref in zip(work.acts, ref_acts[1:]):
+        assert np.shares_memory(act, work.act_flat)
+        assert _bits(act) == _bits(ref)
+    assert _bits(work.resid) == _bits(ref_acts[-1].ravel() - target)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_predict_matches_reference_forward(order):
+    model, zbar, _p = _production_model((30,), n=3000)
+    zbar = np.asarray(zbar, order=order)
+    assert zbar.flags[order + "_CONTIGUOUS"]
+    feats = (zbar - model.first_layer.means) @ model.first_layer.weights
+    _, ref_acts = _ref_forward(model.hidden, model.activation, feats)
+    assert _bits(model.predict(zbar)) == _bits(ref_acts[-1].ravel())
 
 
 def test_activation_mask_from_activations_matches_pre_activations():
