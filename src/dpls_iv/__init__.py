@@ -51,11 +51,9 @@ from .ivreg import (
 from .linear import LinearFit, fit_lasso, fit_ols, fit_ridge
 from .metrics import r_squared, rmse
 from .network import (
-    ActivationKind,
     DplsConfig,
     DplsModel,
     SgdParams,
-    activation_apply,
     dpls_fit,
     network_loss_and_grads,
 )
@@ -76,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ActivationKind",
     "ControlFunctionFit",
     "ConvergenceError",
     "DataError",
@@ -99,7 +96,6 @@ __all__ = [
     "SyntheticTruth",
     "TobitConstants",
     "TobitGmmFit",
-    "activation_apply",
     "augment_instruments",
     "distance_to_cov",
     "dpls_fit",

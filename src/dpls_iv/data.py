@@ -74,8 +74,8 @@ class SeededRng:
 
     # Thin delegations; keeping them here means call sites never touch
     # numpy's global state.
-    def normal(self, size=None, loc=0.0, scale=1.0):
-        return self.generator.normal(loc=loc, scale=scale, size=size)
+    def normal(self, size=None):
+        return self.generator.normal(size=size)
 
     def permutation(self, n: int) -> np.ndarray:
         return self.generator.permutation(n)

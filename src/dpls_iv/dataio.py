@@ -31,7 +31,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .bench import MetricsReport
-from .data import Dataset, part_count
+from .data import Dataset, check_int, part_count
 from .errors import DataError
 from .ivreg import (
     ControlFunctionFit,
@@ -40,7 +40,7 @@ from .ivreg import (
     TobitGmmFit,
 )
 from .linear import LinearFit
-from .network import ActivationKind, DplsModel
+from .network import DplsModel
 from .pls import PlsFit
 from .synthetic import SyntheticTruth
 
@@ -663,7 +663,6 @@ def model_from_dict(doc: dict) -> DplsModel:
     return DplsModel(
         first_layer=first,
         hidden=hidden,
-        activation=ActivationKind.relu(),
         history=tuple(float(v) for v in doc["history"]),
         best_epoch=doc["best_epoch"],
     )
@@ -730,6 +729,8 @@ def fit_to_dict(fit: DplsIvFit, n_train: int) -> dict:
 
 
 def fit_from_dict(doc: dict) -> tuple[DplsIvFit, int]:
+    """A fit with exactly one outcome stage, the one its mode names, a JSON
+    bool censoring flag and an integer training size."""
     if doc.get("format") != _FIT_FORMAT:
         raise DataError(f"not a fit record: format={doc.get('format')!r}")
     if doc.get("version") != _FIT_VERSION:
@@ -756,15 +757,18 @@ def fit_from_dict(doc: dict) -> tuple[DplsIvFit, int]:
             beta_eta=float(f["beta_eta"]),
             beta_x=np.asarray(f["beta_x"], dtype=np.float64),
         )
+    if not isinstance(doc["censored"], bool):
+        raise DataError(f"censored must be true or false, got {doc['censored']!r}")
     fit = DplsIvFit(
-        mode=doc["mode"],
-        censored=bool(doc["censored"]),
+        censored=doc["censored"],
         first_stage=_first_stage_from_dict(doc["first_stage"]),
         constants=constants,
         gmm=gmm,
         cf=cf,
     )
-    return fit, int(doc["n_train"])
+    if doc["mode"] != fit.mode:
+        raise DataError(f"mode {doc['mode']!r} does not match the {fit.mode} outcome stage")
+    return fit, check_int("n_train", doc["n_train"])
 
 
 def write_fit(path, fit: DplsIvFit, n_train: int) -> None:

@@ -250,15 +250,24 @@ class DplsIvFit:
     """A fitted first stage plus the outcome stage run on its predictions.
 
     first_stage is any fitted treatment model with predict(zbar) and coef:
-    the deep PLS network, or a linear, ridge, lasso or PLS baseline.
+    the deep PLS network, or a linear, ridge, lasso or PLS baseline. Exactly
+    one outcome stage is set, and it names the mode: gmm for rescale_gmm,
+    cf for control_function.
     """
 
-    mode: str
     censored: bool
     first_stage: DplsModel | PlsFit | LinearFit
     constants: TobitConstants
     gmm: TobitGmmFit | None = None
     cf: ControlFunctionFit | None = None
+
+    def __post_init__(self):
+        if (self.gmm is None) == (self.cf is None):
+            raise DataError("a fit needs exactly one outcome stage, gmm or cf")
+
+    @property
+    def mode(self) -> str:
+        return "rescale_gmm" if self.gmm is not None else "control_function"
 
     @property
     def policy_effect(self) -> float:
@@ -333,8 +342,7 @@ def iv_fit(
     else:
         cf = control_function_fit(ds.p, p_hat, ds.x, y_tilde)
     return DplsIvFit(
-        mode=mode, censored=censored, first_stage=first_stage,
-        constants=constants, gmm=gmm, cf=cf,
+        censored=censored, first_stage=first_stage, constants=constants, gmm=gmm, cf=cf
     )
 
 

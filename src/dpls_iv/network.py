@@ -40,35 +40,13 @@ from .linear import fit_ols
 from .pls import AUTO_Q_CAP, PlsFit, fit_pls_closed_form, select_q_cv
 
 __all__ = [
-    "ActivationKind",
     "SgdParams",
     "DplsConfig",
     "DplsModel",
-    "activation_apply",
     "dpls_fit",
     "sgd_refine",
     "network_loss_and_grads",
 ]
-
-
-@dataclass(frozen=True)
-class ActivationKind:
-    """The network's activation. relu, max(t, 0), is the only one."""
-
-    tag: str = "relu"
-
-    def __post_init__(self):
-        if self.tag != "relu":
-            raise DataError(f"unknown activation tag: {self.tag!r}")
-
-    @staticmethod
-    def relu() -> "ActivationKind":
-        return ActivationKind()
-
-
-def activation_apply(kind: ActivationKind, t):
-    out = _activate(np.array(t, dtype=np.float64))
-    return float(out) if out.ndim == 0 else out
 
 
 def _activate(t):
@@ -154,7 +132,6 @@ class DplsModel:
 
     first_layer: PlsFit
     hidden: tuple[tuple[np.ndarray, np.ndarray], ...]
-    activation: ActivationKind
     history: tuple[float, ...] = ()
     best_epoch: int | None = None
 
@@ -198,13 +175,14 @@ class _LossWork:
         self.out_flat, self.dh_out = self.acts[-1].reshape(-1), self.dhs[-1].reshape(-1)
 
 
-def network_loss_and_grads(hidden, kind: ActivationKind, feats, target, out=None, work=None):
+def network_loss_and_grads(hidden, feats, target, out=None, work=None):
     """Mean-squared loss and reverse-mode gradients for the trainable stack.
 
     hidden is the ordered list of (weight, bias) pairs applied to feats, each
-    followed by the activation kind, which is always relu. Returns (loss,
-    [(dW, db), ...]) aligned with hidden. out, if given, is such a list of
-    arrays: the gradients are written into it and it is the list returned.
+    followed by the ReLU, and target holds one value per row of feats.
+    Returns (loss, [(dW, db), ...]) aligned with hidden. out, if given, is
+    such a list of arrays: the gradients are written into it and it is the
+    list returned.
     work, if given, is a _LossWork for len(target) rows, which sgd_refine
     builds once per fit: every intermediate is written into its arrays.
     Without it the same arrays are allocated. Neither changes a value.
@@ -303,7 +281,7 @@ def dpls_fit(zbar, p, cfg: DplsConfig) -> DplsModel:
     first = fit_pls_closed_form(zbar, p, q)
     feats = (zbar - first.means) @ first.weights
     hidden = _init_hidden(feats, p, cfg)
-    model = DplsModel(first_layer=first, hidden=tuple(hidden), activation=ActivationKind())
+    model = DplsModel(first_layer=first, hidden=tuple(hidden))
     if cfg.sgd.epochs > 0:
         return sgd_refine(model, zbar, p, cfg.sgd)
     return replace(model, history=(_train_loss(hidden, feats, p),), best_epoch=0)
@@ -329,7 +307,6 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
     feats = model.features(zbar)
     if not model.hidden:
         raise DataError("model has no trainable layers to refine")
-    kind = model.activation
     theta = np.concatenate([a.ravel() for layer in model.hidden for a in layer])
     hidden = _flat_views(theta, model.hidden)
     grad, step = np.empty_like(theta), np.empty_like(theta)
@@ -352,7 +329,7 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
         for start in range(0, n, batch):
             stop = min(start + batch, n)
             network_loss_and_grads(
-                hidden, kind, feats_epoch[start:stop], p_epoch[start:stop],
+                hidden, feats_epoch[start:stop], p_epoch[start:stop],
                 out=grads, work=step_work[stop - start],
             )
             theta -= np.multiply(grad, lr, out=step)
@@ -368,7 +345,6 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
     return DplsModel(
         first_layer=model.first_layer,
         hidden=tuple(_flat_views(best_theta, model.hidden)),
-        activation=kind,
         history=tuple(history),
         best_epoch=best_epoch,
     )

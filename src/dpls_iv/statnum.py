@@ -19,14 +19,13 @@ class CovPair:
     """Sample covariance of the augmented instruments and the policy.
 
     s_zz: (m+k) x (m+k), symmetrized; s_zp: length m+k; means and p_mean are
-    the centering constants; n is the row count behind the estimate.
+    the centering constants.
     """
 
     s_zz: np.ndarray
     s_zp: np.ndarray
     means: np.ndarray
     p_mean: float
-    n: int
 
 
 def sample_cov_pair(zbar, p) -> CovPair:
@@ -47,5 +46,5 @@ def sample_cov_pair(zbar, p) -> CovPair:
     s_zz = zc.T @ zc / (n - 1)
     s_zz = 0.5 * (s_zz + s_zz.T)
     s_zp = zc.T @ pc / (n - 1)
-    return CovPair(s_zz=s_zz, s_zp=s_zp, means=means, p_mean=p_mean, n=n)
+    return CovPair(s_zz=s_zz, s_zp=s_zp, means=means, p_mean=p_mean)
 

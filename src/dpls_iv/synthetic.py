@@ -6,20 +6,20 @@ Both designs share one structural equation pair:
     p = g(z a + sigmoid(z^2) g_coef + x a_x) + w
     y = f(p b + x b_x + xi) + eps
 
-with (w, xi) jointly normal and coefficients standard normal under a
-dedicated coefficient seed, so replications redraw data while the structure
-stays fixed. Trailing instrument coefficients and trailing outcome
+where g and f are each the ReLU max(t, 0) or the identity, (w, xi) are
+jointly normal and the coefficients are standard normal under a dedicated
+coefficient seed, so replications redraw data while the structure stays
+fixed. Trailing instrument coefficients and trailing outcome
 covariate coefficients are zeroed to create a known sparsity pattern.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, SeededRng, check_int
 from .errors import DataError, NumericalError
-from .network import ActivationKind, activation_apply
 
 __all__ = [
     "SyntheticSpec",
@@ -45,7 +45,9 @@ class SyntheticSpec:
     edges_per_node links per arriving node. cov_param must keep that
     covariance positive definite: -1/(m-1) < cov_param < 1 for
     near_diagonal, 0 < cov_param < 1 for network. Coefficients are drawn
-    from coef_seed.
+    from coef_seed. activation_g (g, on the treatment index) and
+    activation_f (f, on the outcome index) are True for the ReLU and False
+    for the identity.
     """
 
     n: int = 1000
@@ -55,8 +57,8 @@ class SyntheticSpec:
     k_null: int = 20
     sigma_joint: tuple = ((3.000, -0.087), (-0.087, 0.010))
     sigma_eps: float = 0.5
-    activation_g: ActivationKind | None = field(default_factory=ActivationKind.relu)
-    activation_f: ActivationKind | None = field(default_factory=ActivationKind.relu)
+    activation_g: bool = True
+    activation_f: bool = True
     coef_seed: int = 0
     cov_mode: str = "near_diagonal"
     cov_param: float = 0.001
@@ -142,10 +144,6 @@ def _psd_factor(sigma: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.maximum(vals, 0.0))
 
 
-def _apply(kind: ActivationKind | None, t):
-    return t if kind is None else activation_apply(kind, t)
-
-
 def _gen_core(spec: SyntheticSpec, rng: SeededRng, sigma_z, cov_repair=0.0, graph=None):
     from scipy.special import expit
 
@@ -165,9 +163,9 @@ def _gen_core(spec: SyntheticSpec, rng: SeededRng, sigma_z, cov_repair=0.0, grap
     xi = joint[:, 0]
     eps = spec.sigma_eps * rng.child(3).normal(size=spec.n)
     treat_index = z @ alpha + expit(z**2) @ gamma + x @ alpha_x
-    p = _apply(spec.activation_g, treat_index) + w
+    p = (np.maximum(treat_index, 0.0) if spec.activation_g else treat_index) + w
     out_index = p * beta + x @ beta_x + xi
-    y = _apply(spec.activation_f, out_index) + eps
+    y = (np.maximum(out_index, 0.0) if spec.activation_f else out_index) + eps
     ds = Dataset(y=y, p=p, z=z, x=x)
     truth = SyntheticTruth(
         alpha=alpha, gamma=gamma, alpha_x=alpha_x, beta=beta, beta_x=beta_x,
@@ -193,7 +191,6 @@ class InstrumentGraph:
     """Undirected simple connected graph over the instruments."""
 
     adjacency: np.ndarray
-    edges_per_node: int
 
     def __post_init__(self):
         a = np.asarray(self.adjacency, dtype=bool)
@@ -241,7 +238,7 @@ def gen_preferential_attachment(p: int, edges_per_node: int, rng: SeededRng) -> 
             adj[new, t] = adj[t, new] = True
             degree[t] += 1.0
         degree[new] = edges_per_node
-    return InstrumentGraph(adjacency=adj, edges_per_node=edges_per_node)
+    return InstrumentGraph(adjacency=adj)
 
 
 def shortest_path_matrix(g: InstrumentGraph) -> np.ndarray:

@@ -30,7 +30,7 @@ def _linear_noiseless_spec(monkeypatch):
     return SyntheticSpec(
         n=120, m=6, m_redundant=0, k=2, k_null=0,
         sigma_joint=((0.0, 0.0), (0.0, 0.0)), sigma_eps=0.0,
-        activation_g=None, activation_f=None, coef_seed=4,
+        activation_g=False, activation_f=False, coef_seed=4,
     )
 
 

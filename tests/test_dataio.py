@@ -642,6 +642,19 @@ _BAD_RECORDS = {
     "relu_with_slope": ("rescale_gmm",
                         lambda d: _network(d)["activation"].update(slope=0.3),
                         "network activation must be relu"),
+    "no_outcome_stage": ("rescale_gmm", lambda d: d.pop("gmm"), "exactly one outcome stage"),
+    "both_outcome_stages": ("rescale_gmm",
+                            lambda d: d.update(cf={"beta": 1.0, "beta_eta": 0.0,
+                                                   "beta_x": [0.0] * 25}),
+                            "exactly one outcome stage"),
+    "unknown_mode": ("rescale_gmm", lambda d: d.update(mode="bogus"),
+                     "mode 'bogus' does not match the rescale_gmm outcome stage"),
+    "censored_string": ("rescale_gmm", lambda d: d.update(censored="false"),
+                        "censored must be true or false, got 'false'"),
+    "n_train_bool": ("rescale_gmm", lambda d: d.update(n_train=True),
+                     "n_train must be an integer, got True"),
+    "n_train_fraction": ("rescale_gmm", lambda d: d.update(n_train=2.7),
+                         "n_train must be an integer, got 2.7"),
 }
 
 

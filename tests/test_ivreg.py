@@ -256,7 +256,7 @@ def test_pipeline_exogenous_treatment_matches_ols():
     only by noise; the replication-mean gap stays inside 2 standard errors."""
     spec = SyntheticSpec(n=400, m=10, m_redundant=0, k=3, k_null=0,
                          sigma_joint=((0.25, 0.0), (0.0, 0.25)), sigma_eps=0.3,
-                         activation_f=None, coef_seed=3)
+                         activation_f=False, coef_seed=3)
     cfg = DplsConfig(layer_widths=(8,), sgd=SgdParams(epochs=30, seed=0))
     diffs = []
     for s in range(10):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dpls_iv import (
-    ActivationKind,
     DataError,
     DplsConfig,
     DplsModel,
@@ -10,35 +9,13 @@ from dpls_iv import (
     PlsFit,
     SeededRng,
     SgdParams,
-    activation_apply,
     dpls_fit,
     network_loss_and_grads,
 )
 from dpls_iv.dataio import model_from_dict, model_to_dict
 from dpls_iv.data import augment_instruments
-from dpls_iv.network import sgd_refine
+from dpls_iv.network import _activate, sgd_refine
 from dpls_iv.synthetic import experiment1_spec, gen_experiment1
-
-
-def test_relu_values():
-    relu = ActivationKind.relu()
-    np.testing.assert_array_equal(
-        activation_apply(relu, np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0]
-    )
-
-
-def test_relu_positive_homogeneity():
-    relu = ActivationKind.relu()
-    t = SeededRng(0).normal(size=50)
-    for c in (0.5, 2.0, 7.25):
-        np.testing.assert_array_equal(
-            activation_apply(relu, c * t), c * activation_apply(relu, t)
-        )
-
-
-def test_activation_validation():
-    with pytest.raises(DataError):
-        ActivationKind("tanh")
 
 
 def _grad_check_layers(seed, widths, n=20, d=3):
@@ -55,31 +32,30 @@ def _grad_check_layers(seed, widths, n=20, d=3):
     return feats, target, layers
 
 
-def _min_abs_preactivation(layers, kind, feats):
+def _min_abs_preactivation(layers, feats):
     h = feats
     lo = np.inf
     for w, b in layers:
         pre = h @ w + b
         lo = min(lo, float(np.min(np.abs(pre))))
-        h = activation_apply(kind, pre)
+        h = np.maximum(pre, 0.0)
     return lo
 
 
 def test_gradients_match_central_differences():
-    kind = ActivationKind.relu()
     checked = 0
     for seed in range(30):
         feats, target, layers = _grad_check_layers(seed, widths=(4,))
-        if _min_abs_preactivation(layers, kind, feats) < 1e-2:
+        if _min_abs_preactivation(layers, feats) < 1e-2:
             continue  # a kink this close would poison the finite difference
-        _, grads = network_loss_and_grads(layers, kind, feats, target)
+        _, grads = network_loss_and_grads(layers, feats, target)
         eps = 1e-5
         for li, (w, b) in enumerate(layers):
             for idx in np.ndindex(w.shape):
                 w[idx] += eps
-                up, _ = network_loss_and_grads(layers, kind, feats, target)
+                up, _ = network_loss_and_grads(layers, feats, target)
                 w[idx] -= 2 * eps
-                dn, _ = network_loss_and_grads(layers, kind, feats, target)
+                dn, _ = network_loss_and_grads(layers, feats, target)
                 w[idx] += eps
                 fd = (up - dn) / (2 * eps)
                 got = grads[li][0][idx]
@@ -103,7 +79,6 @@ def _manual_model(weight, bias):
     return DplsModel(
         first_layer=first,
         hidden=((np.array([[weight]]), np.array([bias])),),
-        activation=ActivationKind.relu(),
     )
 
 
@@ -238,54 +213,53 @@ def test_fit_beats_linear_first_layer_on_kinked_target():
 # masks read off kept pre-activations. The flat loop must match its bits.
 
 
-def _ref_activation_apply(kind, t):
+def _ref_activation_apply(t):
     out = np.maximum(np.asarray(t, dtype=np.float64), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
-def _ref_activation_grad(kind, pre):
+def _ref_activation_grad(pre):
     return (pre > 0.0).astype(np.float64)
 
 
-def _ref_forward(hidden, kind, feats):
+def _ref_forward(hidden, feats):
     pres, acts = [], [feats]
     for w, b in hidden:
         pres.append(acts[-1] @ w + b)
-        acts.append(_ref_activation_apply(kind, pres[-1]))
+        acts.append(_ref_activation_apply(pres[-1]))
     return pres, acts
 
 
-def _ref_network_loss_and_grads(hidden, kind, feats, target):
+def _ref_network_loss_and_grads(hidden, feats, target):
     feats = np.asarray(feats, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    pres, acts = _ref_forward(hidden, kind, feats)
+    pres, acts = _ref_forward(hidden, feats)
     resid = acts[-1].ravel() - target
     n = len(target)
     loss = float(resid @ resid) / n
     dh = (2.0 / n) * resid.reshape(-1, 1)
     grads = [None] * len(hidden)
     for i in range(len(hidden) - 1, -1, -1):
-        dpre = dh * _ref_activation_grad(kind, pres[i])
+        dpre = dh * _ref_activation_grad(pres[i])
         grads[i] = (acts[i].T @ dpre, dpre.sum(axis=0))
         if i:
             dh = dpre @ hidden[i][0].T
     return loss, grads
 
 
-def _ref_train_loss(hidden, kind, feats, p):
-    _, acts = _ref_forward(hidden, kind, feats)
+def _ref_train_loss(hidden, feats, p):
+    _, acts = _ref_forward(hidden, feats)
     return float(np.mean((acts[-1].ravel() - p) ** 2))
 
 
 def _ref_sgd_refine(model, zbar, p, params):
     p = np.asarray(p, dtype=np.float64)
     feats = model.features(zbar)
-    kind = model.activation
     hidden = [(w.copy(), b.copy()) for w, b in model.hidden]
     rng = SeededRng(params.seed).child(2)
     n = len(p)
     history = list(model.history)
-    loss0 = _ref_train_loss(hidden, kind, feats, p)
+    loss0 = _ref_train_loss(hidden, feats, p)
     history.append(loss0)
     best_loss = loss0
     best_state = [(w.copy(), b.copy()) for w, b in hidden]
@@ -295,11 +269,11 @@ def _ref_sgd_refine(model, zbar, p, params):
         order = rng.permutation(n)
         for start in range(0, n, params.batch_size):
             rows = order[start : start + params.batch_size]
-            _, grads = _ref_network_loss_and_grads(hidden, kind, feats[rows], p[rows])
+            _, grads = _ref_network_loss_and_grads(hidden, feats[rows], p[rows])
             for (w, b), (gw, gb) in zip(hidden, grads):
                 w -= lr * gw
                 b -= lr * gb
-        loss = _ref_train_loss(hidden, kind, feats, p)
+        loss = _ref_train_loss(hidden, feats, p)
         if not np.isfinite(loss):
             raise NumericalError(
                 f"SGD diverged at epoch {epoch}; reduce learning_rate"
@@ -312,7 +286,6 @@ def _ref_sgd_refine(model, zbar, p, params):
     return DplsModel(
         first_layer=model.first_layer,
         hidden=tuple(best_state),
-        activation=kind,
         history=tuple(history),
         best_epoch=best_epoch,
     )
@@ -398,13 +371,12 @@ def test_flat_sgd_diverges_like_reference_loop():
 
 
 def test_loss_and_grads_write_into_out():
-    kind = ActivationKind.relu()
     feats, target, layers = _grad_check_layers(4, widths=(3, 2), n=9)
-    loss, grads = network_loss_and_grads(layers, kind, feats, target)
-    ref_loss, ref_grads = _ref_network_loss_and_grads(layers, kind, feats, target)
+    loss, grads = network_loss_and_grads(layers, feats, target)
+    ref_loss, ref_grads = _ref_network_loss_and_grads(layers, feats, target)
     bufs = [(np.full_like(w, np.nan), np.full_like(b, np.nan)) for w, b in layers]
     views = [(w, b) for w, b in bufs]
-    out_loss, out = network_loss_and_grads(layers, kind, feats, target, out=bufs)
+    out_loss, out = network_loss_and_grads(layers, feats, target, out=bufs)
     assert out is bufs
     assert out_loss == loss == ref_loss
     for (w, b), (gw, gb), (vw, vb), (rw, rb) in zip(bufs, grads, views, ref_grads):
@@ -418,15 +390,14 @@ def test_loss_and_grads_write_into_out():
 def test_loss_and_grads_write_into_work(rows, widths):
     from dpls_iv.network import _LossWork
 
-    kind = ActivationKind.relu()
     feats, target, layers = _grad_check_layers(6, widths=widths, n=rows, d=9)
-    loss, grads = network_loss_and_grads(layers, kind, feats, target)
-    ref_loss, ref_grads = _ref_network_loss_and_grads(layers, kind, feats, target)
+    loss, grads = network_loss_and_grads(layers, feats, target)
+    ref_loss, ref_grads = _ref_network_loss_and_grads(layers, feats, target)
     work = _LossWork(layers, rows)
     arrays = [work.act_flat, work.mask_flat, *work.dhs, work.resid]
     for a in arrays:
         a.fill(np.nan)
-    work_loss, work_grads = network_loss_and_grads(layers, kind, feats, target, work=work)
+    work_loss, work_grads = network_loss_and_grads(layers, feats, target, work=work)
     assert work_loss == loss == ref_loss
     for (w, b), (gw, gb), (rw, rb) in zip(work_grads, grads, ref_grads):
         assert _bits(w) == _bits(gw) == _bits(rw)
@@ -435,7 +406,7 @@ def test_loss_and_grads_write_into_work(rows, widths):
     assert all(np.all(np.isfinite(a)) for a in arrays)
     kept = [work.act_flat, work.mask_flat, *work.dhs, work.resid]
     assert all(a is b for a, b in zip(arrays, kept, strict=True))
-    _, ref_acts = _ref_forward(layers, kind, feats)
+    _, ref_acts = _ref_forward(layers, feats)
     for act, ref in zip(work.acts, ref_acts[1:]):
         assert np.shares_memory(act, work.act_flat)
         assert _bits(act) == _bits(ref)
@@ -448,21 +419,20 @@ def test_predict_matches_reference_forward(order):
     zbar = np.asarray(zbar, order=order)
     assert zbar.flags[order + "_CONTIGUOUS"]
     feats = (zbar - model.first_layer.means) @ model.first_layer.weights
-    _, ref_acts = _ref_forward(model.hidden, model.activation, feats)
+    _, ref_acts = _ref_forward(model.hidden, feats)
     assert _bits(model.predict(zbar)) == _bits(ref_acts[-1].ravel())
 
 
 def test_activation_mask_from_activations_matches_pre_activations():
     from dpls_iv.network import _activation_grad
 
-    kind = ActivationKind.relu()
     tiny = np.nextafter(0.0, -1.0)  # the negative subnormal nearest zero
     pre = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, tiny,
                     2.2250738585072014e-308, -2.2250738585072014e-308, -1e-310,
                     1.0, -1.0, 1e300, -1e300])
-    act = activation_apply(kind, pre)
-    assert _bits(act) == _bits(_ref_activation_apply(kind, pre))
-    ref = _ref_activation_grad(kind, pre)
+    act = _activate(pre.copy())
+    assert _bits(act) == _bits(_ref_activation_apply(pre))
+    ref = _ref_activation_grad(pre)
     got = _activation_grad(act)
     assert _bits(np.asarray(got, dtype=np.float64)) == _bits(ref)
     # as a factor on signed and infinite upstream gradients too
@@ -480,7 +450,7 @@ def test_sgd_takes_one_loss_and_grads_call_per_step(monkeypatch, n, batch_size, 
     real = network.network_loss_and_grads
 
     def counting(*args, **kwargs):
-        calls.append(len(args[3]))
+        calls.append(len(args[2]))
         return real(*args, **kwargs)
 
     model, zbar, p = _initialized_model((3,), n=n)

@@ -28,7 +28,6 @@ def test_krylov_columns_iterate_the_covariance():
         s_zp=np.array([1.0, 1.0]),
         means=np.zeros(2),
         p_mean=0.0,
-        n=10,
     )
     basis = compute_krylov(cov, 2)
     assert basis.shape == (2, 2)
@@ -39,9 +38,7 @@ def test_krylov_columns_iterate_the_covariance():
 
 
 def test_krylov_rejects_zero_cross_covariance():
-    cov = CovPair(
-        s_zz=np.eye(2), s_zp=np.zeros(2), means=np.zeros(2), p_mean=0.0, n=10
-    )
+    cov = CovPair(s_zz=np.eye(2), s_zp=np.zeros(2), means=np.zeros(2), p_mean=0.0)
     with pytest.raises(DataError, match="zero vector"):
         compute_krylov(cov, 1)
 

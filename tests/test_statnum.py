@@ -10,7 +10,6 @@ def test_cov_pair_two_point_example():
     cov = sample_cov_pair(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]))
     np.testing.assert_allclose(cov.s_zz, [[2.0]])
     np.testing.assert_allclose(cov.s_zp, [2.0])
-    assert cov.n == 2
 
 
 def test_cov_pair_matches_numpy_cov():

@@ -75,7 +75,7 @@ def test_noiseless_identity_generator_is_deterministic_arithmetic():
     spec = SyntheticSpec(
         n=50, m=4, m_redundant=1, k=2, k_null=1,
         sigma_joint=((0.0, 0.0), (0.0, 0.0)), sigma_eps=0.0,
-        activation_g=None, activation_f=None, coef_seed=5,
+        activation_g=False, activation_f=False, coef_seed=5,
     )
     ds, truth = gen_experiment1(spec, SeededRng(0))
     np.testing.assert_array_equal(truth.w, np.zeros(50))
@@ -172,14 +172,14 @@ def test_graph_rejects_disconnected_adjacency():
     adj[0, 1] = adj[1, 0] = True
     adj[2, 3] = adj[3, 2] = True
     with pytest.raises(DataError, match="connected"):
-        InstrumentGraph(adjacency=adj, edges_per_node=1)
+        InstrumentGraph(adjacency=adj)
 
 
 def _path_graph(n):
     adj = np.zeros((n, n), dtype=bool)
     for i in range(n - 1):
         adj[i, i + 1] = adj[i + 1, i] = True
-    return InstrumentGraph(adjacency=adj, edges_per_node=1)
+    return InstrumentGraph(adjacency=adj)
 
 
 def test_shortest_paths_on_a_path_graph():
