@@ -3,12 +3,13 @@
 Every run resolves a flat dotted-key config (file values overridden by
 flags, flags overridden by nothing) and echoes the resolved config into
 the output directory, so any emitted number is recomputable from that
-echo alone. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numerical failure.
+echo alone. Exit codes: 0 success, 1 usage error, 2 data error (bad input
+or unwritable output), 3 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -208,8 +209,16 @@ def _dpls_from_config(cfg, seed: int) -> DplsConfig:
     )
 
 
-def _echo_config(out_dir: str, cfg: dict) -> None:
-    dataio.write_config(os.path.join(out_dir, "config.txt"), cfg)
+@contextlib.contextmanager
+def _outputs(out_dir: str, cfg: dict):
+    """Make out_dir, run the block's writes, echo cfg; an OSError is a data error."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        yield
+        dataio.write_config(os.path.join(out_dir, "config.txt"), cfg)
+    except OSError as exc:
+        path = out_dir if exc.filename is None else exc.filename
+        raise DataError(f"cannot write {path}: {dataio._os_reason(exc)}") from None
 
 
 def _cmd_simulate(args) -> int:
@@ -218,10 +227,9 @@ def _cmd_simulate(args) -> int:
     seed = _as_int(cfg, "seed")
     gen = gen_experiment1 if dgp == "experiment1" else gen_experiment2
     ds, truth = gen(spec, SeededRng(seed).child(0))
-    os.makedirs(args.out_dir, exist_ok=True)
-    dataio.csv_write(os.path.join(args.out_dir, "data.csv"), ds)
-    dataio.write_truth(os.path.join(args.out_dir, "truth.json"), truth)
-    _echo_config(args.out_dir, cfg)
+    with _outputs(args.out_dir, cfg):
+        dataio.csv_write(os.path.join(args.out_dir, "data.csv"), ds)
+        dataio.write_truth(os.path.join(args.out_dir, "truth.json"), truth)
     print(f"simulate: wrote {len(ds.y)} rows to {args.out_dir}/data.csv")
     return 0
 
@@ -238,22 +246,18 @@ def _cmd_fit(args) -> int:
     censored = _as_bool(cfg, "censored")
     dpls = _dpls_from_config(cfg, seed)
     ds = dataio.csv_read(cfg["data"])
-    os.makedirs(args.out_dir, exist_ok=True)
     if method == "dpls_iv":
         fit = dpls_iv_fit(ds, dpls, mode=mode, censored=censored)
     else:
         zbar = augment_instruments(ds.z, ds.x)
         first = fit_first_stage(method, zbar, ds.p, dpls.first_layer_q, SeededRng(seed))
         fit = iv_fit(first, ds, mode=mode, censored=censored)
-    dataio.write_fit(os.path.join(args.out_dir, "fit.json"), fit, len(ds.y))
-    dataio.write_predictions_csv(
-        os.path.join(args.out_dir, "predictions.csv"),
-        {
+    with _outputs(args.out_dir, cfg):
+        dataio.write_fit(os.path.join(args.out_dir, "fit.json"), fit, len(ds.y))
+        dataio.write_predictions_csv(os.path.join(args.out_dir, "predictions.csv"), {
             "p_hat": fit.predict_treatment(ds.z, ds.x),
             "y_hat": fit.predict_outcome(ds.z, ds.x, p=ds.p),
-        },
-    )
-    _echo_config(args.out_dir, cfg)
+        })
     print(f"fit: method={method} policy_effect={fit.policy_effect!r}")
     return 0
 
@@ -276,15 +280,14 @@ def _cmd_benchmark(args) -> int:
         jobs=_as_int(cfg, "jobs"),
     )
     report = run_benchmark(exp_cfg)
-    os.makedirs(args.out_dir, exist_ok=True)
-    dataio.write_metrics_csv(os.path.join(args.out_dir, "metrics.csv"), report)
-    dataio.write_bias_cdf_csv(os.path.join(args.out_dir, "bias_cdf.csv"), report)
-    dataio.write_summary(
-        os.path.join(args.out_dir, "summary.txt"),
-        report,
-        f"{dgp} benchmark, {exp_cfg.replications} replications",
-    )
-    _echo_config(args.out_dir, cfg)
+    with _outputs(args.out_dir, cfg):
+        dataio.write_metrics_csv(os.path.join(args.out_dir, "metrics.csv"), report)
+        dataio.write_bias_cdf_csv(os.path.join(args.out_dir, "bias_cdf.csv"), report)
+        dataio.write_summary(
+            os.path.join(args.out_dir, "summary.txt"),
+            report,
+            f"{dgp} benchmark, {exp_cfg.replications} replications",
+        )
     n_cells = exp_cfg.replications * len(methods)
     print(
         f"benchmark: {n_cells - len(report.failures)} of {n_cells} cells "
@@ -319,11 +322,8 @@ def _cmd_predict(args) -> int:
         columns[f"y_lo_{level:g}"], columns[f"y_hi_{level:g}"] = post.band(
             np.column_stack([p_hat, ds.x]), level
         )
-    os.makedirs(args.out_dir, exist_ok=True)
-    dataio.write_predictions_csv(
-        os.path.join(args.out_dir, "predictions.csv"), columns
-    )
-    _echo_config(args.out_dir, cfg)
+    with _outputs(args.out_dir, cfg):
+        dataio.write_predictions_csv(os.path.join(args.out_dir, "predictions.csv"), columns)
     print(f"predict: wrote {len(ds.y)} rows to {args.out_dir}/predictions.csv")
     return 0
 

@@ -265,10 +265,11 @@ def _os_reason(exc: OSError) -> str:
 
 
 def _read_text(path) -> str:
-    """Contents of an input file; an unreadable file is a data error."""
+    """Contents of an input file less a leading byte-order mark (stripped
+    after decoding, so offsets count it); an unreadable file is a data error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {_os_reason(exc)}") from None
     except UnicodeDecodeError as exc:
@@ -309,9 +310,10 @@ class _ByteRange(io.RawIOBase):
 
 
 def _text_range(path, start: int, stop: int):
-    """Bytes start..stop-1 of a file as the text stream open(path, "r",
-    encoding="utf-8") would give: UTF-8, universal newlines."""
-    return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop)), encoding="utf-8")
+    """Bytes start..stop-1 of a file as text: UTF-8, universal newlines, and
+    from byte 0 without a byte-order mark, like csv_read's whole-file opens."""
+    encoding = "utf-8-sig" if start == 0 else "utf-8"
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop)), encoding=encoding)
 
 
 def _line_cuts(path, size: int, parts: int) -> list[int]:
@@ -462,10 +464,11 @@ def csv_read(path) -> Dataset:
 
     Cells must parse as finite decimal reals; the offending 1-based line
     and column name are reported otherwise. Blank lines are skipped but
-    counted. The file is cut at line boundaries into parts, one per usable
-    CPU when it is large (_line_cuts, _parse_parts), and one np.loadtxt call
-    parses the non-blank data lines of each part, so a whitespace-only line,
-    which loadtxt alone would reject as a one-cell row, is skipped there too.
+    counted; a leading byte-order mark is skipped. The file is cut at line
+    boundaries into parts, one per usable CPU when it is large (_line_cuts,
+    _parse_parts), and one np.loadtxt call parses the non-blank data lines of
+    each part, so a whitespace-only line, which loadtxt alone would reject
+    as a one-cell row, is skipped there too.
     When any part fails (a bad cell, the wrong width, a non-finite value, a
     byte that is not UTF-8, a dead child), _parse_lines rescans the whole
     file in this process: it names the first bad line, or accepts the cells
@@ -479,7 +482,7 @@ def csv_read(path) -> Dataset:
         whole = len(cuts) == 2  # one part: the file is opened once, as a plain file
         with contextlib.ExitStack() as stack:
             fh = stack.enter_context(
-                open(path, "r", encoding="utf-8") if whole else _text_range(path, 0, cuts[1])
+                open(path, "r", encoding="utf-8-sig") if whole else _text_range(path, 0, cuts[1])
             )
             lines = _nonblank_lines(fh)
             first = next(lines, None)
@@ -489,7 +492,7 @@ def csv_read(path) -> Dataset:
                 table = _parse_parts(path, cuts, lines, columns)
             if table is None:
                 if not whole:
-                    fh = stack.enter_context(open(path, "r", encoding="utf-8"))
+                    fh = stack.enter_context(open(path, "r", encoding="utf-8-sig"))
                 if not fh.seekable():
                     raise DataError(
                         f"cannot read {path}: a data line needs the line-by-line "

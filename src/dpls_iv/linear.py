@@ -1,7 +1,7 @@
 """Baseline linear solvers: OLS, ridge, and lasso.
 
-These serve both as standalone comparators and as the per-layer solvers
-inside the deep PLS network. The lasso objective is
+They are the benchmark's linear first stages, and OLS also solves the
+outcome stage's least-squares steps. The lasso objective is
 
     (1 / (2n)) * ||y - X b||^2 + lam * ||b||_1
 
@@ -107,19 +107,27 @@ def fit_ridge(design, target, lam) -> LinearFit:
     from scipy import linalg
 
     design, target = _check_design(design, target)
-    if isinstance(lam, str):
-        if lam != "auto":
-            raise DataError("lam must be a non-negative real or 'auto'")
-        lam = _cv_lambda(design, target, "ridge")
-    lam = float(lam)
-    if lam < 0:
-        raise DataError("lam must be non-negative")
+    lam = _penalty(design, target, lam, "ridge")
     if lam == 0.0:
         fit = fit_ols(design, target)
         return LinearFit(fit.coef, fit.intercept, "ridge", 0.0)
     gram = design.T @ design + lam * np.eye(design.shape[1])
     coef = linalg.solve(gram, design.T @ target, assume_a="pos")
     return LinearFit(coef=coef, intercept=0.0, method="ridge", lam=lam)
+
+
+def _penalty(design, target, lam, method) -> float:
+    """lam as a finite real >= 0, or method's _cv_lambda choice for "auto"."""
+    if isinstance(lam, str):
+        if lam != "auto":
+            raise DataError("lam must be a non-negative real or 'auto'")
+        return _cv_lambda(design, target, method)
+    lam = float(lam)
+    if lam < 0:
+        raise DataError("lam must be non-negative")
+    if not np.isfinite(lam):
+        raise DataError(f"lam must be finite, got {lam}")
+    return lam
 
 
 def soft_threshold(v, t):
@@ -144,27 +152,26 @@ def fit_lasso(design, target, lam) -> LinearFit:
     more than _LASSO_MAX_SWEEPS sweeps raises ConvergenceError.
     """
     design, target = _check_design(design, target)
-    if isinstance(lam, str):
-        if lam != "auto":
-            raise DataError("lam must be a non-negative real or 'auto'")
-        lam = _cv_lambda(design, target, "lasso")
-    lam = float(lam)
-    if lam < 0:
-        raise DataError("lam must be non-negative")
-    start = _lasso_path(design, target, [lam])[:, 0]
-    coef = _lasso_cd(design, target, lam, start)
+    lam = _penalty(design, target, lam, "lasso")
+    moments = _lasso_moments(design, target)
+    start = _lasso_path(design, target, [lam], moments)[:, 0]
+    coef = _lasso_cd(design, target, lam, start, moments)
     return LinearFit(coef=coef, intercept=0.0, method="lasso", lam=lam)
 
 
-def _lasso_cd(xc, yc, lam, start):
-    n, d = xc.shape
-    gram = xc.T @ xc / n
-    cross = xc.T @ yc / n
+def _lasso_moments(xc, yc):
+    """G = X'X/n and c = X'y/n, the moments the lasso path and CD work on."""
+    n = xc.shape[0]
+    return xc.T @ xc / n, xc.T @ yc / n
+
+
+def _lasso_cd(xc, yc, lam, start, moments):
+    gram, cross = moments
     coef = start.copy()
     gdiag = np.diag(gram).copy()
     prev_obj = _lasso_objective(xc, yc, coef, lam)
     for _ in range(_LASSO_MAX_SWEEPS):
-        for j in range(d):
+        for j in range(len(coef)):
             if gdiag[j] <= 0.0:
                 coef[j] = 0.0  # constant-zero column carries no signal
                 continue
@@ -177,7 +184,7 @@ def _lasso_cd(xc, yc, lam, start):
     raise ConvergenceError(f"lasso did not converge in {_LASSO_MAX_SWEEPS} sweeps")
 
 
-def _lasso_path(xc, yc, lams):
+def _lasso_path(xc, yc, lams, moments=None):
     """Exact lasso coefficients at every lam of a descending grid.
 
     LARS-lasso homotopy (Efron et al. 2004): below lam_max = max|X'y|/n
@@ -194,9 +201,8 @@ def _lasso_path(xc, yc, lams):
     """
     from scipy import linalg
 
-    n, d = xc.shape
-    gram = xc.T @ xc / n
-    cross = xc.T @ yc / n
+    gram, cross = _lasso_moments(xc, yc) if moments is None else moments
+    d = len(cross)
     gdiag = np.diag(gram)
     lams = np.asarray(lams, dtype=np.float64)
     coefs = np.zeros((d, len(lams)))

@@ -1,11 +1,12 @@
 """Deep PLS treatment network: frozen PLS first layer, ReLU layers after.
 
-The first layer maps the augmented instruments to q PLS score features and
-is never touched by SGD; consistency of the instrument directions rests on
-the PLS estimator alone. Hidden layers (widths from config) and a width-1
-output layer are initialized by per-layer least squares on the previous
-layer's activated features, then refined jointly by mini-batch SGD on
-squared loss. ReLU is the only activation. With q = "auto", q is chosen by
+The first layer maps the augmented instruments to q closed-form PLS score
+features and is never touched by SGD; consistency of the instrument
+directions rests on the PLS estimator alone. Hidden layers (widths from
+config) and a width-1 output layer are initialized by per-layer least
+squares on the previous layer's activated features, then refined jointly by
+mini-batch SGD on squared loss (with epochs = 0, the initialization stays).
+ReLU is the only activation. With q = "auto", q is chosen by
 pls.select_q_cv's fixed 5-fold CV (pls.CV_FOLDS) over q <= pls.AUTO_Q_CAP.
 
 SGD works on one flat parameter vector theta, of which every trainable
@@ -30,7 +31,7 @@ summation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,6 +127,11 @@ def _forward(hidden, feats, work=None):
     return acts
 
 
+def _pls_features(first: PlsFit, zbar):
+    """The q PLS score features of zbar: the frozen first layer's output."""
+    return (zbar - first.means) @ first.weights
+
+
 @dataclass(frozen=True)
 class DplsModel:
     """Fitted network; immutable. Centering lives in first_layer."""
@@ -147,7 +153,7 @@ class DplsModel:
                 f"expected {len(self.first_layer.means)} input columns, "
                 f"got shape {zbar.shape}"
             )
-        return (zbar - self.first_layer.means) @ self.first_layer.weights
+        return _pls_features(self.first_layer, zbar)
 
     def predict(self, zbar) -> np.ndarray:
         return _forward(self.hidden, self.features(zbar))[-1].ravel()
@@ -208,7 +214,7 @@ def network_loss_and_grads(hidden, feats, target, out=None, work=None):
     return loss, grads if out is None else out
 
 
-def _train_loss(hidden, feats, p, work=None) -> float:
+def _train_loss(hidden, feats, p, work) -> float:
     """Mean squared loss on the full training set, computed in work."""
     resid = _forward(hidden, feats, work)[-1].ravel()
     resid -= p
@@ -279,12 +285,8 @@ def dpls_fit(zbar, p, cfg: DplsConfig) -> DplsModel:
         q_max = min(zbar.shape[1], AUTO_Q_CAP)
         q = select_q_cv(zbar, p, q_max, SeededRng(cfg.sgd.seed).child(0))
     first = fit_pls_closed_form(zbar, p, q)
-    feats = (zbar - first.means) @ first.weights
-    hidden = _init_hidden(feats, p, cfg)
-    model = DplsModel(first_layer=first, hidden=tuple(hidden))
-    if cfg.sgd.epochs > 0:
-        return sgd_refine(model, zbar, p, cfg.sgd)
-    return replace(model, history=(_train_loss(hidden, feats, p),), best_epoch=0)
+    hidden = _init_hidden(_pls_features(first, zbar), p, cfg)
+    return sgd_refine(DplsModel(first_layer=first, hidden=tuple(hidden)), zbar, p, cfg.sgd)
 
 
 def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:

@@ -1,6 +1,6 @@
 """Partial least squares on the augmented instruments.
 
-Two routes to the same estimator are provided. The closed form evaluates
+The closed form, the estimator the network and the PLS baseline use, evaluates
 
     coef = R (R' S_zz R)^-1 R' s_zp
 
@@ -9,7 +9,7 @@ which spans the identical subspace but stays numerically stable past q ~ 5.
 The deflation route builds score/loading pairs one at a time, deflating only
 the cross-product vector (the policy is scalar throughout). Both project the
 policy onto the same Krylov space, so their predictions agree to tight
-tolerance; the test suite leans on that equivalence.
+tolerance; the tests hold the closed form to this independent reference.
 
 select_q_cv picks q by CV_FOLDS-fold cross-validation over q <= q_max;
 callers with q = "auto" cap q_max at AUTO_Q_CAP.
@@ -22,7 +22,6 @@ import numpy as np
 
 from .data import SeededRng
 from .errors import DataError, SingularDesignError
-from .statnum import CovPair, sample_cov_pair
 
 __all__ = [
     "PlsFit",
@@ -38,6 +37,41 @@ _RANK_RTOL = 1e-10
 AUTO_Q_CAP = 30
 # Folds of the cross-validation that chooses q.
 CV_FOLDS = 5
+
+
+@dataclass(frozen=True)
+class CovPair:
+    """Sample covariance of the augmented instruments and the policy.
+
+    s_zz: (m+k) x (m+k), symmetrized; s_zp: length m+k; means and p_mean are
+    the centering constants.
+    """
+
+    s_zz: np.ndarray
+    s_zp: np.ndarray
+    means: np.ndarray
+    p_mean: float
+
+
+def sample_cov_pair(zbar, p) -> CovPair:
+    """Centered S_zz and s_zp: the n-1 divisor, exact two-pass centering."""
+    zbar = np.asarray(zbar, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    if zbar.ndim != 2:
+        raise DataError("zbar must be a matrix")
+    n = zbar.shape[0]
+    if p.shape != (n,):
+        raise DataError("p must be a vector with one entry per row of zbar")
+    if n < 2:
+        raise DataError("need n >= 2 for a sample covariance")
+    means = zbar.mean(axis=0)
+    p_mean = float(p.mean())
+    zc = zbar - means
+    pc = p - p_mean
+    s_zz = zc.T @ zc / (n - 1)
+    s_zz = 0.5 * (s_zz + s_zz.T)
+    s_zp = zc.T @ pc / (n - 1)
+    return CovPair(s_zz=s_zz, s_zp=s_zp, means=means, p_mean=p_mean)
 
 
 @dataclass(frozen=True)
@@ -65,6 +99,13 @@ class PlsFit:
         return self.p_mean + (zbar - self.means) @ self.coef
 
 
+def _reorthogonalize(v, basis, images):
+    """Two in-place Gram-Schmidt passes of v; its basis[i] part is images[i] @ v."""
+    for _ in range(2):
+        for b, image in zip(basis, images):
+            v -= (image @ v) * b
+
+
 def _mgs(columns, rtol=_RANK_RTOL):
     """Modified Gram-Schmidt with a second pass; drops dependent columns."""
     basis = []
@@ -73,9 +114,7 @@ def _mgs(columns, rtol=_RANK_RTOL):
         norm0 = float(np.linalg.norm(v))
         if norm0 == 0.0:
             continue
-        for _ in range(2):
-            for b in basis:
-                v -= (b @ v) * b
+        _reorthogonalize(v, basis, basis)
         nv = float(np.linalg.norm(v))
         if nv > rtol * norm0:
             basis.append(v / nv)
@@ -109,9 +148,7 @@ def _s_orthonormalize(basis, s_zz):
     for j in range(basis.shape[1]):
         v = basis[:, j].copy()
         norm0 = float(np.sqrt(max(v @ (s_zz @ v), 0.0)))
-        for _ in range(2):
-            for w, sw in zip(out, out_s):
-                v -= (sw @ v) * w
+        _reorthogonalize(v, out, out_s)
         sv = s_zz @ v
         nv = float(np.sqrt(max(v @ sv, 0.0)))
         if norm0 == 0.0 or nv <= _RANK_RTOL * norm0:

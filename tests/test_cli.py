@@ -335,6 +335,36 @@ def test_benchmark_exit_3_when_every_cell_fails(tmp_path, capsys):
     assert (out / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "fit", "benchmark", "predict"])
+def test_unwritable_output_exits_2_with_one_line(command, sim_dir, dpls_fit_dir, tmp_path,
+                                                  capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    out = blocker / "sub"
+    cfg = tmp_path / "cfg.txt"
+    keys = {
+        "simulate": _SMALL_SPEC,
+        "fit": {"data": str(sim_dir / "data.csv"), "method": "ols"},
+        "benchmark": {**_SMALL_SPEC, "methods": "ols", "replications": "1"},
+        "predict": {"fit": str(dpls_fit_dir / "fit.json"), "data": str(sim_dir / "data.csv")},
+    }[command]
+    write_config(cfg, keys)
+    rc = main([command, "--config", str(cfg), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"data error: cannot write {out}: Not a directory\n"
+
+
+def test_unwritable_output_file_names_the_file(sim_dir, dpls_fit_dir, tmp_path, capsys):
+    target = tmp_path / "out" / "predictions.csv"
+    target.mkdir(parents=True)
+    cfg = tmp_path / "cfg.txt"
+    write_config(cfg, {"fit": str(dpls_fit_dir / "fit.json"), "data": str(sim_dir / "data.csv")})
+    rc = main(["predict", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"data error: cannot write {target}: Is a directory\n"
+
+
 def _modules_loaded_by(code):
     """Names in sys.modules after a fresh interpreter runs code."""
     src = os.path.dirname(os.path.dirname(dpls_iv.__file__))

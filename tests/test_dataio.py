@@ -487,6 +487,19 @@ def test_config_file_round_trip(tmp_path):
     assert read_config(path) == mapping
 
 
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "marked"])
+def test_read_config_skips_a_leading_byte_order_mark(tmp_path, mark):
+    path = tmp_path / "run.txt"
+    path.write_bytes(mark + b"spec.n = 500\nseed = 7\n")
+    assert read_config(path) == {"spec.n": "500", "seed": "7"}
+    path.write_bytes(mark + b"spec.n = 500\nseed\n")
+    with pytest.raises(DataError, match="^line 2: expected 'key = value'$"):
+        read_config(path)
+    path.write_bytes(mark + b"spec.n = 500\n\xff\n")
+    with pytest.raises(DataError, match=f"not UTF-8 text at byte {13 + len(mark)}$"):
+        read_config(path)
+
+
 # -------------------------------------------------------------- truth sidecar
 
 
@@ -548,6 +561,16 @@ def test_fit_bundle_round_trip_gmm_mode(tmp_path):
                        fit.predict_treatment(ds.z, ds.x))
     assert_array_equal(back.predict_outcome(ds.z, ds.x),
                        fit.predict_outcome(ds.z, ds.x))
+
+
+def test_read_fit_skips_a_leading_byte_order_mark(tmp_path):
+    ds, fit = _small_fit("rescale_gmm")
+    path = tmp_path / "fit.json"
+    write_fit(path, fit, n_train=200)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    back, n_train = read_fit(path)
+    assert n_train == 200
+    assert_array_equal(back.predict_outcome(ds.z, ds.x), fit.predict_outcome(ds.z, ds.x))
 
 
 def test_fit_bundle_round_trip_control_function_mode(tmp_path):

@@ -59,6 +59,25 @@ def test_ridge_rejects_negative_penalty():
         fit_ridge(np.eye(2), np.ones(2), lam=-1.0)
 
 
+@pytest.mark.parametrize("fit", [fit_ridge, fit_lasso])
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        (float("nan"), "lam must be finite, got nan"),
+        (float("inf"), "lam must be finite, got inf"),
+        ("abc", "lam must be a non-negative real or 'auto'"),
+        (-1.0, "lam must be non-negative"),
+    ],
+)
+def test_penalty_rule_rejects_bad_lam_with_data_error(fit, lam, message):
+    # one rule for both fitters; a non-finite lam used to reach scipy's
+    # solver (ridge) or run the lasso sweeps to their cap
+    design = np.random.default_rng(4).normal(size=(20, 3))
+    with pytest.raises(DataError) as info:
+        fit(design, design @ np.ones(3), lam=lam)
+    assert str(info.value) == message
+
+
 def test_ridge_auto_penalty_runs():
     rng = np.random.default_rng(3)
     design = rng.normal(size=(60, 5))

@@ -226,6 +226,63 @@ def test_csv_read_non_utf8_byte_in_a_later_part_names_its_offset(tmp_path, monke
     _assert_no_child_left()
 
 
+_BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8, as "CSV UTF-8" files start
+
+
+def _read_both_ways(monkeypatch, path):
+    """_outcome(path) in one part, which two forked parts must repeat."""
+    one = _one_part(monkeypatch, lambda: _outcome(path))
+    with monkeypatch.context() as m:
+        _use_cpus(m, 2)
+        assert _outcome(path) == one
+    return one
+
+
+@pytest.mark.parametrize("blank", [False, True], ids=["header", "blank_line"])
+def test_csv_read_skips_a_leading_byte_order_mark(tmp_path, monkeypatch, forked, blank):
+    ds = _dataset(20, m=2)
+    path = tmp_path / "marked.csv"
+    path.write_bytes(_BOM + b"\n" * blank + _csv_text(ds).encode("utf-8"))
+    assert _read_both_ways(monkeypatch, path) == np.column_stack(
+        [ds.y, ds.p, ds.z, ds.x]).tobytes()
+    assert len(forked) == 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("mark", [b"", _BOM], ids=["plain", "marked"])
+@pytest.mark.parametrize("case", ["cell_count", "mark_inside_the_file"])
+def test_csv_read_byte_order_mark_keeps_line_numbers(tmp_path, monkeypatch, forked, mark,
+                                                     case):
+    text = _csv_text(_dataset(20, m=2))
+    plain = tmp_path / "plain.csv"
+    plain.write_text(text, encoding="utf-8")
+    cut = dataio._line_cuts(plain, os.path.getsize(plain), 2)[1]
+    number = 1 + text.encode("utf-8")[:cut].count(b"\n")  # the second part's first line
+    lines = text.splitlines()
+    if case == "cell_count":
+        lines[number - 1] = lines[number - 1].rsplit(",", 1)[0]
+        message = f"line {number}: expected 5 cells, found 4"
+    else:  # a U+FEFF that does not start the file is a cell's text
+        lines[number - 1] = "\ufeff" + lines[number - 1]
+        cell = lines[number - 1].split(",")[0]
+        message = f"line {number}, column y: non-numeric cell '{cell}'"
+    path = tmp_path / "bad.csv"
+    path.write_bytes(mark + ("\n".join(lines) + "\n").encode("utf-8"))
+    assert dataio._line_cuts(path, os.path.getsize(path), 2)[1] == cut + len(mark)
+    assert _read_both_ways(monkeypatch, path) == message
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("mark", [b"", _BOM], ids=["plain", "marked"])
+def test_csv_read_byte_order_mark_keeps_the_offset_of_a_non_utf8_byte(
+        tmp_path, monkeypatch, forked, mark):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(mark + b"y,p\n" + b"1,2\n" * 50 + b"3,\xff\n" + b"4,5\n" * 10)
+    assert _read_both_ways(monkeypatch, path) == (
+        f"cannot read {path}: not UTF-8 text at byte {206 + len(mark)}")
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("child", ["killed", "silent"])
 def test_csv_read_falls_back_to_the_rescan_when_a_child_dies(tmp_path, monkeypatch, forked, child):
     ds = _dataset(30)

@@ -11,7 +11,7 @@ from dpls_iv import (
     select_q_cv,
 )
 from dpls_iv.pls import compute_krylov
-from dpls_iv.statnum import CovPair, sample_cov_pair
+from dpls_iv.pls import CovPair, sample_cov_pair
 
 
 def _regression_data(seed, n=120, d=6, noise=0.3):

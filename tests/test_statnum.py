@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dpls_iv import DataError
-from dpls_iv.statnum import sample_cov_pair
+from dpls_iv.pls import sample_cov_pair
 
 
 def test_cov_pair_two_point_example():
