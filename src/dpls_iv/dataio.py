@@ -9,11 +9,11 @@ list is built either way.
 
 Float formatting and parsing hold the interpreter lock, so large CSV tables
 are cut into contiguous parts, one per usable CPU (data.part_count), that
-forked children format or parse while this process does part 0. Every part
-still streams in row blocks or lines. A part is worth a fork from
-_CSV_PART_CELLS cells (write) or _CSV_PART_BYTES bytes (read); below that,
-and off Linux, the same code runs one part in-process. The output bytes and
-the parsed tables do not depend on the number of parts.
+forked children format or parse into spill files (_Children) while this
+process does part 0. Every part still streams in row blocks or lines. A
+part is worth a fork from _CSV_PART_CELLS cells (write) or _CSV_PART_BYTES
+bytes (read); below that, and off Linux, one part runs in-process. The
+output bytes and the parsed tables do not depend on the number of parts.
 """
 from __future__ import annotations
 
@@ -78,8 +78,8 @@ _FIT_VERSION = 2
 # left a 10k-row fit about 1.5 MB higher in resident memory.
 _CSV_BLOCK_CELLS = 2**12
 # Least cells a forked CSV write part formats, and least bytes a forked read
-# part parses. A fork, its pipe or spill file and the reaping cost 5-10 ms in
-# a 140 MB process; two parts broke even at about 16k cells written (about
+# part parses. A fork, its spill file and the reaping cost 5-10 ms in a
+# 140 MB process; two parts broke even at about 16k cells written (about
 # 1 us each) and 0.5 MB read, and halved the time of 10k x 77 tables.
 _CSV_PART_CELLS = 2**13
 _CSV_PART_BYTES = 2**19
@@ -90,18 +90,23 @@ def _fmt(value: float) -> str:
 
 
 class _Children:
-    """Forked children that each run one function and leave through os._exit.
+    """Forked children that each fill an unnamed spill file in the default
+    temporary directory and leave through os._exit: 0 if their work
+    returned, 1 if it raised.
 
-    A child exits 0 if its function returned and 1 if it raised; os._exit
-    skips the inherited buffers and exit handlers. fork returns None when
-    the system refuses a process, and the caller does that part itself.
-    Leaving the with block kills and reaps every child not yet waited for,
-    so none outlives the call, whether it succeeded or failed. A child runs
-    only numpy formatting or parsing and file I/O, never BLAS.
+    start returns None when the system refuses the spill file or the
+    process, and result returns None for that handle or a failed child; the
+    caller then does that part itself. Leaving the with block kills and
+    reaps every child not yet reaped and closes every spill file, so none
+    outlives the call. A child runs only numpy formatting or parsing and
+    file I/O, never BLAS. Parts are forked, not sent to a process pool: on
+    the 10k x 77 data.csv a pool slowed the CLI chain from 2.91 to 3.48 s,
+    and the pickled part text raised simulate's peak from 68.6 to 103.3 MB.
     """
 
     def __init__(self):
         self._pids: list[int] = []
+        self._spills: list = []
 
     def __enter__(self):
         return self
@@ -112,27 +117,37 @@ class _Children:
         for pid in self._pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        self._pids.clear()
+        for spill in self._spills:
+            spill.close()
 
-    def fork(self, work) -> int | None:
+    def start(self, work):
+        """Fork a child that runs work(spill) on a new spill file; its handle."""
         try:
+            self._spills.append(spill := tempfile.TemporaryFile())
             pid = os.fork()
         except OSError:
             return None
         if pid == 0:
             code = 1
             try:
-                work()
+                work(spill)
+                spill.flush()
                 code = 0
             finally:
                 os._exit(code)
         self._pids.append(pid)
-        return pid
+        return pid, spill
 
-    def wait(self, pid: int) -> bool:
-        """Reap one child; True if it exited 0."""
+    def result(self, handle):
+        """Reap a started child; its spill file rewound if it exited 0."""
+        if handle is None:
+            return None
+        pid, spill = handle
         self._pids.remove(pid)
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
+            return None
+        spill.seek(0)
+        return spill
 
 
 def _width(columns) -> int:
@@ -154,7 +169,7 @@ def _write_part(fh, columns, start: int, stop: int, numbered: bool) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_spill(spill, columns, start: int, stop: int, numbered: bool) -> None:
+def _write_spill(columns, start: int, stop: int, numbered: bool, spill) -> None:
     """Child side of _write_rows: stream one part into its spill file."""
     with open(spill.fileno(), "w", encoding="utf-8", closefd=False) as out:
         _write_part(out, columns, start, stop, numbered)
@@ -163,37 +178,26 @@ def _write_spill(spill, columns, start: int, stop: int, numbered: bool) -> None:
 def _write_rows(fh, columns, n: int, numbered: bool) -> None:
     """Write the n rows of aligned columns to fh, a text file opened by path.
 
-    Each part but the first is formatted by a forked child into an unnamed
-    temporary file beside fh while this process writes part 0 to fh; the
-    parts are then appended in order. A part whose spill file or child could
-    not be made, or whose child failed, is formatted here instead, so such a
-    failure costs time, not output.
+    Each part but the first is formatted by a forked child into its spill
+    file while this process writes part 0 to fh; the parts are then appended
+    in order. A part with no result (no spill file or child could be made,
+    or the child failed) is formatted here instead, so such a failure costs
+    time, not output.
     """
     parts = part_count(n * _width(columns), _CSV_PART_CELLS)
     bounds = [n * i // parts for i in range(parts + 1)]
-    with contextlib.ExitStack() as stack:
-        children = stack.enter_context(_Children())
-        spills = []
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            pid = spill = None
-            try:
-                spill = stack.enter_context(
-                    tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(fh.name)))
-                )
-            except OSError:  # no room or no write access beside fh (a device, say)
-                pass
-            else:
-                work = functools.partial(_write_spill, spill, columns, start, stop, numbered)
-                pid = children.fork(work)
-            spills.append((pid, spill, start, stop))
-        _write_part(fh, columns, 0, bounds[1], numbered)
-        for pid, spill, start, stop in spills:
-            if pid is not None and children.wait(pid):
-                fh.flush()
-                spill.seek(0)
-                shutil.copyfileobj(spill, fh.buffer)
-            else:
+    with _Children() as children:
+        handles = [None] + [
+            children.start(functools.partial(_write_spill, columns, start, stop, numbered))
+            for start, stop in zip(bounds[1:-1], bounds[2:])
+        ]
+        for handle, start, stop in zip(handles, bounds, bounds[1:]):
+            spill = children.result(handle)
+            if spill is None:
                 _write_part(fh, columns, start, stop, numbered)
+            else:
+                fh.flush()
+                shutil.copyfileobj(spill, fh.buffer)
 
 
 # ---------------------------------------------------------------- dataset CSV
@@ -367,22 +371,15 @@ def _load(lines, width: int) -> np.ndarray | None:
     return table
 
 
-def _send_part(path, start: int, stop: int, columns, sink, sources) -> None:
-    """Child side of _parse_parts: parse one byte range and write to sink
-    its row count as an int64, then its float64 cells in role order; nothing
-    if _load fails.
-
-    The child first closes its copies of the pipes' read ends, so a child
-    left behind by a killed parent meets a broken pipe, not a full one.
-    """
-    for source in sources:
-        source.close()
-    with sink:
-        with _text_range(path, start, stop) as fh:
-            table = _load(_nonblank_lines(fh), len(columns))
-        if table is not None:
-            sink.write(np.int64(len(table)).tobytes())
-            sink.write(np.take(table, columns, axis=1).reshape(-1).view(np.uint8))
+def _send_part(path, start: int, stop: int, columns, spill) -> None:
+    """Child side of _parse_parts: parse one byte range and write to its
+    spill file the row count as an int64, then the float64 cells in role
+    order; nothing if _load fails."""
+    with _text_range(path, start, stop) as fh:
+        table = _load(_nonblank_lines(fh), len(columns))
+    if table is not None:
+        spill.write(np.int64(len(table)).tobytes())
+        spill.write(np.take(table, columns, axis=1).reshape(-1).view(np.uint8))
 
 
 def _parse_parts(path, cuts: list[int], lines, columns) -> np.ndarray | None:
@@ -390,39 +387,32 @@ def _parse_parts(path, cuts: list[int], lines, columns) -> np.ndarray | None:
     table in role order, or None if any part fails.
 
     lines is the rest of this process's own range, part 0, after its header.
-    Forked children parse the other ranges and send their tables back
-    through pipes, which are read only after part 0 is parsed, straight into
-    the result. This process never holds more than one line of text, and
-    beyond the result only part 0's table.
+    Children parse the other ranges into spill files, read after part 0 is
+    parsed straight into the result. This process never holds more than one
+    line of text, and beyond the result only part 0's table.
     """
     width = len(columns)
-    with contextlib.ExitStack() as stack:
-        children = stack.enter_context(_Children())
-        sources, pids = [], []
-        for start, stop in zip(cuts[1:-1], cuts[2:]):
-            read_fd, write_fd = os.pipe()
-            sources.append(stack.enter_context(open(read_fd, "rb")))
-            with open(write_fd, "wb") as sink:
-                work = functools.partial(_send_part, path, start, stop, columns, sink, sources)
-                pids.append(children.fork(work))
-            if pids[-1] is None:
-                return None
+    with _Children() as children:
+        handles = [
+            children.start(functools.partial(_send_part, path, start, stop, columns))
+            for start, stop in zip(cuts[1:-1], cuts[2:])
+        ]
         first = _load(lines, width)
         if first is None:
             return None
+        spills = [children.result(handle) for handle in handles]
         counts = [len(first)]
-        for source in sources:
-            head = source.read(8)
-            if len(head) != 8:
+        for spill in spills:
+            if spill is None or len(head := spill.read(8)) != 8:
                 return None
             counts.append(int(np.frombuffer(head, dtype=np.int64)[0]))
         table = np.empty((sum(counts), width))
         np.take(first, columns, axis=1, out=table[:counts[0]], mode="clip")
         del first
         row = counts[0]
-        for pid, source, count in zip(pids, sources, counts[1:]):
+        for spill, count in zip(spills, counts[1:]):
             cells = table[row:row + count].reshape(-1).view(np.uint8)
-            if source.readinto(cells) != cells.nbytes or not children.wait(pid):
+            if spill.readinto(cells) != cells.nbytes:
                 return None
             row += count
         return table

@@ -27,19 +27,19 @@ def _use_cpus(monkeypatch, cpus):
 
 @pytest.fixture
 def forked(monkeypatch):
-    """Force CSV parts on tiny inputs; returns a list of the pids forked."""
+    """Force CSV parts on tiny inputs; returns a list of the handles started."""
     monkeypatch.setattr(dataio, "_CSV_PART_CELLS", 1)
     monkeypatch.setattr(dataio, "_CSV_PART_BYTES", 1)
-    pids = []
-    original = dataio._Children.fork
+    handles = []
+    original = dataio._Children.start
 
     def counting(self, work):
-        pid = original(self, work)
-        pids.append(pid)
-        return pid
+        handle = original(self, work)
+        handles.append(handle)
+        return handle
 
-    monkeypatch.setattr(dataio._Children, "fork", counting)
-    return pids
+    monkeypatch.setattr(dataio._Children, "start", counting)
+    return handles
 
 
 def _one_part(monkeypatch, call):
@@ -304,15 +304,20 @@ def test_csv_read_falls_back_to_the_rescan_when_a_child_dies(tmp_path, monkeypat
     _assert_no_child_left()
 
 
-def test_csv_read_rescans_when_it_cannot_fork(tmp_path, monkeypatch, forked):
+@pytest.mark.parametrize("refused", ["fork", "pipe", "spill"])
+def test_csv_read_rescans_when_it_cannot_fork(tmp_path, monkeypatch, forked, refused):
     path = tmp_path / "data.csv"
     path.write_text(_csv_text(_dataset(30)), encoding="utf-8")
     expected = _one_part(monkeypatch, lambda: _outcome(path))
-    monkeypatch.setattr(os, "fork", _refuse)
+    if refused == "spill":
+        monkeypatch.setattr(dataio.tempfile, "TemporaryFile", _refuse)
+    else:
+        monkeypatch.setattr(os, refused, _refuse)
     _use_cpus(monkeypatch, 3)
     fds = _open_fds()
     assert _outcome(path) == expected
     assert _open_fds() == fds
+    _assert_no_child_left()
 
 
 def test_csv_read_header_error_leaves_no_child(tmp_path, monkeypatch, forked):

@@ -150,9 +150,49 @@ def test_select_q_argument_validation():
     zbar, p = _regression_data(10, d=4)
     with pytest.raises(DataError):
         select_q_cv(zbar, p, 5, SeededRng(0))
+    with pytest.raises(DataError, match="one entry per row"):
+        select_q_cv(zbar, p[:-1], 3, SeededRng(0))
+    with pytest.raises(DataError, match="must be a matrix"):
+        select_q_cv(zbar[:, 0], p, 1, SeededRng(0))
 
 
 def test_select_q_needs_a_row_per_fold():
     zbar, p = _regression_data(10, n=4, d=2)
     with pytest.raises(DataError, match="at least 5 rows"):
         select_q_cv(zbar, p, 1, SeededRng(0))
+
+
+def test_cov_pair_two_point_example():
+    # centered column (1, -1) has sample variance 2 with the n-1 divisor
+    cov = sample_cov_pair(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]))
+    np.testing.assert_allclose(cov.s_zz, [[2.0]])
+    np.testing.assert_allclose(cov.s_zp, [2.0])
+
+
+def test_cov_pair_matches_numpy_cov():
+    rng = np.random.default_rng(0)
+    zbar = rng.normal(size=(40, 3))
+    p = rng.normal(size=40)
+    cov = sample_cov_pair(zbar, p)
+    full = np.cov(np.column_stack([zbar, p]).T)
+    np.testing.assert_allclose(cov.s_zz, full[:3, :3], atol=1e-12)
+    np.testing.assert_allclose(cov.s_zp, full[:3, 3], atol=1e-12)
+    np.testing.assert_allclose(cov.means, zbar.mean(axis=0))
+    assert cov.p_mean == pytest.approx(p.mean())
+
+
+def test_cov_pair_is_symmetric():
+    rng = np.random.default_rng(1)
+    cov = sample_cov_pair(rng.normal(size=(30, 5)), rng.normal(size=30))
+    np.testing.assert_array_equal(cov.s_zz, cov.s_zz.T)
+
+
+def test_cov_pair_needs_two_rows():
+    with pytest.raises(DataError):
+        sample_cov_pair(np.ones((1, 2)), np.ones(1))
+
+
+def test_cov_pair_rejects_misaligned_p():
+    with pytest.raises(DataError):
+        sample_cov_pair(np.ones((4, 2)), np.ones(3))
+
