@@ -18,6 +18,8 @@ from .bench import (
     ExperimentConfig,
     MetricsReport,
     fit_first_stage,
+    r_squared,
+    rmse,
     run_benchmark,
 )
 from .data import (
@@ -49,7 +51,6 @@ from .ivreg import (
     sandwich_variance,
 )
 from .linear import LinearFit, fit_lasso, fit_ols, fit_ridge
-from .metrics import r_squared, rmse
 from .network import (
     DplsConfig,
     DplsModel,

@@ -4,7 +4,9 @@ Each replication draws a fresh dataset (seed = base_seed + replication),
 splits it, fits every requested method's treatment model on the training
 half, and pushes the resulting treatment predictions through the one
 outcome stage (ivreg.iv_fit) so outcome numbers differ only through the
-first stage. Per-cell failures are recorded and the study continues.
+first stage, and scores each cell out of sample (r_squared, rmse). Per-cell
+failures are recorded and the study continues. A process pool, when jobs > 1,
+starts at most one worker per replication.
 """
 from __future__ import annotations
 
@@ -13,11 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SeededRng, augment_instruments, check_int, split_dataset
-from .errors import DataError, NumericalError
+from .errors import DataError, DegenerateDataError, NumericalError
 from .ivreg import _check_mode, dpls_iv_fit
 from .ivreg import iv_fit as _outcome_stage
 from .linear import fit_lasso, fit_ols, fit_ridge
-from .metrics import r_squared, rmse
 from .network import DplsConfig
 from .pls import AUTO_Q_CAP, fit_pls_closed_form, select_q_cv
 from .synthetic import SyntheticSpec, gen_experiment1, gen_experiment2
@@ -28,6 +29,8 @@ __all__ = [
     "fit_first_stage",
     "run_benchmark",
     "KNOWN_METHODS",
+    "r_squared",
+    "rmse",
 ]
 
 KNOWN_METHODS = ("ols", "ridge", "lasso", "pls", "dpls_iv")
@@ -89,6 +92,28 @@ class MetricsReport:
     failures: tuple[tuple[int, str, str], ...]
     replications: int
     methods: tuple[str, ...]
+
+
+def _vectors(actual, predicted):
+    a = np.asarray(actual, dtype=np.float64).ravel()
+    b = np.asarray(predicted, dtype=np.float64).ravel()
+    if a.shape != b.shape or len(a) < 2:
+        raise DataError("actual and predicted must be equal-length vectors, n >= 2")
+    return a, b
+
+
+def r_squared(actual, predicted) -> float:
+    """1 - SS_residual / SS_total; undefined for a constant actual."""
+    a, b = _vectors(actual, predicted)
+    ss_tot = float(np.sum((a - a.mean()) ** 2))
+    if ss_tot == 0.0:
+        raise DegenerateDataError("R^2 undefined: actual values are constant")
+    return 1.0 - float(np.sum((a - b) ** 2)) / ss_tot
+
+
+def rmse(actual, predicted) -> float:
+    a, b = _vectors(actual, predicted)
+    return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
 def fit_first_stage(method: str, zbar, p, q, rng: SeededRng):
@@ -167,7 +192,8 @@ def run_benchmark(cfg: ExperimentConfig) -> MetricsReport:
     if cfg.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # fork starts every worker up front, so no more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, cfg.replications)) as pool:
             results = list(pool.map(_run_replication, [cfg] * cfg.replications, reps))
     else:
         results = [_run_replication(cfg, r) for r in reps]

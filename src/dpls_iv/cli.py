@@ -19,31 +19,32 @@ from . import dataio
 from .bench import KNOWN_METHODS, ExperimentConfig, fit_first_stage, run_benchmark
 from .data import SeededRng, augment_instruments
 from .errors import DataError, NumericalError
-from .ivreg import dpls_iv_fit, iv_fit, sample_posterior
+from .ivreg import MODES, dpls_iv_fit, iv_fit, sample_posterior
 from .network import DplsConfig, SgdParams
 from .synthetic import experiment1_spec, experiment2_spec, gen_experiment1, gen_experiment2
 
 __all__ = ["main"]
 
+# The spec.<field> keys but cov_param, in parse order; all integers but sigma_eps.
+_SPEC_FIELDS = (
+    "n", "m", "m_redundant", "k", "k_null", "sigma_eps", "coef_seed", "edges_per_node",
+)
+_SPEC = experiment1_spec()
+_DPLS = DplsConfig()
+_STUDY = ExperimentConfig()
+
 _SPEC_DEFAULTS = {
     "dgp": "experiment1",
-    "spec.n": "1000",
-    "spec.m": "50",
-    "spec.m_redundant": "10",
-    "spec.k": "25",
-    "spec.k_null": "20",
-    "spec.sigma_eps": "0.5",
-    "spec.coef_seed": "28",
+    **{f"spec.{name}": str(getattr(_SPEC, name)) for name in _SPEC_FIELDS},
     "spec.cov_param": "auto",
-    "spec.edges_per_node": "2",
 }
 
 _DPLS_DEFAULTS = {
-    "dpls.widths": "30",
-    "dpls.q": "auto",
-    "dpls.epochs": "200",
-    "dpls.learning_rate": "0.001",
-    "dpls.batch_size": "32",
+    "dpls.widths": ",".join(map(str, _DPLS.layer_widths)),
+    "dpls.q": str(_DPLS.first_layer_q),
+    "dpls.epochs": str(_DPLS.sgd.epochs),
+    "dpls.learning_rate": str(_DPLS.sgd.learning_rate),
+    "dpls.batch_size": str(_DPLS.sgd.batch_size),
 }
 
 _DEFAULTS = {
@@ -60,11 +61,11 @@ _DEFAULTS = {
         **_SPEC_DEFAULTS,
         **_DPLS_DEFAULTS,
         "methods": ",".join(KNOWN_METHODS),
-        "mode": "rescale_gmm",
-        "censored": "true",
-        "replications": "10",
-        "test_fraction": "0.5",
-        "jobs": "1",
+        "mode": _STUDY.mode,
+        "censored": str(_STUDY.censored).lower(),
+        "replications": str(_STUDY.replications),
+        "test_fraction": str(_STUDY.test_fraction),
+        "jobs": str(_STUDY.jobs),
         "seed": "0",
     },
     "predict": {
@@ -102,22 +103,18 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", default=None, help="dotted-key config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-dir", default=".", help="output directory")
-        if name == "fit":
-            p.add_argument("--method", choices=KNOWN_METHODS, default=None)
-            p.add_argument(
-                "--mode", choices=("rescale_gmm", "control_function"), default=None
-            )
-        if name == "benchmark":
+        if name in ("fit", "benchmark"):
             p.add_argument("--method", choices=KNOWN_METHODS, default=None,
-                           help="restrict the study to a single method")
-            p.add_argument(
-                "--mode", choices=("rescale_gmm", "control_function"), default=None
-            )
+                           help="restrict the study to a single method"
+                           if name == "benchmark" else None)
+            p.add_argument("--mode", choices=MODES, default=None)
+        if name == "benchmark":
             p.add_argument("--replications", type=int, default=None)
             p.add_argument("--jobs", type=int, default=None)
         if name == "predict":
             p.add_argument("--draws", type=int, default=None,
-                           help="posterior draws for predictive intervals")
+                           help="coefficient draws for the y_lo/y_hi columns, "
+                           "quantiles of the latent index [p_hat, x] @ beta")
     return parser
 
 
@@ -129,15 +126,8 @@ def _resolve_config(command: str, args) -> dict[str, str]:
         if unknown:
             raise DataError(f"unknown config keys: {', '.join(unknown)}")
         resolved.update(loaded)
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "method": getattr(args, "method", None),
-        "mode": getattr(args, "mode", None),
-        "replications": getattr(args, "replications", None),
-        "jobs": getattr(args, "jobs", None),
-        "draws": getattr(args, "draws", None),
-    }
-    for key, value in overrides.items():
+    # each flag's dest is the config key it overrides
+    for key, value in vars(args).items():
         if value is not None and key in resolved:
             resolved[key] = str(value)
     if getattr(args, "method", None) is not None and "methods" in resolved:
@@ -173,16 +163,10 @@ def _spec_from_config(cfg):
     if dgp not in ("experiment1", "experiment2"):
         raise DataError(f"dgp must be experiment1 or experiment2, got {dgp!r}")
     build = experiment1_spec if dgp == "experiment1" else experiment2_spec
-    overrides = dict(
-        n=_as_int(cfg, "spec.n"),
-        m=_as_int(cfg, "spec.m"),
-        m_redundant=_as_int(cfg, "spec.m_redundant"),
-        k=_as_int(cfg, "spec.k"),
-        k_null=_as_int(cfg, "spec.k_null"),
-        sigma_eps=_as_float(cfg, "spec.sigma_eps"),
-        coef_seed=_as_int(cfg, "spec.coef_seed"),
-        edges_per_node=_as_int(cfg, "spec.edges_per_node"),
-    )
+    overrides = {
+        name: (_as_float if name == "sigma_eps" else _as_int)(cfg, f"spec.{name}")
+        for name in _SPEC_FIELDS
+    }
     if cfg["spec.cov_param"] != "auto":
         overrides["cov_param"] = _as_float(cfg, "spec.cov_param")
     return dgp, build(**overrides)
@@ -221,6 +205,14 @@ def _outputs(out_dir: str, cfg: dict):
         raise DataError(f"cannot write {path}: {dataio._os_reason(exc)}") from None
 
 
+def _predictions(fit, ds) -> dict:
+    """The p_hat and y_hat columns of a fit on ds, as fit and predict write them."""
+    return {
+        "p_hat": fit.predict_treatment(ds.z, ds.x),
+        "y_hat": fit.predict_outcome(ds.z, ds.x, p=ds.p),
+    }
+
+
 def _cmd_simulate(args) -> int:
     cfg = _resolve_config("simulate", args)
     dgp, spec = _spec_from_config(cfg)
@@ -254,10 +246,9 @@ def _cmd_fit(args) -> int:
         fit = iv_fit(first, ds, mode=mode, censored=censored)
     with _outputs(args.out_dir, cfg):
         dataio.write_fit(os.path.join(args.out_dir, "fit.json"), fit, len(ds.y))
-        dataio.write_predictions_csv(os.path.join(args.out_dir, "predictions.csv"), {
-            "p_hat": fit.predict_treatment(ds.z, ds.x),
-            "y_hat": fit.predict_outcome(ds.z, ds.x, p=ds.p),
-        })
+        dataio.write_predictions_csv(
+            os.path.join(args.out_dir, "predictions.csv"), _predictions(fit, ds)
+        )
     print(f"fit: method={method} policy_effect={fit.policy_effect!r}")
     return 0
 
@@ -313,14 +304,13 @@ def _cmd_predict(args) -> int:
     seed = _as_int(cfg, "seed")
     fit, n_train = dataio.read_fit(cfg["fit"])
     ds = dataio.csv_read(cfg["data"])
-    p_hat = fit.predict_treatment(ds.z, ds.x)
-    columns = {"p_hat": p_hat, "y_hat": fit.predict_outcome(ds.z, ds.x, p=ds.p)}
+    columns = _predictions(fit, ds)
     if draws > 0:
         if fit.gmm is None:
             raise DataError("posterior intervals need a fit with a gmm stage")
         post = sample_posterior(fit.gmm, n_train, draws, SeededRng(seed))
         columns[f"y_lo_{level:g}"], columns[f"y_hi_{level:g}"] = post.band(
-            np.column_stack([p_hat, ds.x]), level
+            np.column_stack([columns["p_hat"], ds.x]), level
         )
     with _outputs(args.out_dir, cfg):
         dataio.write_predictions_csv(os.path.join(args.out_dir, "predictions.csv"), columns)

@@ -1,4 +1,6 @@
-"""Dataset container, instrument augmentation, splitting, and seeded RNG.
+"""Dataset container, instrument augmentation, splitting, and seeded RNG,
+plus the input rules the estimators share: the integer check, the
+(design, target) check and the covariate block.
 
 Matrices are dense row-major float64 throughout; the largest designs this
 package targets are on the order of 10^4 x 10^2, so no sparse path exists.
@@ -28,6 +30,25 @@ def check_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DataError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_design(design, target) -> tuple[np.ndarray, np.ndarray]:
+    """design and target as float64: a matrix with at least one row and one
+    column, and a vector with one entry per row of it."""
+    design = np.asarray(design, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if design.ndim != 2 or 0 in design.shape:
+        raise DataError("design must be a matrix with at least one row and one column")
+    if target.shape != (len(design),):
+        raise DataError("target must be a vector with one entry per row of the design")
+    return design, target
+
+
+def covariate_block(x, n: int) -> np.ndarray:
+    """x as float64, an empty 1-D x as the (n, 0) block of no covariates;
+    the caller checks the shape."""
+    x = np.asarray(x, dtype=np.float64)
+    return x.reshape(n, 0) if x.ndim == 1 and x.size == 0 else x
 
 
 def _as_float_matrix(a, name, ndim):
@@ -102,10 +123,7 @@ class Dataset:
         y = _as_float_matrix(self.y, "y", 1)
         p = _as_float_matrix(self.p, "p", 1)
         z = _as_float_matrix(self.z, "z", 2)
-        x = np.asarray(self.x, dtype=np.float64)
-        if x.ndim == 1 and x.size == 0:
-            x = x.reshape(len(y), 0)
-        x = _as_float_matrix(x, "x", 2)
+        x = _as_float_matrix(covariate_block(self.x, len(y)), "x", 2)
         n = len(y)
         if not (len(p) == n and z.shape[0] == n and x.shape[0] == n):
             raise DataError(
@@ -143,9 +161,7 @@ class Dataset:
 def augment_instruments(z, x) -> np.ndarray:
     """Build the augmented instrument matrix [z, x]: instruments first."""
     z = np.asarray(z, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1 and x.size == 0:
-        x = x.reshape(z.shape[0], 0)
+    x = covariate_block(x, z.shape[0])
     if z.ndim != 2 or x.ndim != 2:
         raise DataError("z and x must be matrices")
     if z.shape[0] != x.shape[0]:

@@ -7,11 +7,12 @@ outcome variance; the policy coefficients are then recovered by linear GMM
 of y_tilde on [p_hat, x] with a heteroskedasticity-robust sandwich. A
 control-function fit (regress on [p, p - p_hat, x]) is provided as an
 alternative second stage, and an asymptotic-normal posterior sampler covers
-interval summaries; its predictive band walks the design in row blocks, so
-memory stays bounded however many rows and draws there are, and sorts each
-block's rows on every usable CPU. iv_fit is the one
-outcome stage: it runs over any fitted first stage, network or linear
-baseline alike.
+interval summaries; its predictive band walks the design in row blocks and
+sorts each block's rows on every usable CPU. Its memory does not grow with
+the rows, but it does with the draws: they take draws x (1 + k) floats, and
+a block holds max(3, 2^20 // draws) rows of draws latent cells each. iv_fit
+is the one outcome stage: it runs over any fitted first stage, network or
+linear baseline alike.
 """
 from __future__ import annotations
 
@@ -21,7 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, SeededRng, augment_instruments, check_int, part_count
+from .data import (
+    Dataset, SeededRng, augment_instruments, check_int, covariate_block, part_count,
+)
 from .errors import DataError, DegenerateDataError
 from .linear import LinearFit, fit_ols
 from .network import DplsConfig, DplsModel, dpls_fit
@@ -45,6 +48,8 @@ __all__ = [
     "sample_posterior",
 ]
 
+# The outcome stages, by the name a fit's mode carries.
+MODES = ("rescale_gmm", "control_function")
 _PSI_EPS = 1e-6
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 # Latent cells (rows x draws) one predictive-band block may hold: 8 MB.
@@ -142,9 +147,7 @@ def gmm_beta(p_hat, x, y_tilde, constants: TobitConstants, p_observed) -> TobitG
     """
     p_hat = np.asarray(p_hat, dtype=np.float64).ravel()
     y_tilde = np.asarray(y_tilde, dtype=np.float64).ravel()
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        x = np.empty((len(p_hat), 0))
+    x = covariate_block(x, len(p_hat))
     if x.ndim != 2 or x.shape[0] != len(p_hat) or len(y_tilde) != len(p_hat):
         raise DataError("p_hat, x, y_tilde must have matching row counts")
     design = np.column_stack([p_hat, x])
@@ -230,10 +233,8 @@ def control_function_fit(p, p_hat, x, y) -> ControlFunctionFit:
     p = np.asarray(p, dtype=np.float64).ravel()
     p_hat = np.asarray(p_hat, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        x = np.empty((len(p), 0))
-    if not (len(p) == len(p_hat) == len(y) == x.shape[0]):
+    x = covariate_block(x, len(p))
+    if x.ndim != 2 or not (len(p) == len(p_hat) == len(y) == x.shape[0]):
         raise DataError("p, p_hat, x, y must have matching row counts")
     eta = p - p_hat
     design = np.column_stack([p, eta, x])
@@ -292,10 +293,10 @@ class DplsIvFit:
         transform. Supplying realized treatments p lets the control-function
         mode use its residual term; otherwise the residual is taken as zero.
         """
-        x = np.asarray(x, dtype=np.float64)
         p_hat = self.predict_treatment(z, x)
+        x = covariate_block(x, len(p_hat))
         coef_x = self.gmm.beta[1:] if self.gmm is not None else self.cf.beta_x
-        k = x.shape[1] if x.ndim == 2 else 0
+        k = x.shape[1]
         if len(coef_x) != k:
             raise DataError(
                 f"fit has {len(coef_x)} covariate coefficients, data has {k} covariates"
@@ -315,8 +316,8 @@ class DplsIvFit:
 
 
 def _check_mode(mode: str) -> None:
-    if mode not in ("rescale_gmm", "control_function"):
-        raise DataError("mode must be 'rescale_gmm' or 'control_function'")
+    if mode not in MODES:
+        raise DataError(f"mode must be {' or '.join(map(repr, MODES))}")
 
 
 def iv_fit(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_design
 from .errors import ConvergenceError, DataError, SingularDesignError
 
 __all__ = [
@@ -57,18 +58,6 @@ class LinearFit:
         return design @ self.coef + self.intercept
 
 
-def _check_design(design, target):
-    design = np.asarray(design, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if design.ndim != 2 or design.shape[1] < 1:
-        raise DataError("design must be a matrix with at least one column")
-    if target.shape != (design.shape[0],):
-        raise DataError("target length must match design row count")
-    if design.shape[0] < 1:
-        raise DataError("design must have at least one row")
-    return design, target
-
-
 def fit_ols(design, target, fit_intercept: bool = False) -> LinearFit:
     """Least squares via pivoted QR with an explicit rank check.
 
@@ -78,7 +67,7 @@ def fit_ols(design, target, fit_intercept: bool = False) -> LinearFit:
     """
     from scipy import linalg
 
-    design, target = _check_design(design, target)
+    design, target = check_design(design, target)
     xc, yc, means, y_mean = design, target, np.zeros(design.shape[1]), 0.0
     if fit_intercept:
         means, y_mean = design.mean(axis=0), float(target.mean())
@@ -106,7 +95,7 @@ def fit_ridge(design, target, lam) -> LinearFit:
     """
     from scipy import linalg
 
-    design, target = _check_design(design, target)
+    design, target = check_design(design, target)
     lam = _penalty(design, target, lam, "ridge")
     if lam == 0.0:
         fit = fit_ols(design, target)
@@ -151,7 +140,7 @@ def fit_lasso(design, target, lam) -> LinearFit:
     objective decrease over a full sweep drops below _LASSO_TOL; needing
     more than _LASSO_MAX_SWEEPS sweeps raises ConvergenceError.
     """
-    design, target = _check_design(design, target)
+    design, target = check_design(design, target)
     lam = _penalty(design, target, lam, "lasso")
     moments = _lasso_moments(design, target)
     start = _lasso_path(design, target, [lam], moments)[:, 0]

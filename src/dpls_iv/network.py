@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SeededRng, check_int
+from .data import SeededRng, check_design, check_int
 from .errors import DataError, NumericalError
 from .linear import fit_ols
 from .pls import AUTO_Q_CAP, PlsFit, fit_pls_closed_form, select_q_cv
@@ -276,10 +276,7 @@ def _init_hidden(feats, p, cfg: DplsConfig):
 
 def dpls_fit(zbar, p, cfg: DplsConfig) -> DplsModel:
     """Fit the network: PLS first layer, initialized layers, SGD refinement."""
-    zbar = np.asarray(zbar, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if zbar.ndim != 2 or p.shape != (zbar.shape[0],):
-        raise DataError("zbar must be a matrix and p a matching vector")
+    zbar, p = check_design(zbar, p)
     q = cfg.first_layer_q
     if q == "auto":
         q_max = min(zbar.shape[1], AUTO_Q_CAP)

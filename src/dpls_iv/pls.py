@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SeededRng
+from .data import SeededRng, check_design
 from .errors import DataError, SingularDesignError
 
 __all__ = [
@@ -53,20 +53,9 @@ class CovPair:
     p_mean: float
 
 
-def _pair(zbar, p) -> tuple[np.ndarray, np.ndarray]:
-    """zbar and p as float64, checked to be a matrix and one entry per row."""
-    zbar = np.asarray(zbar, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if zbar.ndim != 2:
-        raise DataError("zbar must be a matrix")
-    if p.shape != (zbar.shape[0],):
-        raise DataError("p must be a vector with one entry per row of zbar")
-    return zbar, p
-
-
 def sample_cov_pair(zbar, p) -> CovPair:
     """Centered S_zz and s_zp: the n-1 divisor, exact two-pass centering."""
-    zbar, p = _pair(zbar, p)
+    zbar, p = check_design(zbar, p)
     n = zbar.shape[0]
     if n < 2:
         raise DataError("need n >= 2 for a sample covariance")
@@ -199,7 +188,7 @@ def fit_pls_deflation(zbar, p, q: int) -> PlsFit:
     itself). If the cross-product vanishes before q components are found,
     the fit stops and reports the achieved q.
     """
-    zbar, p = _pair(zbar, p)
+    zbar, p = check_design(zbar, p)
     d = zbar.shape[1]
     if not (1 <= q <= d):
         raise DataError(f"q must lie in [1, {d}]")
@@ -262,7 +251,7 @@ def select_q_cv(zbar, p, q_max: int, rng: SeededRng) -> int:
     smaller q. Fold fits reuse one Krylov basis per fold, so the scan over q
     costs little beyond a single q_max fit.
     """
-    zbar, p = _pair(zbar, p)
+    zbar, p = check_design(zbar, p)
     n, d = zbar.shape
     if n < CV_FOLDS:
         raise DataError(f"need at least {CV_FOLDS} rows for {CV_FOLDS}-fold CV of q")

@@ -91,6 +91,34 @@ def test_parallel_merge_matches_serial():
         )
 
 
+def test_process_pool_starts_no_more_workers_than_replications(monkeypatch):
+    """Under fork every worker starts up front; a stub pool records the size
+    and maps serially, so no real pool is started."""
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    serial = run_benchmark(_small_cfg(replications=2))
+    pooled = run_benchmark(_small_cfg(replications=2, jobs=64))
+    run_benchmark(_small_cfg(replications=3, jobs=2))
+    assert sizes == [2, 2]
+    assert pooled.rows == serial.rows
+
+
 def test_per_method_failure_recorded_and_run_continues():
     # q beyond the design width makes every pls cell fail while ols proceeds
     cfg = _small_cfg(dpls=DplsConfig(layer_widths=(4,), first_layer_q=10,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dpls_iv
+from dpls_iv import cli
 from dpls_iv.cli import main
 from dpls_iv.dataio import read_config, write_config
 
@@ -444,3 +445,44 @@ def test_cli_import_loads_no_module_of_the_parallel_row_work():
     modules = _modules_loaded_by("import dpls_iv.cli")
     assert _scipy(modules) == set()
     assert {"concurrent.futures", "concurrent.futures.thread", "signal"} & modules == set()
+
+
+# The defaults each command resolved to while the CLI spelled them out.
+_SPEC_TABLE = {
+    "dgp": "experiment1", "spec.n": "1000", "spec.m": "50", "spec.m_redundant": "10",
+    "spec.k": "25", "spec.k_null": "20", "spec.sigma_eps": "0.5", "spec.coef_seed": "28",
+    "spec.cov_param": "auto", "spec.edges_per_node": "2",
+}
+_DPLS_TABLE = {
+    "dpls.widths": "30", "dpls.q": "auto", "dpls.epochs": "200",
+    "dpls.learning_rate": "0.001", "dpls.batch_size": "32",
+}
+_DEFAULT_TABLES = {
+    "simulate": {**_SPEC_TABLE, "seed": "0"},
+    "fit": {"data": "", "method": "dpls_iv", "mode": "rescale_gmm", "censored": "true",
+            **_DPLS_TABLE, "seed": "0"},
+    "benchmark": {**_SPEC_TABLE, **_DPLS_TABLE, "methods": "ols,ridge,lasso,pls,dpls_iv",
+                  "mode": "rescale_gmm", "censored": "true", "replications": "10",
+                  "test_fraction": "0.5", "jobs": "1", "seed": "0"},
+    "predict": {"fit": "", "data": "", "draws": "0", "level": "0.95", "seed": "0"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DEFAULT_TABLES))
+def test_defaults_resolve_to_the_literal_table(command):
+    args = cli._build_parser().parse_args([command])
+    assert cli._resolve_config(command, args) == _DEFAULT_TABLES[command]
+
+
+def test_every_flag_overrides_its_config_key():
+    args = cli._build_parser().parse_args([
+        "benchmark", "--seed", "4", "--method", "pls", "--mode", "control_function",
+        "--replications", "3", "--jobs", "2",
+    ])
+    resolved = cli._resolve_config("benchmark", args)
+    assert {k: resolved[k] for k in ("seed", "methods", "mode", "replications", "jobs")} == {
+        "seed": "4", "methods": "pls", "mode": "control_function",
+        "replications": "3", "jobs": "2",
+    }
+    args = cli._build_parser().parse_args(["predict", "--draws", "7", "--out-dir", "x"])
+    assert cli._resolve_config("predict", args)["draws"] == "7"

@@ -12,9 +12,12 @@ from dpls_iv import (
     SgdParams,
     TobitGmmFit,
     augment_instruments,
+    dpls_fit,
     experiment1_spec,
+    fit_ols,
     identity_constants,
     sample_posterior,
+    select_q_cv,
     split_dataset,
 )
 from dpls_iv.data import split_indices
@@ -217,3 +220,24 @@ def test_integer_settings_are_stored_as_ints():
     assert type(cfg.layer_widths[0]) is int and type(cfg.first_layer_q) is int
     rng = SeededRng(np.int64(4)).child(np.int32(1))
     assert type(rng.seed) is int and all(type(t) is int for t in rng.path)
+
+
+@pytest.mark.parametrize("bad, phrase", [
+    (lambda zbar, p: (zbar, p[:-1]), "one entry per row"),
+    (lambda zbar, p: (zbar[:, 0], p), "must be a matrix"),
+    (lambda zbar, p: (zbar[:, :0], p), "must be a matrix"),
+], ids=["short_target", "vector_design", "no_columns"])
+def test_every_design_stage_rejects_a_bad_pair_with_one_message(bad, phrase):
+    rng = SeededRng(5)
+    zbar, p = bad(rng.child(0).normal(size=(40, 4)), rng.child(1).normal(size=40))
+    cfg = DplsConfig(layer_widths=(3,), sgd=SgdParams(epochs=0))
+    messages = set()
+    for fit in (
+        lambda: dpls_fit(zbar, p, cfg),
+        lambda: fit_ols(zbar, p),
+        lambda: select_q_cv(zbar, p, 3, SeededRng(0)),
+    ):
+        with pytest.raises(DataError, match=phrase) as err:
+            fit()
+        messages.add(str(err.value))
+    assert len(messages) == 1

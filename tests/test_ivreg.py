@@ -105,6 +105,24 @@ def test_gmm_scalar_ratio_without_covariates():
     np.testing.assert_allclose(fit.beta, [2.0])
 
 
+def test_outcome_stages_reject_an_empty_covariate_block_of_the_wrong_rows():
+    """(0, 3) covariates for 10 rows is no stand-in for "no covariates"; an
+    empty vector still is."""
+    rng = SeededRng(21)
+    p = rng.child(0).normal(size=10)
+    p_hat = p + 0.1 * rng.child(1).normal(size=10)
+    y = 2.0 * p + 0.1 * rng.child(2).normal(size=10)
+    wrong = np.empty((0, 3))
+    with pytest.raises(DataError):
+        gmm_beta(p_hat, wrong, y, identity_constants(), p)
+    with pytest.raises(DataError):
+        control_function_fit(p, p_hat, wrong, y)
+    with pytest.raises(DataError):
+        control_function_fit(p, p_hat, np.ones(10), y)
+    assert gmm_beta(p_hat, np.empty(0), y, identity_constants(), p).beta.shape == (1,)
+    assert control_function_fit(p, p_hat, np.empty(0), y).beta_x.shape == (0,)
+
+
 def test_gmm_reduces_to_ols_without_endogeneity():
     rng = SeededRng(3)
     p = rng.child(0).normal(size=80)
