@@ -66,6 +66,9 @@ class ExperimentConfig:
                 f"methods must be a non-empty subset of {KNOWN_METHODS}, "
                 f"unknown: {sorted(unknown)}"
             )
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise DataError(f"methods must name each method once, repeated: {repeated}")
         for name in ("replications", "base_seed", "jobs"):
             check_int(name, getattr(self, name))
         if self.replications < 1:

@@ -1,6 +1,7 @@
 """Dataset container, instrument augmentation, splitting, and seeded RNG,
-plus the input rules the estimators share: the integer check, the
-(design, target) check and the covariate block.
+plus the input rules the estimators share (the integer check, the
+(design, target) check and the covariate block), the row-part bounds of
+the CLI's row work and the PSD square-root factor.
 
 Matrices are dense row-major float64 throughout; the largest designs this
 package targets are on the order of 10^4 x 10^2, so no sparse path exists.
@@ -174,15 +175,21 @@ def augment_instruments(z, x) -> np.ndarray:
     return zbar
 
 
-def part_count(work: int, part_min: int) -> int:
-    """Parts to split `work` units of order-free row work into: one per CPU
-    this process may run on, with at least part_min units in each part.
-
-    Only Linux reports those CPUs (os.sched_getaffinity); elsewhere, and
-    below 2 * part_min units, the work is one part.
-    """
+def part_bounds(rows: int, work: int, part_min: int) -> list[int]:
+    """Bounds 0 = b_0 <= ... <= b_parts = rows that cut rows holding `work`
+    units of order-free work into parts: one per CPU this process may run
+    on (Linux only reports them: os.sched_getaffinity), at least part_min
+    units each, and no more parts than rows, so none is empty if rows >= 1."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return max(1, min(cpus, work // part_min))
+    parts = max(1, min(cpus, rows, work // part_min))
+    return [rows * i // parts for i in range(parts + 1)]
+
+
+def psd_factor(sigma, n) -> np.ndarray:
+    """F with F @ F.T = sigma / n once the negative eigenvalues of the
+    symmetrized sigma are set to zero; exact zeros stay zero (no jitter)."""
+    vals, vecs = np.linalg.eigh((sigma + sigma.T) / 2.0)
+    return vecs * np.sqrt(np.maximum(vals, 0.0) / n)
 
 
 def split_indices(

@@ -8,7 +8,7 @@ np.loadtxt over streamed lines, so no whole-file text, line list or cell
 list is built either way.
 
 Float formatting and parsing hold the interpreter lock, so large CSV tables
-are cut into contiguous parts, one per usable CPU (data.part_count), that
+are cut into contiguous parts, one per usable CPU (data.part_bounds), that
 forked children format or parse into spill files (_Children) while this
 process does part 0. Every part still streams in row blocks or lines. A
 part is worth a fork from _CSV_PART_CELLS cells (write) or _CSV_PART_BYTES
@@ -31,7 +31,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .bench import MetricsReport
-from .data import Dataset, check_int, part_count
+from .data import Dataset, check_int, part_bounds
 from .errors import DataError
 from .ivreg import (
     ControlFunctionFit,
@@ -184,8 +184,7 @@ def _write_rows(fh, columns, n: int, numbered: bool) -> None:
     or the child failed) is formatted here instead, so such a failure costs
     time, not output.
     """
-    parts = part_count(n * _width(columns), _CSV_PART_CELLS)
-    bounds = [n * i // parts for i in range(parts + 1)]
+    bounds = part_bounds(n, n * _width(columns), _CSV_PART_CELLS)
     with _Children() as children:
         handles = [None] + [
             children.start(functools.partial(_write_spill, columns, start, stop, numbered))
@@ -320,27 +319,28 @@ def _text_range(path, start: int, stop: int):
     return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, stop)), encoding=encoding)
 
 
-def _line_cuts(path, size: int, parts: int) -> list[int]:
-    """Byte offsets 0 = c_0 < c_1 < ... < c_j = size, j <= parts, that cut a
-    file into ranges of whole lines near multiples of size / parts.
+def _line_cuts(path, bounds: list[int]) -> list[int]:
+    """Byte offsets 0 = c_0 < c_1 < ... < c_j = size, j < len(bounds), that
+    cut a file of size = bounds[-1] bytes into ranges of whole lines, each
+    inner cut at the first line start from an inner byte bound on.
 
     Each inner cut follows a \\n. A \\n is never inside a UTF-8 character or
     a \\r\\n line end, so every range decodes, and splits into lines, as it
     does inside the whole file. One part opens nothing, so a pipe or FIFO,
     whose size reads 0, is read once.
     """
-    if parts == 1:
-        return [0, size]
+    if len(bounds) == 2:
+        return bounds
     cuts = [0]
     with open(path, "rb") as fh:
-        for i in range(1, parts):
-            fh.seek(max(size * i // parts, cuts[-1]))
+        for bound in bounds[1:-1]:
+            fh.seek(max(bound, cuts[-1]))
             while (chunk := fh.readline(2**16)) and not chunk.endswith(b"\n"):
                 pass
-            if fh.tell() >= size:
+            if fh.tell() >= bounds[-1]:
                 break
             cuts.append(fh.tell())
-    return cuts + [size]
+    return cuts + bounds[-1:]
 
 
 def _header(number, line) -> tuple[list[str], np.ndarray, int]:
@@ -468,7 +468,7 @@ def csv_read(path) -> Dataset:
     """
     try:
         size = os.path.getsize(path)
-        cuts = _line_cuts(path, size, part_count(size, _CSV_PART_BYTES))
+        cuts = _line_cuts(path, part_bounds(size, size, _CSV_PART_BYTES))
         whole = len(cuts) == 2  # one part: the file is opened once, as a plain file
         with contextlib.ExitStack() as stack:
             fh = stack.enter_context(
@@ -546,24 +546,20 @@ def write_config(path, mapping: dict) -> None:
 # ------------------------------------------------------------- truth sidecar
 
 
-def _vec(a) -> list:
-    return [float(v) for v in np.asarray(a).ravel()]
-
-
 def truth_to_dict(truth: SyntheticTruth) -> dict:
     doc = {
         "format": _TRUTH_FORMAT,
         "version": _TRUTH_VERSION,
-        "alpha": _vec(truth.alpha),
-        "gamma": _vec(truth.gamma),
-        "alpha_x": _vec(truth.alpha_x),
+        "alpha": truth.alpha.tolist(),
+        "gamma": truth.gamma.tolist(),
+        "alpha_x": truth.alpha_x.tolist(),
         "beta": float(truth.beta),
-        "beta_x": _vec(truth.beta_x),
-        "w": _vec(truth.w),
-        "xi": _vec(truth.xi),
-        "eps": _vec(truth.eps),
-        "treat_index": _vec(truth.treat_index),
-        "out_index": _vec(truth.out_index),
+        "beta_x": truth.beta_x.tolist(),
+        "w": truth.w.tolist(),
+        "xi": truth.xi.tolist(),
+        "eps": truth.eps.tolist(),
+        "treat_index": truth.treat_index.tolist(),
+        "out_index": truth.out_index.tolist(),
         "cov_repair": float(truth.cov_repair),
     }
     return doc
@@ -571,8 +567,7 @@ def truth_to_dict(truth: SyntheticTruth) -> dict:
 
 def _write_json(path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _read_json(path) -> dict:
@@ -669,7 +664,7 @@ def _first_stage_to_dict(first) -> dict:
         return {"method": "pls", "pls": _pls_to_dict(first)}
     return {
         "method": first.method,
-        "coef": _vec(first.coef),
+        "coef": first.coef.tolist(),
         "intercept": float(first.intercept),
         "lam": float(first.lam),
     }
@@ -708,15 +703,15 @@ def fit_to_dict(fit: DplsIvFit, n_train: int) -> dict:
     }
     if fit.gmm is not None:
         doc["gmm"] = {
-            "beta": _vec(fit.gmm.beta),
-            "sigma_star_matrix": [_vec(row) for row in fit.gmm.sigma_star_matrix],
-            "corrected_matrix": [_vec(row) for row in fit.gmm.corrected_matrix],
+            "beta": fit.gmm.beta.tolist(),
+            "sigma_star_matrix": fit.gmm.sigma_star_matrix.tolist(),
+            "corrected_matrix": fit.gmm.corrected_matrix.tolist(),
         }
     if fit.cf is not None:
         doc["cf"] = {
             "beta": float(fit.cf.beta),
             "beta_eta": float(fit.cf.beta_eta),
-            "beta_x": _vec(fit.cf.beta_x),
+            "beta_x": fit.cf.beta_x.tolist(),
         }
     return doc
 

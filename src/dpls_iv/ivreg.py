@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import (
-    Dataset, SeededRng, augment_instruments, check_int, covariate_block, part_count,
+    Dataset, SeededRng, augment_instruments, check_int, covariate_block, part_bounds,
+    psd_factor,
 )
 from .errors import DataError, DegenerateDataError
 from .linear import LinearFit, fit_ols
@@ -380,7 +381,7 @@ class PosteriorDraws:
         cells (three rows when draws exceed a third of it), one block at a
         time, always on the calling thread. Each block's rows are then cut
         into parts, one per usable CPU with at least _BAND_PART_CELLS cells
-        each (data.part_count): worker threads take the parts after the
+        each (data.part_bounds): worker threads take the parts after the
         first while the calling thread takes part 0, since numpy's sort and
         partition release the interpreter lock. Each part runs in a copy of
         the caller's context, so np.errstate applies to it. Each part's rows
@@ -410,8 +411,7 @@ class PosteriorDraws:
                 # would leave one row behind gives up a row to the last block.
                 stop = start + rows - (n - start == rows + 1)
                 block = self.predictive(design[start:stop])
-                parts = min(part_count(block.size, _BAND_PART_CELLS), len(block))
-                cuts = [len(block) * i // parts for i in range(parts + 1)]
+                cuts = part_bounds(len(block), block.size, _BAND_PART_CELLS)
                 dest = out[:, start:stop]
                 futures = [
                     pool.submit(contextvars.copy_context().run, _band_rows,
@@ -444,8 +444,6 @@ def sample_posterior(fit: TobitGmmFit, n: int, draws: int, rng: SeededRng) -> Po
     """
     if min(check_int("n", n), check_int("draws", draws)) < 1:
         raise DataError("draws and n must be positive")
-    cov = fit.corrected_matrix
-    vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
-    scale = vecs * np.sqrt(np.maximum(vals, 0.0) / n)
+    scale = psd_factor(fit.corrected_matrix, n)
     shocks = rng.generator.standard_normal(size=(draws, len(fit.beta)))
     return PosteriorDraws(beta_draws=fit.beta + shocks @ scale.T)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, SeededRng, check_int
+from .data import Dataset, SeededRng, check_int, psd_factor
 from .errors import DataError, NumericalError
 
 __all__ = [
@@ -138,12 +138,6 @@ def _draw_coefficients(spec: SyntheticSpec):
     return alpha, gamma, alpha_x, beta, beta_x
 
 
-def _psd_factor(sigma: np.ndarray) -> np.ndarray:
-    """Eigenvalue square-root factor; exact zeros stay zero (no jitter)."""
-    vals, vecs = np.linalg.eigh((sigma + sigma.T) / 2.0)
-    return vecs * np.sqrt(np.maximum(vals, 0.0))
-
-
 def _gen_core(spec: SyntheticSpec, rng: SeededRng, sigma_z, cov_repair=0.0, graph=None):
     from scipy.special import expit
 
@@ -154,8 +148,8 @@ def _gen_core(spec: SyntheticSpec, rng: SeededRng, sigma_z, cov_repair=0.0, grap
         raise NumericalError("instrument covariance is not positive definite") from None
     z = rng.child(0).normal(size=(spec.n, spec.m)) @ factor.T
     x = rng.child(1).normal(size=(spec.n, spec.k))
-    joint = rng.child(2).normal(size=(spec.n, 2)) @ _psd_factor(
-        np.asarray(spec.sigma_joint, dtype=np.float64)
+    joint = rng.child(2).normal(size=(spec.n, 2)) @ psd_factor(
+        np.asarray(spec.sigma_joint, dtype=np.float64), 1
     ).T
     # the small-variance margin of sigma_joint is the treatment noise w, the
     # regime where the ReLU signal dominates treatment variation

@@ -167,6 +167,10 @@ def test_config_validation():
         _small_cfg(methods=())
     with pytest.raises(DataError):
         _small_cfg(methods=("ols", "xgboost"))
+    # a repeat would fit the method twice in every replication and report it twice
+    with pytest.raises(DataError, match=r"^methods must name each method once, "
+                                        r"repeated: \['ols', 'pls'\]$"):
+        _small_cfg(methods=("ols", "pls", "ridge", "pls", "ols"))
     with pytest.raises(DataError):
         _small_cfg(replications=0)
     with pytest.raises(DataError):

@@ -336,6 +336,17 @@ def test_benchmark_exit_3_when_every_cell_fails(tmp_path, capsys):
     assert (out / "summary.txt").exists()
 
 
+def test_benchmark_method_named_twice_exits_2_before_any_output(tmp_path, capsys):
+    cfg = tmp_path / "bench.txt"
+    write_config(cfg, {**_SMALL_SPEC, "methods": "ols,pls,ols", "replications": "1"})
+    out = tmp_path / "out"
+    rc = main(["benchmark", "--config", str(cfg), "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "data error: methods must name each method once, repeated: ['ols']\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "fit", "benchmark", "predict"])
 def test_unwritable_output_exits_2_with_one_line(command, sim_dir, dpls_fit_dir, tmp_path,
                                                   capsys):

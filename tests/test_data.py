@@ -1,7 +1,11 @@
+import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpls_iv import (
     DataError,
@@ -20,7 +24,7 @@ from dpls_iv import (
     select_q_cv,
     split_dataset,
 )
-from dpls_iv.data import split_indices
+from dpls_iv.data import part_bounds, split_indices
 
 
 def test_seeded_rng_same_seed_same_stream():
@@ -241,3 +245,18 @@ def test_every_design_stage_rejects_a_bad_pair_with_one_message(bad, phrase):
             fit()
         messages.add(str(err.value))
     assert len(messages) == 1
+
+
+@given(rows=st.integers(0, 10**6), work=st.integers(0, 10**9),
+       part_min=st.integers(1, 10**6), cpus=st.integers(1, 64))
+def test_part_bounds_give_no_more_parts_than_cpus_rows_or_part_min_allow(
+        rows, work, part_min, cpus):
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+        bounds = part_bounds(rows, work, part_min)
+    assert bounds[0] == 0 and bounds[-1] == rows
+    parts = len(bounds) - 1
+    if rows == 0:
+        assert parts == 1  # one empty part: the caller still runs once
+    else:
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))  # no part is empty
+        assert 1 <= parts <= min(cpus, rows, max(1, work // part_min))

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from dpls_iv import Dataset, PosteriorDraws, dataio, ivreg
+from dpls_iv.data import part_bounds
 from dpls_iv.errors import DataError
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="parts are forked")
@@ -23,6 +24,14 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="parts are forke
 
 def _use_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _byte_bounds(monkeypatch, path, parts):
+    """part_bounds over the bytes of the file at path, in `parts` parts."""
+    size = os.path.getsize(path)
+    with monkeypatch.context() as m:
+        _use_cpus(m, parts)
+        return part_bounds(size, size, 1)
 
 
 @pytest.fixture
@@ -86,7 +95,7 @@ def test_csv_write_parts_give_the_one_part_bytes(tmp_path, monkeypatch, forked, 
     _use_cpus(monkeypatch, cpus)
     fds = _open_fds()
     dataio.csv_write(tmp_path / "parts.csv", ds)
-    assert len(forked) == cpus - 1
+    assert len(forked) == min(cpus, n) - 1  # never more parts than rows
     assert (tmp_path / "parts.csv").read_bytes() == expected.read_bytes()
     assert sorted(os.listdir(tmp_path)) == ["one.csv", "parts.csv"]  # no spill file left
     assert _open_fds() == fds
@@ -101,7 +110,7 @@ def test_write_predictions_csv_parts_give_the_one_part_bytes(tmp_path, monkeypat
     _one_part(monkeypatch, lambda: dataio.write_predictions_csv(expected, columns))
     _use_cpus(monkeypatch, 4)
     dataio.write_predictions_csv(tmp_path / "parts.csv", columns)
-    assert len(forked) == max(1, min(4, 2 * n)) - 1  # parts of at least one cell
+    assert len(forked) == max(1, min(4, n)) - 1  # parts of at least one row
     assert (tmp_path / "parts.csv").read_bytes() == expected.read_bytes()
     _assert_no_child_left()
 
@@ -182,12 +191,12 @@ def test_csv_read_parts_give_the_one_part_table(tmp_path, monkeypatch, forked, n
     _assert_no_child_left()
 
 
-def test_csv_read_line_cuts_follow_newlines(tmp_path):
+def test_csv_read_line_cuts_follow_newlines(tmp_path, monkeypatch):
     text = b"y,p\r\n1,2\r\n\r\n3,4\n\xc3\xa9\n"
     path = tmp_path / "cuts.csv"
     path.write_bytes(text)
     for parts in range(1, 8):
-        cuts = dataio._line_cuts(path, len(text), parts)
+        cuts = dataio._line_cuts(path, _byte_bounds(monkeypatch, path, parts))
         assert cuts[0] == 0 and cuts[-1] == len(text) and len(cuts) <= parts + 1
         assert all(a < b for a, b in zip(cuts, cuts[1:]))
         assert all(text[c - 1:c] == b"\n" for c in cuts[1:-1])
@@ -204,7 +213,7 @@ def test_csv_read_bad_cell_in_a_later_part_gives_the_one_part_message(
     lines[14] = ",".join(edit(lines[14].split(",")))
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    cut = dataio._line_cuts(path, os.path.getsize(path), 2)[1]
+    cut = dataio._line_cuts(path, _byte_bounds(monkeypatch, path, 2))[1]
     assert len("\n".join(lines[:14]).encode()) > cut  # line 15 is in the child's part
     assert _one_part(monkeypatch, lambda: _outcome(path)) == message
     _use_cpus(monkeypatch, 2)
@@ -256,7 +265,7 @@ def test_csv_read_byte_order_mark_keeps_line_numbers(tmp_path, monkeypatch, fork
     text = _csv_text(_dataset(20, m=2))
     plain = tmp_path / "plain.csv"
     plain.write_text(text, encoding="utf-8")
-    cut = dataio._line_cuts(plain, os.path.getsize(plain), 2)[1]
+    cut = dataio._line_cuts(plain, _byte_bounds(monkeypatch, plain, 2))[1]
     number = 1 + text.encode("utf-8")[:cut].count(b"\n")  # the second part's first line
     lines = text.splitlines()
     if case == "cell_count":
@@ -268,7 +277,7 @@ def test_csv_read_byte_order_mark_keeps_line_numbers(tmp_path, monkeypatch, fork
         message = f"line {number}, column y: non-numeric cell '{cell}'"
     path = tmp_path / "bad.csv"
     path.write_bytes(mark + ("\n".join(lines) + "\n").encode("utf-8"))
-    assert dataio._line_cuts(path, os.path.getsize(path), 2)[1] == cut + len(mark)
+    assert dataio._line_cuts(path, _byte_bounds(monkeypatch, path, 2))[1] == cut + len(mark)
     assert _read_both_ways(monkeypatch, path) == message
     _assert_no_child_left()
 
