@@ -309,7 +309,7 @@ def _cmd_predict(args) -> int:
         if fit.gmm is None:
             raise DataError("posterior intervals need a fit with a gmm stage")
         post = sample_posterior(fit.gmm, n_train, draws, SeededRng(seed))
-        columns[f"y_lo_{level:g}"], columns[f"y_hi_{level:g}"] = post.band(
+        columns[f"y_lo_{level!r}"], columns[f"y_hi_{level!r}"] = post.band(
             np.column_stack([columns["p_hat"], ds.x]), level
         )
     with _outputs(args.out_dir, cfg):
@@ -336,6 +336,9 @@ def main(argv=None) -> int:
         return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"data error: not enough memory: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

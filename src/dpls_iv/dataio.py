@@ -26,7 +26,7 @@ import os
 import shutil
 import tempfile
 import warnings
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 
@@ -69,8 +69,9 @@ __all__ = [
 _TRUTH_FORMAT = "dpls-iv-truth"
 _TRUTH_VERSION = 1
 _FIT_FORMAT = "dpls-iv-fit"
-# 2: one record for every method, first stage tagged by method name
-_FIT_VERSION = 2
+# 3: each fact stored once: no top-level mode (the outcome block present
+# names it), no network activation, no PLS coef, q or method
+_FIT_VERSION = 3
 
 
 # Cells one CSV row block holds while it is formatted: 53 rows of
@@ -543,26 +544,36 @@ def write_config(path, mapping: dict) -> None:
         fh.write(render_config(mapping))
 
 
-# ------------------------------------------------------------- truth sidecar
+# ------------------------------------------------------------- record blocks
 
 
-def truth_to_dict(truth: SyntheticTruth) -> dict:
-    doc = {
-        "format": _TRUTH_FORMAT,
-        "version": _TRUTH_VERSION,
-        "alpha": truth.alpha.tolist(),
-        "gamma": truth.gamma.tolist(),
-        "alpha_x": truth.alpha_x.tolist(),
-        "beta": float(truth.beta),
-        "beta_x": truth.beta_x.tolist(),
-        "w": truth.w.tolist(),
-        "xi": truth.xi.tolist(),
-        "eps": truth.eps.tolist(),
-        "treat_index": truth.treat_index.tolist(),
-        "out_index": truth.out_index.tolist(),
-        "cov_repair": float(truth.cov_repair),
-    }
-    return doc
+def _record(obj, *skip) -> dict:
+    """A record block: the dataclass's fields but skip, arrays as nested lists."""
+    values = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
+
+
+def _array(value) -> np.ndarray:
+    """A JSON array as float64; a null in it is refused, not read as NaN."""
+    out = np.asarray(value, dtype=np.float64)
+    if np.isnan(out).any():
+        raise DataError("a fit record array holds null")
+    return out
+
+
+def _from_record(cls, doc: dict, **given):
+    """cls from the block _record wrote, plus the given fields: array fields
+    as float64 arrays, every other field as a float."""
+    values = {f.name: (_array if "ndarray" in str(f.type) else float)(doc[f.name])
+              for f in fields(cls) if f.name not in given}
+    return cls(**given, **values)
+
+
+def _finite(text: str, kind=float):
+    """A JSON number or NaN/Infinity token, refused unless finite in float64."""
+    if not math.isfinite(float(text)):
+        raise ValueError(f"non-finite number {text}")
+    return kind(text)
 
 
 def _write_json(path, doc: dict) -> None:
@@ -571,7 +582,18 @@ def _write_json(path, doc: dict) -> None:
 
 
 def _read_json(path) -> dict:
-    return json.loads(_read_text(path))
+    """JSON whose numbers are all finite in float64: NaN, Infinity and
+    overflowing literals (1e999, or 1 and 400 zeros) are refused here."""
+    return json.loads(_read_text(path), parse_float=_finite, parse_constant=_finite,
+                      parse_int=functools.partial(_finite, kind=int))
+
+
+# ------------------------------------------------------------- truth sidecar
+
+
+def truth_to_dict(truth: SyntheticTruth) -> dict:
+    return {"format": _TRUTH_FORMAT, "version": _TRUTH_VERSION,
+            **_record(truth, "sigma_z", "graph")}
 
 
 def write_truth(path, truth: SyntheticTruth) -> None:
@@ -582,47 +604,23 @@ def write_truth(path, truth: SyntheticTruth) -> None:
 # ----------------------------------------------------------------- fit bundle
 
 
-def _pls_to_dict(fl: PlsFit) -> dict:
-    return {
-        "method": fl.method,
-        "q": int(fl.q),
-        "coef": fl.coef.tolist(),
-        "weights": fl.weights.tolist(),
-        "y_loadings": fl.y_loadings.tolist(),
-        "means": fl.means.tolist(),
-        "p_mean": float(fl.p_mean),
-    }
-
-
-def _pls_from_dict(fl: dict) -> PlsFit:
-    """A PLS record whose weights (d, q), means (d,) and coef (d,) agree."""
-    fit = PlsFit(
-        coef=np.asarray(fl["coef"], dtype=np.float64),
-        q=int(fl["q"]),
-        y_loadings=np.asarray(fl["y_loadings"], dtype=np.float64),
-        weights=np.asarray(fl["weights"], dtype=np.float64),
-        means=np.asarray(fl["means"], dtype=np.float64),
-        p_mean=float(fl["p_mean"]),
-        method=str(fl["method"]),
-    )
-    d = (len(fit.means),)
-    if (fit.means.shape, fit.coef.shape, fit.weights.shape[:1], fit.weights.ndim) != (d, d, d, 2):
+def _pls_from_dict(doc: dict) -> PlsFit:
+    """A PLS block whose weights (d, q), means (d,) and y_loadings (q,) agree."""
+    fit = _from_record(PlsFit, doc)
+    d, q = fit.means.shape, fit.y_loadings.shape
+    if (len(d), len(q)) != (1, 1) or fit.weights.shape != d + q:
         raise DataError(
-            f"PLS weights {fit.weights.shape}, means {fit.means.shape} and coef "
-            f"{fit.coef.shape} do not fit together"
+            f"PLS weights {fit.weights.shape}, means {fit.means.shape} and "
+            f"y_loadings {fit.y_loadings.shape} do not fit together"
         )
     return fit
 
 
 def model_to_dict(model: DplsModel) -> dict:
-    """Network weights, activation, and SGD history as plain JSON values.
-    The activation is always relu; its slope entry keeps the record's bytes."""
+    """Network weights and SGD history as plain JSON values."""
     return {
-        "activation": {"tag": "relu", "slope": 0.0},
-        "first_layer": _pls_to_dict(model.first_layer),
-        "hidden": [
-            {"w": w.tolist(), "b": b.tolist()} for w, b in model.hidden
-        ],
+        "first_layer": _record(model.first_layer),
+        "hidden": [{"w": w.tolist(), "b": b.tolist()} for w, b in model.hidden],
         "history": list(model.history),
         "best_epoch": model.best_epoch,
     }
@@ -630,30 +628,19 @@ def model_to_dict(model: DplsModel) -> dict:
 
 def model_from_dict(doc: dict) -> DplsModel:
     """A relu network whose layers chain from the q PLS features to one output."""
-    if doc["activation"] != {"tag": "relu", "slope": 0.0}:
-        raise DataError(f"network activation must be relu, got {doc['activation']!r}")
     first = _pls_from_dict(doc["first_layer"])
-    hidden = tuple(
-        (np.asarray(h["w"], dtype=np.float64), np.asarray(h["b"], dtype=np.float64))
-        for h in doc["hidden"]
-    )
-    width = first.weights.shape[1]
-    for w, b in hidden:
-        if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
-            width = None
-            break
-        width = w.shape[1]
+    hidden = tuple((_array(h["w"]), _array(h["b"])) for h in doc["hidden"])
+    width = first.q
+    for w, b in hidden:  # width stays None from the first layer that does not chain
+        chained = w.ndim == 2 and w.shape[0] == width and b.shape == w.shape[1:]
+        width = w.shape[1] if chained else None
     if not hidden or width != 1:
         raise DataError(
             f"network layers {[w.shape for w, _ in hidden]} do not chain from "
-            f"{first.weights.shape[1]} PLS features to one output"
+            f"{first.q} PLS features to one output"
         )
-    return DplsModel(
-        first_layer=first,
-        hidden=hidden,
-        history=tuple(float(v) for v in doc["history"]),
-        best_epoch=doc["best_epoch"],
-    )
+    return DplsModel(first_layer=first, hidden=hidden, best_epoch=doc["best_epoch"],
+                     history=tuple(float(v) for v in doc["history"]))
 
 
 def _first_stage_to_dict(first) -> dict:
@@ -661,13 +648,8 @@ def _first_stage_to_dict(first) -> dict:
     if isinstance(first, DplsModel):
         return {"method": "dpls_iv", "network": model_to_dict(first)}
     if isinstance(first, PlsFit):
-        return {"method": "pls", "pls": _pls_to_dict(first)}
-    return {
-        "method": first.method,
-        "coef": first.coef.tolist(),
-        "intercept": float(first.intercept),
-        "lam": float(first.lam),
-    }
+        return {"method": "pls", "pls": _record(first)}
+    return _record(first)  # a LinearFit, whose method is a field
 
 
 def _first_stage_from_dict(doc: dict):
@@ -677,85 +659,57 @@ def _first_stage_from_dict(doc: dict):
     if method == "pls":
         return _pls_from_dict(doc["pls"])
     if method in ("ols", "ridge", "lasso"):
-        return LinearFit(
-            coef=np.asarray(doc["coef"], dtype=np.float64),
-            intercept=float(doc["intercept"]),
-            method=method,
-            lam=float(doc["lam"]),
-        )
+        return _from_record(LinearFit, doc, method=method)
     raise DataError(f"unknown first-stage method {method!r}")
 
 
 def fit_to_dict(fit: DplsIvFit, n_train: int) -> dict:
     """Self-contained fit record: first stage plus outcome coefficients.
 
-    Training-data-sized arrays (designs, residuals) are not kept; the
-    record supports prediction and posterior sampling, not refitting.
+    The outcome block present, gmm or cf, names the mode. Training-data-sized
+    arrays (designs, residuals) are not kept; the record supports prediction
+    and posterior sampling, not refitting.
     """
     doc = {
         "format": _FIT_FORMAT,
         "version": _FIT_VERSION,
-        "mode": fit.mode,
         "censored": fit.censored,
         "n_train": int(n_train),
-        "constants": asdict(fit.constants),
+        "constants": _record(fit.constants),
         "first_stage": _first_stage_to_dict(fit.first_stage),
     }
     if fit.gmm is not None:
-        doc["gmm"] = {
-            "beta": fit.gmm.beta.tolist(),
-            "sigma_star_matrix": fit.gmm.sigma_star_matrix.tolist(),
-            "corrected_matrix": fit.gmm.corrected_matrix.tolist(),
-        }
+        doc["gmm"] = _record(fit.gmm, "constants", "design", "residuals")
     if fit.cf is not None:
-        doc["cf"] = {
-            "beta": float(fit.cf.beta),
-            "beta_eta": float(fit.cf.beta_eta),
-            "beta_x": fit.cf.beta_x.tolist(),
-        }
+        doc["cf"] = _record(fit.cf)
     return doc
 
 
 def fit_from_dict(doc: dict) -> tuple[DplsIvFit, int]:
-    """A fit with exactly one outcome stage, the one its mode names, a JSON
-    bool censoring flag and an integer training size."""
+    """A fit with exactly one outcome stage, (dim, dim) covariances for a gmm
+    stage, a JSON bool censoring flag and an integer training size."""
     if doc.get("format") != _FIT_FORMAT:
         raise DataError(f"not a fit record: format={doc.get('format')!r}")
     if doc.get("version") != _FIT_VERSION:
-        raise DataError(f"unsupported fit version {doc.get('version')!r}")
-    constants = TobitConstants(**{k: float(v) for k, v in doc["constants"].items()})
+        raise DataError(f"unsupported fit version {doc.get('version')!r}: this build "
+                        f"reads version {_FIT_VERSION} only; refit to write one")
+    constants = _from_record(TobitConstants, doc["constants"])
     gmm = cf = None
     if "gmm" in doc:
-        g = doc["gmm"]
-        beta = np.asarray(g["beta"], dtype=np.float64)
-        dim = len(beta)
-        mat = lambda key: np.asarray(g[key], dtype=np.float64).reshape(dim, dim)
-        gmm = TobitGmmFit(
-            beta=beta,
-            constants=constants,
-            design=np.zeros((0, dim)),
-            residuals=np.zeros(0),
-            sigma_star_matrix=mat("sigma_star_matrix"),
-            corrected_matrix=mat("corrected_matrix"),
-        )
+        dim = len(doc["gmm"]["beta"])
+        gmm = _from_record(TobitGmmFit, doc["gmm"], constants=constants,
+                           design=np.zeros((0, dim)), residuals=np.zeros(0))
+        shapes = (gmm.beta.shape, gmm.sigma_star_matrix.shape, gmm.corrected_matrix.shape)
+        if shapes != ((dim,), (dim, dim), (dim, dim)):
+            raise DataError("gmm beta {} and covariances {} and {} do not fit together"
+                            .format(*shapes))
     if "cf" in doc:
-        f = doc["cf"]
-        cf = ControlFunctionFit(
-            beta=float(f["beta"]),
-            beta_eta=float(f["beta_eta"]),
-            beta_x=np.asarray(f["beta_x"], dtype=np.float64),
-        )
+        cf = _from_record(ControlFunctionFit, doc["cf"])
     if not isinstance(doc["censored"], bool):
         raise DataError(f"censored must be true or false, got {doc['censored']!r}")
-    fit = DplsIvFit(
-        censored=doc["censored"],
-        first_stage=_first_stage_from_dict(doc["first_stage"]),
-        constants=constants,
-        gmm=gmm,
-        cf=cf,
-    )
-    if doc["mode"] != fit.mode:
-        raise DataError(f"mode {doc['mode']!r} does not match the {fit.mode} outcome stage")
+    first = _first_stage_from_dict(doc["first_stage"])
+    fit = DplsIvFit(censored=doc["censored"], first_stage=first, constants=constants,
+                    gmm=gmm, cf=cf)
     return fit, check_int("n_train", doc["n_train"])
 
 
@@ -769,7 +723,7 @@ def read_fit(path) -> tuple[DplsIvFit, int]:
         return fit_from_dict(_read_json(path))
     except DataError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise DataError(
             f"{path} is not a valid fit record ({type(exc).__name__}: {exc})"
         ) from None

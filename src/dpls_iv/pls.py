@@ -73,21 +73,26 @@ def sample_cov_pair(zbar, p) -> CovPair:
 class PlsFit:
     """Fitted PLS state.
 
-    coef is the implied regression vector on the original (uncentered)
-    columns; predictions are p_mean + (zbar - means) @ coef. weights W holds
-    the projection directions (unit-norm for the deflation route,
-    S_zz-orthonormal for the closed form), the scores (zbar - means) @ W have
-    mutually orthogonal columns for both routes, and y_loadings is defined so
-    that coef = weights @ y_loadings.
+    weights W holds the q projection directions (unit-norm for the deflation
+    route, S_zz-orthonormal for the closed form); the scores
+    (zbar - means) @ W have mutually orthogonal columns for both routes.
+    coef = weights @ y_loadings is the implied regression vector on the
+    original (uncentered) columns, so predictions are
+    p_mean + (zbar - means) @ coef. coef and q are derived, not stored.
     """
 
-    coef: np.ndarray
-    q: int
     y_loadings: np.ndarray
     weights: np.ndarray
     means: np.ndarray
     p_mean: float
-    method: str
+
+    @property
+    def coef(self) -> np.ndarray:
+        return self.weights @ self.y_loadings
+
+    @property
+    def q(self) -> int:
+        return self.weights.shape[1]
 
     def predict(self, zbar) -> np.ndarray:
         zbar = np.asarray(zbar, dtype=np.float64)
@@ -167,17 +172,8 @@ def fit_pls_closed_form(zbar, p, q: int) -> PlsFit:
             f"effective Krylov rank {basis.shape[1]} < requested q = {q}; reduce q"
         )
     weights = _s_orthonormalize(basis, cov.s_zz)
-    y_loadings = weights.T @ cov.s_zp
-    coef = weights @ y_loadings
-    return PlsFit(
-        coef=coef,
-        q=q,
-        y_loadings=y_loadings,
-        weights=weights,
-        means=cov.means,
-        p_mean=cov.p_mean,
-        method="pls_closed_form",
-    )
+    return PlsFit(y_loadings=weights.T @ cov.s_zp, weights=weights, means=cov.means,
+                  p_mean=cov.p_mean)
 
 
 def fit_pls_deflation(zbar, p, q: int) -> PlsFit:
@@ -227,21 +223,10 @@ def fit_pls_deflation(zbar, p, q: int) -> PlsFit:
         vb = vb / vbn
         loading_basis.append(vb)
         s = s - vb * (vb @ s)
-    achieved = len(ws)
-    if achieved == 0:
+    if not ws:
         raise DataError("no usable PLS component found")
-    weights = np.column_stack(ws)
-    y_loadings = np.asarray(y_loads)
-    coef = weights @ y_loadings
-    return PlsFit(
-        coef=coef,
-        q=achieved,
-        y_loadings=y_loadings,
-        weights=weights,
-        means=means,
-        p_mean=p_mean,
-        method="pls_deflation",
-    )
+    return PlsFit(y_loadings=np.asarray(y_loads), weights=np.column_stack(ws), means=means,
+                  p_mean=p_mean)
 
 
 def select_q_cv(zbar, p, q_max: int, rng: SeededRng) -> int:

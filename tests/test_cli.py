@@ -134,7 +134,7 @@ def test_fit_requires_data_path(tmp_path, capsys):
 def test_fit_dpls_writes_bundle_and_predictions(dpls_fit_dir):
     doc = json.loads((dpls_fit_dir / "fit.json").read_text())
     assert doc["format"] == "dpls-iv-fit"
-    assert doc["mode"] == "rescale_gmm"
+    assert "gmm" in doc and "cf" not in doc
     assert doc["n_train"] == 200
     header, cols = _read_predictions(dpls_fit_dir / "predictions.csv")
     assert header == ["row", "p_hat", "y_hat"]
@@ -155,8 +155,7 @@ def test_fit_linear_baseline_record(ols_fit_dir):
 
 def test_fit_baseline_honours_control_function_mode(ols_cf_fit_dir):
     doc = json.loads((ols_cf_fit_dir / "fit.json").read_text())
-    assert doc["mode"] == "control_function"
-    assert "gmm" not in doc
+    assert "cf" in doc and "gmm" not in doc
     assert set(doc["cf"]) == {"beta", "beta_eta", "beta_x"}
     assert len(doc["cf"]["beta_x"]) == 6
 
@@ -263,16 +262,18 @@ def test_predict_requires_both_paths(sim_dir, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["header_only", "not_json", "constants_missing_keys",
-                                  "missing_fit", "missing_data", "binary_data",
-                                  "missing_config"])
+                                  "deeply_nested", "missing_fit", "missing_data",
+                                  "binary_data", "missing_config"])
 def test_predict_bad_input_file_is_data_error(case, sim_dir, dpls_fit_dir, tmp_path,
                                               capsys):
     fit_path, data_path = dpls_fit_dir / "fit.json", sim_dir / "data.csv"
     bad = tmp_path / "bad_input"
     if case == "header_only":
-        bad.write_text('{"format": "dpls-iv-fit", "version": 2}')
+        bad.write_text('{"format": "dpls-iv-fit", "version": 3}')
     elif case == "not_json":
         bad.write_text("p_hat,y_hat\n1.0,2.0\n")
+    elif case == "deeply_nested":  # deeper than the JSON decoder's recursion limit
+        bad.write_text("[" * 100000 + "]" * 100000)
     elif case == "constants_missing_keys":
         doc = json.loads(fit_path.read_text())
         del doc["constants"]["psi2"]
@@ -302,6 +303,33 @@ def test_predict_rejects_bad_level(sim_dir, dpls_fit_dir, tmp_path, capsys):
     rc = main(["predict", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "level must lie in (0, 1)" in capsys.readouterr().err
+
+
+def test_predict_band_columns_keep_every_digit_of_the_level(sim_dir, ols_fit_dir, tmp_path):
+    cfg = tmp_path / "pred.txt"
+    write_config(cfg, {"fit": str(ols_fit_dir / "fit.json"),
+                       "data": str(sim_dir / "data.csv"), "level": "0.9999999"})
+    rc = main(["predict", "--config", str(cfg), "--draws", "10", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    header, _ = _read_predictions(tmp_path / "predictions.csv")
+    assert header[-2:] == ["y_lo_0.9999999", "y_hi_0.9999999"]
+
+
+def test_predict_out_of_memory_is_a_one_line_data_error(sim_dir, ols_fit_dir, tmp_path,
+                                                        capsys, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 1.5 TiB")
+
+    monkeypatch.setattr(cli, "sample_posterior", no_memory)
+    cfg = tmp_path / "pred.txt"
+    write_config(cfg, {"fit": str(ols_fit_dir / "fit.json"),
+                       "data": str(sim_dir / "data.csv")})
+    rc = main(["predict", "--config", str(cfg), "--draws", "10",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "data error: not enough memory: Unable to allocate 1.5 TiB\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_benchmark_writes_reports(tmp_path, capsys):

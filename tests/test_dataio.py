@@ -603,17 +603,74 @@ def _assert_bit_equal(a, b):
         assert a == b
 
 
-@pytest.mark.parametrize("method", ["dpls_iv", "pls", "ols", "ridge", "lasso"])
-def test_fit_record_reproduces_the_first_stage(method):
+def _method_fit(method, mode, censored):
     if method == "dpls_iv":
-        _, fit = _small_fit("rescale_gmm")
-    else:
-        ds, _ = gen_experiment1(experiment1_spec(n=200), SeededRng(41))
-        zbar = augment_instruments(ds.z, ds.x)
-        first = fit_first_stage(method, zbar, ds.p, "auto", SeededRng(0))
-        fit = iv_fit(first, ds)
-    back, _ = fit_from_dict(fit_to_dict(fit, n_train=200))
+        return _small_fit(mode, censored)[1]
+    ds, _ = gen_experiment1(experiment1_spec(n=200), SeededRng(41))
+    zbar = augment_instruments(ds.z, ds.x)
+    first = fit_first_stage(method, zbar, ds.p, "auto", SeededRng(0))
+    return iv_fit(first, ds, mode=mode, censored=censored)
+
+
+@pytest.mark.parametrize("censored", [True, False])
+@pytest.mark.parametrize("mode", ["rescale_gmm", "control_function"])
+@pytest.mark.parametrize("method", ["dpls_iv", "pls", "ols", "ridge", "lasso"])
+def test_fit_record_reproduces_the_first_stage(method, mode, censored):
+    fit = _method_fit(method, mode, censored)
+    back, _ = fit_from_dict(json.loads(json.dumps(fit_to_dict(fit, n_train=200))))
+    assert back.censored is censored and back.mode == mode
     _assert_bit_equal(back.first_stage, fit.first_stage)
+    _assert_bit_equal(back.constants, fit.constants)
+    if mode == "rescale_gmm":
+        # the record keeps no training-sized design or residuals
+        _assert_bit_equal(
+            dataclasses.replace(back.gmm, design=fit.gmm.design, residuals=fit.gmm.residuals),
+            fit.gmm,
+        )
+    else:
+        _assert_bit_equal(back.cf, fit.cf)
+
+
+_PLS_KEYS = {"y_loadings", "weights", "means", "p_mean"}
+_STAGE_KEYS = {
+    "rescale_gmm": ("gmm", {"beta", "sigma_star_matrix", "corrected_matrix"}),
+    "control_function": ("cf", {"beta", "beta_eta", "beta_x"}),
+}
+_FIRST_STAGE_KEYS = {
+    "dpls_iv": {"method", "network"},
+    "pls": {"method", "pls"},
+    **dict.fromkeys(("ols", "ridge", "lasso"), {"method", "coef", "intercept", "lam"}),
+}
+
+
+@pytest.mark.parametrize("mode", ["rescale_gmm", "control_function"])
+@pytest.mark.parametrize("method", sorted(_FIRST_STAGE_KEYS))
+def test_fit_record_blocks_have_pinned_keys(method, mode):
+    """A dataclass field added later changes the format only with this test."""
+    doc = fit_to_dict(_method_fit(method, mode, censored=True), n_train=200)
+    stage, stage_keys = _STAGE_KEYS[mode]
+    assert set(doc) == {"format", "version", "censored", "n_train", "constants",
+                        "first_stage", stage}
+    assert (doc["format"], doc["version"]) == ("dpls-iv-fit", 3)
+    assert set(doc["constants"]) == {"psi1", "psi2", "sigma_star", "phi_hat", "c_k"}
+    assert set(doc[stage]) == stage_keys
+    first = doc["first_stage"]
+    assert set(first) == _FIRST_STAGE_KEYS[method]
+    if method == "dpls_iv":
+        net = first["network"]
+        assert set(net) == {"first_layer", "hidden", "history", "best_epoch"}
+        assert all(set(layer) == {"w", "b"} for layer in net["hidden"])
+        assert set(net["first_layer"]) == _PLS_KEYS
+    if method == "pls":
+        assert set(first["pls"]) == _PLS_KEYS
+
+
+def test_truth_record_has_pinned_keys():
+    _, truth = gen_experiment1(experiment1_spec(n=100), SeededRng(21))
+    assert set(truth_to_dict(truth)) == {
+        "format", "version", "alpha", "gamma", "alpha_x", "beta", "beta_x", "w", "xi",
+        "eps", "treat_index", "out_index", "cov_repair",
+    }
 
 
 def test_fit_from_dict_rejects_foreign_documents():
@@ -621,10 +678,12 @@ def test_fit_from_dict_rejects_foreign_documents():
         fit_from_dict({"format": "something-else"})
     _, fit = _small_fit("rescale_gmm", censored=False)
     doc = fit_to_dict(fit, n_train=200)
-    # version 1 is the record layout before every method shared one format
-    for old in (0, 1):
+    # version 1 is the record layout before every method shared one format;
+    # version 2 also stored the mode, the activation and the PLS coef and q
+    for old in (0, 1, 2):
         doc["version"] = old
-        with pytest.raises(DataError, match=f"unsupported fit version {old}"):
+        with pytest.raises(DataError, match=f"unsupported fit version {old}: "
+                                            "this build reads version 3 only; refit"):
             fit_from_dict(doc)
 
 
@@ -645,39 +704,57 @@ def _network(doc):
     return doc["first_stage"]["network"]
 
 
-# (mode, edit of the fit record, the reason predict gives)
+def _gmm_beta0(token):
+    """An edit that writes token, which json.dumps cannot, as gmm.beta[0]."""
+    def edit(doc):
+        doc["gmm"]["beta"][0] = 0.5
+        return json.dumps(doc).replace('"beta": [0.5,', f'"beta": [{token},')
+    return edit
+
+
+# (mode, edit of the fit record, the reason predict gives); an edit that
+# returns text writes that text instead of the edited record
 _BAD_RECORDS = {
     "output_layer_row": ("rescale_gmm", lambda d: _network(d)["hidden"][-1]["w"].pop(),
                          "do not chain from 3 PLS features to one output"),
     "first_layer_column": ("rescale_gmm",
                            lambda d: _drop_last_column(_network(d)["first_layer"]["weights"]),
-                           "do not chain from 2 PLS features to one output"),
+                           "PLS weights (75, 2), means (75,) and y_loadings (3,) "
+                           "do not fit together"),
     "first_layer_means": ("rescale_gmm", lambda d: _network(d)["first_layer"]["means"].pop(),
                           "do not fit together"),
     "gmm_beta": ("rescale_gmm", _shorten_gmm,
                  "fit has 24 covariate coefficients, data has 25 covariates"),
+    "gmm_covariance_column": ("rescale_gmm",
+                              lambda d: _drop_last_column(d["gmm"]["corrected_matrix"]),
+                              "gmm beta (26,) and covariances (26, 26) and (26, 25) "
+                              "do not fit together"),
     "cf_beta_x": ("control_function", lambda d: d["cf"]["beta_x"].pop(),
                   "fit has 24 covariate coefficients, data has 25 covariates"),
-    "leaky_activation": ("rescale_gmm",
-                         lambda d: _network(d).update(activation={"tag": "leaky_relu",
-                                                                  "slope": 0.2}),
-                         "network activation must be relu"),
-    "relu_with_slope": ("rescale_gmm",
-                        lambda d: _network(d)["activation"].update(slope=0.3),
-                        "network activation must be relu"),
     "no_outcome_stage": ("rescale_gmm", lambda d: d.pop("gmm"), "exactly one outcome stage"),
     "both_outcome_stages": ("rescale_gmm",
                             lambda d: d.update(cf={"beta": 1.0, "beta_eta": 0.0,
                                                    "beta_x": [0.0] * 25}),
                             "exactly one outcome stage"),
-    "unknown_mode": ("rescale_gmm", lambda d: d.update(mode="bogus"),
-                     "mode 'bogus' does not match the rescale_gmm outcome stage"),
     "censored_string": ("rescale_gmm", lambda d: d.update(censored="false"),
                         "censored must be true or false, got 'false'"),
     "n_train_bool": ("rescale_gmm", lambda d: d.update(n_train=True),
                      "n_train must be an integer, got True"),
     "n_train_fraction": ("rescale_gmm", lambda d: d.update(n_train=2.7),
                          "n_train must be an integer, got 2.7"),
+    "nan_token": ("rescale_gmm", lambda d: d["gmm"]["beta"].__setitem__(0, float("nan")),
+                  "non-finite number NaN"),
+    "infinity_token": ("rescale_gmm",
+                       lambda d: _network(d)["first_layer"]["weights"][0].__setitem__(
+                           0, float("inf")),
+                       "non-finite number Infinity"),
+    "overflowing_float": ("rescale_gmm", _gmm_beta0("1e999"), "non-finite number 1e999"),
+    "overflowing_integer": ("rescale_gmm", lambda d: d["gmm"]["beta"].__setitem__(0, 10**400),
+                            "non-finite number 1" + "0" * 400),
+    "overflowing_n_train": ("rescale_gmm", lambda d: d.update(n_train=10**400),
+                            "non-finite number 1" + "0" * 400),
+    "null_in_array": ("rescale_gmm", lambda d: d["gmm"]["beta"].__setitem__(0, None),
+                      "a fit record array holds null"),
 }
 
 
@@ -689,8 +766,8 @@ def test_predict_exits_2_on_a_fit_record_whose_arrays_disagree(tmp_path, capsys,
     ds, fit = _small_fit(mode)
     csv_write(tmp_path / "data.csv", ds)
     doc = fit_to_dict(fit, n_train=200)
-    edit(doc)
-    (tmp_path / "fit.json").write_text(json.dumps(doc))
+    text = edit(doc)
+    (tmp_path / "fit.json").write_text(text if isinstance(text, str) else json.dumps(doc))
     write_config(tmp_path / "cfg.txt", {"fit": str(tmp_path / "fit.json"),
                                         "data": str(tmp_path / "data.csv")})
     rc = main(["predict", "--config", str(tmp_path / "cfg.txt"),

@@ -68,13 +68,10 @@ def test_gradients_match_central_differences():
 
 def _manual_model(weight, bias):
     first = PlsFit(
-        coef=np.array([1.0]),
-        q=1,
         y_loadings=np.array([1.0]),
         weights=np.array([[1.0]]),
         means=np.array([0.0]),
         p_mean=0.0,
-        method="pls_closed_form",
     )
     return DplsModel(
         first_layer=first,
