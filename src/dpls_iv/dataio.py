@@ -9,7 +9,7 @@ list is built either way.
 
 Float formatting and parsing hold the interpreter lock, so large CSV tables
 are cut into contiguous parts, one per usable CPU (data.part_bounds), that
-forked children format or parse into spill files (_Children) while this
+forked children format or parse into spill files (data._Children) while this
 process does part 0. Every part still streams in row blocks or lines. A
 part is worth a fork from _CSV_PART_CELLS cells (write) or _CSV_PART_BYTES
 bytes (read); below that, and off Linux, one part runs in-process. The
@@ -24,14 +24,13 @@ import json
 import math
 import os
 import shutil
-import tempfile
 import warnings
 from dataclasses import fields
 
 import numpy as np
 
 from .bench import MetricsReport
-from .data import Dataset, check_int, part_bounds
+from .data import Dataset, _Children, check_int, part_bounds
 from .errors import DataError
 from .ivreg import (
     ControlFunctionFit,
@@ -88,67 +87,6 @@ _CSV_PART_BYTES = 2**19
 
 def _fmt(value: float) -> str:
     return repr(float(value))
-
-
-class _Children:
-    """Forked children that each fill an unnamed spill file in the default
-    temporary directory and leave through os._exit: 0 if their work
-    returned, 1 if it raised.
-
-    start returns None when the system refuses the spill file or the
-    process, and result returns None for that handle or a failed child; the
-    caller then does that part itself. Leaving the with block kills and
-    reaps every child not yet reaped and closes every spill file, so none
-    outlives the call. A child runs only numpy formatting or parsing and
-    file I/O, never BLAS. Parts are forked, not sent to a process pool: on
-    the 10k x 77 data.csv a pool slowed the CLI chain from 2.91 to 3.48 s,
-    and the pickled part text raised simulate's peak from 68.6 to 103.3 MB.
-    """
-
-    def __init__(self):
-        self._pids: list[int] = []
-        self._spills: list = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        import signal
-
-        for pid in self._pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for spill in self._spills:
-            spill.close()
-
-    def start(self, work):
-        """Fork a child that runs work(spill) on a new spill file; its handle."""
-        try:
-            self._spills.append(spill := tempfile.TemporaryFile())
-            pid = os.fork()
-        except OSError:
-            return None
-        if pid == 0:
-            code = 1
-            try:
-                work(spill)
-                spill.flush()
-                code = 0
-            finally:
-                os._exit(code)
-        self._pids.append(pid)
-        return pid, spill
-
-    def result(self, handle):
-        """Reap a started child; its spill file rewound if it exited 0."""
-        if handle is None:
-            return None
-        pid, spill = handle
-        self._pids.remove(pid)
-        if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
-            return None
-        spill.seek(0)
-        return spill
 
 
 def _width(columns) -> int:
@@ -627,7 +565,9 @@ def model_to_dict(model: DplsModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> DplsModel:
-    """A relu network whose layers chain from the q PLS features to one output."""
+    """A relu network whose layers chain from the q PLS features to one
+    output, with a loss history of numbers and a best epoch that is null or
+    indexes it."""
     first = _pls_from_dict(doc["first_layer"])
     hidden = tuple((_array(h["w"]), _array(h["b"])) for h in doc["hidden"])
     width = first.q
@@ -639,8 +579,19 @@ def model_from_dict(doc: dict) -> DplsModel:
             f"network layers {[w.shape for w, _ in hidden]} do not chain from "
             f"{first.q} PLS features to one output"
         )
-    return DplsModel(first_layer=first, hidden=hidden, best_epoch=doc["best_epoch"],
-                     history=tuple(float(v) for v in doc["history"]))
+    history, best = doc["history"], doc["best_epoch"]
+    if not isinstance(history, list) or not all(_is_number(v) for v in history):
+        raise DataError("network history must be an array of numbers")
+    if best is not None and not (_is_number(best, int) and 0 <= best < len(history)):
+        raise DataError(f"network best_epoch must be null or an integer in "
+                        f"[0, {len(history)}), got {best!r}")
+    return DplsModel(first_layer=first, hidden=hidden, best_epoch=best,
+                     history=tuple(float(v) for v in history))
+
+
+def _is_number(value, kind=(int, float)) -> bool:
+    """value is a JSON number of kind; true and false are not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _first_stage_to_dict(first) -> dict:

@@ -755,6 +755,16 @@ _BAD_RECORDS = {
                             "non-finite number 1" + "0" * 400),
     "null_in_array": ("rescale_gmm", lambda d: d["gmm"]["beta"].__setitem__(0, None),
                       "a fit record array holds null"),
+    "history_string": ("rescale_gmm", lambda d: _network(d).update(history="12"),
+                       "network history must be an array of numbers"),
+    "history_bool": ("rescale_gmm", lambda d: _network(d)["history"].__setitem__(0, True),
+                     "network history must be an array of numbers"),
+    **{f"best_epoch_{name}": (
+        "rescale_gmm", lambda d, v=value: _network(d).update(best_epoch=v),
+        f"network best_epoch must be null or an integer in [0, 6), got {value!r}")
+       for name, value in [("string", "abc"), ("fraction", 1.5), ("bool", True),
+                           ("negative", -7), ("past_history", 6), ("far_past_history", 99),
+                           ("array", [1])]},
 }
 
 

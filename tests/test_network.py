@@ -1,3 +1,6 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from dpls_iv import (
 )
 from dpls_iv.dataio import model_from_dict, model_to_dict
 from dpls_iv.data import augment_instruments
+from dpls_iv import network
 from dpls_iv.network import _activate, sgd_refine
 from dpls_iv.synthetic import experiment1_spec, gen_experiment1
 
@@ -456,3 +460,275 @@ def test_sgd_takes_one_loss_and_grads_call_per_step(monkeypatch, n, batch_size, 
                                          epochs=epochs, seed=0))
     assert len(calls) == epochs * -(-n // batch_size)
     assert sum(calls) == epochs * n
+
+
+# ------------------------------------------------------------ loss helper
+#
+# sgd_refine computes each epoch's full-data loss in a forked helper once
+# the process may use two CPUs and the loss passes a size threshold. These
+# tests lower the threshold and fake two CPUs, so small fits take the helper
+# path, and compare every result with the reference loop.
+
+_forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper is forked")
+
+
+def _open_fds():
+    return set(os.listdir("/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def helper(monkeypatch):
+    """Force the loss helper on any fit; returns the list of helpers started
+    (None for one the system refused)."""
+    monkeypatch.setattr(network, "_LOSS_HELPER_CELLS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = []
+    original = network._LossHelper.start
+
+    def recording(*args):
+        started.append(original(*args))
+        return started[-1]
+
+    monkeypatch.setattr(network._LossHelper, "start", recording)
+    return started
+
+
+def _in_process(monkeypatch, call):
+    """call() with the loss helper out of reach."""
+    with monkeypatch.context() as m:
+        m.setattr(network, "_LOSS_HELPER_CELLS", 2**62)
+        return call()
+
+
+_HELPER_CASES = {
+    # the production shape: q = 9 features, 32-row batches, a ragged tail of 7
+    "30": (lambda: _production_model((30,), n=2023), SgdParams(batch_size=32, epochs=3, seed=5)),
+    "4_3_ragged": (lambda: _initialized_model((4, 3)),
+                   SgdParams(learning_rate=0.02, batch_size=16, epochs=6, seed=3)),
+    # the relu output unit dies in the first epoch
+    "units_die": (lambda: _initialized_model((6,)),
+                  SgdParams(learning_rate=0.2, batch_size=8, epochs=5, seed=0)),
+}
+
+
+@_forks
+@pytest.mark.parametrize("case", sorted(_HELPER_CASES))
+def test_loss_helper_matches_reference_loop_bit_for_bit(helper, case):
+    build, params = _HELPER_CASES[case]
+    model, zbar, p = build()
+    fds = _open_fds()
+    got = sgd_refine(model, zbar, p, params)
+    assert len(helper) == 1 and helper[0] is not None
+    _assert_same_refinement(got, _ref_sgd_refine(model, zbar, p, params), zbar)
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+@_forks
+def test_loss_helper_diverges_like_reference_loop(helper):
+    model, zbar, p = _initialized_model((4, 3))
+    params = SgdParams(learning_rate=1e200, batch_size=50, epochs=50, seed=0)
+    fds = _open_fds()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError) as err:
+            sgd_refine(model, zbar, p, params)
+    assert helper[0] is not None
+    assert str(err.value) == "SGD diverged at epoch 2; reduce learning_rate"
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+_WARNING_CASES = {
+    # the diverging fit above with every warning on: the steps overflow
+    "diverging": (1.0, SgdParams(learning_rate=1e200, batch_size=50, epochs=50, seed=0),
+                  "overflow encountered in dot", 2),
+    # a target this large overflows the squared residuals of every loss:
+    # the helper raises on it, and the caller computes it again
+    "overflowing_loss": (1e160, SgdParams(learning_rate=0.0, batch_size=16, epochs=3, seed=0),
+                         "overflow encountered in square", 1),
+}
+
+
+@_forks
+@pytest.mark.parametrize("case", sorted(_WARNING_CASES))
+def test_loss_helper_warnings_reach_the_caller_as_in_process(monkeypatch, helper, case):
+    # each warning surfaces in the caller, in the same order and from the
+    # same line as when every loss is computed here
+    scale, params, warning, epoch = _WARNING_CASES[case]
+    model, zbar, p = _initialized_model((4, 3))
+    p = p * scale
+
+    def warnings_and_message():
+        with pytest.warns(RuntimeWarning) as record:
+            with pytest.raises(NumericalError) as err:
+                sgd_refine(model, zbar, p, params)
+        return [(w.category, str(w.message), w.filename, w.lineno) for w in record], str(err.value)
+
+    expected = _in_process(monkeypatch, warnings_and_message)
+    assert helper == []
+    assert warnings_and_message() == expected
+    assert helper[0] is not None
+    assert warning in [message for _, message, _, _ in expected[0]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError) as ref:
+            _ref_sgd_refine(model, zbar, p, params)
+    assert expected[1] == str(ref.value) == f"SGD diverged at epoch {epoch}; reduce learning_rate"
+    _assert_no_child_left()
+
+
+@_forks
+def test_loss_helper_replays_the_steps_of_an_epoch_that_warns(monkeypatch, helper):
+    # a step that warns while a loss is in the helper makes that epoch's
+    # steps run again from the epoch's start once the loss is taken: the
+    # warning surfaces once, after that loss, and theta keeps its bits
+    model, zbar, p = _initialized_model((4, 3))
+    params = SgdParams(learning_rate=0.02, batch_size=16, epochs=6, seed=3)
+    batches, real = [], network.network_loss_and_grads
+
+    def recording(hidden, feats, target, **kwargs):
+        batches.append(target.tobytes())
+        return real(hidden, feats, target, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(network, "network_loss_and_grads", recording)
+        _in_process(m, lambda: sgd_refine(model, zbar, p, params))
+    flagged = batches[9]  # the second step of epoch 3
+
+    def overflows_on_the_flagged_batch(hidden, feats, target, **kwargs):
+        if target.tobytes() == flagged:
+            np.multiply(np.float64(1e308), 10.0)
+        return real(hidden, feats, target, **kwargs)
+
+    monkeypatch.setattr(network, "network_loss_and_grads", overflows_on_the_flagged_batch)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in multiply") as record:
+        got = sgd_refine(model, zbar, p, params)
+    assert len(record) == 1 and helper[0] is not None
+    _assert_same_refinement(got, _ref_sgd_refine(model, zbar, p, params), zbar)
+    _assert_no_child_left()
+
+
+@_forks
+def test_loss_helper_killed_mid_fit_leaves_the_losses_to_the_caller(monkeypatch, helper):
+    model, zbar, p = _initialized_model((4, 3))
+    params = SgdParams(learning_rate=0.02, batch_size=16, epochs=6, seed=3)
+    parent, calls, original = os.getpid(), [], network._train_loss
+
+    def dies_on_the_third_loss(*args):
+        if os.getpid() != parent:
+            calls.append(1)  # counts in the helper's own memory
+            if len(calls) == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+        else:
+            calls.append(0)
+        return original(*args)
+
+    monkeypatch.setattr(network, "_train_loss", dies_on_the_third_loss)
+    fds = _open_fds()
+    got = sgd_refine(model, zbar, p, params)
+    assert helper[0] is not None
+    assert calls == [0] * 5  # epochs 2-6 were computed here
+    _assert_same_refinement(got, _ref_sgd_refine(model, zbar, p, params), zbar)
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+class _OneRequest:
+    """A request reader that ends after the first theta."""
+
+    def __init__(self, file):
+        self.file, self.reads = file, 0
+
+    def readinto(self, buf):
+        self.reads += 1
+        return self.file.readinto(buf) if self.reads == 1 else 0
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="waits for the helper to leave")
+def test_loss_helper_gone_before_a_send_leaves_the_losses_to_the_caller(monkeypatch, helper):
+    # the helper answers epoch 0 and leaves; the caller sees it gone when it
+    # sends epoch 1's theta into the closed pipe
+    model, zbar, p = _initialized_model((4, 3))
+    params = SgdParams(learning_rate=0.02, batch_size=16, epochs=6, seed=3)
+    serve, receive = network._serve_losses, network._LossHelper.receive
+
+    def serve_one(hidden, feats, p, requests, replies):
+        serve(hidden, feats, p, (_OneRequest(requests[0]), requests[1]), replies)
+
+    def receive_then_wait(self):
+        loss = receive(self)
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)  # the helper has left
+        return loss
+
+    monkeypatch.setattr(network, "_serve_losses", serve_one)
+    monkeypatch.setattr(network._LossHelper, "receive", receive_then_wait)
+    sends = []
+    send = network._LossHelper.send
+    monkeypatch.setattr(network._LossHelper, "send",
+                        lambda self, theta: sends.append(send(self, theta)) or sends[-1])
+    fds = _open_fds()
+    got = sgd_refine(model, zbar, p, params)
+    assert sends == [True, False]
+    _assert_same_refinement(got, _ref_sgd_refine(model, zbar, p, params), zbar)
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+def _refuse(*args, **kwargs):
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@_forks
+@pytest.mark.parametrize("refused", ["fork", "pipe"])
+def test_loss_helper_refused_leaves_the_losses_to_the_caller(monkeypatch, helper, refused):
+    model, zbar, p = _initialized_model((4, 3))
+    params = SgdParams(learning_rate=0.02, batch_size=16, epochs=6, seed=3)
+    monkeypatch.setattr(os, refused, _refuse)
+    fds = _open_fds()
+    got = sgd_refine(model, zbar, p, params)
+    assert helper == [None]
+    _assert_same_refinement(got, _ref_sgd_refine(model, zbar, p, params), zbar)
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+@_forks
+def test_loss_helper_is_gone_after_an_interrupt(monkeypatch, helper):
+    model, zbar, p = _initialized_model((4, 3))
+    calls, real = [], network.network_loss_and_grads
+
+    def interrupted(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 10:  # in epoch 3, with epoch 2's loss in the helper
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(network, "network_loss_and_grads", interrupted)
+    fds = _open_fds()
+    with pytest.raises(KeyboardInterrupt):
+        sgd_refine(model, zbar, p, SgdParams(learning_rate=0.02, batch_size=16, epochs=6))
+    assert helper[0] is not None
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+def test_loss_helper_needs_two_cpus_and_an_epoch(monkeypatch, helper):
+    model, zbar, p = _initialized_model((4, 3))
+    sgd_refine(model, zbar, p, SgdParams(epochs=0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    sgd_refine(model, zbar, p, SgdParams(epochs=2))
+    assert helper == []
+
+
+@pytest.mark.parametrize("rows", [59, 61, (60, 1)], ids=["short", "long", "column"])
+def test_sgd_refine_checks_the_design_before_any_work(helper, rows):
+    model, _zbar, _p = _initialized_model((4, 3), n=60)
+    zbar = SeededRng(3).normal(size=(60, 4))
+    p = np.zeros(rows)
+    with pytest.raises(DataError, match="target must be a vector with one entry per row"):
+        sgd_refine(model, zbar, p, SgdParams(epochs=2))
+    assert helper == []  # refused before any fork

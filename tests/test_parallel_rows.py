@@ -10,6 +10,7 @@ import os
 import re
 import signal
 import sys
+import tempfile
 import threading
 
 import numpy as np
@@ -144,7 +145,7 @@ def test_csv_write_formats_a_part_itself_when_it_cannot_fork(tmp_path, monkeypat
     if refused == "fork":
         monkeypatch.setattr(os, "fork", _refuse)
     else:
-        monkeypatch.setattr(dataio.tempfile, "TemporaryFile", _refuse)
+        monkeypatch.setattr(tempfile, "TemporaryFile", _refuse)
     dataio.csv_write(tmp_path / "parts.csv", ds)
     assert (tmp_path / "parts.csv").read_bytes() == expected.read_bytes()
     _assert_no_child_left()
@@ -319,7 +320,7 @@ def test_csv_read_rescans_when_it_cannot_fork(tmp_path, monkeypatch, forked, ref
     path.write_text(_csv_text(_dataset(30)), encoding="utf-8")
     expected = _one_part(monkeypatch, lambda: _outcome(path))
     if refused == "spill":
-        monkeypatch.setattr(dataio.tempfile, "TemporaryFile", _refuse)
+        monkeypatch.setattr(tempfile, "TemporaryFile", _refuse)
     else:
         monkeypatch.setattr(os, refused, _refuse)
     _use_cpus(monkeypatch, 3)
