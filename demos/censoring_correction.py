@@ -11,7 +11,6 @@ from dpls_iv import (
     estimate_tobit_constants,
     fit_ols,
     gmm_beta,
-    identity_constants,
     recenter_outcome,
 )
 
@@ -30,10 +29,10 @@ def one_replication(seed):
 
     p_hat = fit_ols(z, p).predict(z)
     constants = estimate_tobit_constants(y)
-    corrected = gmm_beta(p_hat, x, recenter_outcome(y, constants), constants,
-                         p_observed=p)
-    naive = gmm_beta(p_hat, x, y, identity_constants(), p_observed=p)
-    return corrected.beta[0], naive.beta[0], constants
+    # gmm_beta returns the coefficients and the moment residuals
+    corrected, _ = gmm_beta(p_hat, x, recenter_outcome(y, constants), p_observed=p)
+    naive, _ = gmm_beta(p_hat, x, y, p_observed=p)
+    return corrected[0], naive[0], constants
 
 
 def main():

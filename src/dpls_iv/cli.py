@@ -245,7 +245,7 @@ def _cmd_fit(args) -> int:
         first = fit_first_stage(method, zbar, ds.p, dpls.first_layer_q, SeededRng(seed))
         fit = iv_fit(first, ds, mode=mode, censored=censored)
     with _outputs(args.out_dir, cfg):
-        dataio.write_fit(os.path.join(args.out_dir, "fit.json"), fit, len(ds.y))
+        dataio.write_fit(os.path.join(args.out_dir, "fit.json"), fit)
         dataio.write_predictions_csv(
             os.path.join(args.out_dir, "predictions.csv"), _predictions(fit, ds)
         )
@@ -302,13 +302,13 @@ def _cmd_predict(args) -> int:
     if not (0.0 < level < 1.0):
         raise DataError(f"level must lie in (0, 1), got {level}")
     seed = _as_int(cfg, "seed")
-    fit, n_train = dataio.read_fit(cfg["fit"])
+    fit = dataio.read_fit(cfg["fit"])
     ds = dataio.csv_read(cfg["data"])
     columns = _predictions(fit, ds)
     if draws > 0:
         if fit.gmm is None:
             raise DataError("posterior intervals need a fit with a gmm stage")
-        post = sample_posterior(fit.gmm, n_train, draws, SeededRng(seed))
+        post = sample_posterior(fit.gmm, fit.n_train, draws, SeededRng(seed))
         columns[f"y_lo_{level!r}"], columns[f"y_hi_{level!r}"] = post.band(
             np.column_stack([columns["p_hat"], ds.x]), level
         )

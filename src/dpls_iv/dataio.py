@@ -614,29 +614,29 @@ def _first_stage_from_dict(doc: dict):
     raise DataError(f"unknown first-stage method {method!r}")
 
 
-def fit_to_dict(fit: DplsIvFit, n_train: int) -> dict:
-    """Self-contained fit record: first stage plus outcome coefficients.
+def fit_to_dict(fit: DplsIvFit) -> dict:
+    """Self-contained fit record: every field of the fit, one block each.
 
-    The outcome block present, gmm or cf, names the mode. Training-data-sized
-    arrays (designs, residuals) are not kept; the record supports prediction
-    and posterior sampling, not refitting.
+    The outcome block present, gmm or cf, names the mode. A fit keeps no
+    training-data-sized array, so the record supports prediction and
+    posterior sampling, not refitting.
     """
     doc = {
         "format": _FIT_FORMAT,
         "version": _FIT_VERSION,
         "censored": fit.censored,
-        "n_train": int(n_train),
+        "n_train": fit.n_train,
         "constants": _record(fit.constants),
         "first_stage": _first_stage_to_dict(fit.first_stage),
     }
     if fit.gmm is not None:
-        doc["gmm"] = _record(fit.gmm, "constants", "design", "residuals")
+        doc["gmm"] = _record(fit.gmm)
     if fit.cf is not None:
         doc["cf"] = _record(fit.cf)
     return doc
 
 
-def fit_from_dict(doc: dict) -> tuple[DplsIvFit, int]:
+def fit_from_dict(doc: dict) -> DplsIvFit:
     """A fit with exactly one outcome stage, (dim, dim) covariances for a gmm
     stage, a JSON bool censoring flag and an integer training size."""
     if doc.get("format") != _FIT_FORMAT:
@@ -647,9 +647,8 @@ def fit_from_dict(doc: dict) -> tuple[DplsIvFit, int]:
     constants = _from_record(TobitConstants, doc["constants"])
     gmm = cf = None
     if "gmm" in doc:
-        dim = len(doc["gmm"]["beta"])
-        gmm = _from_record(TobitGmmFit, doc["gmm"], constants=constants,
-                           design=np.zeros((0, dim)), residuals=np.zeros(0))
+        gmm = _from_record(TobitGmmFit, doc["gmm"])
+        dim = len(gmm.beta)
         shapes = (gmm.beta.shape, gmm.sigma_star_matrix.shape, gmm.corrected_matrix.shape)
         if shapes != ((dim,), (dim, dim), (dim, dim)):
             raise DataError("gmm beta {} and covariances {} and {} do not fit together"
@@ -659,16 +658,15 @@ def fit_from_dict(doc: dict) -> tuple[DplsIvFit, int]:
     if not isinstance(doc["censored"], bool):
         raise DataError(f"censored must be true or false, got {doc['censored']!r}")
     first = _first_stage_from_dict(doc["first_stage"])
-    fit = DplsIvFit(censored=doc["censored"], first_stage=first, constants=constants,
-                    gmm=gmm, cf=cf)
-    return fit, check_int("n_train", doc["n_train"])
+    return DplsIvFit(censored=doc["censored"], first_stage=first, constants=constants,
+                     n_train=check_int("n_train", doc["n_train"]), gmm=gmm, cf=cf)
 
 
-def write_fit(path, fit: DplsIvFit, n_train: int) -> None:
-    _write_json(path, fit_to_dict(fit, n_train))
+def write_fit(path, fit: DplsIvFit) -> None:
+    _write_json(path, fit_to_dict(fit))
 
 
-def read_fit(path) -> tuple[DplsIvFit, int]:
+def read_fit(path) -> DplsIvFit:
     """Load a fit record; a file that is not one is a data error."""
     try:
         return fit_from_dict(_read_json(path))

@@ -12,13 +12,13 @@ sorts each block's rows on every usable CPU. Its memory does not grow with
 the rows, but it does with the draws: they take draws x (1 + k) floats, and
 a block holds max(3, 2^20 // draws) rows of draws latent cells each. iv_fit
 is the one outcome stage: it runs over any fitted first stage, network or
-linear baseline alike.
+linear baseline alike, and its fit holds exactly what the fit record holds.
 """
 from __future__ import annotations
 
 import contextvars
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,38 +127,34 @@ class TobitGmmFit:
 
     sigma_star_matrix is the asymptotic covariance of sqrt(n)(beta_hat - beta)
     and corrected_matrix subtracts the recentering-induced psi1(1-psi1) bbT
-    term (PSD-projected). Both are None until sandwich_variance runs.
+    term (PSD-projected). These three arrays are the fit record's gmm block.
     """
 
     beta: np.ndarray
-    constants: TobitConstants
-    design: np.ndarray
-    residuals: np.ndarray
-    sigma_star_matrix: np.ndarray | None = None
-    corrected_matrix: np.ndarray | None = None
+    sigma_star_matrix: np.ndarray
+    corrected_matrix: np.ndarray
 
 
-def gmm_beta(p_hat, x, y_tilde, constants: TobitConstants, p_observed) -> TobitGmmFit:
-    """Least-squares coefficients of y_tilde on the design [p_hat, x].
+def _gmm_design(p, x) -> np.ndarray:
+    """The outcome-stage design [p, x] of a treatment p and covariates x."""
+    p = np.asarray(p, dtype=np.float64).ravel()
+    x = covariate_block(x, len(p))
+    if x.ndim != 2 or x.shape[0] != len(p):
+        raise DataError("treatment and covariates must have matching row counts")
+    return np.column_stack([p, x])
 
-    Stored residuals are taken against [p_observed, x]; those are the moment
-    residuals the variance estimator needs (residuals against the projected
-    treatment fold the first-stage error into the error variance and
-    overstate it).
-    """
-    p_hat = np.asarray(p_hat, dtype=np.float64).ravel()
+
+def gmm_beta(p_hat, x, y_tilde, p_observed) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients of y_tilde on the design [p_hat, x], and
+    the residuals against [p_observed, x]: the moment residuals the variance
+    estimator needs (residuals against the projected treatment fold the
+    first-stage error into the error variance and overstate it)."""
+    design = _gmm_design(p_hat, x)
     y_tilde = np.asarray(y_tilde, dtype=np.float64).ravel()
-    x = covariate_block(x, len(p_hat))
-    if x.ndim != 2 or x.shape[0] != len(p_hat) or len(y_tilde) != len(p_hat):
+    if len(y_tilde) != len(design):
         raise DataError("p_hat, x, y_tilde must have matching row counts")
-    design = np.column_stack([p_hat, x])
-    ls = fit_ols(design, y_tilde)
-    beta = ls.coef
-    p_observed = np.asarray(p_observed, dtype=np.float64).ravel()
-    if len(p_observed) != len(p_hat):
-        raise DataError("p_observed must align with p_hat")
-    resid = y_tilde - np.column_stack([p_observed, x]) @ beta
-    return TobitGmmFit(beta=beta, constants=constants, design=design, residuals=resid)
+    beta = fit_ols(design, y_tilde).coef
+    return beta, y_tilde - _gmm_design(p_observed, design[:, 1:]) @ beta
 
 
 def _robust_inverse(a: np.ndarray) -> np.ndarray:
@@ -174,21 +170,24 @@ def _robust_inverse(a: np.ndarray) -> np.ndarray:
     return np.linalg.inv(a + lam * np.eye(dim))
 
 
-def sandwich_variance(fit: TobitGmmFit, zbar) -> np.ndarray:
+def sandwich_variance(p_hat, x, residuals, zbar) -> np.ndarray:
     """Heteroskedasticity-robust covariance of sqrt(n)(beta_hat - beta).
 
-    Sigma* = n^2 (PtZ A^-1 ZtP)^-1, the efficiently weighted GMM sandwich
-    with the score-covariance matrix A = (1/n) sum e_i^2 zbar_i zbar_i'. It
-    reduces to the classical robust OLS form when zbar equals the design.
+    Sigma* = n^2 (PtZ A^-1 ZtP)^-1 for the design P = [p_hat, x], the
+    efficiently weighted GMM sandwich with the score-covariance matrix
+    A = (1/n) sum e_i^2 zbar_i zbar_i' of gmm_beta's residuals e. It reduces
+    to the classical robust OLS form when zbar equals the design.
     """
+    design = _gmm_design(p_hat, x)
     zbar = np.asarray(zbar, dtype=np.float64)
     n, d = zbar.shape
-    if fit.residuals.shape != (n,):
+    residuals = np.asarray(residuals, dtype=np.float64)
+    if residuals.shape != (n,) or len(design) != n:
         raise DataError("zbar rows must match the fitted sample")
-    ezsq = fit.residuals**2
+    ezsq = residuals**2
     a_hat = (zbar * ezsq[:, None]).T @ zbar / n
     a_inv = _robust_inverse(a_hat)
-    ptz = fit.design.T @ zbar
+    ptz = design.T @ zbar
     bread = _robust_inverse(ptz @ a_inv @ ptz.T)
     sigma = n * n * bread
     return (sigma + sigma.T) / 2.0
@@ -203,16 +202,13 @@ def _project_psd(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.maximum(vals, 0.0)) @ vecs.T
 
 
-def corrected_covariance(fit: TobitGmmFit) -> np.ndarray:
+def corrected_covariance(sigma_star, beta, psi1: float) -> np.ndarray:
     """Sigma* minus the psi1(1 - psi1) beta beta' recentering term, PSD-projected.
 
     The subtraction can go indefinite in finite samples, so negative
     eigenvalues are clipped at zero before any use in sampling.
     """
-    if fit.sigma_star_matrix is None:
-        raise DataError("run sandwich_variance before corrected_covariance")
-    p1 = fit.constants.psi1
-    raw = fit.sigma_star_matrix - p1 * (1.0 - p1) * np.outer(fit.beta, fit.beta)
+    raw = sigma_star - psi1 * (1.0 - psi1) * np.outer(beta, beta)
     return _project_psd(raw)
 
 
@@ -252,14 +248,16 @@ class DplsIvFit:
     """A fitted first stage plus the outcome stage run on its predictions.
 
     first_stage is any fitted treatment model with predict(zbar) and coef:
-    the deep PLS network, or a linear, ridge, lasso or PLS baseline. Exactly
-    one outcome stage is set, and it names the mode: gmm for rescale_gmm,
-    cf for control_function.
+    the deep PLS network, or a linear, ridge, lasso or PLS baseline, fit with
+    the outcome stage on n_train rows. Exactly one outcome stage is set, and
+    it names the mode: gmm for rescale_gmm, cf for control_function. The
+    fields are the fit record's blocks.
     """
 
     censored: bool
     first_stage: DplsModel | PlsFit | LinearFit
     constants: TobitConstants
+    n_train: int
     gmm: TobitGmmFit | None = None
     cf: ControlFunctionFit | None = None
 
@@ -278,13 +276,7 @@ class DplsIvFit:
         return self.cf.beta
 
     def predict_treatment(self, z, x) -> np.ndarray:
-        zbar = augment_instruments(z, x)
-        width = len(self.first_stage.coef)
-        if zbar.shape[1] != width:
-            raise DataError(
-                f"fit expects {width} design columns, data has {zbar.shape[1]}"
-            )
-        return self.first_stage.predict(zbar)
+        return _predict_treatment(self.first_stage, augment_instruments(z, x))
 
     def predict_outcome(self, z, x, p=None) -> np.ndarray:
         """Structural outcome prediction on the observed scale.
@@ -316,6 +308,14 @@ class DplsIvFit:
         return index
 
 
+def _predict_treatment(first_stage, zbar: np.ndarray) -> np.ndarray:
+    """first_stage's predictions on zbar, whose width must be the one it was fit on."""
+    width = len(first_stage.coef)
+    if zbar.shape[1] != width:
+        raise DataError(f"fit expects {width} design columns, data has {zbar.shape[1]}")
+    return first_stage.predict(zbar)
+
+
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise DataError(f"mode must be {' or '.join(map(repr, MODES))}")
@@ -330,22 +330,22 @@ def iv_fit(
     rescale_gmm mode is exactly two-stage least squares on the first stage's
     treatment predictions. The rescale_gmm mode always carries the sandwich
     and corrected covariances, so every such fit supports posterior draws.
+    A first stage fit on another number of design columns is a DataError.
     """
     _check_mode(mode)
     zbar = augment_instruments(ds.z, ds.x)
-    p_hat = first_stage.predict(zbar)
+    p_hat = _predict_treatment(first_stage, zbar)
     constants = estimate_tobit_constants(ds.y) if censored else identity_constants()
     y_tilde = recenter_outcome(ds.y, constants)
     gmm = cf = None
     if mode == "rescale_gmm":
-        gmm = gmm_beta(p_hat, ds.x, y_tilde, constants, p_observed=ds.p)
-        gmm = replace(gmm, sigma_star_matrix=sandwich_variance(gmm, zbar))
-        gmm = replace(gmm, corrected_matrix=corrected_covariance(gmm))
+        beta, residuals = gmm_beta(p_hat, ds.x, y_tilde, ds.p)
+        sigma = sandwich_variance(p_hat, ds.x, residuals, zbar)
+        gmm = TobitGmmFit(beta, sigma, corrected_covariance(sigma, beta, constants.psi1))
     else:
         cf = control_function_fit(ds.p, p_hat, ds.x, y_tilde)
-    return DplsIvFit(
-        censored=censored, first_stage=first_stage, constants=constants, gmm=gmm, cf=cf
-    )
+    return DplsIvFit(censored=censored, first_stage=first_stage, constants=constants,
+                     n_train=ds.n, gmm=gmm, cf=cf)
 
 
 def dpls_iv_fit(

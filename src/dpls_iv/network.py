@@ -370,7 +370,8 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
 
     The returned model carries the parameters from the best epoch measured
     on the full training loss (epoch 0 is the pre-SGD state, so refinement
-    can never end worse than it started) and the full loss history.
+    can never end worse than it started) and this call's loss history alone,
+    so history[best_epoch] is the returned model's loss.
 
     Every trainable weight and bias is a view into one flat vector theta,
     and every gradient a view into grad, which has the same layout, so a
@@ -406,7 +407,7 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
     work = [np.empty((n, w.shape[1])) for w, _ in hidden]
     step_work = {rows: _LossWork(hidden, rows) for rows in (min(batch, n), n % batch) if rows}
     feats_epoch, p_epoch = np.empty(feats.shape), np.empty(n)
-    history, best = list(model.history), None
+    history, best = [], None
 
     def take(epoch, state, helper):
         """Take the loss at state, epoch's end: the helper's reply, or

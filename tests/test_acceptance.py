@@ -26,7 +26,6 @@ from dpls_iv import (
     fit_pls_deflation,
     gen_experiment1,
     gmm_beta,
-    identity_constants,
     network_loss_and_grads,
     recenter_outcome,
     run_benchmark,
@@ -206,10 +205,9 @@ def test_criterion_08_recentering_removes_censoring_bias():
         y = np.maximum(beta_p * p + beta0 + xi, 0.0)
         p_hat = fit_ols(z, p).predict(z)
         constants = estimate_tobit_constants(y)
-        fit = gmm_beta(p_hat, x, recenter_outcome(y, constants), constants,
-                       p_observed=p)
-        naive = gmm_beta(p_hat, x, y, identity_constants(), p_observed=p)
-        return fit.beta[0], naive.beta[0]
+        beta, _ = gmm_beta(p_hat, x, recenter_outcome(y, constants), p_observed=p)
+        naive, _ = gmm_beta(p_hat, x, y, p_observed=p)
+        return beta[0], naive[0]
 
     draws = np.array([one_rep(3000 + r) for r in range(50)])
     bias = abs(draws[:, 0].mean() - beta_p)
@@ -236,10 +234,10 @@ def test_criterion_09_sandwich_interval_coverage():
         x = np.ones((n, 1))
         y = beta_p * p + beta0 + xi
         p_hat = fit_ols(z, p).predict(z)
-        fit = gmm_beta(p_hat, x, y, identity_constants(), p_observed=p)
-        sigma = sandwich_variance(fit, np.column_stack([z, x]))
+        beta, residuals = gmm_beta(p_hat, x, y, p_observed=p)
+        sigma = sandwich_variance(p_hat, x, residuals, np.column_stack([z, x]))
         se = np.sqrt(sigma[0, 0] / n)
-        return abs(fit.beta[0] - beta_p) <= 1.96 * se
+        return abs(beta[0] - beta_p) <= 1.96 * se
 
     coverage = sum(covers(4000 + r) for r in range(50)) / 50.0
     print(f"empirical coverage of nominal 95% intervals: {coverage:.2f}")

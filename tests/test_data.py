@@ -19,7 +19,6 @@ from dpls_iv import (
     dpls_fit,
     experiment1_spec,
     fit_ols,
-    identity_constants,
     sample_posterior,
     select_q_cv,
     split_dataset,
@@ -178,8 +177,7 @@ def test_split_dataset_refuses_unidentified_partition():
         split_dataset(ds, 0.5, SeededRng(1))
 
 
-_GMM = TobitGmmFit(beta=np.zeros(2), constants=identity_constants(), design=np.zeros((0, 2)),
-                   residuals=np.zeros(0), corrected_matrix=np.eye(2))
+_GMM = TobitGmmFit(beta=np.zeros(2), sigma_star_matrix=np.eye(2), corrected_matrix=np.eye(2))
 
 # (field named in the error, constructor of one value, a legal value)
 _INTEGER_FIELDS = [

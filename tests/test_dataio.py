@@ -17,9 +17,11 @@ from numpy.testing import assert_array_equal
 from dpls_iv import (
     Dataset,
     DplsConfig,
+    DplsIvFit,
     MetricsReport,
     SeededRng,
     SgdParams,
+    TobitGmmFit,
     augment_instruments,
     dpls_iv_fit,
     experiment1_spec,
@@ -435,7 +437,7 @@ def test_cli_exits_2_on_a_bad_fifo(tmp_path, capsys, command):
     keys = {"data": str(data)}
     if command == "predict":
         _, fit = _small_fit("control_function")
-        write_fit(tmp_path / "fit.json", fit, n_train=200)
+        write_fit(tmp_path / "fit.json", fit)
         keys["fit"] = str(tmp_path / "fit.json")
     write_config(tmp_path / "cfg.txt", keys)
     argv = [command, "--config", str(tmp_path / "cfg.txt"), "--out-dir", str(tmp_path / "out")]
@@ -547,8 +549,8 @@ def _small_fit(mode, censored=True):
 
 def test_fit_bundle_round_trip_gmm_mode(tmp_path):
     ds, fit = _small_fit("rescale_gmm")
-    back, n_train = fit_from_dict(fit_to_dict(fit, n_train=200))
-    assert n_train == 200
+    back = fit_from_dict(fit_to_dict(fit))
+    assert back.n_train == 200
     assert back.mode == "rescale_gmm"
     assert back.censored is True
     assert back.cf is None
@@ -566,19 +568,19 @@ def test_fit_bundle_round_trip_gmm_mode(tmp_path):
 def test_read_fit_skips_a_leading_byte_order_mark(tmp_path):
     ds, fit = _small_fit("rescale_gmm")
     path = tmp_path / "fit.json"
-    write_fit(path, fit, n_train=200)
+    write_fit(path, fit)
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-    back, n_train = read_fit(path)
-    assert n_train == 200
+    back = read_fit(path)
+    assert back.n_train == 200
     assert_array_equal(back.predict_outcome(ds.z, ds.x), fit.predict_outcome(ds.z, ds.x))
 
 
 def test_fit_bundle_round_trip_control_function_mode(tmp_path):
     ds, fit = _small_fit("control_function")
     path = tmp_path / "fit.json"
-    write_fit(path, fit, n_train=200)
-    back, n_train = read_fit(path)
-    assert n_train == 200
+    write_fit(path, fit)
+    back = read_fit(path)
+    assert back.n_train == 200
     assert back.mode == "control_function"
     assert back.gmm is None
     assert back.cf.beta == fit.cf.beta
@@ -615,20 +617,23 @@ def _method_fit(method, mode, censored):
 @pytest.mark.parametrize("censored", [True, False])
 @pytest.mark.parametrize("mode", ["rescale_gmm", "control_function"])
 @pytest.mark.parametrize("method", ["dpls_iv", "pls", "ols", "ridge", "lasso"])
-def test_fit_record_reproduces_the_first_stage(method, mode, censored):
+def test_read_fit_returns_the_fit_write_fit_wrote(tmp_path, method, mode, censored):
     fit = _method_fit(method, mode, censored)
-    back, _ = fit_from_dict(json.loads(json.dumps(fit_to_dict(fit, n_train=200))))
-    assert back.censored is censored and back.mode == mode
-    _assert_bit_equal(back.first_stage, fit.first_stage)
-    _assert_bit_equal(back.constants, fit.constants)
-    if mode == "rescale_gmm":
-        # the record keeps no training-sized design or residuals
-        _assert_bit_equal(
-            dataclasses.replace(back.gmm, design=fit.gmm.design, residuals=fit.gmm.residuals),
-            fit.gmm,
-        )
-    else:
-        _assert_bit_equal(back.cf, fit.cf)
+    write_fit(tmp_path / "fit.json", fit)
+    back = read_fit(tmp_path / "fit.json")
+    assert back.censored is censored and back.mode == mode and back.n_train == 200
+    _assert_bit_equal(back, fit)
+
+
+def test_a_fit_holds_exactly_its_record():
+    """The fit's fields are the record's top-level keys less format and
+    version, and the gmm stage is its block: three required arrays."""
+    doc = fit_to_dict(_method_fit("ols", "rescale_gmm", censored=True))
+    fit_fields = {f.name for f in dataclasses.fields(DplsIvFit)}
+    assert fit_fields == {"cf"} | set(doc) - {"format", "version"}
+    gmm_fields = dataclasses.fields(TobitGmmFit)
+    assert [f.name for f in gmm_fields] == ["beta", "sigma_star_matrix", "corrected_matrix"]
+    assert all(f.default is dataclasses.MISSING for f in gmm_fields)
 
 
 _PLS_KEYS = {"y_loadings", "weights", "means", "p_mean"}
@@ -647,7 +652,7 @@ _FIRST_STAGE_KEYS = {
 @pytest.mark.parametrize("method", sorted(_FIRST_STAGE_KEYS))
 def test_fit_record_blocks_have_pinned_keys(method, mode):
     """A dataclass field added later changes the format only with this test."""
-    doc = fit_to_dict(_method_fit(method, mode, censored=True), n_train=200)
+    doc = fit_to_dict(_method_fit(method, mode, censored=True))
     stage, stage_keys = _STAGE_KEYS[mode]
     assert set(doc) == {"format", "version", "censored", "n_train", "constants",
                         "first_stage", stage}
@@ -677,7 +682,7 @@ def test_fit_from_dict_rejects_foreign_documents():
     with pytest.raises(DataError, match="not a fit record"):
         fit_from_dict({"format": "something-else"})
     _, fit = _small_fit("rescale_gmm", censored=False)
-    doc = fit_to_dict(fit, n_train=200)
+    doc = fit_to_dict(fit)
     # version 1 is the record layout before every method shared one format;
     # version 2 also stored the mode, the activation and the PLS coef and q
     for old in (0, 1, 2):
@@ -775,7 +780,7 @@ def test_predict_exits_2_on_a_fit_record_whose_arrays_disagree(tmp_path, capsys,
     mode, edit, reason = _BAD_RECORDS[case]
     ds, fit = _small_fit(mode)
     csv_write(tmp_path / "data.csv", ds)
-    doc = fit_to_dict(fit, n_train=200)
+    doc = fit_to_dict(fit)
     text = edit(doc)
     (tmp_path / "fit.json").write_text(text if isinstance(text, str) else json.dumps(doc))
     write_config(tmp_path / "cfg.txt", {"fit": str(tmp_path / "fit.json"),

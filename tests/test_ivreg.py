@@ -13,12 +13,15 @@ from dpls_iv import (
     SyntheticSpec,
     TobitConstants,
     TobitGmmFit,
+    augment_instruments,
     dpls_iv_fit,
     estimate_tobit_constants,
+    fit_first_stage,
     fit_ols,
     gen_experiment1,
     gmm_beta,
     identity_constants,
+    iv_fit,
     recenter_outcome,
     sample_posterior,
     sandwich_variance,
@@ -101,8 +104,8 @@ def test_recenter_round_trip():
 
 def test_gmm_scalar_ratio_without_covariates():
     p_hat = np.array([1.0, 2.0, 3.0])
-    fit = gmm_beta(p_hat, np.empty(0), np.array([2.0, 4.0, 6.0]), identity_constants(), p_hat)
-    np.testing.assert_allclose(fit.beta, [2.0])
+    beta, _ = gmm_beta(p_hat, np.empty(0), np.array([2.0, 4.0, 6.0]), p_hat)
+    np.testing.assert_allclose(beta, [2.0])
 
 
 def test_outcome_stages_reject_an_empty_covariate_block_of_the_wrong_rows():
@@ -114,12 +117,14 @@ def test_outcome_stages_reject_an_empty_covariate_block_of_the_wrong_rows():
     y = 2.0 * p + 0.1 * rng.child(2).normal(size=10)
     wrong = np.empty((0, 3))
     with pytest.raises(DataError):
-        gmm_beta(p_hat, wrong, y, identity_constants(), p)
+        gmm_beta(p_hat, wrong, y, p)
+    with pytest.raises(DataError):
+        gmm_beta(p_hat, np.empty(0), y, p[:-1])
     with pytest.raises(DataError):
         control_function_fit(p, p_hat, wrong, y)
     with pytest.raises(DataError):
         control_function_fit(p, p_hat, np.ones(10), y)
-    assert gmm_beta(p_hat, np.empty(0), y, identity_constants(), p).beta.shape == (1,)
+    assert gmm_beta(p_hat, np.empty(0), y, p)[0].shape == (1,)
     assert control_function_fit(p, p_hat, np.empty(0), y).beta_x.shape == (0,)
 
 
@@ -128,9 +133,9 @@ def test_gmm_reduces_to_ols_without_endogeneity():
     p = rng.child(0).normal(size=80)
     x = rng.child(1).normal(size=(80, 2))
     y = 1.5 * p + x @ np.array([0.5, -1.0]) + 0.1 * rng.child(2).normal(size=80)
-    fit = gmm_beta(p, x, y, identity_constants(), p_observed=p)
+    beta, _ = gmm_beta(p, x, y, p_observed=p)
     ols = fit_ols(np.column_stack([p, x]), y)
-    np.testing.assert_allclose(fit.beta, ols.coef, atol=1e-12)
+    np.testing.assert_allclose(beta, ols.coef, atol=1e-12)
 
 
 def test_gmm_scale_equivariance():
@@ -138,9 +143,9 @@ def test_gmm_scale_equivariance():
     p_hat = rng.child(0).normal(size=50)
     x = rng.child(1).normal(size=(50, 2))
     y = rng.child(2).normal(size=50)
-    base = gmm_beta(p_hat, x, y, identity_constants(), p_observed=p_hat)
-    scaled = gmm_beta(p_hat, x, 2.0 * y, identity_constants(), p_observed=p_hat)
-    np.testing.assert_array_equal(scaled.beta, 2.0 * base.beta)
+    base, _ = gmm_beta(p_hat, x, y, p_observed=p_hat)
+    scaled, _ = gmm_beta(p_hat, x, 2.0 * y, p_observed=p_hat)
+    np.testing.assert_array_equal(scaled, 2.0 * base)
 
 
 def test_gmm_residuals_use_observed_treatment_when_given():
@@ -149,18 +154,18 @@ def test_gmm_residuals_use_observed_treatment_when_given():
     p_hat = p + 0.5 * rng.child(1).normal(size=60)
     x = rng.child(2).normal(size=(60, 1))
     y = rng.child(3).normal(size=60)
-    fit = gmm_beta(p_hat, x, y, identity_constants(), p_observed=p)
-    expected = y - np.column_stack([p, x]) @ fit.beta
-    np.testing.assert_allclose(fit.residuals, expected, atol=1e-14)
-    # stored design keeps the projected treatment
-    np.testing.assert_array_equal(fit.design[:, 0], p_hat)
+    beta, residuals = gmm_beta(p_hat, x, y, p_observed=p)
+    expected = y - np.column_stack([p, x]) @ beta
+    np.testing.assert_allclose(residuals, expected, atol=1e-14)
+    # the coefficients come from the projected treatment
+    np.testing.assert_array_equal(beta, fit_ols(np.column_stack([p_hat, x]), y).coef)
 
 
 def test_gmm_rank_deficiency_raises():
     rng = SeededRng(6)
     x = rng.normal(size=(40, 1))
     with pytest.raises(SingularDesignError):
-        gmm_beta(x.ravel(), x, rng.normal(size=40), identity_constants(), x.ravel())
+        gmm_beta(x.ravel(), x, rng.normal(size=40), x.ravel())
 
 
 def test_sandwich_equals_robust_ols_form_when_just_identified():
@@ -170,9 +175,9 @@ def test_sandwich_equals_robust_ols_form_when_just_identified():
         rng.child(1).normal(size=(100, 2)),
     ])
     y = design @ np.array([1.0, 0.5, -0.5]) + rng.child(2).normal(size=100)
-    fit = gmm_beta(design[:, 0], design[:, 1:], y, identity_constants(), design[:, 0])
-    sigma = sandwich_variance(fit, design)
-    e2 = fit.residuals**2
+    _, residuals = gmm_beta(design[:, 0], design[:, 1:], y, design[:, 0])
+    sigma = sandwich_variance(design[:, 0], design[:, 1:], residuals, design)
+    e2 = residuals**2
     xtx_inv = np.linalg.inv(design.T @ design)
     hc0 = xtx_inv @ (design * e2[:, None]).T @ design @ xtx_inv
     np.testing.assert_allclose(sigma, 100 * hc0, atol=1e-8)
@@ -181,35 +186,20 @@ def test_sandwich_equals_robust_ols_form_when_just_identified():
 def test_sandwich_zero_residuals_takes_jitter_path():
     rng = SeededRng(8)
     design = rng.normal(size=(50, 2))
-    fit = TobitGmmFit(
-        beta=np.array([1.0, 2.0]),
-        constants=identity_constants(),
-        design=design,
-        residuals=np.zeros(50),
-    )
     with pytest.warns(UserWarning, match="ridge jitter"):
-        sigma = sandwich_variance(fit, design)
+        sigma = sandwich_variance(design[:, 0], design[:, 1:], np.zeros(50), design)
     assert np.max(np.abs(sigma)) < 1e-3
 
 
-def test_corrected_covariance_requires_sandwich_first():
-    p_hat = np.array([1.0, 2.0, 3.0])
-    fit = gmm_beta(p_hat, np.empty(0), np.array([1.0, 2.0, 3.1]), identity_constants(), p_hat)
-    with pytest.raises(DataError, match="sandwich_variance"):
-        corrected_covariance(fit)
-
-
 def test_corrected_covariance_is_psd():
-    from dataclasses import replace
-
     rng = SeededRng(10)
     p_hat = rng.child(0).normal(size=200)
     x = rng.child(1).normal(size=(200, 1))
     y = np.maximum(2.0 * p_hat + 0.3 * rng.child(2).normal(size=200), 0.0)
     c = estimate_tobit_constants(y)
-    fit = gmm_beta(p_hat, x, recenter_outcome(y, c), c, p_observed=p_hat)
-    fit = replace(fit, sigma_star_matrix=sandwich_variance(fit, fit.design))
-    corrected = corrected_covariance(fit)
+    beta, residuals = gmm_beta(p_hat, x, recenter_outcome(y, c), p_observed=p_hat)
+    sigma = sandwich_variance(p_hat, x, residuals, np.column_stack([p_hat, x]))
+    corrected = corrected_covariance(sigma, beta, c.psi1)
     assert np.linalg.eigvalsh(corrected)[0] >= -1e-12
 
 
@@ -319,12 +309,39 @@ def test_pipeline_censored_outcome_prediction_is_nonnegative():
     assert fit.gmm.corrected_matrix is not None
 
 
+@pytest.mark.parametrize("censored", [True, False])
+def test_outcome_steps_by_hand_give_iv_fits_gmm_stage_bit_for_bit(censored):
+    spec = SyntheticSpec(n=300, m=6, m_redundant=0, k=2, k_null=0, coef_seed=2)
+    ds, _ = gen_experiment1(spec, SeededRng(15))
+    zbar = augment_instruments(ds.z, ds.x)
+    first = fit_first_stage("ols", zbar, ds.p, "auto", SeededRng(0))
+    fit = iv_fit(first, ds, mode="rescale_gmm", censored=censored)
+    assert fit.n_train == 300
+    c = estimate_tobit_constants(ds.y) if censored else identity_constants()
+    p_hat = first.predict(zbar)
+    beta, residuals = gmm_beta(p_hat, ds.x, recenter_outcome(ds.y, c), ds.p)
+    sigma = sandwich_variance(p_hat, ds.x, residuals, zbar)
+    corrected = corrected_covariance(sigma, beta, c.psi1)
+    for got, want in [(fit.gmm.beta, beta), (fit.gmm.sigma_star_matrix, sigma),
+                      (fit.gmm.corrected_matrix, corrected)]:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method", ["ols", "pls"])
+def test_iv_fit_refuses_a_first_stage_of_another_width(method):
+    spec = SyntheticSpec(n=200, m=6, m_redundant=0, k=2, k_null=0, coef_seed=2)
+    ds, _ = gen_experiment1(spec, SeededRng(16))
+    zbar = augment_instruments(ds.z, ds.x)
+    assert zbar.shape[1] == 8
+    first = fit_first_stage(method, zbar[:, :5], ds.p, 2, SeededRng(0))
+    for mode in ivreg.MODES:
+        with pytest.raises(DataError, match="fit expects 5 design columns, data has 8"):
+            iv_fit(first, ds, mode=mode)
+
+
 def _posterior_fixture(dim=3):
     return TobitGmmFit(
         beta=np.zeros(dim),
-        constants=identity_constants(),
-        design=np.zeros((0, dim)),
-        residuals=np.zeros(0),
         sigma_star_matrix=np.eye(dim),
         corrected_matrix=np.eye(dim),
     )

@@ -148,6 +148,21 @@ def test_refinement_never_ends_worse_than_start():
     assert history[model.best_epoch] <= history[0]
 
 
+def test_refining_a_refined_model_keeps_only_this_calls_history():
+    zbar, p = _nonlinear_training_data(2)
+    cfg = DplsConfig(layer_widths=(8,), first_layer_q=3,
+                     sgd=SgdParams(epochs=5, seed=0))
+    fitted = dpls_fit(zbar, p, cfg)
+    assert len(fitted.history) == 6
+    params = SgdParams(epochs=5, seed=1)
+    model = sgd_refine(fitted, zbar, p, params)
+    assert len(model.history) == 6
+    mse = float(np.mean((model.predict(zbar) - p) ** 2))
+    assert mse == pytest.approx(model.history[model.best_epoch], rel=1e-9)
+    assert model.history[0] == fitted.history[fitted.best_epoch]
+    _assert_same_refinement(model, _ref_sgd_refine(fitted, zbar, p, params), zbar)
+
+
 def test_treatment_scale_carries_to_first_layer():
     # doubling the target doubles every first-layer coefficient bit for bit
     zbar, p = _nonlinear_training_data(3)
@@ -259,7 +274,7 @@ def _ref_sgd_refine(model, zbar, p, params):
     hidden = [(w.copy(), b.copy()) for w, b in model.hidden]
     rng = SeededRng(params.seed).child(2)
     n = len(p)
-    history = list(model.history)
+    history = []
     loss0 = _ref_train_loss(hidden, feats, p)
     history.append(loss0)
     best_loss = loss0
