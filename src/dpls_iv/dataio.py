@@ -1,4 +1,6 @@
-"""CSV, config, fit-record and report serialization for the command-line tools.
+"""The command-line tools' files: each public function is the one writer or
+reader of one file (data.csv, config.txt, truth.json, fit.json,
+predictions.csv, metrics.csv, bias_cdf.csv, summary.txt).
 
 All numeric text is written with Python's shortest round-trip float repr,
 so write-then-read reproduces arrays bit for bit. Errors carry 1-based
@@ -46,22 +48,14 @@ from .synthetic import SyntheticTruth
 __all__ = [
     "csv_read",
     "csv_write",
-    "parse_config_text",
     "read_config",
-    "render_config",
     "write_config",
-    "truth_to_dict",
     "write_truth",
-    "model_to_dict",
-    "model_from_dict",
-    "fit_to_dict",
-    "fit_from_dict",
     "write_fit",
     "read_fit",
     "write_predictions_csv",
     "write_metrics_csv",
     "write_bias_cdf_csv",
-    "render_summary",
     "write_summary",
 ]
 
@@ -444,14 +438,14 @@ def csv_read(path) -> Dataset:
 # -------------------------------------------------------------- config files
 
 
-def parse_config_text(text: str) -> dict[str, str]:
-    """Parse a flat dotted-key config: 'section.key = value' lines.
+def read_config(path) -> dict[str, str]:
+    """Parse a flat dotted-key config file: 'section.key = value' lines.
 
     Blank lines and '#' comments are skipped; duplicates are rejected with
     the offending line number. Values stay strings; typing is the caller's.
     """
     out: dict[str, str] = {}
-    for i, line in enumerate(text.splitlines(), start=1):
+    for i, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if stripped == "" or stripped.startswith("#"):
             continue
@@ -468,18 +462,11 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def read_config(path) -> dict[str, str]:
-    return parse_config_text(_read_text(path))
-
-
-def render_config(mapping: dict) -> str:
-    lines = [f"{key} = {mapping[key]}" for key in sorted(mapping)]
-    return "\n".join(lines) + "\n"
-
-
 def write_config(path, mapping: dict) -> None:
+    """One 'key = value' line per key, in sorted key order."""
+    lines = [f"{key} = {mapping[key]}" for key in sorted(mapping)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_config(mapping))
+        fh.write("\n".join(lines) + "\n")
 
 
 # ------------------------------------------------------------- record blocks
@@ -491,18 +478,29 @@ def _record(obj, *skip) -> dict:
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    """value is a JSON number of kind; true and false are not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _number(value, where: str = "a fit record array") -> float:
+    """A JSON number as a float; true, false, a string or null is refused."""
+    if not _is_number(value):
+        raise DataError(f"{where} holds {json.dumps(value)}, not a number")
+    return float(value)
+
+
 def _array(value) -> np.ndarray:
-    """A JSON array as float64; a null in it is refused, not read as NaN."""
-    out = np.asarray(value, dtype=np.float64)
-    if np.isnan(out).any():
-        raise DataError("a fit record array holds null")
-    return out
+    """A JSON array of numbers, nested to any depth, as float64."""
+    cells = np.asarray(value, dtype=object)
+    return np.array([_number(v) for v in cells.flat], dtype=np.float64).reshape(cells.shape)
 
 
 def _from_record(cls, doc: dict, **given):
     """cls from the block _record wrote, plus the given fields: array fields
     as float64 arrays, every other field as a float."""
-    values = {f.name: (_array if "ndarray" in str(f.type) else float)(doc[f.name])
+    values = {f.name: _array(doc[f.name]) if "ndarray" in str(f.type)
+              else _number(doc[f.name], f.name)
               for f in fields(cls) if f.name not in given}
     return cls(**given, **values)
 
@@ -529,14 +527,10 @@ def _read_json(path) -> dict:
 # ------------------------------------------------------------- truth sidecar
 
 
-def truth_to_dict(truth: SyntheticTruth) -> dict:
-    return {"format": _TRUTH_FORMAT, "version": _TRUTH_VERSION,
-            **_record(truth, "sigma_z", "graph")}
-
-
 def write_truth(path, truth: SyntheticTruth) -> None:
     """Truth sidecar; sigma_z and the graph are derivable from the config."""
-    _write_json(path, truth_to_dict(truth))
+    _write_json(path, {"format": _TRUTH_FORMAT, "version": _TRUTH_VERSION,
+                       **_record(truth, "sigma_z", "graph")})
 
 
 # ----------------------------------------------------------------- fit bundle
@@ -554,22 +548,35 @@ def _pls_from_dict(doc: dict) -> PlsFit:
     return fit
 
 
-def model_to_dict(model: DplsModel) -> dict:
-    """Network weights and SGD history as plain JSON values."""
-    return {
-        "first_layer": _record(model.first_layer),
-        "hidden": [{"w": w.tolist(), "b": b.tolist()} for w, b in model.hidden],
-        "history": list(model.history),
-        "best_epoch": model.best_epoch,
-    }
+def _first_stage_to_dict(first) -> dict:
+    """First stage tagged with the method name that fit it; a network as its
+    weights and SGD history."""
+    if isinstance(first, DplsModel):
+        return {"method": "dpls_iv", "network": {
+            "first_layer": _record(first.first_layer),
+            "hidden": [{"w": w.tolist(), "b": b.tolist()} for w, b in first.hidden],
+            "history": list(first.history),
+            "best_epoch": first.best_epoch,
+        }}
+    if isinstance(first, PlsFit):
+        return {"method": "pls", "pls": _record(first)}
+    return _record(first)  # a LinearFit, whose method is a field
 
 
-def model_from_dict(doc: dict) -> DplsModel:
-    """A relu network whose layers chain from the q PLS features to one
-    output, with a loss history of numbers and a best epoch that is null or
-    indexes it."""
-    first = _pls_from_dict(doc["first_layer"])
-    hidden = tuple((_array(h["w"]), _array(h["b"])) for h in doc["hidden"])
+def _first_stage_from_dict(doc: dict):
+    """The first stage its method tag names. A network's relu layers must
+    chain from the q PLS features to one output, its loss history must be
+    numbers and its best epoch null or an index into that history."""
+    method = doc.get("method")
+    if method == "pls":
+        return _pls_from_dict(doc["pls"])
+    if method in ("ols", "ridge", "lasso"):
+        return _from_record(LinearFit, doc, method=method)
+    if method != "dpls_iv":
+        raise DataError(f"unknown first-stage method {method!r}")
+    net = doc["network"]
+    first = _pls_from_dict(net["first_layer"])
+    hidden = tuple((_array(h["w"]), _array(h["b"])) for h in net["hidden"])
     width = first.q
     for w, b in hidden:  # width stays None from the first layer that does not chain
         chained = w.ndim == 2 and w.shape[0] == width and b.shape == w.shape[1:]
@@ -579,7 +586,7 @@ def model_from_dict(doc: dict) -> DplsModel:
             f"network layers {[w.shape for w, _ in hidden]} do not chain from "
             f"{first.q} PLS features to one output"
         )
-    history, best = doc["history"], doc["best_epoch"]
+    history, best = net["history"], net["best_epoch"]
     if not isinstance(history, list) or not all(_is_number(v) for v in history):
         raise DataError("network history must be an array of numbers")
     if best is not None and not (_is_number(best, int) and 0 <= best < len(history)):
@@ -589,32 +596,7 @@ def model_from_dict(doc: dict) -> DplsModel:
                      history=tuple(float(v) for v in history))
 
 
-def _is_number(value, kind=(int, float)) -> bool:
-    """value is a JSON number of kind; true and false are not numbers."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _first_stage_to_dict(first) -> dict:
-    """First stage tagged with the method name that fit it."""
-    if isinstance(first, DplsModel):
-        return {"method": "dpls_iv", "network": model_to_dict(first)}
-    if isinstance(first, PlsFit):
-        return {"method": "pls", "pls": _record(first)}
-    return _record(first)  # a LinearFit, whose method is a field
-
-
-def _first_stage_from_dict(doc: dict):
-    method = doc.get("method")
-    if method == "dpls_iv":
-        return model_from_dict(doc["network"])
-    if method == "pls":
-        return _pls_from_dict(doc["pls"])
-    if method in ("ols", "ridge", "lasso"):
-        return _from_record(LinearFit, doc, method=method)
-    raise DataError(f"unknown first-stage method {method!r}")
-
-
-def fit_to_dict(fit: DplsIvFit) -> dict:
+def write_fit(path, fit: DplsIvFit) -> None:
     """Self-contained fit record: every field of the fit, one block each.
 
     The outcome block present, gmm or cf, names the mode. A fit keeps no
@@ -633,43 +615,39 @@ def fit_to_dict(fit: DplsIvFit) -> dict:
         doc["gmm"] = _record(fit.gmm)
     if fit.cf is not None:
         doc["cf"] = _record(fit.cf)
-    return doc
-
-
-def fit_from_dict(doc: dict) -> DplsIvFit:
-    """A fit with exactly one outcome stage, (dim, dim) covariances for a gmm
-    stage, a JSON bool censoring flag and an integer training size."""
-    if doc.get("format") != _FIT_FORMAT:
-        raise DataError(f"not a fit record: format={doc.get('format')!r}")
-    if doc.get("version") != _FIT_VERSION:
-        raise DataError(f"unsupported fit version {doc.get('version')!r}: this build "
-                        f"reads version {_FIT_VERSION} only; refit to write one")
-    constants = _from_record(TobitConstants, doc["constants"])
-    gmm = cf = None
-    if "gmm" in doc:
-        gmm = _from_record(TobitGmmFit, doc["gmm"])
-        dim = len(gmm.beta)
-        shapes = (gmm.beta.shape, gmm.sigma_star_matrix.shape, gmm.corrected_matrix.shape)
-        if shapes != ((dim,), (dim, dim), (dim, dim)):
-            raise DataError("gmm beta {} and covariances {} and {} do not fit together"
-                            .format(*shapes))
-    if "cf" in doc:
-        cf = _from_record(ControlFunctionFit, doc["cf"])
-    if not isinstance(doc["censored"], bool):
-        raise DataError(f"censored must be true or false, got {doc['censored']!r}")
-    first = _first_stage_from_dict(doc["first_stage"])
-    return DplsIvFit(censored=doc["censored"], first_stage=first, constants=constants,
-                     n_train=check_int("n_train", doc["n_train"]), gmm=gmm, cf=cf)
-
-
-def write_fit(path, fit: DplsIvFit) -> None:
-    _write_json(path, fit_to_dict(fit))
+    _write_json(path, doc)
 
 
 def read_fit(path) -> DplsIvFit:
-    """Load a fit record; a file that is not one is a data error."""
+    """Load a fit record; a file that is not one is a data error.
+
+    The fit has exactly one outcome stage, (dim, dim) covariances for a gmm
+    stage, a JSON bool censoring flag and an integer training size, and
+    every number in it is a JSON number.
+    """
     try:
-        return fit_from_dict(_read_json(path))
+        doc = _read_json(path)
+        if doc.get("format") != _FIT_FORMAT:
+            raise DataError(f"not a fit record: format={doc.get('format')!r}")
+        if doc.get("version") != _FIT_VERSION:
+            raise DataError(f"unsupported fit version {doc.get('version')!r}: this build "
+                            f"reads version {_FIT_VERSION} only; refit to write one")
+        constants = _from_record(TobitConstants, doc["constants"])
+        gmm = cf = None
+        if "gmm" in doc:
+            gmm = _from_record(TobitGmmFit, doc["gmm"])
+            dim = len(gmm.beta)
+            shapes = (gmm.beta.shape, gmm.sigma_star_matrix.shape, gmm.corrected_matrix.shape)
+            if shapes != ((dim,), (dim, dim), (dim, dim)):
+                raise DataError("gmm beta {} and covariances {} and {} do not fit together"
+                                .format(*shapes))
+        if "cf" in doc:
+            cf = _from_record(ControlFunctionFit, doc["cf"])
+        if not isinstance(doc["censored"], bool):
+            raise DataError(f"censored must be true or false, got {doc['censored']!r}")
+        first = _first_stage_from_dict(doc["first_stage"])
+        return DplsIvFit(censored=doc["censored"], first_stage=first, constants=constants,
+                         n_train=check_int("n_train", doc["n_train"]), gmm=gmm, cf=cf)
     except DataError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
@@ -733,7 +711,7 @@ def write_bias_cdf_csv(path, report: MetricsReport) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def render_summary(report: MetricsReport, title: str) -> str:
+def write_summary(path, report: MetricsReport, title: str) -> None:
     """Human-readable digest: medians with IQRs, failures, seed ledger."""
     metrics = sorted({metric for _, _, metric, _ in report.rows})
     lines = [title, "=" * len(title), ""]
@@ -762,9 +740,5 @@ def render_summary(report: MetricsReport, title: str) -> str:
     lines.append("seeds (replication: seed)")
     for rep, seed in report.seed_ledger:
         lines.append(f"  {rep}: {seed}")
-    return "\n".join(lines) + "\n"
-
-
-def write_summary(path, report: MetricsReport, title: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_summary(report, title))
+        fh.write("\n".join(lines) + "\n")

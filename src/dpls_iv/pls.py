@@ -214,9 +214,7 @@ def fit_pls_deflation(zbar, p, q: int) -> PlsFit:
         ws.append(w)
         y_loads.append(q_a / tn)
         vb = v.copy()
-        for _ in range(2):
-            for b in loading_basis:
-                vb -= (b @ vb) * b
+        _reorthogonalize(vb, loading_basis, loading_basis)
         vbn = float(np.linalg.norm(vb))
         if vbn <= 1e-12 * float(np.linalg.norm(v)):
             break

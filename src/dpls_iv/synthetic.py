@@ -67,8 +67,10 @@ class SyntheticSpec:
     def __post_init__(self):
         for name in ("n", "m", "m_redundant", "k", "k_null", "coef_seed", "edges_per_node"):
             check_int(name, getattr(self, name))
-        if not (0 <= self.m_redundant <= self.m and 0 <= self.k_null <= self.k):
-            raise DataError("m_redundant <= m and k_null <= k required")
+        for part, whole in (("m_redundant", "m"), ("k_null", "k")):
+            value, bound = getattr(self, part), getattr(self, whole)
+            if not 0 <= value <= bound:
+                raise DataError(f"{part} = {value} must lie in [0, {whole} = {bound}]")
         sj = np.asarray(self.sigma_joint, dtype=np.float64)
         if sj.shape != (2, 2) or not np.allclose(sj, sj.T):
             raise DataError("sigma_joint must be a symmetric 2x2 matrix")

@@ -125,6 +125,15 @@ def test_simulate_rejects_a_singular_instrument_covariance(tmp_path, capsys):
     assert "cov_param must lie in (-1/(m-1), 1)" in capsys.readouterr().err
 
 
+def test_simulate_with_no_covariates_names_k_null(tmp_path, capsys):
+    cfg = tmp_path / "spec.txt"
+    write_config(cfg, {**_SMALL_SPEC, "spec.k": "0"})
+    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "k_null = 3 must lie in [0, k = 0]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_requires_data_path(tmp_path, capsys):
     rc = main(["fit", "--out-dir", str(tmp_path)])
     assert rc == 1

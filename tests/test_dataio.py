@@ -1,5 +1,6 @@
 """Round trips and error reporting for the on-disk formats."""
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -34,14 +35,8 @@ from dpls_iv import (
 from dpls_iv.dataio import (
     csv_read,
     csv_write,
-    fit_from_dict,
-    fit_to_dict,
-    parse_config_text,
     read_config,
     read_fit,
-    render_config,
-    render_summary,
-    truth_to_dict,
     write_bias_cdf_csv,
     write_config,
     write_fit,
@@ -451,35 +446,46 @@ def test_cli_exits_2_on_a_bad_fifo(tmp_path, capsys, command):
 # --------------------------------------------------------------- config files
 
 
-def test_config_parse_render_round_trip():
+def _read_config_text(tmp_path, text):
+    path = tmp_path / "run.txt"
+    path.write_text(text, encoding="utf-8")
+    return read_config(path)
+
+
+def test_config_parse_render_round_trip(tmp_path):
     mapping = {"dgp": "experiment1", "spec.n": "200", "dpls.widths": "8,4"}
-    assert parse_config_text(render_config(mapping)) == mapping
+    write_config(tmp_path / "run.txt", mapping)
+    assert read_config(tmp_path / "run.txt") == mapping
 
 
-def test_render_config_sorts_keys():
-    assert render_config({"b": "2", "a": "1"}) == "a = 1\nb = 2\n"
+def test_write_config_sorts_keys(tmp_path):
+    path = tmp_path / "run.txt"
+    write_config(path, {"b": "2", "a": "1"})
+    assert path.read_text(encoding="utf-8") == "a = 1\nb = 2\n"
+    write_config(path, {})
+    assert path.read_text(encoding="utf-8") == "\n"
 
 
-def test_config_parser_skips_comments_and_keeps_equals_in_values():
+def test_config_parser_skips_comments_and_keeps_equals_in_values(tmp_path):
     text = "# top comment\n\na.b = x=y\n  # indented comment\nc = 3\n"
-    assert parse_config_text(text) == {"a.b": "x=y", "c": "3"}
+    assert _read_config_text(tmp_path, text) == {"a.b": "x=y", "c": "3"}
 
 
-def test_config_parser_rejects_line_without_equals():
+def test_config_parser_rejects_line_without_equals(tmp_path):
     with pytest.raises(DataError, match=re.escape("line 2: expected 'key = value'")):
-        parse_config_text("a = 1\nbogus line\n")
+        _read_config_text(tmp_path, "a = 1\nbogus line\n")
 
 
-def test_config_parser_rejects_bad_keys():
+def test_config_parser_rejects_bad_keys(tmp_path):
     with pytest.raises(DataError, match="line 1: bad key 'a b'"):
-        parse_config_text("a b = 1\n")
+        _read_config_text(tmp_path, "a b = 1\n")
     with pytest.raises(DataError, match="line 1: bad key ''"):
-        parse_config_text("= 5\n")
+        _read_config_text(tmp_path, "= 5\n")
 
 
-def test_config_parser_rejects_duplicate_key():
+def test_config_parser_rejects_duplicate_key(tmp_path):
     with pytest.raises(DataError, match="line 3: duplicate key 'k'"):
-        parse_config_text("k = 1\n# gap\nk = 2\n")
+        _read_config_text(tmp_path, "k = 1\n# gap\nk = 2\n")
 
 
 def test_config_file_round_trip(tmp_path):
@@ -505,11 +511,21 @@ def test_read_config_skips_a_leading_byte_order_mark(tmp_path, mark):
 # -------------------------------------------------------------- truth sidecar
 
 
+_TRUTH_KEYS = {
+    "format", "version", "alpha", "gamma", "alpha_x", "beta", "beta_x", "w", "xi",
+    "eps", "treat_index", "out_index", "cov_repair",
+}
+
+
+def _load_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _load_truth_file(path, truth):
     """truth.json as json.load reads it, checked bit for bit against truth."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    assert doc == truth_to_dict(truth)
+    doc = _load_json(path)
+    assert set(doc) == _TRUTH_KEYS
     assert (doc["format"], doc["version"]) == ("dpls-iv-truth", 1)
     for name in ("alpha", "gamma", "alpha_x", "beta_x", "w", "xi", "eps",
                  "treat_index", "out_index"):
@@ -547,9 +563,16 @@ def _small_fit(mode, censored=True):
     return ds, dpls_iv_fit(ds, cfg, mode=mode, censored=censored)
 
 
+def _fit_doc(tmp_path, fit):
+    """The record write_fit writes for fit, as json.load reads it."""
+    write_fit(tmp_path / "fit.json", fit)
+    return _load_json(tmp_path / "fit.json")
+
+
 def test_fit_bundle_round_trip_gmm_mode(tmp_path):
     ds, fit = _small_fit("rescale_gmm")
-    back = fit_from_dict(fit_to_dict(fit))
+    write_fit(tmp_path / "fit.json", fit)
+    back = read_fit(tmp_path / "fit.json")
     assert back.n_train == 200
     assert back.mode == "rescale_gmm"
     assert back.censored is True
@@ -625,10 +648,10 @@ def test_read_fit_returns_the_fit_write_fit_wrote(tmp_path, method, mode, censor
     _assert_bit_equal(back, fit)
 
 
-def test_a_fit_holds_exactly_its_record():
+def test_a_fit_holds_exactly_its_record(tmp_path):
     """The fit's fields are the record's top-level keys less format and
     version, and the gmm stage is its block: three required arrays."""
-    doc = fit_to_dict(_method_fit("ols", "rescale_gmm", censored=True))
+    doc = _fit_doc(tmp_path, _method_fit("ols", "rescale_gmm", censored=True))
     fit_fields = {f.name for f in dataclasses.fields(DplsIvFit)}
     assert fit_fields == {"cf"} | set(doc) - {"format", "version"}
     gmm_fields = dataclasses.fields(TobitGmmFit)
@@ -650,9 +673,9 @@ _FIRST_STAGE_KEYS = {
 
 @pytest.mark.parametrize("mode", ["rescale_gmm", "control_function"])
 @pytest.mark.parametrize("method", sorted(_FIRST_STAGE_KEYS))
-def test_fit_record_blocks_have_pinned_keys(method, mode):
+def test_fit_record_blocks_have_pinned_keys(tmp_path, method, mode):
     """A dataclass field added later changes the format only with this test."""
-    doc = fit_to_dict(_method_fit(method, mode, censored=True))
+    doc = _fit_doc(tmp_path, _method_fit(method, mode, censored=True))
     stage, stage_keys = _STAGE_KEYS[mode]
     assert set(doc) == {"format", "version", "censored", "n_train", "constants",
                         "first_stage", stage}
@@ -670,26 +693,39 @@ def test_fit_record_blocks_have_pinned_keys(method, mode):
         assert set(first["pls"]) == _PLS_KEYS
 
 
-def test_truth_record_has_pinned_keys():
+def test_truth_record_has_pinned_keys(tmp_path):
     _, truth = gen_experiment1(experiment1_spec(n=100), SeededRng(21))
-    assert set(truth_to_dict(truth)) == {
-        "format", "version", "alpha", "gamma", "alpha_x", "beta", "beta_x", "w", "xi",
-        "eps", "treat_index", "out_index", "cov_repair",
-    }
+    write_truth(tmp_path / "truth.json", truth)
+    assert set(_load_json(tmp_path / "truth.json")) == _TRUTH_KEYS
 
 
-def test_fit_from_dict_rejects_foreign_documents():
+def _read_fit_doc(tmp_path, doc):
+    (tmp_path / "edited.json").write_text(json.dumps(doc), encoding="utf-8")
+    return read_fit(tmp_path / "edited.json")
+
+
+def test_read_fit_rejects_foreign_documents(tmp_path):
     with pytest.raises(DataError, match="not a fit record"):
-        fit_from_dict({"format": "something-else"})
+        _read_fit_doc(tmp_path, {"format": "something-else"})
+    with pytest.raises(DataError, match=re.escape("(KeyError: 'constants')")):
+        _read_fit_doc(tmp_path, {"format": "dpls-iv-fit", "version": 3})
     _, fit = _small_fit("rescale_gmm", censored=False)
-    doc = fit_to_dict(fit)
+    doc = _fit_doc(tmp_path, fit)
+    del doc["constants"]
+    with pytest.raises(DataError, match=re.escape("(KeyError: 'constants')")):
+        _read_fit_doc(tmp_path, doc)
+    doc = _fit_doc(tmp_path, fit)
+    del _network(doc)["first_layer"]
+    with pytest.raises(DataError, match=re.escape("(KeyError: 'first_layer')")):
+        _read_fit_doc(tmp_path, doc)
+    doc = _fit_doc(tmp_path, fit)
     # version 1 is the record layout before every method shared one format;
     # version 2 also stored the mode, the activation and the PLS coef and q
     for old in (0, 1, 2):
         doc["version"] = old
         with pytest.raises(DataError, match=f"unsupported fit version {old}: "
                                             "this build reads version 3 only; refit"):
-            fit_from_dict(doc)
+            _read_fit_doc(tmp_path, doc)
 
 
 def _drop_last_column(rows):
@@ -760,6 +796,16 @@ _BAD_RECORDS = {
                             "non-finite number 1" + "0" * 400),
     "null_in_array": ("rescale_gmm", lambda d: d["gmm"]["beta"].__setitem__(0, None),
                       "a fit record array holds null"),
+    **{f"{field}_{name}": (mode, lambda d, e=edit, v=value: e(d, v),
+                           f"{where} holds {json.dumps(value)}, not a number")
+       for field, mode, edit, where in [
+           ("constants", "rescale_gmm", lambda d, v: d["constants"].update(psi1=v), "psi1"),
+           ("cf_beta", "control_function", lambda d, v: d["cf"].update(beta=v), "beta"),
+           ("p_mean", "rescale_gmm",
+            lambda d, v: _network(d)["first_layer"].update(p_mean=v), "p_mean"),
+           ("gmm_beta_element", "rescale_gmm",
+            lambda d, v: d["gmm"]["beta"].__setitem__(1, v), "a fit record array")]
+       for name, value in [("string", "0.9"), ("true", True)]},
     "history_string": ("rescale_gmm", lambda d: _network(d).update(history="12"),
                        "network history must be an array of numbers"),
     "history_bool": ("rescale_gmm", lambda d: _network(d)["history"].__setitem__(0, True),
@@ -780,7 +826,7 @@ def test_predict_exits_2_on_a_fit_record_whose_arrays_disagree(tmp_path, capsys,
     mode, edit, reason = _BAD_RECORDS[case]
     ds, fit = _small_fit(mode)
     csv_write(tmp_path / "data.csv", ds)
-    doc = fit_to_dict(fit)
+    doc = _fit_doc(tmp_path, fit)
     text = edit(doc)
     (tmp_path / "fit.json").write_text(text if isinstance(text, str) else json.dumps(doc))
     write_config(tmp_path / "cfg.txt", {"fit": str(tmp_path / "fit.json"),
@@ -875,8 +921,10 @@ def test_write_bias_cdf_csv_skips_methods_without_samples(tmp_path):
     assert lines[1] == "2.0,1.0"
 
 
-def test_render_summary_contents(tmp_path):
-    text = render_summary(_hand_report(), "demo run")
+def test_write_summary_contents(tmp_path):
+    path = tmp_path / "summary.txt"
+    write_summary(path, _hand_report(), "demo run")
+    text = path.read_text(encoding="utf-8")
     assert text.startswith("demo run\n========\n")
     assert "replications: 2" in text
     assert "methods: ols, pls" in text
@@ -887,6 +935,18 @@ def test_render_summary_contents(tmp_path):
     assert "failures: 1 of 4 method-replication cells" in text
     assert "replication 1, pls: boom" in text
     assert "0: 17" in text and "1: 18" in text
-    path = tmp_path / "summary.txt"
-    write_summary(path, _hand_report(), "demo run")
-    assert path.read_text() == text
+
+
+def test_dataio_public_functions_are_the_files_the_cli_writes_and_reads():
+    """Each public function is one file's writer or reader, and cli.py calls
+    every one of them; no second way into a file is public."""
+    import inspect
+
+    from dpls_iv import cli
+
+    called = set(re.findall(r"\bdataio\.([a-z]\w*)\(", inspect.getsource(cli)))
+    public = {name for name, obj in vars(dataio).items()
+              if inspect.isfunction(obj) and obj.__module__ == dataio.__name__
+              and not name.startswith("_")}
+    assert set(dataio.__all__) == called == public
+    assert len(dataio.__all__) == 11

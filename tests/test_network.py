@@ -15,7 +15,6 @@ from dpls_iv import (
     dpls_fit,
     network_loss_and_grads,
 )
-from dpls_iv.dataio import model_from_dict, model_to_dict
 from dpls_iv.data import augment_instruments
 from dpls_iv import network
 from dpls_iv.network import _activate, sgd_refine
@@ -203,15 +202,6 @@ def test_config_validation():
 def test_sgd_params_reject_a_non_finite_learning_rate(rate):
     with pytest.raises(DataError, match="learning_rate must be finite and non-negative"):
         SgdParams(learning_rate=rate, epochs=0)
-
-
-def test_model_dict_round_trip():
-    zbar, p = _nonlinear_training_data(6)
-    model = dpls_fit(zbar, p, DplsConfig(layer_widths=(4,), first_layer_q=2,
-                                         sgd=SgdParams(epochs=5, seed=1)))
-    clone = model_from_dict(model_to_dict(model))
-    np.testing.assert_array_equal(model.predict(zbar), clone.predict(zbar))
-    assert clone.best_epoch == model.best_epoch
 
 
 def test_fit_beats_linear_first_layer_on_kinked_target():

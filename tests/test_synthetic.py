@@ -19,10 +19,16 @@ from dpls_iv.synthetic import InstrumentGraph
 
 
 def test_spec_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"^m_redundant = 6 must lie in \[0, m = 5\]$"):
         SyntheticSpec(m=5, m_redundant=6)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"^k_null = 4 must lie in \[0, k = 3\]$"):
         SyntheticSpec(k=3, k_null=4)
+    with pytest.raises(DataError, match=r"^k_null = -1 must lie in \[0, k = 25\]$"):
+        SyntheticSpec(k_null=-1)
+    # no covariates needs k_null = 0 as well: its default is 20
+    with pytest.raises(DataError, match=r"^k_null = 20 must lie in \[0, k = 0\]$"):
+        SyntheticSpec(k=0)
+    assert SyntheticSpec(k=0, k_null=0).k == 0
     with pytest.raises(DataError):
         SyntheticSpec(sigma_joint=((1.0, 0.5), (0.4, 1.0)))
     with pytest.raises(DataError):
