@@ -58,7 +58,7 @@ from .network import (
     dpls_fit,
     network_loss_and_grads,
 )
-from .pls import PlsFit, fit_pls_closed_form, fit_pls_deflation, select_q_cv
+from .pls import PlsFit, fit_pls_closed_form, select_q_cv
 from .synthetic import (
     SyntheticSpec,
     SyntheticTruth,
@@ -108,7 +108,6 @@ __all__ = [
     "fit_lasso",
     "fit_ols",
     "fit_pls_closed_form",
-    "fit_pls_deflation",
     "fit_ridge",
     "gen_experiment1",
     "gen_experiment2",

@@ -1,17 +1,24 @@
 """Dataset container, instrument augmentation, splitting, and seeded RNG,
 plus the input rules the estimators share (the integer check, the
-(design, target) check and the covariate block), the row-part bounds of
-the CLI's row work, the package's one way to fork (_Children) and the PSD
-square-root factor.
+(design, target) check and the covariate block), the part bounds of the
+work spread over CPUs (the CLI's row work and the lasso's CV paths), the
+package's one way to fork (_Children), the one rule its forked children
+work under (_raising) and the PSD square-root factor.
+
+A process sees the CPUs it may run on (os.sched_getaffinity), except in a
+run_benchmark pool worker, which sees its share of them (_share_cpus), so
+the workers' parts and helpers do not crowd each other.
 
 Matrices are dense row-major float64 throughout; the largest designs this
 package targets are on the order of 10^4 x 10^2, so no sparse path exists.
 """
 from __future__ import annotations
 
+import contextlib
 import numbers
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,10 +184,24 @@ def augment_instruments(z, x) -> np.ndarray:
     return zbar
 
 
+# This process's share of its CPUs when it is one of several workers that
+# run side by side (_share_cpus); None in any other process.
+_cpu_share: int | None = None
+
+
 def _usable_cpus() -> int:
-    """The CPUs this process may run on; Linux only reports them
-    (os.sched_getaffinity), so 1 elsewhere."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    """The CPUs this process may use: those it may run on, which only Linux
+    reports (os.sched_getaffinity), so 1 elsewhere; in a pool worker, its
+    share of them."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return cpus if _cpu_share is None else min(cpus, _cpu_share)
+
+
+def _share_cpus(workers: int) -> None:
+    """Pool initializer: this worker of `workers` uses usable CPUs // workers
+    of them, at least 1."""
+    global _cpu_share
+    _cpu_share = max(1, _usable_cpus() // workers)
 
 
 def part_bounds(rows: int, work: int, part_min: int) -> list[int]:
@@ -271,6 +292,24 @@ class _Children:
             return None
         self._files += (ends := (open(read, "rb"), open(write, "wb", buffering=0)))
         return ends
+
+
+def _raised_errstate():
+    """np.errstate keywords that raise every floating-point error the
+    current state does not ignore: one that would warn, call, print, log or
+    raise."""
+    return {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
+
+
+@contextlib.contextmanager
+def _raising():
+    """Every warning, and every floating-point error the current state does
+    not ignore, raised: the rule a forked child's work runs under. Whatever
+    that work would emit ends the child instead, and the parent then does
+    the work itself, so it surfaces there, once."""
+    with warnings.catch_warnings(), np.errstate(**_raised_errstate()):
+        warnings.simplefilter("error")
+        yield
 
 
 def psd_factor(sigma, n) -> np.ndarray:

@@ -16,14 +16,27 @@ no constant (the structural form p = zbar @ a + noise). The solver and CV
 settings are module constants: the OLS rank tolerance _OLS_RTOL, the lasso
 sweep tolerance _LASSO_TOL and cap _LASSO_MAX_SWEEPS, and the
 _CV_FOLDS-fold, _CV_GRID-point lambda CV.
+
+The lasso CV's six homotopy paths (the folds, then the full data, whose
+path at the chosen lam starts the fit) hold the interpreter lock, so once
+each part holds _LASSO_PART_CELLS of work they run in parts, one per usable
+CPU (data.part_bounds): forked children run every part but the first
+under data._raising and return each path's float64 cells raw through a
+spill file (data._Children), while this process runs part 0. A part that
+fails is run here, so a fit's bits, warnings and errors do not depend on
+the number of parts. Ridge's SVD folds and everything traced
+(fit_lasso's own call, soft_threshold in the CD sweep) stay in this
+process: at n = 500, forked ridge folds were slower (5.1 against
+6.8-8.3 ms).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_design
+from .data import _Children, _raising, check_design, part_bounds
 from .errors import ConvergenceError, DataError, SingularDesignError
 
 __all__ = [
@@ -42,6 +55,13 @@ _LASSO_TOL = 1e-10
 _LASSO_MAX_SWEEPS = 1000
 _CV_FOLDS = 5
 _CV_GRID = 50
+# Least work one lasso CV part must hold to be worth a fork, a path's work
+# counted as d * min(n, d): about one kink per column that joins, at most n,
+# each over all d correlations. With one BLAS thread, two parts of the six
+# paths broke even at d = 20 and saved 1.2 ms at d = 25 and 14 ms at
+# 500 x 75 (38 -> 24 ms); tall narrow designs do not pay (1000 x 10:
+# 3.1 -> 3.8 ms).
+_LASSO_PART_CELLS = 2**11
 
 
 @dataclass(frozen=True)
@@ -91,12 +111,18 @@ def fit_ridge(design, target, lam) -> LinearFit:
 
     The identity is sized to the design's column count. lam = 0 delegates to
     fit_ols and inherits its error rules; lam = "auto" picks lam by
-    _CV_FOLDS-fold cross-validation over a _CV_GRID-point logarithmic grid.
+    _CV_FOLDS-fold cross-validation over a _CV_GRID-point logarithmic grid,
+    its folds run one after another in this process.
     """
     from scipy import linalg
 
     design, target = check_design(design, target)
-    lam = _penalty(design, target, lam, "ridge")
+    lam = _penalty(lam)
+    if lam is None:
+        grid, lam = _cv_grid(design, target), 0.0
+        if grid is not None:
+            folds = [_fold_errors(design, target, grid, fold, "ridge") for fold in range(_CV_FOLDS)]
+            lam = float(grid[_cv_best(grid, folds)])
     if lam == 0.0:
         fit = fit_ols(design, target)
         return LinearFit(fit.coef, fit.intercept, "ridge", 0.0)
@@ -105,12 +131,12 @@ def fit_ridge(design, target, lam) -> LinearFit:
     return LinearFit(coef=coef, intercept=0.0, method="ridge", lam=lam)
 
 
-def _penalty(design, target, lam, method) -> float:
-    """lam as a finite real >= 0, or method's _cv_lambda choice for "auto"."""
+def _penalty(lam) -> float | None:
+    """lam as a finite real >= 0, or None for "auto" (cross-validated)."""
     if isinstance(lam, str):
         if lam != "auto":
             raise DataError("lam must be a non-negative real or 'auto'")
-        return _cv_lambda(design, target, method)
+        return None
     lam = float(lam)
     if lam < 0:
         raise DataError("lam must be non-negative")
@@ -138,12 +164,17 @@ def fit_lasso(design, target, lam) -> LinearFit:
     descent then starts from it; at the optimum its first sweep leaves the
     objective unchanged, which certifies the solution. Exits when the
     objective decrease over a full sweep drops below _LASSO_TOL; needing
-    more than _LASSO_MAX_SWEEPS sweeps raises ConvergenceError.
+    more than _LASSO_MAX_SWEEPS sweeps raises ConvergenceError. lam = "auto"
+    picks lam by _CV_FOLDS-fold cross-validation over a _CV_GRID-point
+    logarithmic grid (_lasso_cv).
     """
     design, target = check_design(design, target)
-    lam = _penalty(design, target, lam, "lasso")
+    lam, start = _penalty(lam), None
     moments = _lasso_moments(design, target)
-    start = _lasso_path(design, target, [lam], moments)[:, 0]
+    if lam is None:
+        lam, start = _lasso_cv(design, target, moments)
+    if start is None:
+        start = _lasso_path(design, target, [lam], moments)[:, 0]
     coef = _lasso_cd(design, target, lam, start, moments)
     return LinearFit(coef=coef, intercept=0.0, method="lasso", lam=lam)
 
@@ -245,49 +276,116 @@ def _lasso_path(xc, yc, lams, moments=None):
     return coefs
 
 
-def _cv_lambda(design, target, method):
-    """_CV_FOLDS-fold CV over a descending _CV_GRID-point log grid; ties keep
-    more shrinkage.
-
-    Folds are strided row slices (fold i takes rows i::_CV_FOLDS), which is
-    deterministic without threading an rng through every fit call. The
-    errors come from exact solutions at every grid point (_cv_errors), so
-    no fit inside CV can stop short of its optimum.
-    """
+def _cv_grid(design, target):
+    """The descending _CV_GRID-point log grid from 10 lam_max down to
+    1e-4 lam_max, lam_max = max|X'y|/n; None when lam_max is 0, where
+    lam = 0 is the choice."""
     n = design.shape[0]
     if n < 2 * _CV_FOLDS:
         raise DataError(f"need at least {2 * _CV_FOLDS} rows for {_CV_FOLDS}-fold CV")
     lam_max = float(np.max(np.abs(design.T @ target))) / n
     if lam_max <= 0.0:
-        return 0.0
-    grid = np.geomspace(lam_max * 10.0, lam_max * 1e-4, _CV_GRID)
-    errors = _cv_errors(design, target, method, grid)
-    best = int(np.argmin(errors))  # first index in the descending grid
-    return float(grid[best])
+        return None
+    return np.geomspace(lam_max * 10.0, lam_max * 1e-4, _CV_GRID)
 
 
-def _cv_errors(design, target, method, grid):
-    """Summed held-out squared error at each grid point, over strided folds.
+def _fold_errors(design, target, grid, fold, method):
+    """Held-out squared error of one fold at each grid point.
 
-    Each fold's coefficients at all grid points come from one exact
-    computation: the lasso homotopy path, or one thin SVD of the fold,
-    which gives every ridge solution as V diag(s / (s^2 + lam)) U'y.
-    Each fold is then scored against the whole grid in one matrix product.
+    Folds are strided row slices (fold i takes rows i::_CV_FOLDS), which is
+    deterministic without threading an rng through every fit call. The
+    fold's coefficients at all grid points come from one exact
+    computation, the lasso homotopy path or one thin SVD of the fold, which
+    gives every ridge solution as V diag(s / (s^2 + lam)) U'y; so no fit
+    inside CV can stop short of its optimum. The fold is then scored
+    against the whole grid in one matrix product.
     """
     from scipy import linalg
 
-    n = design.shape[0]
-    errors = np.zeros(len(grid))
-    for fold in range(_CV_FOLDS):
-        mask = np.zeros(n, dtype=bool)
-        mask[fold::_CV_FOLDS] = True
-        xt, yt = design[~mask], target[~mask]
-        if method == "lasso":
-            coefs = _lasso_path(xt, yt, grid)
-        else:
-            left, sing, right_t = linalg.svd(xt, full_matrices=False)
-            shrink = sing[:, None] / (sing[:, None] ** 2 + grid)
-            coefs = right_t.T @ (shrink * (left.T @ yt)[:, None])
-        pred = design[mask] @ coefs
-        errors += np.sum((target[mask][:, None] - pred) ** 2, axis=0)
-    return errors
+    mask = np.zeros(design.shape[0], dtype=bool)
+    mask[fold::_CV_FOLDS] = True
+    xt, yt = design[~mask], target[~mask]
+    if method == "lasso":
+        coefs = _lasso_path(xt, yt, grid)
+    else:
+        left, sing, right_t = linalg.svd(xt, full_matrices=False)
+        shrink = sing[:, None] / (sing[:, None] ** 2 + grid)
+        coefs = right_t.T @ (shrink * (left.T @ yt)[:, None])
+    pred = design[mask] @ coefs
+    return np.sum((target[mask][:, None] - pred) ** 2, axis=0)
+
+
+def _cv_best(grid, fold_errors) -> int:
+    """Index of the least error summed over the folds, added in fold order;
+    ties keep the first index, the most shrinkage in the descending grid."""
+    total = np.zeros(len(grid))
+    for errors in fold_errors:
+        total += errors
+    return int(np.argmin(total))
+
+
+def _lasso_cv(design, target, moments):
+    """The CV choice of lam, and the exact lasso solution at it if a
+    forked child computed it, else None.
+
+    Six jobs, each one homotopy path over the grid: the _CV_FOLDS folds,
+    each giving its fold's errors, then the full-data path. They run in
+    parts, one per usable CPU (data.part_bounds), once each part holds at
+    least _LASSO_PART_CELLS of work (_run_parts). The full-data path comes
+    last, so a child runs it; with one part it is not run here. Column best
+    of it has the bits of a path that stops at lam, because the kinks do
+    not depend on the grid. A fold no child did runs here, in fold order,
+    and without a child's full-data path fit_lasso runs the path only as
+    far as lam; so this process runs nothing the one-part fit would not.
+    """
+    grid = _cv_grid(design, target)
+    if grid is None:
+        return 0.0, None
+    jobs = [
+        functools.partial(_fold_errors, design, target, grid, fold, "lasso")
+        for fold in range(_CV_FOLDS)
+    ]
+    jobs.append(functools.partial(_lasso_path, design, target, grid, moments))
+    shapes = [(len(grid),)] * _CV_FOLDS + [(design.shape[1], len(grid))]
+    work = len(jobs) * design.shape[1] * min(design.shape)
+    bounds = part_bounds(len(jobs), work, _LASSO_PART_CELLS)
+    if len(bounds) == 2:
+        bounds = [0, _CV_FOLDS]
+    results = _run_parts(jobs, shapes, bounds)
+    best = _cv_best(grid, [
+        errors if errors is not None else job() for errors, job in zip(results, jobs[:_CV_FOLDS])
+    ])
+    path = results[_CV_FOLDS] if len(results) > _CV_FOLDS else None
+    return float(grid[best]), None if path is None else path[:, best]
+
+
+def _spill_results(jobs, spill) -> None:
+    """Child side of _run_parts: run jobs under data._raising and write
+    each result's float64 cells raw to the spill file."""
+    with _raising():
+        for job in jobs:
+            spill.write(job().tobytes())
+
+
+def _run_parts(jobs, shapes, bounds):
+    """The results of jobs[:bounds[-1]], float64 arrays of the given shapes.
+
+    Forked children (data._Children) run the parts bounds[i]..bounds[i + 1]
+    after the first into spill files while this process runs part 0. A job
+    of a part with no result (no spill file or child could be made, or the
+    child failed) gets None, for the caller to run here.
+    """
+    with _Children() as children:
+        handles = [
+            children.start(functools.partial(_spill_results, jobs[start:stop]))
+            for start, stop in zip(bounds[1:-1], bounds[2:])
+        ]
+        results = [job() for job in jobs[:bounds[1]]]
+        for handle, start, stop in zip(handles, bounds[1:-1], bounds[2:]):
+            spill = children.result(handle)
+            for shape in shapes[start:stop]:
+                out = np.empty(shape)
+                cells = out.reshape(-1).view(np.uint8)
+                got = spill is not None and spill.readinto(cells) == cells.nbytes
+                results.append(out if got else None)
+    return results

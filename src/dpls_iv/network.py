@@ -29,8 +29,9 @@ after each product, never folded into it, which would change the
 summation order.
 
 Each epoch's full-data loss (_train_loss) is taken at a copy of theta at
-the epoch's end. When the process may use two CPUs and the loss has at
-least _LOSS_HELPER_CELLS cells, a forked helper (_LossHelper, one per
+the epoch's end. When the process may use two CPUs (data._usable_cpus: a
+benchmark pool worker counts only its share) and the loss has at least
+_LOSS_HELPER_CELLS cells, a forked helper (_LossHelper, one per
 sgd_refine call) computes it while this process runs the next epoch's
 steps; a thread would hold the interpreter lock. The loss is then taken
 with the bits, warnings and errors that computing it here would give.
@@ -39,12 +40,13 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SeededRng, _Children, _usable_cpus, check_design, check_int
+from .data import (
+    SeededRng, _Children, _raised_errstate, _raising, _usable_cpus, check_design, check_int,
+)
 from .errors import DataError, NumericalError
 from .linear import fit_ols
 from .pls import AUTO_Q_CAP, PlsFit, fit_pls_closed_form, select_q_cv
@@ -305,28 +307,19 @@ def dpls_fit(zbar, p, cfg: DplsConfig) -> DplsModel:
     return sgd_refine(DplsModel(first_layer=first, hidden=tuple(hidden)), zbar, p, cfg.sgd)
 
 
-def _raised_errstate():
-    """np.errstate keywords that raise every floating-point error the
-    current state does not ignore: one that would warn, call, print, log or
-    raise."""
-    return {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
-
-
 def _serve_losses(hidden, feats, p, requests, replies):
     """Helper side of _LossHelper: read each theta sent down requests and
     write back the full-data loss at it, as 8 bytes, until requests ends.
 
-    Every warning and every floating-point error that is not ignored
-    raises here, which ends the helper; the parent then computes that loss
-    itself, so whatever it emits surfaces there.
+    The helper works under data._raising: a loss that would warn or raise
+    ends it, and the parent then computes that loss itself.
     """
     requests[1].close()
     replies[0].close()
     theta = np.empty(sum(a.size for layer in hidden for a in layer))
     views = _flat_views(theta, hidden)
     work = [np.empty((len(p), w.shape[1])) for w, _ in hidden]
-    with warnings.catch_warnings(), np.errstate(**_raised_errstate()):
-        warnings.simplefilter("error")
+    with _raising():
         while requests[0].readinto(theta.view(np.uint8)) == theta.nbytes:
             replies[1].write(np.float64(_train_loss(views, feats, p, work)).tobytes())
 

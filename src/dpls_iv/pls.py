@@ -6,10 +6,11 @@ The closed form, the estimator the network and the PLS baseline use, evaluates
 
 on an orthonormalized copy of the Krylov matrix R = (s_zp, S_zz s_zp, ...),
 which spans the identical subspace but stays numerically stable past q ~ 5.
-The deflation route builds score/loading pairs one at a time, deflating only
-the cross-product vector (the policy is scalar throughout). Both project the
-policy onto the same Krylov space, so their predictions agree to tight
-tolerance; the tests hold the closed form to this independent reference.
+The tests hold it to an independent reference, deflation PLS
+(tests/pls_oracle.py), which builds score/loading pairs one at a time,
+deflating only the cross-product vector (the policy is scalar throughout).
+Both project the policy onto the same Krylov space, so their predictions
+agree to tight tolerance.
 
 select_q_cv picks q by CV_FOLDS-fold cross-validation over q <= q_max;
 callers with q = "auto" cap q_max at AUTO_Q_CAP.
@@ -27,7 +28,6 @@ __all__ = [
     "PlsFit",
     "compute_krylov",
     "fit_pls_closed_form",
-    "fit_pls_deflation",
     "select_q_cv",
 ]
 
@@ -174,57 +174,6 @@ def fit_pls_closed_form(zbar, p, q: int) -> PlsFit:
     weights = _s_orthonormalize(basis, cov.s_zz)
     return PlsFit(y_loadings=weights.T @ cov.s_zp, weights=weights, means=cov.means,
                   p_mean=cov.p_mean)
-
-
-def fit_pls_deflation(zbar, p, q: int) -> PlsFit:
-    """SIMPLS-style fit: deflate the cross-product vector only.
-
-    The first direction is the dominant singular pair of the centered
-    cross-product (for a scalar policy, the normalized cross-product vector
-    itself). If the cross-product vanishes before q components are found,
-    the fit stops and reports the achieved q.
-    """
-    zbar, p = check_design(zbar, p)
-    d = zbar.shape[1]
-    if not (1 <= q <= d):
-        raise DataError(f"q must lie in [1, {d}]")
-    means = zbar.mean(axis=0)
-    p_mean = float(p.mean())
-    zc = zbar - means
-    pc = p - p_mean
-    s = zc.T @ pc
-    s0 = float(np.linalg.norm(s))
-    if s0 == 0.0:
-        raise DataError(
-            "s_zp is the zero vector: no instrument-policy covariance"
-        )
-    ws, y_loads = [], []
-    loading_basis = []
-    for _ in range(q):
-        if float(np.linalg.norm(s)) <= 1e-12 * s0:
-            break
-        w = s / np.linalg.norm(s)
-        t = zc @ w
-        tn = float(np.linalg.norm(t))
-        if tn <= 1e-12:
-            break
-        t = t / tn
-        v = zc.T @ t
-        q_a = float(pc @ t)
-        ws.append(w)
-        y_loads.append(q_a / tn)
-        vb = v.copy()
-        _reorthogonalize(vb, loading_basis, loading_basis)
-        vbn = float(np.linalg.norm(vb))
-        if vbn <= 1e-12 * float(np.linalg.norm(v)):
-            break
-        vb = vb / vbn
-        loading_basis.append(vb)
-        s = s - vb * (vb @ s)
-    if not ws:
-        raise DataError("no usable PLS component found")
-    return PlsFit(y_loadings=np.asarray(y_loads), weights=np.column_stack(ws), means=means,
-                  p_mean=p_mean)
 
 
 def select_q_cv(zbar, p, q_max: int, rng: SeededRng) -> int:

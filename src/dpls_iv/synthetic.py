@@ -208,11 +208,6 @@ class InstrumentGraph:
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
 
-    @property
-    def edge_set(self) -> frozenset:
-        i, j = np.nonzero(np.triu(self.adjacency))
-        return frozenset(zip(i.tolist(), j.tolist()))
-
 
 def gen_preferential_attachment(p: int, edges_per_node: int, rng: SeededRng) -> InstrumentGraph:
     """Growth process: seed clique of edges_per_node + 1 nodes, then each

@@ -23,7 +23,6 @@ from dpls_iv import (
     experiment2_spec,
     fit_ols,
     fit_pls_closed_form,
-    fit_pls_deflation,
     gen_experiment1,
     gmm_beta,
     network_loss_and_grads,
@@ -34,6 +33,7 @@ from dpls_iv import (
 )
 from dpls_iv.cli import main
 from dpls_iv.dataio import write_config
+from pls_oracle import fit_pls_deflation
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ from dpls_iv import (
     run_benchmark,
     split_dataset,
 )
-from dpls_iv import synthetic
+from dpls_iv import data, synthetic
 
 
 def _linear_noiseless_spec(monkeypatch):
@@ -99,7 +99,8 @@ def test_process_pool_starts_no_more_workers_than_replications(monkeypatch):
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
+            assert initializer is data._share_cpus and initargs == (max_workers,)
             sizes.append(max_workers)
 
         def __enter__(self):

@@ -23,6 +23,7 @@ from dpls_iv import (
     select_q_cv,
     split_dataset,
 )
+from dpls_iv import data
 from dpls_iv.data import part_bounds, split_indices
 
 
@@ -258,3 +259,12 @@ def test_part_bounds_give_no_more_parts_than_cpus_rows_or_part_min_allow(
     else:
         assert all(a < b for a, b in zip(bounds, bounds[1:]))  # no part is empty
         assert 1 <= parts <= min(cpus, rows, max(1, work // part_min))
+
+
+@pytest.mark.parametrize("cpus, workers, share", [(2, 2, 1), (8, 3, 2), (1, 4, 1), (4, 1, 4)])
+def test_a_pool_worker_uses_its_share_of_the_cpus(monkeypatch, cpus, workers, share):
+    monkeypatch.setattr(data, "_cpu_share", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    data._share_cpus(workers)
+    assert data._usable_cpus() == share
+    assert len(part_bounds(100, 100, 1)) - 1 == share

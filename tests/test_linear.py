@@ -10,7 +10,7 @@ from dpls_iv import (
     fit_ridge,
 )
 from dpls_iv import linear
-from dpls_iv.linear import _cv_errors, _lasso_path, soft_threshold
+from dpls_iv.linear import _fold_errors, _lasso_path, soft_threshold
 
 
 def test_ols_identity_design():
@@ -264,7 +264,7 @@ def test_ridge_svd_cv_errors_match_per_penalty_solves():
     design = rng.normal(size=(45, 7)) + 0.5
     y = design @ rng.normal(size=7) + 2.0 + rng.normal(size=45)
     grid = _grid(design, y)
-    errors = _cv_errors(design, y, "ridge", grid)
+    errors = sum(_fold_errors(design, y, grid, fold, "ridge") for fold in range(5))
     reference = _ridge_cv_reference(design, y, grid)
     np.testing.assert_allclose(errors, reference, rtol=1e-9)
     chosen = fit_ridge(design, y, lam="auto").lam

@@ -1,10 +1,10 @@
-"""The CLI's row work split across CPUs gives the one-part bytes and tables.
+"""Work split across CPUs gives the one-part bytes, tables and fits.
 
-CSV writes and reads run in forked parts and the posterior band in threads
-once the input passes private size thresholds. These tests lower the
-thresholds and fake the number of usable CPUs, so small inputs take the
-parallel path, and compare every result with the one-part run of the same
-code.
+CSV writes and reads and the lasso's CV paths run in forked parts, and the
+posterior band in threads, once the input passes private size thresholds.
+These tests lower the thresholds and fake the number of usable CPUs, so
+small inputs take the parallel path, and compare every result with the
+one-part run of the same code, or with a serial reference.
 """
 import os
 import re
@@ -12,11 +12,15 @@ import signal
 import sys
 import tempfile
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
-from dpls_iv import Dataset, PosteriorDraws, dataio, ivreg
+from dpls_iv import (
+    Dataset, PosteriorDraws, SeededRng, augment_instruments, dataio, experiment1_spec,
+    experiment2_spec, fit_lasso, gen_experiment1, gen_experiment2, ivreg, linear,
+)
 from dpls_iv.data import part_bounds
 from dpls_iv.errors import DataError
 
@@ -410,3 +414,140 @@ def test_band_worker_threads_run_under_the_callers_errstate(monkeypatch):
     with np.errstate(invalid="raise"):
         with pytest.raises(FloatingPointError):
             draws.band(design, 0.9)
+
+
+# ------------------------------------------------------------ lasso CV paths
+
+
+def _serial_lasso(design, target):
+    """(lam, coef) of fit_lasso(lam="auto") computed in one process, one
+    step after another: the five fold paths over the grid in fold order,
+    then the full-data path to the chosen lam only, then the CD check."""
+    n = len(target)
+    lam_max = float(np.max(np.abs(design.T @ target))) / n
+    grid = np.geomspace(lam_max * 10.0, lam_max * 1e-4, 50)
+    errors = np.zeros(len(grid))
+    for fold in range(5):
+        mask = np.zeros(n, dtype=bool)
+        mask[fold::5] = True
+        pred = design[mask] @ linear._lasso_path(design[~mask], target[~mask], grid)
+        errors += np.sum((target[mask][:, None] - pred) ** 2, axis=0)
+    lam = float(grid[int(np.argmin(errors))])
+    moments = linear._lasso_moments(design, target)
+    start = linear._lasso_path(design, target, [lam], moments)[:, 0]
+    return lam, linear._lasso_cd(design, target, lam, start, moments)
+
+
+def _design(dgp):
+    """A small training design of each benchmark DGP: (zbar, p)."""
+    gen, spec = {"experiment1": (gen_experiment1, experiment1_spec),
+                 "experiment2": (gen_experiment2, experiment2_spec)}[dgp]
+    ds, _ = gen(spec(n=120, m=12, m_redundant=3, k=8, k_null=4), SeededRng(3).child(0))
+    return augment_instruments(ds.z, ds.x), ds.p
+
+
+@pytest.fixture
+def lasso_parts(monkeypatch):
+    """Lasso CV parts on tiny designs; returns a list of the handles started."""
+    monkeypatch.setattr(linear, "_LASSO_PART_CELLS", 1)
+    handles = []
+    original = linear._Children.start
+
+    def counting(self, work):
+        handles.append(handle := original(self, work))
+        return handle
+
+    monkeypatch.setattr(linear._Children, "start", counting)
+    return handles
+
+
+def _bits(fit):
+    return fit.lam, fit.coef.tobytes()
+
+
+@pytest.mark.parametrize("dgp", ["experiment1", "experiment2"])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_lasso_cv_parts_give_the_serial_fit(monkeypatch, lasso_parts, dgp, cpus):
+    zbar, p = _design(dgp)
+    lam, coef = _serial_lasso(zbar, p)
+    _use_cpus(monkeypatch, cpus)
+    fds = _open_fds()
+    assert _bits(fit_lasso(zbar, p, "auto")) == (lam, coef.tobytes())
+    assert len(lasso_parts) == cpus - 1
+    assert _open_fds() == fds  # no spill file left open
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["killed", "raised", "fork", "spill"])
+def test_lasso_cv_runs_a_failed_part_itself(monkeypatch, lasso_parts, failure):
+    zbar, p = _design("experiment1")
+    lam, coef = _serial_lasso(zbar, p)
+    _use_cpus(monkeypatch, 3)
+    if failure == "killed":
+        monkeypatch.setattr(linear, "_spill_results",
+                            lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+    elif failure == "raised":
+        monkeypatch.setattr(linear, "_spill_results", _refuse)
+    elif failure == "fork":
+        monkeypatch.setattr(os, "fork", _refuse)
+    else:
+        monkeypatch.setattr(tempfile, "TemporaryFile", _refuse)
+    fds = _open_fds()
+    assert _bits(fit_lasso(zbar, p, "auto")) == (lam, coef.tobytes())
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+def test_lasso_cv_parts_call_soft_threshold_as_the_serial_fit(monkeypatch, lasso_parts):
+    zbar, p = _design("experiment2")
+    calls = []
+    original = linear.soft_threshold
+
+    def counting(v, t):
+        calls.append(threading.get_ident())
+        return original(v, t)
+
+    monkeypatch.setattr(linear, "soft_threshold", counting)
+    _serial_lasso(zbar, p)
+    serial = len(calls)
+    _use_cpus(monkeypatch, 2)
+    calls.clear()
+    fit_lasso(zbar, p, "auto")
+    assert len(lasso_parts) == 1 and len(calls) == serial > 0
+
+
+def _warning_paths(kind):
+    """A _lasso_path that emits one warning of the given kind, naming the
+    rows and grid points of its call."""
+    path = linear._lasso_path
+
+    def warning_path(xc, yc, lams, moments=None):
+        if kind == "warning":
+            warnings.warn(f"path over {len(yc)} rows to {len(lams)} points", UserWarning)
+        else:
+            np.float64(1e308) * np.float64(len(yc))  # overflow: numpy's RuntimeWarning
+        return path(xc, yc, lams, moments)
+
+    return warning_path
+
+
+@pytest.mark.parametrize("kind", ["warning", "floating_point"])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_lasso_cv_warnings_surface_once_in_the_caller(monkeypatch, lasso_parts, kind, cpus):
+    zbar, p = _design("experiment1")
+    monkeypatch.setattr(linear, "_lasso_path", _warning_paths(kind))
+
+    def fit_and_warnings():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_lasso(zbar, p, "auto")
+        return _bits(fit), [(w.category, str(w.message)) for w in caught]
+
+    with monkeypatch.context() as m:
+        m.setattr(linear, "_LASSO_PART_CELLS", 2**62)
+        expected = fit_and_warnings()
+    assert len(expected[1]) == 6  # five folds, then the full-data path to lam
+    _use_cpus(monkeypatch, cpus)
+    assert fit_and_warnings() == expected
+    assert len(lasso_parts) == cpus - 1
+    _assert_no_child_left()

@@ -7,10 +7,10 @@ from dpls_iv import (
     SingularDesignError,
     fit_ols,
     fit_pls_closed_form,
-    fit_pls_deflation,
     select_q_cv,
 )
 from dpls_iv.pls import compute_krylov
+from pls_oracle import fit_pls_deflation
 from dpls_iv.pls import CovPair, sample_cov_pair
 
 
