@@ -13,19 +13,23 @@ SGD works on one flat parameter vector theta, of which every trainable
 (weight, bias) is a view, and a flat gradient vector with the same layout:
 a step is one network_loss_and_grads call that writes the gradient and one
 theta -= lr * grad. Each epoch stages its shuffled rows once, with np.take
-into buffers allocated once per fit, and its steps take contiguous slices
-of that copy. _forward is the one layer loop behind layer initialization,
-predict, the training loss and the gradients. It writes each activation
-over its pre-activation, and the backward pass reads the activation mask
-off the activation, which is positive exactly where the pre-activation is.
+into buffers allocated once per fit, and the list of its batches, each a
+pair of contiguous slices of those buffers and the _LossWork for that many
+rows, is built once per fit too. _forward is the one layer loop behind
+layer initialization, predict, the training loss and the gradients, over
+(weight, bias, out) triples. It writes each activation over its
+pre-activation, and the backward pass reads the activation mask off the
+activation, which is positive exactly where the pre-activation is.
 
 A step works on 32 x 30 arrays, so numpy's per-call overhead, not
 arithmetic, sets its cost. Its products are np.dot, which costs less per
-call than np.matmul and gives the same bits, and every intermediate goes
-into a _LossWork that sgd_refine builds once per fit; the masks are
-float64, computed for all layers in one call. Each operand keeps its
-layout, because a product's bits can depend on it, and the bias is added
-after each product, never folded into it, which would change the
+call than np.matmul and gives the same bits. A _LossWork binds every
+operand of a step once per fit, as per-layer tuples (weights and their
+transposes, bias, activation, mask and gradient buffers, gradient views
+into grad), so a step walks them and rebuilds no view, list or slice; the
+masks are float64, computed for all layers in one call. Each operand keeps
+its layout, because a product's bits can depend on it, and the bias is
+added after each product, never folded into it, which would change the
 summation order.
 
 Each epoch's full-data loss (_train_loss) is taken at a copy of theta at
@@ -132,20 +136,18 @@ class DplsConfig:
             object.__setattr__(self, "first_layer_q", q)
 
 
-def _forward(hidden, feats, work=None):
-    """Activations of the trainable stack on PLS features.
+def _forward(layers, h):
+    """The (n, 1) network output on the n rows of PLS features h.
 
-    acts[0] is feats and acts[-1] the (n, 1) network output. Each layer's
-    pre-activation is computed into the array that then holds its
-    activation: a fresh one, or work[i] when work gives one (n, width)
-    array per trainable layer.
+    layers holds one (weight, bias, out) triple per trainable layer. Each
+    pre-activation is computed into out (a fresh array when out is None),
+    which then holds the layer's activation (_activate, in place).
     """
-    acts = [feats]
-    for (w, b), out in zip(hidden, work or [None] * len(hidden)):
-        h = np.dot(acts[-1], w, out=out)
+    for w, b, out in layers:
+        h = np.dot(h, w, out=out)
         h += b
-        acts.append(_activate(h))
-    return acts
+        _activate(h)
+    return h
 
 
 def _pls_features(first: PlsFit, zbar):
@@ -177,29 +179,49 @@ class DplsModel:
         return _pls_features(self.first_layer, zbar)
 
     def predict(self, zbar) -> np.ndarray:
-        return _forward(self.hidden, self.features(zbar))[-1].ravel()
+        return _forward([(w, b, None) for w, b in self.hidden], self.features(zbar)).ravel()
 
 
 class _LossWork:
-    """Scratch for network_loss_and_grads on `rows` rows.
+    """Scratch for network_loss_and_grads on `rows` rows, bound to the
+    (weight, bias) pairs of hidden and to the gradient list out.
 
     Per trainable layer a (rows, width) activation, mask and gradient wrt
     the activation (dhs), then the residual vector. The activations are
     views into one flat array and the masks into another, laid out alike,
     so one call computes every layer's mask; each mask is then overwritten
-    with the gradient wrt its pre-activation.
+    with the gradient wrt its pre-activation. The gradients go into out,
+    or into arrays of the work's own when out is None (grads).
+
+    Each layer's operands are bound once, as tuples: forward holds _forward's
+    (weight, bias, activation) triples, and backward, from the last layer
+    to the first, (dh, mask, dW, db, input activation transposed, weight
+    transposed, dh of the layer below). The first layer's input is the
+    batch, which is not bound, and it has no layer below: those are None.
     """
 
-    def __init__(self, hidden, rows):
+    def __init__(self, hidden, rows, out=None):
         widths = [w.shape[1] for w, _ in hidden]
+        self.hidden, self.out, self.rows = hidden, out, rows
+        self.grads = out if out is not None else [
+            (np.empty(w.shape), np.empty(w.shape[1])) for w, _ in hidden
+        ]
         self.act_flat = np.empty(rows * sum(widths))
         self.mask_flat = np.empty_like(self.act_flat)
         self.acts = _views(self.act_flat, [(rows, k) for k in widths])
-        self.masks = _views(self.mask_flat, [(rows, k) for k in widths])
+        masks = _views(self.mask_flat, [(rows, k) for k in widths])
         self.dhs = [np.empty((rows, k)) for k in widths]
         self.resid = np.empty(rows)
         # 1-d views of the (rows, 1) network output and its gradient
         self.out_flat, self.dh_out = self.acts[-1].reshape(-1), self.dhs[-1].reshape(-1)
+        self.forward = [(w, b, act) for (w, b), act in zip(hidden, self.acts)]
+        below = [(None, None, None)] + [
+            (act.T, w.T, dh) for act, (w, _), dh in zip(self.acts, hidden[1:], self.dhs)
+        ]
+        self.backward = [
+            (dh, mask, *grad, *down)
+            for dh, mask, grad, down in zip(self.dhs, masks, self.grads, below)
+        ][::-1]
 
 
 def network_loss_and_grads(hidden, feats, target, out=None, work=None):
@@ -209,35 +231,42 @@ def network_loss_and_grads(hidden, feats, target, out=None, work=None):
     followed by the ReLU, and target holds one value per row of feats.
     Returns (loss, [(dW, db), ...]) aligned with hidden. out, if given, is
     such a list of arrays: the gradients are written into it and it is the
-    list returned.
-    work, if given, is a _LossWork for len(target) rows, which sgd_refine
-    builds once per fit: every intermediate is written into its arrays.
-    Without it the same arrays are allocated. Neither changes a value.
+    list returned; without out, new arrays are returned.
+    work, if given, is a _LossWork (sgd_refine builds its works once per
+    fit). When it is bound to this hidden and this out, the same objects,
+    the call walks its bound operands and writes every intermediate into
+    its arrays (the gradients into work.grads when out is None), and feats
+    and target are taken unchecked: float64 arrays of work.rows rows.
+    Otherwise feats and target are checked, any fault a DataError, and
+    every array is new. No path changes a value.
     """
-    feats = np.asarray(feats, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    n = len(target)
-    if work is None:
-        work = _LossWork(hidden, n)
-    acts = _forward(hidden, feats, work.acts)
-    masks, dhs, resid = work.masks, work.dhs, work.resid
+    if work is None or work.hidden is not hidden or work.out is not out:
+        feats, target = check_design(feats, target)
+        if feats.shape[1] != hidden[0][0].shape[0]:
+            raise DataError(
+                f"features have {feats.shape[1]} columns, the first layer takes "
+                f"{hidden[0][0].shape[0]}"
+            )
+        work = _LossWork(hidden, len(target), out)
+    n = work.rows
+    _forward(work.forward, feats)
+    resid = work.resid
     np.subtract(work.out_flat, target, out=resid)
     loss = float(np.dot(resid, resid)) / n
     np.multiply(resid, 2.0 / n, out=work.dh_out)
     _activation_grad(work.act_flat, out=work.mask_flat)
-    grads = [None] * len(hidden)
-    for i in range(len(hidden) - 1, -1, -1):
-        dpre = np.multiply(dhs[i], masks[i], out=masks[i])
-        dw, db = (None, None) if out is None else out[i]
-        grads[i] = (np.dot(acts[i].T, dpre, out=dw), np.add.reduce(dpre, axis=0, out=db))
-        if i:
-            np.dot(dpre, hidden[i][0].T, out=dhs[i - 1])
-    return loss, grads if out is None else out
+    for dh, dpre, dw, db, act_t, w_t, dh_below in work.backward:
+        np.multiply(dh, dpre, out=dpre)
+        np.dot(feats.T if act_t is None else act_t, dpre, out=dw)
+        np.add.reduce(dpre, axis=0, out=db)
+        if w_t is not None:
+            np.dot(dpre, w_t, out=dh_below)
+    return loss, work.grads
 
 
 def _train_loss(hidden, feats, p, work) -> float:
     """Mean squared loss on the full training set, computed in work."""
-    resid = _forward(hidden, feats, work)[-1].ravel()
+    resid = _forward([(w, b, out) for (w, b), out in zip(hidden, work)], feats).ravel()
     resid -= p
     return float(np.mean(np.square(resid, out=resid)))
 
@@ -289,7 +318,7 @@ def _init_hidden(feats, p, cfg: DplsConfig):
         b = b0 - qs
         b[0] = b0
         layers.append((w, b))
-        h = _forward(layers[-1:], h)[-1]
+        h = _forward([(w, b, None)], h)
     beta, b0 = _layer_solve(h, p)
     layers.append((beta.reshape(-1, 1), np.array([b0])))
     return layers
@@ -370,9 +399,12 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
     and every gradient a view into grad, which has the same layout, so a
     step is one network_loss_and_grads call that writes grad and one update
     of theta. Each epoch gathers its shuffled rows once, into buffers
-    allocated once per call, and its steps take contiguous slices of that
-    copy. The steps run in two loss work sets built once per call, one for
-    full batches and one for the ragged tail of n % batch_size rows.
+    allocated once per call. The batches, each a pair of contiguous slices
+    of those buffers with its _LossWork, are listed once per call; the two
+    works, one for full batches and one for the ragged tail of
+    n % batch_size rows, are bound to the views of theta and grad. With
+    epochs = 0 only the initialization's loss is taken, and none of these
+    is built.
 
     Each epoch's full-data loss is taken at a copy of theta at the end of
     that epoch, one way whoever computes it: into the history, the best
@@ -398,8 +430,15 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
     rng = SeededRng(params.seed).child(2)
     n, batch, lr = len(p), params.batch_size, params.learning_rate
     work = [np.empty((n, w.shape[1])) for w, _ in hidden]
-    step_work = {rows: _LossWork(hidden, rows) for rows in (min(batch, n), n % batch) if rows}
-    feats_epoch, p_epoch = np.empty(feats.shape), np.empty(n)
+    if params.epochs:
+        feats_epoch, p_epoch = np.empty(feats.shape), np.empty(n)
+        sizes = {min(batch, n), n % batch} - {0}  # full batches, the ragged tail
+        step_work = {rows: _LossWork(hidden, rows, grads) for rows in sizes}
+        batches = [
+            (feats_epoch[start:start + batch], p_epoch[start:start + batch],
+             step_work[min(batch, n - start)])
+            for start in range(0, n, batch)
+        ]
     history, best = [], None
 
     def take(epoch, state, helper):
@@ -418,12 +457,8 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
         return helper
 
     def run_steps():
-        for start in range(0, n, batch):
-            stop = min(start + batch, n)
-            network_loss_and_grads(
-                hidden, feats_epoch[start:stop], p_epoch[start:stop],
-                out=grads, work=step_work[stop - start],
-            )
+        for feats_batch, p_batch, batch_work in batches:
+            network_loss_and_grads(hidden, feats_batch, p_batch, out=grads, work=batch_work)
             np.subtract(theta, np.multiply(grad, lr, out=step), out=theta)
 
     with _Children() as children:

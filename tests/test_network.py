@@ -419,6 +419,63 @@ def test_loss_and_grads_write_into_work(rows, widths):
     assert _bits(work.resid) == _bits(ref_acts[-1].ravel() - target)
 
 
+def _assert_same_loss_and_grads(got, want):
+    assert got[0] == want[0]
+    for (w, b), (rw, rb) in zip(got[1], want[1], strict=True):
+        assert _bits(w) == _bits(rw)
+        assert _bits(b) == _bits(rb)
+
+
+@pytest.mark.parametrize("bound", ["hidden", "out"])
+def test_loss_and_grads_with_a_work_bound_elsewhere_give_the_unbound_result(bound):
+    from dpls_iv.network import _LossWork
+
+    feats, target, layers = _grad_check_layers(7, widths=(5, 3), n=12)
+    out = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
+    work = _LossWork(layers, 12, out)
+    if bound == "hidden":
+        # the work binds layers; the call passes a perturbed copy of them
+        other = [(w + 0.25, b - 0.5) for w, b in layers]
+        call_out = out
+    else:
+        # the work binds out; the call passes other gradient arrays
+        other = layers
+        call_out = [(np.full_like(w, np.nan), np.full_like(b, np.nan)) for w, b in layers]
+    want = network_loss_and_grads(other, feats, target)
+    got = network_loss_and_grads(other, feats, target, out=call_out, work=work)
+    assert got[1] is call_out
+    _assert_same_loss_and_grads(got, want)
+    _assert_same_loss_and_grads(got, _ref_network_loss_and_grads(other, feats, target))
+
+
+def test_one_work_serves_every_batch_view():
+    # sgd_refine binds one work per batch size and passes it with each
+    # batch's view of the epoch buffers
+    from dpls_iv.network import _LossWork
+
+    feats, target, layers = _grad_check_layers(8, widths=(6,), n=20, d=9)
+    out = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
+    work = _LossWork(layers, 8, out)
+    for start in (0, 12, 4):
+        batch = (feats[start:start + 8], target[start:start + 8])
+        want = network_loss_and_grads(layers, *batch)
+        got = network_loss_and_grads(layers, *batch, out=out, work=work)
+        _assert_same_loss_and_grads(got, want)
+        _assert_same_loss_and_grads(got, _ref_network_loss_and_grads(layers, *batch))
+
+
+@pytest.mark.parametrize("feats_shape,target_shape,message", [
+    ((10, 3), (9,), "target must be a vector with one entry per row"),
+    ((10, 3), (10, 1), "target must be a vector with one entry per row"),
+    ((10, 5), (10,), "features have 5 columns, the first layer takes 3"),
+], ids=["short_target", "column_target", "wide_features"])
+def test_loss_and_grads_reject_a_mismatched_batch(feats_shape, target_shape, message):
+    _feats, _target, layers = _grad_check_layers(9, widths=(4,), n=10)
+    feats, target = np.ones(feats_shape), np.ones(target_shape)
+    with pytest.raises(DataError, match=message):
+        network_loss_and_grads(layers, feats, target)
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_predict_matches_reference_forward(order):
     model, zbar, _p = _production_model((30,), n=3000)
@@ -465,6 +522,16 @@ def test_sgd_takes_one_loss_and_grads_call_per_step(monkeypatch, n, batch_size, 
                                          epochs=epochs, seed=0))
     assert len(calls) == epochs * -(-n // batch_size)
     assert sum(calls) == epochs * n
+
+
+def test_sgd_refine_without_epochs_builds_no_step_work(monkeypatch):
+    # epochs = 0 only takes the loss at the initialization, so no step
+    # work is built, nor the epoch buffers and batch list that go with it
+    model, zbar, p = _initialized_model((3,), n=50)
+    built = []
+    monkeypatch.setattr(network, "_LossWork", lambda *args: built.append(args))
+    got = sgd_refine(model, zbar, p, SgdParams(epochs=0))
+    assert built == [] and got.best_epoch == 0 and len(got.history) == 1
 
 
 # ------------------------------------------------------------ loss helper
