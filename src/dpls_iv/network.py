@@ -237,8 +237,8 @@ def network_loss_and_grads(hidden, feats, target, out=None, work=None):
     the call walks its bound operands and writes every intermediate into
     its arrays (the gradients into work.grads when out is None), and feats
     and target are taken unchecked: float64 arrays of work.rows rows.
-    Otherwise feats and target are checked, any fault a DataError, and
-    every array is new. No path changes a value.
+    Otherwise feats, target and the chain of layer shapes are checked,
+    any fault a DataError, and every array is new. No path changes a value.
     """
     if work is None or work.hidden is not hidden or work.out is not out:
         feats, target = check_design(feats, target)
@@ -247,6 +247,17 @@ def network_loss_and_grads(hidden, feats, target, out=None, work=None):
                 f"features have {feats.shape[1]} columns, the first layer takes "
                 f"{hidden[0][0].shape[0]}"
             )
+        inputs = feats.shape[1]
+        for i, (w, b) in enumerate(hidden):
+            last = i == len(hidden) - 1
+            if (w.ndim != 2 or w.shape[0] != inputs or np.shape(b) != (w.shape[1],)
+                    or (last and w.shape[1] != 1)):
+                raise DataError(
+                    f"layer {i} has weight shape {w.shape} and bias shape {np.shape(b)}: "
+                    f"it must map the {inputs} values below it to k values with a "
+                    f"length-k bias, and the last layer to one"
+                )
+            inputs = w.shape[1]
         work = _LossWork(hidden, len(target), out)
     n = work.rows
     _forward(work.forward, feats)

@@ -2,11 +2,14 @@
 
 The closed form, the estimator the network and the PLS baseline use, evaluates
 
-    coef = R (R' S_zz R)^-1 R' s_zp
+    coef = W W' s_zp
 
-on an orthonormalized copy of the Krylov matrix R = (s_zp, S_zz s_zp, ...),
-which spans the identical subspace but stays numerically stable past q ~ 5.
-The tests hold it to an independent reference, deflation PLS
+over the PLS weights W: a basis of the Krylov space spanned by s_zp,
+S_zz s_zp, ..., S_zz^{q-1} s_zp that is orthonormal in the S_zz inner
+product (W' S_zz W = I), built by one Lanczos recurrence (Helland 1988;
+Eldén 2004). It equals R (R' S_zz R)^-1 R' s_zp for the raw Krylov matrix R
+without forming R, whose columns turn numerically dependent early. The
+tests hold it to an independent reference, deflation PLS
 (tests/pls_oracle.py), which builds score/loading pairs one at a time,
 deflating only the cross-product vector (the policy is scalar throughout).
 Both project the policy onto the same Krylov space, so their predictions
@@ -99,34 +102,16 @@ class PlsFit:
         return self.p_mean + (zbar - self.means) @ self.coef
 
 
-def _reorthogonalize(v, basis, images):
-    """Two in-place Gram-Schmidt passes of v; its basis[i] part is images[i] @ v."""
-    for _ in range(2):
-        for b, image in zip(basis, images):
-            v -= (image @ v) * b
-
-
-def _mgs(columns, rtol=_RANK_RTOL):
-    """Modified Gram-Schmidt with a second pass; drops dependent columns."""
-    basis = []
-    for j in range(columns.shape[1]):
-        v = columns[:, j].copy()
-        norm0 = float(np.linalg.norm(v))
-        if norm0 == 0.0:
-            continue
-        _reorthogonalize(v, basis, basis)
-        nv = float(np.linalg.norm(v))
-        if nv > rtol * norm0:
-            basis.append(v / nv)
-    if not basis:
-        return np.zeros((columns.shape[0], 0))
-    return np.column_stack(basis)
-
-
 def compute_krylov(cov: CovPair, q: int) -> np.ndarray:
-    """Orthonormal basis, shape (d, rank), of the Krylov matrix
-    (s_zp, S_zz s_zp, ..., S_zz^{q-1} s_zp); rank < q when _mgs drops a
-    numerically dependent column."""
+    """PLS weights W, shape (d, rank), with W'S_zzW = I: the Lanczos basis of
+    the Krylov space span(s_zp, S_zz s_zp, ..., S_zz^{q-1} s_zp) in the S_zz
+    inner product.
+
+    Each next direction is S_zz w for the last weight w. Its part along
+    every kept weight is removed twice, and it is normalized in the S_zz
+    norm; rank < q when that norm falls to _RANK_RTOL of its value before
+    the passes.
+    """
     if q < 1:
         raise DataError("q must be at least 1")
     s_zz, s_zp = cov.s_zz, cov.s_zp
@@ -134,30 +119,22 @@ def compute_krylov(cov: CovPair, q: int) -> np.ndarray:
         raise DataError(
             "s_zp is the zero vector: no instrument-policy covariance"
         )
-    cols = np.empty((len(s_zp), q))
-    cols[:, 0] = s_zp
-    for j in range(1, q):
-        cols[:, j] = s_zz @ cols[:, j - 1]
-    return _mgs(cols)
-
-
-def _s_orthonormalize(basis, s_zz):
-    """Gram-Schmidt in the S_zz inner product; WtSW = I on exit."""
-    out = []
-    out_s = []  # cached S_zz @ w for each kept direction
-    for j in range(basis.shape[1]):
-        v = basis[:, j].copy()
+    weights = []
+    images = []  # S_zz @ w for each kept weight
+    v = s_zp.copy()
+    while len(weights) < q:
         norm0 = float(np.sqrt(max(v @ (s_zz @ v), 0.0)))
-        _reorthogonalize(v, out, out_s)
+        for _ in range(2):  # Gram-Schmidt in the S_zz inner product, twice
+            for w, image in zip(weights, images):
+                v -= (image @ v) * w
         sv = s_zz @ v
         nv = float(np.sqrt(max(v @ sv, 0.0)))
         if norm0 == 0.0 or nv <= _RANK_RTOL * norm0:
-            raise SingularDesignError(
-                "R'S_zzR is singular at this q; reduce q"
-            )
-        out.append(v / nv)
-        out_s.append(sv / nv)
-    return np.column_stack(out)
+            break
+        weights.append(v / nv)
+        images.append(sv / nv)
+        v = images[-1].copy()
+    return np.column_stack(weights) if weights else np.zeros((len(s_zp), 0))
 
 
 def fit_pls_closed_form(zbar, p, q: int) -> PlsFit:
@@ -166,12 +143,11 @@ def fit_pls_closed_form(zbar, p, q: int) -> PlsFit:
     d = len(cov.s_zp)
     if not (1 <= q <= d):
         raise DataError(f"q must lie in [1, {d}]")
-    basis = compute_krylov(cov, q)
-    if basis.shape[1] < q:
+    weights = compute_krylov(cov, q)
+    if weights.shape[1] < q:
         raise SingularDesignError(
-            f"effective Krylov rank {basis.shape[1]} < requested q = {q}; reduce q"
+            f"effective Krylov rank {weights.shape[1]} < requested q = {q}; reduce q"
         )
-    weights = _s_orthonormalize(basis, cov.s_zz)
     return PlsFit(y_loadings=weights.T @ cov.s_zp, weights=weights, means=cov.means,
                   p_mean=cov.p_mean)
 
@@ -179,9 +155,10 @@ def fit_pls_closed_form(zbar, p, q: int) -> PlsFit:
 def select_q_cv(zbar, p, q_max: int, rng: SeededRng) -> int:
     """Pick q by minimizing mean out-of-fold squared error over CV_FOLDS folds.
 
-    Folds are a seeded permutation sliced by stride. Ties break toward the
-    smaller q. Fold fits reuse one Krylov basis per fold, so the scan over q
-    costs little beyond a single q_max fit.
+    Folds are a seeded permutation sliced by stride. Each fold scores every
+    q up to its own Krylov rank from one set of weights, and each q's error
+    is averaged over the folds that reach it. Ties break toward the smaller
+    q. No fit is made on all rows.
     """
     zbar, p = check_design(zbar, p)
     n, d = zbar.shape
@@ -191,7 +168,6 @@ def select_q_cv(zbar, p, q_max: int, rng: SeededRng) -> int:
         raise DataError(f"q_max must lie in [1, {d}]")
     perm = rng.permutation(n)
     sse = np.zeros(q_max)
-    reached = np.zeros(q_max, dtype=bool)
     counts = np.zeros(q_max)
     for f in range(CV_FOLDS):
         test_idx = perm[f::CV_FOLDS]
@@ -199,8 +175,8 @@ def select_q_cv(zbar, p, q_max: int, rng: SeededRng) -> int:
         mask[test_idx] = False
         cov = sample_cov_pair(zbar[mask], p[mask])
         try:
-            weights = _s_orthonormalize(compute_krylov(cov, q_max), cov.s_zz)
-        except (DataError, SingularDesignError):
+            weights = compute_krylov(cov, q_max)
+        except DataError:
             continue
         zc_te = zbar[test_idx] - cov.means
         proj = weights.T @ cov.s_zp
@@ -208,20 +184,8 @@ def select_q_cv(zbar, p, q_max: int, rng: SeededRng) -> int:
             coef = weights[:, :qq] @ proj[:qq]
             pred = cov.p_mean + zc_te @ coef
             sse[qq - 1] += float(np.sum((p[test_idx] - pred) ** 2))
-            reached[qq - 1] = True
             counts[qq - 1] += len(test_idx)
-    if not reached.any():
+    if not counts.any():
         raise DataError("no fold produced a usable PLS fit")
-    mean_err = np.where(reached, sse / np.maximum(counts, 1), np.inf)
-    # the winner must also be fittable on the full data: the achievable
-    # Krylov rank shrinks with the training share, so walk the candidates
-    # in score order and return the first that survives a full-data fit
-    for qq in np.argsort(mean_err, kind="stable") + 1:
-        if not np.isfinite(mean_err[qq - 1]):
-            break
-        try:
-            fit_pls_closed_form(zbar, p, int(qq))
-            return int(qq)
-        except (DataError, SingularDesignError):
-            continue
-    raise DataError("no candidate q is fittable on the full data")
+    mean_err = np.where(counts > 0, sse / np.maximum(counts, 1), np.inf)
+    return int(np.argmin(mean_err)) + 1

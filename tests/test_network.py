@@ -312,6 +312,12 @@ def _initialized_model(widths, n=50, d=4):
     return dpls_fit(zbar, p, cfg), zbar, p
 
 
+# On _initialized_model((4, 3)) with one 50-row batch an epoch, the loss
+# stays finite below a rate of about 1e55 and overflows in the first epoch
+# above about 1e57; this rate, between the two, overflows in the second.
+_DIVERGING = SgdParams(learning_rate=1e56, batch_size=50, epochs=50, seed=0)
+
+
 def _production_model(widths, n):
     """An initialized network with q = 9 PLS features on experiment1 data,
     the q that a default fit picks at n = 10,000."""
@@ -363,10 +369,8 @@ def test_flat_sgd_matches_reference_when_units_die():
 
 
 def test_flat_sgd_diverges_like_reference_loop():
-    # a relu stack whose units all die stays finite, so this rate is large
-    # enough to overflow a surviving path, and it does so in the second epoch
     model, zbar, p = _initialized_model((4, 3))
-    params = SgdParams(learning_rate=1e200, batch_size=50, epochs=50, seed=0)
+    params = _DIVERGING
     messages = []
     for refine in (sgd_refine, _ref_sgd_refine):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -472,6 +476,21 @@ def test_one_work_serves_every_batch_view():
 def test_loss_and_grads_reject_a_mismatched_batch(feats_shape, target_shape, message):
     _feats, _target, layers = _grad_check_layers(9, widths=(4,), n=10)
     feats, target = np.ones(feats_shape), np.ones(target_shape)
+    with pytest.raises(DataError, match=message):
+        network_loss_and_grads(layers, feats, target)
+
+
+@pytest.mark.parametrize("shapes,message", [
+    ([((3, 4), (4,)), ((5, 1), (1,))],
+     r"layer 1 has weight shape \(5, 1\) and bias shape \(1,\): it must map the 4 values"),
+    ([((3, 4), (2,)), ((4, 1), (1,))],
+     r"layer 0 has weight shape \(3, 4\) and bias shape \(2,\): it must map the 3 values"),
+    ([((3, 4), (4,)), ((4, 2), (2,))],
+     r"layer 1 has weight shape \(4, 2\) and bias shape \(2,\).*the last layer to one"),
+], ids=["weights_do_not_chain", "short_bias", "two_outputs"])
+def test_loss_and_grads_reject_a_stack_that_does_not_chain(shapes, message):
+    feats, target = np.ones((10, 3)), np.ones(10)
+    layers = [(np.ones(w), np.ones(b)) for w, b in shapes]
     with pytest.raises(DataError, match=message):
         network_loss_and_grads(layers, feats, target)
 
@@ -604,7 +623,7 @@ def test_loss_helper_matches_reference_loop_bit_for_bit(helper, case):
 @_forks
 def test_loss_helper_diverges_like_reference_loop(helper):
     model, zbar, p = _initialized_model((4, 3))
-    params = SgdParams(learning_rate=1e200, batch_size=50, epochs=50, seed=0)
+    params = _DIVERGING
     fds = _open_fds()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError) as err:
@@ -617,8 +636,7 @@ def test_loss_helper_diverges_like_reference_loop(helper):
 
 _WARNING_CASES = {
     # the diverging fit above with every warning on: the steps overflow
-    "diverging": (1.0, SgdParams(learning_rate=1e200, batch_size=50, epochs=50, seed=0),
-                  "overflow encountered in dot", 2),
+    "diverging": (1.0, _DIVERGING, "overflow encountered in dot", 2),
     # a target this large overflows the squared residuals of every loss:
     # the helper raises on it, and the caller computes it again
     "overflowing_loss": (1e160, SgdParams(learning_rate=0.0, batch_size=16, epochs=3, seed=0),

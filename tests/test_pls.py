@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpls_iv import (
     DataError,
     SeededRng,
     SingularDesignError,
+    augment_instruments,
+    experiment2_spec,
     fit_ols,
     fit_pls_closed_form,
+    gen_experiment2,
     select_q_cv,
+    split_dataset,
 )
-from dpls_iv.pls import compute_krylov
+from dpls_iv.pls import AUTO_Q_CAP, compute_krylov
 from pls_oracle import fit_pls_deflation
 from dpls_iv.pls import CovPair, sample_cov_pair
 
@@ -29,12 +35,14 @@ def test_krylov_columns_iterate_the_covariance():
         means=np.zeros(2),
         p_mean=0.0,
     )
-    basis = compute_krylov(cov, 2)
-    assert basis.shape == (2, 2)
-    # the basis spans s_zp = (1, 1) and S_zz s_zp = (1, 2), first column first
-    np.testing.assert_allclose(basis[:, 0], np.array([1.0, 1.0]) / np.sqrt(2.0))
+    weights = compute_krylov(cov, 2)
+    assert weights.shape == (2, 2)
+    # the first weight is s_zp = (1, 1) over its S_zz norm sqrt(3)
+    np.testing.assert_allclose(weights[:, 0], np.array([1.0, 1.0]) / np.sqrt(3.0))
+    np.testing.assert_allclose(weights.T @ cov.s_zz @ weights, np.eye(2), atol=1e-10)
+    # W W' S_zz projects onto the span of s_zp and S_zz s_zp = (1, 2)
     raw = np.array([[1.0, 1.0], [1.0, 2.0]])
-    np.testing.assert_allclose(basis @ (basis.T @ raw), raw, atol=1e-12)
+    np.testing.assert_allclose(weights @ weights.T @ cov.s_zz @ raw, raw, atol=1e-12)
 
 
 def test_krylov_rejects_zero_cross_covariance():
@@ -45,9 +53,27 @@ def test_krylov_rejects_zero_cross_covariance():
 
 def test_krylov_orthonormal_basis():
     zbar, p = _regression_data(0)
-    basis = compute_krylov(sample_cov_pair(zbar, p), 4)
-    assert basis.shape == (6, 4)
-    np.testing.assert_allclose(basis.T @ basis, np.eye(4), atol=1e-10)
+    cov = sample_cov_pair(zbar, p)
+    weights = compute_krylov(cov, 4)
+    assert weights.shape == (6, 4)
+    np.testing.assert_allclose(weights.T @ cov.s_zz @ weights, np.eye(4), atol=1e-10)
+    raw = np.column_stack([np.linalg.matrix_power(cov.s_zz, j) @ cov.s_zp for j in range(4)])
+    np.testing.assert_allclose(weights @ weights.T @ cov.s_zz @ raw, raw,
+                               atol=1e-10 * np.abs(raw).max())
+
+
+def test_closed_form_reaches_the_auto_cap_on_experiment2():
+    # the benchmark's seed-0 training half: q = "auto" may pick any q up to
+    # the cap, so every one of them must fit
+    rng = SeededRng(0)
+    ds, _truth = gen_experiment2(experiment2_spec(), rng.child(0))
+    train, _test = split_dataset(ds, 0.5, rng.child(1))
+    zbar = augment_instruments(train.z, train.x)
+    fit = fit_pls_closed_form(zbar, train.p, AUTO_Q_CAP)
+    ref = fit_pls_deflation(zbar, train.p, AUTO_Q_CAP)
+    assert fit.q == ref.q == AUTO_Q_CAP
+    np.testing.assert_allclose(fit.coef, ref.coef, rtol=0,
+                               atol=1e-8 * np.abs(ref.coef).max())
 
 
 def test_full_q_equals_ols_predictions():
@@ -160,6 +186,36 @@ def test_select_q_needs_a_row_per_fold():
     zbar, p = _regression_data(10, n=4, d=2)
     with pytest.raises(DataError, match="at least 5 rows"):
         select_q_cv(zbar, p, 1, SeededRng(0))
+
+
+@st.composite
+def _designs(draw):
+    """Tall (n > d), wide (n < d) and duplicated-column designs."""
+    shape = draw(st.sampled_from(["tall", "wide", "duplicated"]))
+    if shape == "wide":
+        n = draw(st.integers(5, 30))
+        d = draw(st.integers(n + 1, 45))
+    else:
+        d = draw(st.integers(1, 12))
+        n = draw(st.integers(max(5, d + 2), 80))
+    rng = SeededRng(draw(st.integers(0, 2**32 - 1)))
+    zbar = rng.child(0).normal(size=(n, d))
+    p = zbar @ rng.child(1).normal(size=d) + draw(
+        st.sampled_from([0.01, 0.3, 3.0])) * rng.child(2).normal(size=n)
+    if shape == "duplicated":
+        copies = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d))
+        zbar = np.column_stack([zbar, zbar[:, copies]])
+    return zbar, p, rng.child(3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(design=_designs())
+def test_select_q_returns_a_q_that_fits_on_all_rows(design):
+    zbar, p, rng = design
+    q_max = min(zbar.shape[1], AUTO_Q_CAP)
+    q = select_q_cv(zbar, p, q_max, rng)
+    assert 1 <= q <= q_max
+    assert fit_pls_closed_form(zbar, p, q).q == q
 
 
 def test_cov_pair_two_point_example():
