@@ -242,16 +242,14 @@ def network_loss_and_grads(hidden, feats, target, out=None, work=None):
     """
     if work is None or work.hidden is not hidden or work.out is not out:
         feats, target = check_design(feats, target)
-        if feats.shape[1] != hidden[0][0].shape[0]:
-            raise DataError(
-                f"features have {feats.shape[1]} columns, the first layer takes "
-                f"{hidden[0][0].shape[0]}"
-            )
         inputs = feats.shape[1]
         for i, (w, b) in enumerate(hidden):
-            last = i == len(hidden) - 1
+            if i == 0 and w.shape[0] != inputs:
+                raise DataError(
+                    f"features have {inputs} columns, the first layer takes {w.shape[0]}"
+                )
             if (w.ndim != 2 or w.shape[0] != inputs or np.shape(b) != (w.shape[1],)
-                    or (last and w.shape[1] != 1)):
+                    or (i == len(hidden) - 1 and w.shape[1] != 1)):
                 raise DataError(
                     f"layer {i} has weight shape {w.shape} and bias shape {np.shape(b)}: "
                     f"it must map the {inputs} values below it to k values with a "

@@ -157,8 +157,10 @@ def select_q_cv(zbar, p, q_max: int, rng: SeededRng) -> int:
 
     Folds are a seeded permutation sliced by stride. Each fold scores every
     q up to its own Krylov rank from one set of weights, and each q's error
-    is averaged over the folds that reach it. Ties break toward the smaller
-    q. No fit is made on all rows.
+    is averaged over the folds that reach it. Only q up to the Krylov rank
+    of all rows is eligible, so fit_pls_closed_form can fit the pick on
+    them; a fold may reach a higher rank than all rows do. Ties break toward
+    the smaller q.
     """
     zbar, p = check_design(zbar, p)
     n, d = zbar.shape
@@ -188,4 +190,8 @@ def select_q_cv(zbar, p, q_max: int, rng: SeededRng) -> int:
     if not counts.any():
         raise DataError("no fold produced a usable PLS fit")
     mean_err = np.where(counts > 0, sse / np.maximum(counts, 1), np.inf)
+    rank = compute_krylov(sample_cov_pair(zbar, p), q_max).shape[1]
+    if rank == 0:
+        raise DataError("the Krylov space of all rows is empty: no q can be fit")
+    mean_err[rank:] = np.inf
     return int(np.argmin(mean_err)) + 1

@@ -302,20 +302,41 @@ def _bits(a):
     return a.dtype.str, a.shape, a.tobytes()
 
 
-def _initialized_model(widths, n=50, d=4):
+def _initialized_data(n, d):
     rng = SeededRng(21)
     zbar = rng.child(0).normal(size=(n, d))
     coef = rng.child(1).normal(size=d)
     p = np.maximum(zbar @ coef, 0.0) + 0.1 * rng.child(2).normal(size=n)
+    return zbar, p
+
+
+def _initialized_model(widths, n=50, d=4):
+    zbar, p = _initialized_data(n, d)
     cfg = DplsConfig(layer_widths=widths, first_layer_q=2,
                      sgd=SgdParams(epochs=0))
     return dpls_fit(zbar, p, cfg), zbar, p
 
 
-# On _initialized_model((4, 3)) with one 50-row batch an epoch, the loss
-# stays finite below a rate of about 1e55 and overflows in the first epoch
-# above about 1e57; this rate, between the two, overflows in the second.
-_DIVERGING = SgdParams(learning_rate=1e56, batch_size=50, epochs=50, seed=0)
+def _fixed_first_layer_model():
+    """_initialized_model((4, 3)) with a first layer of fixed weights, whose
+    features are z1 + z2 and z3 + z4: where SGD overflows on this model
+    does not hang on the rounding of a PLS fit."""
+    zbar, p = _initialized_data(50, 4)
+    first = PlsFit(
+        y_loadings=np.ones(2),
+        weights=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]),
+        means=np.zeros(4),
+        p_mean=0.0,
+    )
+    cfg = DplsConfig(layer_widths=(4, 3), first_layer_q=2, sgd=SgdParams(epochs=0))
+    hidden = network._init_hidden(network._pls_features(first, zbar), p, cfg)
+    return DplsModel(first_layer=first, hidden=tuple(hidden)), zbar, p
+
+
+# On _fixed_first_layer_model() with one 50-row batch an epoch, SGD stays
+# finite up to a rate of about 1e154 and overflows in the second epoch from
+# about 1e156 to 1e306; this rate lies well inside that window.
+_DIVERGING = SgdParams(learning_rate=1e200, batch_size=50, epochs=50, seed=0)
 
 
 def _production_model(widths, n):
@@ -369,13 +390,12 @@ def test_flat_sgd_matches_reference_when_units_die():
 
 
 def test_flat_sgd_diverges_like_reference_loop():
-    model, zbar, p = _initialized_model((4, 3))
-    params = _DIVERGING
+    model, zbar, p = _fixed_first_layer_model()
     messages = []
     for refine in (sgd_refine, _ref_sgd_refine):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError) as err:
-                refine(model, zbar, p, params)
+                refine(model, zbar, p, _DIVERGING)
         messages.append(str(err.value))
     assert messages[0] == messages[1] == "SGD diverged at epoch 2; reduce learning_rate"
 
@@ -622,12 +642,11 @@ def test_loss_helper_matches_reference_loop_bit_for_bit(helper, case):
 
 @_forks
 def test_loss_helper_diverges_like_reference_loop(helper):
-    model, zbar, p = _initialized_model((4, 3))
-    params = _DIVERGING
+    model, zbar, p = _fixed_first_layer_model()
     fds = _open_fds()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError) as err:
-            sgd_refine(model, zbar, p, params)
+            sgd_refine(model, zbar, p, _DIVERGING)
     assert helper[0] is not None
     assert str(err.value) == "SGD diverged at epoch 2; reduce learning_rate"
     assert _open_fds() == fds
@@ -650,7 +669,7 @@ def test_loss_helper_warnings_reach_the_caller_as_in_process(monkeypatch, helper
     # each warning surfaces in the caller, in the same order and from the
     # same line as when every loss is computed here
     scale, params, warning, epoch = _WARNING_CASES[case]
-    model, zbar, p = _initialized_model((4, 3))
+    model, zbar, p = _fixed_first_layer_model()
     p = p * scale
 
     def warnings_and_message():

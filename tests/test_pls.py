@@ -188,18 +188,45 @@ def test_select_q_needs_a_row_per_fold():
         select_q_cv(zbar, p, 1, SeededRng(0))
 
 
+def _factorial(d, reps):
+    """The 2^d design of +-1 factors, each row repeated reps times: S_zz of
+    all rows is a multiple of the identity, so their Krylov space has rank 1,
+    while that of an unbalanced fold may reach higher."""
+    levels = np.array([[1.0 if (row >> j) & 1 else -1.0 for j in range(d)]
+                       for row in range(2**d)])
+    return np.repeat(levels, reps, axis=0)
+
+
+def test_select_q_stays_within_the_rank_of_all_rows():
+    z = _factorial(2, 5)
+    p = z @ np.array([1.0, 0.2]) + 0.01 * SeededRng(0).normal(size=len(z))
+    assert compute_krylov(sample_cov_pair(z, p), 2).shape[1] == 1
+    # every fold of 16 rows reaches rank 2, and their errors alone favor q = 2
+    perm = SeededRng(0).permutation(len(z))
+    for f in range(5):
+        mask = np.ones(len(z), dtype=bool)
+        mask[perm[f::5]] = False
+        assert compute_krylov(sample_cov_pair(z[mask], p[mask]), 2).shape[1] == 2
+    assert select_q_cv(z, p, 2, SeededRng(0)) == 1
+
+
 @st.composite
 def _designs(draw):
-    """Tall (n > d), wide (n < d) and duplicated-column designs."""
-    shape = draw(st.sampled_from(["tall", "wide", "duplicated"]))
-    if shape == "wide":
+    """Tall (n > d), wide (n < d), duplicated-column and balanced +-1
+    factorial designs."""
+    shape = draw(st.sampled_from(["tall", "wide", "duplicated", "factorial"]))
+    if shape == "factorial":
+        zbar = _factorial(draw(st.integers(1, 4)), draw(st.integers(3, 6)))
+        n, d = zbar.shape
+    elif shape == "wide":
         n = draw(st.integers(5, 30))
         d = draw(st.integers(n + 1, 45))
     else:
         d = draw(st.integers(1, 12))
         n = draw(st.integers(max(5, d + 2), 80))
     rng = SeededRng(draw(st.integers(0, 2**32 - 1)))
-    zbar = rng.child(0).normal(size=(n, d))
+    if shape != "factorial":
+        zbar = rng.child(0).normal(size=(n, d))
     p = zbar @ rng.child(1).normal(size=d) + draw(
         st.sampled_from([0.01, 0.3, 3.0])) * rng.child(2).normal(size=n)
     if shape == "duplicated":
