@@ -1,9 +1,11 @@
 """Dataset container, instrument augmentation, splitting, and seeded RNG,
 plus the input rules the estimators share (the integer check, the
-(design, target) check and the covariate block), the part bounds of the
-work spread over CPUs (the CLI's row work and the lasso's CV paths), the
-package's one way to fork (_Children), the one rule its forked children
-work under (_raising) and the PSD square-root factor.
+(design, target) check, the covariate block and the design width a fit
+predicts on), the part bounds of the work spread over CPUs (the CLI's row
+work and the lasso's CV paths), the package's one way to fork (_Children),
+the rule under which the lasso's CV parts and the SGD loss helper run in
+their children (_raising; the CSV write and read children do not run under
+it) and the PSD square-root factor.
 
 A process sees the CPUs it may run on (os.sched_getaffinity), except in a
 run_benchmark pool worker, which sees its share of them (_share_cpus), so
@@ -59,6 +61,15 @@ def covariate_block(x, n: int) -> np.ndarray:
     the caller checks the shape."""
     x = np.asarray(x, dtype=np.float64)
     return x.reshape(n, 0) if x.ndim == 1 and x.size == 0 else x
+
+
+def _check_width(design, width: int) -> np.ndarray:
+    """design as float64: a matrix of the `width` columns a fit was made on."""
+    design = np.asarray(design, dtype=np.float64)
+    if design.ndim != 2 or design.shape[1] != width:
+        got = design.shape[1] if design.ndim == 2 else f"shape {design.shape}"
+        raise DataError(f"fit expects {width} design columns, data has {got}")
+    return design
 
 
 def _as_float_matrix(a, name, ndim):
@@ -304,9 +315,10 @@ def _raised_errstate():
 @contextlib.contextmanager
 def _raising():
     """Every warning, and every floating-point error the current state does
-    not ignore, raised: the rule a forked child's work runs under. Whatever
-    that work would emit ends the child instead, and the parent then does
-    the work itself, so it surfaces there, once."""
+    not ignore, raised: the rule the lasso's CV parts and the SGD loss
+    helper run under in their children. Whatever that work would emit ends
+    the child instead, and the parent then does the work itself, so it
+    surfaces there, once."""
     with warnings.catch_warnings(), np.errstate(**_raised_errstate()):
         warnings.simplefilter("error")
         yield

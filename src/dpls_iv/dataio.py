@@ -32,7 +32,7 @@ from dataclasses import fields
 import numpy as np
 
 from .bench import MetricsReport
-from .data import Dataset, _Children, check_int, part_bounds
+from .data import Dataset, _Children, part_bounds
 from .errors import DataError
 from .ivreg import (
     ControlFunctionFit,
@@ -478,14 +478,9 @@ def _record(obj, *skip) -> dict:
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
-def _is_number(value, kind=(int, float)) -> bool:
-    """value is a JSON number of kind; true and false are not numbers."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 def _number(value, where: str = "a fit record array") -> float:
     """A JSON number as a float; true, false, a string or null is refused."""
-    if not _is_number(value):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise DataError(f"{where} holds {json.dumps(value)}, not a number")
     return float(value)
 
@@ -536,18 +531,6 @@ def write_truth(path, truth: SyntheticTruth) -> None:
 # ----------------------------------------------------------------- fit bundle
 
 
-def _pls_from_dict(doc: dict) -> PlsFit:
-    """A PLS block whose weights (d, q), means (d,) and y_loadings (q,) agree."""
-    fit = _from_record(PlsFit, doc)
-    d, q = fit.means.shape, fit.y_loadings.shape
-    if (len(d), len(q)) != (1, 1) or fit.weights.shape != d + q:
-        raise DataError(
-            f"PLS weights {fit.weights.shape}, means {fit.means.shape} and "
-            f"y_loadings {fit.y_loadings.shape} do not fit together"
-        )
-    return fit
-
-
 def _first_stage_to_dict(first) -> dict:
     """First stage tagged with the method name that fit it; a network as its
     weights and SGD history."""
@@ -564,36 +547,18 @@ def _first_stage_to_dict(first) -> dict:
 
 
 def _first_stage_from_dict(doc: dict):
-    """The first stage its method tag names. A network's relu layers must
-    chain from the q PLS features to one output, its loss history must be
-    numbers and its best epoch null or an index into that history."""
+    """The first stage its method tag names."""
     method = doc.get("method")
     if method == "pls":
-        return _pls_from_dict(doc["pls"])
+        return _from_record(PlsFit, doc["pls"])
     if method in ("ols", "ridge", "lasso"):
         return _from_record(LinearFit, doc, method=method)
     if method != "dpls_iv":
         raise DataError(f"unknown first-stage method {method!r}")
     net = doc["network"]
-    first = _pls_from_dict(net["first_layer"])
-    hidden = tuple((_array(h["w"]), _array(h["b"])) for h in net["hidden"])
-    width = first.q
-    for w, b in hidden:  # width stays None from the first layer that does not chain
-        chained = w.ndim == 2 and w.shape[0] == width and b.shape == w.shape[1:]
-        width = w.shape[1] if chained else None
-    if not hidden or width != 1:
-        raise DataError(
-            f"network layers {[w.shape for w, _ in hidden]} do not chain from "
-            f"{first.q} PLS features to one output"
-        )
-    history, best = net["history"], net["best_epoch"]
-    if not isinstance(history, list) or not all(_is_number(v) for v in history):
-        raise DataError("network history must be an array of numbers")
-    if best is not None and not (_is_number(best, int) and 0 <= best < len(history)):
-        raise DataError(f"network best_epoch must be null or an integer in "
-                        f"[0, {len(history)}), got {best!r}")
-    return DplsModel(first_layer=first, hidden=hidden, best_epoch=best,
-                     history=tuple(float(v) for v in history))
+    return DplsModel(first_layer=_from_record(PlsFit, net["first_layer"]),
+                     hidden=tuple((_array(h["w"]), _array(h["b"])) for h in net["hidden"]),
+                     history=net["history"], best_epoch=net["best_epoch"])
 
 
 def write_fit(path, fit: DplsIvFit) -> None:
@@ -621,9 +586,8 @@ def write_fit(path, fit: DplsIvFit) -> None:
 def read_fit(path) -> DplsIvFit:
     """Load a fit record; a file that is not one is a data error.
 
-    The fit has exactly one outcome stage, (dim, dim) covariances for a gmm
-    stage, a JSON bool censoring flag and an integer training size, and
-    every number in it is a JSON number.
+    This reader checks the format, the version, the method tag and that
+    every number is a JSON number; each fitted type checks its own shapes.
     """
     try:
         doc = _read_json(path)
@@ -632,22 +596,14 @@ def read_fit(path) -> DplsIvFit:
         if doc.get("version") != _FIT_VERSION:
             raise DataError(f"unsupported fit version {doc.get('version')!r}: this build "
                             f"reads version {_FIT_VERSION} only; refit to write one")
-        constants = _from_record(TobitConstants, doc["constants"])
-        gmm = cf = None
-        if "gmm" in doc:
-            gmm = _from_record(TobitGmmFit, doc["gmm"])
-            dim = len(gmm.beta)
-            shapes = (gmm.beta.shape, gmm.sigma_star_matrix.shape, gmm.corrected_matrix.shape)
-            if shapes != ((dim,), (dim, dim), (dim, dim)):
-                raise DataError("gmm beta {} and covariances {} and {} do not fit together"
-                                .format(*shapes))
-        if "cf" in doc:
-            cf = _from_record(ControlFunctionFit, doc["cf"])
-        if not isinstance(doc["censored"], bool):
-            raise DataError(f"censored must be true or false, got {doc['censored']!r}")
-        first = _first_stage_from_dict(doc["first_stage"])
-        return DplsIvFit(censored=doc["censored"], first_stage=first, constants=constants,
-                         n_train=check_int("n_train", doc["n_train"]), gmm=gmm, cf=cf)
+        return DplsIvFit(
+            constants=_from_record(TobitConstants, doc["constants"]),
+            gmm=_from_record(TobitGmmFit, doc["gmm"]) if "gmm" in doc else None,
+            cf=_from_record(ControlFunctionFit, doc["cf"]) if "cf" in doc else None,
+            censored=doc["censored"],
+            first_stage=_first_stage_from_dict(doc["first_stage"]),
+            n_train=doc["n_train"],
+        )
     except DataError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
@@ -660,13 +616,15 @@ def read_fit(path) -> DplsIvFit:
 
 
 def write_predictions_csv(path, columns: dict[str, np.ndarray]) -> None:
-    """Aligned prediction columns, one row per observation."""
+    """Aligned prediction columns, each a vector, one row per observation."""
     names = list(columns)
     arrays = [np.asarray(columns[name], dtype=np.float64) for name in names]
-    n = len(arrays[0]) if arrays else 0
     for name, arr in zip(names, arrays):
-        if len(arr) != n:
-            raise DataError(f"column {name} has {len(arr)} rows, expected {n}")
+        if arr.ndim != 1:
+            raise DataError(f"column {name} must be a vector, got shape {arr.shape}")
+        if len(arr) != len(arrays[0]):
+            raise DataError(f"column {name} has {len(arr)} rows, expected {len(arrays[0])}")
+    n = len(arrays[0]) if arrays else 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(["row"] + names) + "\n")
         _write_rows(fh, arrays, n, numbered=True)

@@ -127,12 +127,20 @@ class TobitGmmFit:
 
     sigma_star_matrix is the asymptotic covariance of sqrt(n)(beta_hat - beta)
     and corrected_matrix subtracts the recentering-induced psi1(1-psi1) bbT
-    term (PSD-projected). These three arrays are the fit record's gmm block.
+    term (PSD-projected). These three arrays, beta (dim,) and both
+    covariances (dim, dim), are the fit record's gmm block.
     """
 
     beta: np.ndarray
     sigma_star_matrix: np.ndarray
     corrected_matrix: np.ndarray
+
+    def __post_init__(self):
+        shapes = tuple(map(np.shape, (self.beta, self.sigma_star_matrix, self.corrected_matrix)))
+        dim = shapes[0]
+        if len(dim) != 1 or shapes != (dim, dim * 2, dim * 2):
+            raise DataError("gmm beta {} and covariances {} and {} do not fit together"
+                            .format(*shapes))
 
 
 def _gmm_design(p, x) -> np.ndarray:
@@ -214,11 +222,15 @@ def corrected_covariance(sigma_star, beta, psi1: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ControlFunctionFit:
-    """Second stage on [p, eta_hat, x] where eta_hat = p - p_hat."""
+    """Second stage on [p, eta_hat, x] where eta_hat = p - p_hat; beta_x is a vector."""
 
     beta: float
     beta_eta: float
     beta_x: np.ndarray
+
+    def __post_init__(self):
+        if np.ndim(self.beta_x) != 1:
+            raise DataError(f"cf beta_x must be a vector, got shape {np.shape(self.beta_x)}")
 
 
 def control_function_fit(p, p_hat, x, y) -> ControlFunctionFit:
@@ -250,8 +262,8 @@ class DplsIvFit:
     first_stage is any fitted treatment model with predict(zbar) and coef:
     the deep PLS network, or a linear, ridge, lasso or PLS baseline, fit with
     the outcome stage on n_train rows. Exactly one outcome stage is set, and
-    it names the mode: gmm for rescale_gmm, cf for control_function. The
-    fields are the fit record's blocks.
+    it names the mode: gmm for rescale_gmm, cf for control_function. censored
+    is a bool (a numpy bool is kept as one). The fields are the record's blocks.
     """
 
     censored: bool
@@ -264,6 +276,10 @@ class DplsIvFit:
     def __post_init__(self):
         if (self.gmm is None) == (self.cf is None):
             raise DataError("a fit needs exactly one outcome stage, gmm or cf")
+        if not isinstance(self.censored, (bool, np.bool_)):
+            raise DataError(f"censored must be true or false, got {self.censored!r}")
+        object.__setattr__(self, "censored", bool(self.censored))
+        object.__setattr__(self, "n_train", check_int("n_train", self.n_train))
 
     @property
     def mode(self) -> str:
@@ -276,7 +292,7 @@ class DplsIvFit:
         return self.cf.beta
 
     def predict_treatment(self, z, x) -> np.ndarray:
-        return _predict_treatment(self.first_stage, augment_instruments(z, x))
+        return self.first_stage.predict(augment_instruments(z, x))
 
     def predict_outcome(self, z, x, p=None) -> np.ndarray:
         """Structural outcome prediction on the observed scale.
@@ -308,14 +324,6 @@ class DplsIvFit:
         return index
 
 
-def _predict_treatment(first_stage, zbar: np.ndarray) -> np.ndarray:
-    """first_stage's predictions on zbar, whose width must be the one it was fit on."""
-    width = len(first_stage.coef)
-    if zbar.shape[1] != width:
-        raise DataError(f"fit expects {width} design columns, data has {zbar.shape[1]}")
-    return first_stage.predict(zbar)
-
-
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise DataError(f"mode must be {' or '.join(map(repr, MODES))}")
@@ -334,7 +342,7 @@ def iv_fit(
     """
     _check_mode(mode)
     zbar = augment_instruments(ds.z, ds.x)
-    p_hat = _predict_treatment(first_stage, zbar)
+    p_hat = first_stage.predict(zbar)
     constants = estimate_tobit_constants(ds.y) if censored else identity_constants()
     y_tilde = recenter_outcome(ds.y, constants)
     gmm = cf = None

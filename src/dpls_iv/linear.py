@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _Children, _raising, check_design, part_bounds
+from .data import _Children, _check_width, _raising, check_design, part_bounds
 from .errors import ConvergenceError, DataError, SingularDesignError
 
 __all__ = [
@@ -66,16 +66,19 @@ _LASSO_PART_CELLS = 2**11
 
 @dataclass(frozen=True)
 class LinearFit:
-    """Coefficients plus the metadata needed to reproduce the fit."""
+    """Coefficient vector plus the metadata needed to reproduce the fit."""
 
     coef: np.ndarray
     intercept: float
     method: str
     lam: float = 0.0
 
+    def __post_init__(self):
+        if np.ndim(self.coef) != 1:
+            raise DataError(f"linear coef must be a vector, got shape {np.shape(self.coef)}")
+
     def predict(self, design) -> np.ndarray:
-        design = np.asarray(design, dtype=np.float64)
-        return design @ self.coef + self.intercept
+        return _check_width(design, len(self.coef)) @ self.coef + self.intercept
 
 
 def fit_ols(design, target, fit_intercept: bool = False) -> LinearFit:

@@ -49,7 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import (
-    SeededRng, _Children, _raised_errstate, _raising, _usable_cpus, check_design, check_int,
+    SeededRng, _Children, _check_width, _raised_errstate, _raising, _usable_cpus, check_design,
+    check_int,
 )
 from .errors import DataError, NumericalError
 from .linear import fit_ols
@@ -155,14 +156,45 @@ def _pls_features(first: PlsFit, zbar):
     return (zbar - first.means) @ first.weights
 
 
+def _check_chain(hidden, inputs: int) -> None:
+    """A DataError unless the (weight, bias) layers of hidden, at least one,
+    chain from `inputs` values to one."""
+    if not hidden:
+        raise DataError("a network needs at least one trainable layer")
+    for i, (w, b) in enumerate(hidden):
+        if i == 0 and w.ndim == 2 and w.shape[0] != inputs:
+            raise DataError(f"features have {inputs} columns, the first layer takes {w.shape[0]}")
+        if (w.ndim != 2 or w.shape[0] != inputs or np.shape(b) != (w.shape[1],)
+                or (i == len(hidden) - 1 and w.shape[1] != 1)):
+            raise DataError(
+                f"layer {i} has weight shape {w.shape} and bias shape {np.shape(b)}: "
+                f"it must map the {inputs} values below it to k values with a "
+                f"length-k bias, and the last layer to one"
+            )
+        inputs = w.shape[1]
+
+
 @dataclass(frozen=True)
 class DplsModel:
-    """Fitted network; immutable. Centering lives in first_layer."""
+    """Fitted network; immutable. Centering lives in first_layer. Built only
+    if hidden chains from first_layer.q features to one output, history
+    holds numbers (kept as floats) and best_epoch is None or indexes it."""
 
     first_layer: PlsFit
     hidden: tuple[tuple[np.ndarray, np.ndarray], ...]
     history: tuple[float, ...] = ()
     best_epoch: int | None = None
+
+    def __post_init__(self):
+        _check_chain(self.hidden, self.first_layer.q)
+        history, best = self.history, self.best_epoch
+        if not isinstance(history, (list, tuple)) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in history):
+            raise DataError("network history must be an array of numbers")
+        if best is not None and not (type(best) is int and 0 <= best < len(history)):
+            raise DataError(f"network best_epoch must be null or an integer in "
+                            f"[0, {len(history)}), got {best!r}")
+        object.__setattr__(self, "history", tuple(float(v) for v in history))
 
     @property
     def coef(self) -> np.ndarray:
@@ -170,13 +202,7 @@ class DplsModel:
         return self.first_layer.coef
 
     def features(self, zbar) -> np.ndarray:
-        zbar = np.asarray(zbar, dtype=np.float64)
-        if zbar.ndim != 2 or zbar.shape[1] != len(self.first_layer.means):
-            raise DataError(
-                f"expected {len(self.first_layer.means)} input columns, "
-                f"got shape {zbar.shape}"
-            )
-        return _pls_features(self.first_layer, zbar)
+        return _pls_features(self.first_layer, _check_width(zbar, len(self.first_layer.means)))
 
     def predict(self, zbar) -> np.ndarray:
         return _forward([(w, b, None) for w, b in self.hidden], self.features(zbar)).ravel()
@@ -242,20 +268,7 @@ def network_loss_and_grads(hidden, feats, target, out=None, work=None):
     """
     if work is None or work.hidden is not hidden or work.out is not out:
         feats, target = check_design(feats, target)
-        inputs = feats.shape[1]
-        for i, (w, b) in enumerate(hidden):
-            if i == 0 and w.shape[0] != inputs:
-                raise DataError(
-                    f"features have {inputs} columns, the first layer takes {w.shape[0]}"
-                )
-            if (w.ndim != 2 or w.shape[0] != inputs or np.shape(b) != (w.shape[1],)
-                    or (i == len(hidden) - 1 and w.shape[1] != 1)):
-                raise DataError(
-                    f"layer {i} has weight shape {w.shape} and bias shape {np.shape(b)}: "
-                    f"it must map the {inputs} values below it to k values with a "
-                    f"length-k bias, and the last layer to one"
-                )
-            inputs = w.shape[1]
+        _check_chain(hidden, feats.shape[1])
         work = _LossWork(hidden, len(target), out)
     n = work.rows
     _forward(work.forward, feats)
@@ -430,8 +443,6 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
     """
     zbar, p = check_design(zbar, p)
     feats = model.features(zbar)
-    if not model.hidden:
-        raise DataError("model has no trainable layers to refine")
     theta = np.concatenate([a.ravel() for layer in model.hidden for a in layer])
     hidden = _flat_views(theta, model.hidden)
     grad, step = np.empty_like(theta), np.empty_like(theta)

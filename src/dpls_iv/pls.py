@@ -9,11 +9,9 @@ S_zz s_zp, ..., S_zz^{q-1} s_zp that is orthonormal in the S_zz inner
 product (W' S_zz W = I), built by one Lanczos recurrence (Helland 1988;
 Eldén 2004). It equals R (R' S_zz R)^-1 R' s_zp for the raw Krylov matrix R
 without forming R, whose columns turn numerically dependent early. The
-tests hold it to an independent reference, deflation PLS
-(tests/pls_oracle.py), which builds score/loading pairs one at a time,
-deflating only the cross-product vector (the policy is scalar throughout).
-Both project the policy onto the same Krylov space, so their predictions
-agree to tight tolerance.
+tests hold it to deflation PLS (tests/pls_oracle.py), which deflates only
+the cross-product vector and drifts past q = 16 on experiment1, and there
+to the q-th conjugate-gradient iterate on S_zz b = s_zp in 60 digits.
 
 select_q_cv picks q by CV_FOLDS-fold cross-validation over q <= q_max;
 callers with q = "auto" cap q_max at AUTO_Q_CAP.
@@ -24,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SeededRng, check_design
+from .data import SeededRng, _check_width, check_design
 from .errors import DataError, SingularDesignError
 
 __all__ = [
@@ -74,20 +72,27 @@ def sample_cov_pair(zbar, p) -> CovPair:
 
 @dataclass(frozen=True)
 class PlsFit:
-    """Fitted PLS state.
+    """Fitted PLS state: weights (d, q), means (d,) and y_loadings (q,).
 
-    weights W holds the q projection directions (unit-norm for the deflation
-    route, S_zz-orthonormal for the closed form); the scores
-    (zbar - means) @ W have mutually orthogonal columns for both routes.
-    coef = weights @ y_loadings is the implied regression vector on the
-    original (uncentered) columns, so predictions are
-    p_mean + (zbar - means) @ coef. coef and q are derived, not stored.
+    weights W holds the q projection directions, which fit_pls_closed_form
+    makes S_zz-orthonormal, so the scores (zbar - means) @ W have mutually
+    orthogonal columns. coef = weights @ y_loadings is the implied
+    regression vector on the original (uncentered) columns, so predictions
+    are p_mean + (zbar - means) @ coef. coef and q are derived, not stored.
     """
 
     y_loadings: np.ndarray
     weights: np.ndarray
     means: np.ndarray
     p_mean: float
+
+    def __post_init__(self):
+        d, q = np.shape(self.means), np.shape(self.y_loadings)
+        if (len(d), len(q)) != (1, 1) or np.shape(self.weights) != d + q:
+            raise DataError(
+                f"PLS weights {np.shape(self.weights)}, means {d} and "
+                f"y_loadings {q} do not fit together"
+            )
 
     @property
     def coef(self) -> np.ndarray:
@@ -98,7 +103,7 @@ class PlsFit:
         return self.weights.shape[1]
 
     def predict(self, zbar) -> np.ndarray:
-        zbar = np.asarray(zbar, dtype=np.float64)
+        zbar = _check_width(zbar, len(self.means))
         return self.p_mean + (zbar - self.means) @ self.coef
 
 
@@ -156,11 +161,11 @@ def select_q_cv(zbar, p, q_max: int, rng: SeededRng) -> int:
     """Pick q by minimizing mean out-of-fold squared error over CV_FOLDS folds.
 
     Folds are a seeded permutation sliced by stride. Each fold scores every
-    q up to its own Krylov rank from one set of weights, and each q's error
-    is averaged over the folds that reach it. Only q up to the Krylov rank
-    of all rows is eligible, so fit_pls_closed_form can fit the pick on
-    them; a fold may reach a higher rank than all rows do. Ties break toward
-    the smaller q.
+    q up to its own Krylov rank from one set of weights. Only q up to q_top,
+    the smallest Krylov rank of all rows and of every fold that has one, is
+    eligible, so every eligible q is scored on the same held-out rows and
+    fit_pls_closed_form can fit the pick on all rows; a fold may reach a
+    higher rank than all rows do. Ties break toward the smaller q.
     """
     zbar, p = check_design(zbar, p)
     n, d = zbar.shape
@@ -170,7 +175,7 @@ def select_q_cv(zbar, p, q_max: int, rng: SeededRng) -> int:
         raise DataError(f"q_max must lie in [1, {d}]")
     perm = rng.permutation(n)
     sse = np.zeros(q_max)
-    counts = np.zeros(q_max)
+    rows, q_top = 0, q_max
     for f in range(CV_FOLDS):
         test_idx = perm[f::CV_FOLDS]
         mask = np.ones(n, dtype=bool)
@@ -186,12 +191,11 @@ def select_q_cv(zbar, p, q_max: int, rng: SeededRng) -> int:
             coef = weights[:, :qq] @ proj[:qq]
             pred = cov.p_mean + zc_te @ coef
             sse[qq - 1] += float(np.sum((p[test_idx] - pred) ** 2))
-            counts[qq - 1] += len(test_idx)
-    if not counts.any():
+        rows += len(test_idx)
+        q_top = min(q_top, weights.shape[1])
+    if not rows:
         raise DataError("no fold produced a usable PLS fit")
-    mean_err = np.where(counts > 0, sse / np.maximum(counts, 1), np.inf)
-    rank = compute_krylov(sample_cov_pair(zbar, p), q_max).shape[1]
-    if rank == 0:
-        raise DataError("the Krylov space of all rows is empty: no q can be fit")
-    mean_err[rank:] = np.inf
-    return int(np.argmin(mean_err)) + 1
+    q_top = min(q_top, compute_krylov(sample_cov_pair(zbar, p), q_max).shape[1])
+    if q_top == 0:
+        raise DataError("the Krylov space of all rows or of a fold is empty: no q can be fit")
+    return int(np.argmin(sse[:q_top] / rows)) + 1

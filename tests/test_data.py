@@ -8,10 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dpls_iv import (
+    ControlFunctionFit,
     DataError,
     Dataset,
     DplsConfig,
+    DplsIvFit,
+    DplsModel,
     ExperimentConfig,
+    LinearFit,
+    PlsFit,
     SeededRng,
     SgdParams,
     TobitGmmFit,
@@ -19,6 +24,8 @@ from dpls_iv import (
     dpls_fit,
     experiment1_spec,
     fit_ols,
+    fit_pls_closed_form,
+    identity_constants,
     sample_posterior,
     select_q_cv,
     split_dataset,
@@ -180,6 +187,13 @@ def test_split_dataset_refuses_unidentified_partition():
 
 _GMM = TobitGmmFit(beta=np.zeros(2), sigma_star_matrix=np.eye(2), corrected_matrix=np.eye(2))
 
+
+def _iv_fit(**fields):
+    """A DplsIvFit with an OLS first stage, a gmm stage and the given fields."""
+    values = dict(censored=True, first_stage=LinearFit(np.ones(1), 0.0, "ols"),
+                  constants=identity_constants(), n_train=30, gmm=_GMM)
+    return DplsIvFit(**{**values, **fields})
+
 # (field named in the error, constructor of one value, a legal value)
 _INTEGER_FIELDS = [
     ("layer_widths[1]", lambda v: DplsConfig(layer_widths=(4, v)), 3),
@@ -200,6 +214,7 @@ _INTEGER_FIELDS = [
     ("jobs", lambda v: ExperimentConfig(jobs=v), 2),
     ("n", lambda v: sample_posterior(_GMM, v, 4, SeededRng(0)), 30),
     ("draws", lambda v: sample_posterior(_GMM, 30, v, SeededRng(0)), 4),
+    ("n_train", lambda v: _iv_fit(n_train=v), 30),
 ]
 _IDS = [f"{i}-{field}" for i, (field, _, _) in enumerate(_INTEGER_FIELDS)]
 
@@ -223,6 +238,68 @@ def test_integer_settings_are_stored_as_ints():
     assert type(cfg.layer_widths[0]) is int and type(cfg.first_layer_q) is int
     rng = SeededRng(np.int64(4)).child(np.int32(1))
     assert type(rng.seed) is int and all(type(t) is int for t in rng.path)
+    assert type(_iv_fit(n_train=np.int64(30)).n_train) is int
+
+
+_PLS = dict(y_loadings=np.ones(2), weights=np.ones((3, 2)), means=np.zeros(3), p_mean=0.0)
+
+
+def _network(*weight_shapes, **fields):
+    """A DplsModel on _PLS whose layers have these weight shapes."""
+    hidden = tuple((np.ones(shape), np.ones(shape[-1])) for shape in weight_shapes)
+    return DplsModel(first_layer=PlsFit(**_PLS), hidden=hidden, **fields)
+
+
+# (a fit whose fields do not fit together, the reason it is refused with)
+_MALFORMED_FITS = {
+    "pls_means": (lambda: PlsFit(**{**_PLS, "means": np.zeros(4)}),
+                  "PLS weights (3, 2), means (4,) and y_loadings (2,) do not fit together"),
+    "network_no_layers": (lambda: _network(), "a network needs at least one trainable layer"),
+    "network_two_outputs": (lambda: _network((2, 3), (3, 2)),
+                            "layer 1 has weight shape (3, 2) and bias shape (2,): it must map "
+                            "the 3 values below it to k values with a length-k bias, and the "
+                            "last layer to one"),
+    "network_first_layer": (lambda: _network((3, 1)),
+                            "features have 2 columns, the first layer takes 3"),
+    "network_history_bool": (lambda: _network((2, 1), history=(1.0, True)),
+                             "network history must be an array of numbers"),
+    "network_best_epoch_past_history": (
+        lambda: _network((2, 1), history=(1.0, 0.5), best_epoch=2),
+        "network best_epoch must be null or an integer in [0, 2), got 2"),
+    "gmm_covariances": (lambda: TobitGmmFit(np.zeros(2), np.eye(3), np.eye(3)),
+                        "gmm beta (2,) and covariances (3, 3) and (3, 3) do not fit together"),
+    "linear_coef_matrix": (lambda: LinearFit(np.ones((3, 1)), 0.0, "ols"),
+                           "linear coef must be a vector, got shape (3, 1)"),
+    "cf_beta_x_column": (lambda: ControlFunctionFit(1.0, 0.0, np.ones((2, 1))),
+                         "cf beta_x must be a vector, got shape (2, 1)"),
+    "censored_string": (lambda: _iv_fit(censored="yes"),
+                        "censored must be true or false, got 'yes'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_FITS))
+def test_a_fitted_type_refuses_fields_that_do_not_fit_together(case):
+    build, reason = _MALFORMED_FITS[case]
+    with pytest.raises(DataError, match=f"^{re.escape(reason)}$"):
+        build()
+
+
+def test_a_fitted_type_keeps_its_fields_in_their_plain_types():
+    assert _iv_fit(censored=np.bool_(False)).censored is False
+    model = _network((2, 1), history=[np.float64(2.0), 1], best_epoch=1)
+    assert model.history == (2.0, 1.0) and all(type(v) is float for v in model.history)
+
+
+def test_every_first_stage_refuses_another_width_with_one_message():
+    rng = SeededRng(5)
+    zbar, p = rng.child(0).normal(size=(40, 4)), rng.child(1).normal(size=40)
+    cfg = DplsConfig(layer_widths=(3,), first_layer_q=2, sgd=SgdParams(epochs=0))
+    for first in (fit_ols(zbar, p), fit_pls_closed_form(zbar, p, 2), dpls_fit(zbar, p, cfg)):
+        first.predict(zbar)
+        with pytest.raises(DataError, match="^fit expects 4 design columns, data has 3$"):
+            first.predict(zbar[:, :3])
+        with pytest.raises(DataError, match=re.escape("data has shape (40,)")):
+            first.predict(zbar[:, 0])
 
 
 @pytest.mark.parametrize("bad, phrase", [

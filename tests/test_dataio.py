@@ -757,7 +757,8 @@ def _gmm_beta0(token):
 # returns text writes that text instead of the edited record
 _BAD_RECORDS = {
     "output_layer_row": ("rescale_gmm", lambda d: _network(d)["hidden"][-1]["w"].pop(),
-                         "do not chain from 3 PLS features to one output"),
+                         "layer 1 has weight shape (3, 1) and bias shape (1,): "
+                         "it must map the 4 values below it"),
     "first_layer_column": ("rescale_gmm",
                            lambda d: _drop_last_column(_network(d)["first_layer"]["weights"]),
                            "PLS weights (75, 2), means (75,) and y_loadings (3,) "
@@ -772,6 +773,13 @@ _BAD_RECORDS = {
                               "do not fit together"),
     "cf_beta_x": ("control_function", lambda d: d["cf"]["beta_x"].pop(),
                   "fit has 24 covariate coefficients, data has 25 covariates"),
+    "cf_beta_x_column": ("control_function",
+                         lambda d: d["cf"].update(beta_x=[[v] for v in d["cf"]["beta_x"]]),
+                         "cf beta_x must be a vector, got shape (25, 1)"),
+    "linear_coef_matrix": ("rescale_gmm",
+                           lambda d: d.update(first_stage={"method": "ols", "intercept": 0.0,
+                                                           "lam": 0.0, "coef": [[0.5]] * 75}),
+                           "linear coef must be a vector, got shape (75, 1)"),
     "no_outcome_stage": ("rescale_gmm", lambda d: d.pop("gmm"), "exactly one outcome stage"),
     "both_outcome_stages": ("rescale_gmm",
                             lambda d: d.update(cf={"beta": 1.0, "beta_eta": 0.0,
@@ -886,6 +894,18 @@ def test_write_predictions_csv_rejects_ragged_columns(tmp_path):
     path = tmp_path / "pred.csv"
     with pytest.raises(DataError, match="column y_hat has 1 rows, expected 2"):
         write_predictions_csv(path, {"y": np.zeros(2), "y_hat": np.zeros(1)})
+
+
+@pytest.mark.parametrize("column, shape", [(np.zeros((2, 3)), "(2, 3)"), (np.float64(1.0), "()")],
+                         ids=["matrix", "scalar"])
+def test_write_predictions_csv_rejects_a_column_that_is_not_a_vector(tmp_path, column, shape):
+    path = tmp_path / "pred.csv"
+    for columns, name in [({"y": np.zeros(2), "y_hat": column}, "y_hat"),
+                          ({"y": column, "y_hat": np.zeros(2)}, "y")]:
+        with pytest.raises(DataError, match=re.escape(
+                f"column {name} must be a vector, got shape {shape}")):
+            write_predictions_csv(path, columns)
+    assert not path.exists()
 
 
 def test_write_metrics_csv_layout(tmp_path):

@@ -176,7 +176,7 @@ def test_model_rejects_wrong_input_width():
     zbar, p = _nonlinear_training_data(5)
     model = dpls_fit(zbar, p, DplsConfig(layer_widths=(3,), first_layer_q=2,
                                          sgd=SgdParams(epochs=2, seed=0)))
-    with pytest.raises(DataError, match="input columns"):
+    with pytest.raises(DataError, match="fit expects 6 design columns, data has 5"):
         model.predict(zbar[:, :-1])
 
 

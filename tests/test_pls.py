@@ -8,9 +8,11 @@ from dpls_iv import (
     SeededRng,
     SingularDesignError,
     augment_instruments,
+    experiment1_spec,
     experiment2_spec,
     fit_ols,
     fit_pls_closed_form,
+    gen_experiment1,
     gen_experiment2,
     select_q_cv,
     split_dataset,
@@ -74,6 +76,42 @@ def test_closed_form_reaches_the_auto_cap_on_experiment2():
     assert fit.q == ref.q == AUTO_Q_CAP
     np.testing.assert_allclose(fit.coef, ref.coef, rtol=0,
                                atol=1e-8 * np.abs(ref.coef).max())
+
+
+def _cg_iterates(cov, qs, digits=60):
+    """The conjugate-gradient iterates on S_zz b = s_zp, started from 0, at
+    each q of qs, computed in `digits`-digit arithmetic: the q-th iterate is
+    the PLS coefficient with q components."""
+    mp = pytest.importorskip("mpmath")
+    out = {}
+    with mp.workdps(digits):
+        s_zz = [[mp.mpf(v) for v in row] for row in cov.s_zz.tolist()]
+        r = [mp.mpf(v) for v in cov.s_zp.tolist()]
+        b, d = [mp.mpf(0)] * len(r), list(r)
+        rr = mp.fdot(r, r)
+        for q in range(1, max(qs) + 1):
+            sd = [mp.fdot(row, d) for row in s_zz]
+            alpha = rr / mp.fdot(d, sd)
+            b = [bi + alpha * di for bi, di in zip(b, d)]
+            r = [ri - alpha * sdi for ri, sdi in zip(r, sd)]
+            rr, rr_old = mp.fdot(r, r), rr
+            d = [ri + (rr / rr_old) * di for ri, di in zip(r, d)]
+            if q in qs:
+                out[q] = np.array([float(v) for v in b])
+    return out
+
+
+def test_closed_form_matches_high_precision_conjugate_gradient_past_q_16():
+    # the benchmark's seed-0 experiment1 training half, where the deflation
+    # oracle drifts above q = 16 (2e-9 at 16, 3e-4 at 30); the CG iterate in
+    # 60 digits is a reference that does not
+    rng = SeededRng(0)
+    ds, _truth = gen_experiment1(experiment1_spec(), rng.child(0))
+    train, _test = split_dataset(ds, 0.5, rng.child(1))
+    zbar = augment_instruments(train.z, train.x)
+    for q, ref in _cg_iterates(sample_cov_pair(zbar, train.p), {16, 25, 30}).items():
+        coef = fit_pls_closed_form(zbar, train.p, q).coef
+        assert np.linalg.norm(coef - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_full_q_equals_ols_predictions():
@@ -211,10 +249,10 @@ def test_select_q_stays_within_the_rank_of_all_rows():
 
 
 @st.composite
-def _designs(draw):
+def _designs(draw, shapes=("tall", "wide", "duplicated", "factorial")):
     """Tall (n > d), wide (n < d), duplicated-column and balanced +-1
-    factorial designs."""
-    shape = draw(st.sampled_from(["tall", "wide", "duplicated", "factorial"]))
+    factorial designs, or only those of the given shapes."""
+    shape = draw(st.sampled_from(shapes))
     if shape == "factorial":
         zbar = _factorial(draw(st.integers(1, 4)), draw(st.integers(3, 6)))
         n, d = zbar.shape
@@ -243,6 +281,26 @@ def test_select_q_returns_a_q_that_fits_on_all_rows(design):
     q = select_q_cv(zbar, p, q_max, rng)
     assert 1 <= q <= q_max
     assert fit_pls_closed_form(zbar, p, q).q == q
+
+
+@settings(max_examples=100, deadline=None)
+@given(design=_designs(shapes=["wide"]))
+def test_select_q_picks_a_q_that_every_usable_fold_scored(design):
+    # on a wide design the folds' Krylov ranks differ, and a q above the
+    # smallest would be scored on fewer held-out rows than a q below it
+    zbar, p, rng = design
+    n, d = zbar.shape
+    q_max = min(d, AUTO_Q_CAP)
+    perm = SeededRng(rng.seed, rng.path).permutation(n)  # the folds select_q_cv draws
+    q = select_q_cv(zbar, p, q_max, rng)
+    for f in range(5):
+        mask = np.ones(n, dtype=bool)
+        mask[perm[f::5]] = False
+        try:
+            rank = compute_krylov(sample_cov_pair(zbar[mask], p[mask]), q_max).shape[1]
+        except DataError:
+            continue
+        assert q <= rank
 
 
 def test_cov_pair_two_point_example():
