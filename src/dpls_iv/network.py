@@ -17,7 +17,7 @@ into buffers allocated once per fit, and the list of its batches, each a
 pair of contiguous slices of those buffers and the _LossWork for that many
 rows, is built once per fit too. _forward is the one layer loop behind
 layer initialization, predict, the training loss and the gradients, over
-(weight, bias, out) triples. It writes each activation over its
+(weight, bias, out, floor) tuples. It writes each activation over its
 pre-activation, and the backward pass reads the activation mask off the
 activation, which is positive exactly where the pre-activation is.
 
@@ -25,9 +25,15 @@ A step works on 32 x 30 arrays, so numpy's per-call overhead, not
 arithmetic, sets its cost. Its products are np.dot, which costs less per
 call than np.matmul and gives the same bits. A _LossWork binds every
 operand of a step once per fit, as per-layer tuples (weights and their
-transposes, bias, activation, mask and gradient buffers, gradient views
-into grad), so a step walks them and rebuilds no view, list or slice; the
-masks are float64, computed for all layers in one call. Each operand keeps
+transposes, bias, activation, zero floor, mask and gradient buffers,
+gradient views into grad), so a step walks them and rebuilds no view,
+list or slice; the masks are float64, computed for all layers in one call.
+A step's ReLU takes the larger of each activation and the zeros bound
+with it (numpy's two-array loop; predict and the initialization pass the
+scalar 0.0), and its two scalars, 2 / rows and the learning rate, are
+bound as 0-d float64 arrays: both cost less per call than the scalar
+forms and give the same bits. A step takes no batch loss: sgd_refine
+does not read it, so its bound calls get None for it. Each operand keeps
 its layout, because a product's bits can depend on it, and the bias is
 added after each product, never folded into it, which would change the
 summation order.
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,9 +83,14 @@ __all__ = [
 _LOSS_HELPER_CELLS = 2**17
 
 
-def _activate(t):
-    """Apply the ReLU to the float array t in place and return t."""
-    return np.maximum(t, 0.0, out=t)
+def _activate(t, floor):
+    """Apply the ReLU to the float array t in place and return t.
+
+    floor is 0.0, or a zeros array laid out like t. Against such an array
+    numpy takes its two-array loop, not the slower scalar one, and the bits
+    are the same: NaN, signed zeros, infinities and subnormals included.
+    """
+    return np.maximum(t, floor, out=t)
 
 
 def _activation_grad(act, out=None):
@@ -94,18 +106,22 @@ def _activation_grad(act, out=None):
 
 @dataclass(frozen=True)
 class SgdParams:
+    """Minibatch SGD settings, stored as a float and plain ints."""
+
     learning_rate: float = 1e-3
     batch_size: int = 32
     epochs: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.learning_rate < np.inf):
-            raise DataError(
-                f"learning_rate must be finite and non-negative, got {self.learning_rate}"
-            )
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+            raise DataError(f"learning_rate must be a real number, got {rate!r}")
+        if not (0.0 <= rate < np.inf):
+            raise DataError(f"learning_rate must be finite and non-negative, got {rate}")
+        object.__setattr__(self, "learning_rate", float(rate))
         for name in ("batch_size", "epochs", "seed"):
-            check_int(name, getattr(self, name))
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
         if self.batch_size < 1 or self.epochs < 0:
             raise DataError("batch_size must be >= 1 and epochs >= 0")
 
@@ -140,14 +156,15 @@ class DplsConfig:
 def _forward(layers, h):
     """The (n, 1) network output on the n rows of PLS features h.
 
-    layers holds one (weight, bias, out) triple per trainable layer. Each
-    pre-activation is computed into out (a fresh array when out is None),
-    which then holds the layer's activation (_activate, in place).
+    layers holds one (weight, bias, out, floor) tuple per trainable layer.
+    Each pre-activation is computed into out (a fresh array when out is
+    None), which then holds the layer's activation (_activate, in place,
+    against floor: 0.0, or the zeros bound with out).
     """
-    for w, b, out in layers:
+    for w, b, out, floor in layers:
         h = np.dot(h, w, out=out)
         h += b
-        _activate(h)
+        _activate(h, floor)
     return h
 
 
@@ -178,7 +195,9 @@ def _check_chain(hidden, inputs: int) -> None:
 class DplsModel:
     """Fitted network; immutable. Centering lives in first_layer. Built only
     if hidden chains from first_layer.q features to one output, history
-    holds numbers (kept as floats) and best_epoch is None or indexes it."""
+    holds numbers (kept as floats) and best_epoch is None or indexes it.
+    The layers are kept as float64 arrays (np.asarray: a float64 array is
+    kept as is, not copied)."""
 
     first_layer: PlsFit
     hidden: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -186,7 +205,9 @@ class DplsModel:
     best_epoch: int | None = None
 
     def __post_init__(self):
-        _check_chain(self.hidden, self.first_layer.q)
+        hidden = tuple((np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
+                       for w, b in self.hidden or ())
+        _check_chain(hidden, self.first_layer.q)
         history, best = self.history, self.best_epoch
         if not isinstance(history, (list, tuple)) or not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in history):
@@ -194,6 +215,7 @@ class DplsModel:
         if best is not None and not (type(best) is int and 0 <= best < len(history)):
             raise DataError(f"network best_epoch must be null or an integer in "
                             f"[0, {len(history)}), got {best!r}")
+        object.__setattr__(self, "hidden", hidden)
         object.__setattr__(self, "history", tuple(float(v) for v in history))
 
     @property
@@ -205,42 +227,50 @@ class DplsModel:
         return _pls_features(self.first_layer, _check_width(zbar, len(self.first_layer.means)))
 
     def predict(self, zbar) -> np.ndarray:
-        return _forward([(w, b, None) for w, b in self.hidden], self.features(zbar)).ravel()
+        return _forward([(w, b, None, 0.0) for w, b in self.hidden],
+                        self.features(zbar)).ravel()
 
 
 class _LossWork:
     """Scratch for network_loss_and_grads on `rows` rows, bound to the
     (weight, bias) pairs of hidden and to the gradient list out.
 
-    Per trainable layer a (rows, width) activation, mask and gradient wrt
-    the activation (dhs), then the residual vector. The activations are
-    views into one flat array and the masks into another, laid out alike,
-    so one call computes every layer's mask; each mask is then overwritten
-    with the gradient wrt its pre-activation. The gradients go into out,
-    or into arrays of the work's own when out is None (grads).
+    Per trainable layer a (rows, width) activation, zero floor, mask and
+    gradient wrt the activation (dhs), then the residual vector and 2 / rows
+    as a 0-d float64 array (scale), which numpy multiplies by faster than a
+    Python float, to the same bits. The activations are views into one flat
+    array, and the floors and masks into two more laid out alike, so one
+    call computes every layer's mask; each mask is then overwritten with
+    the gradient wrt its pre-activation. The gradients go into out, or into
+    arrays of the work's own when out is None (grads).
 
     Each layer's operands are bound once, as tuples: forward holds _forward's
-    (weight, bias, activation) triples, and backward, from the last layer
-    to the first, (dh, mask, dW, db, input activation transposed, weight
-    transposed, dh of the layer below). The first layer's input is the
-    batch, which is not bound, and it has no layer below: those are None.
+    (weight, bias, activation, floor) tuples, and backward, from the last
+    layer to the first, (dh, mask, dW, db, input activation transposed,
+    weight transposed, dh of the layer below). The first layer's input is
+    the batch, which is not bound, and it has no layer below: those are None.
     """
 
     def __init__(self, hidden, rows, out=None):
         widths = [w.shape[1] for w, _ in hidden]
+        shapes = [(rows, k) for k in widths]
         self.hidden, self.out, self.rows = hidden, out, rows
         self.grads = out if out is not None else [
             (np.empty(w.shape), np.empty(w.shape[1])) for w, _ in hidden
         ]
         self.act_flat = np.empty(rows * sum(widths))
         self.mask_flat = np.empty_like(self.act_flat)
-        self.acts = _views(self.act_flat, [(rows, k) for k in widths])
-        masks = _views(self.mask_flat, [(rows, k) for k in widths])
-        self.dhs = [np.empty((rows, k)) for k in widths]
+        self.acts = _views(self.act_flat, shapes)
+        floors = _views(np.zeros_like(self.act_flat), shapes)
+        masks = _views(self.mask_flat, shapes)
+        self.dhs = [np.empty(shape) for shape in shapes]
         self.resid = np.empty(rows)
+        self.scale = np.array(2.0 / rows)
         # 1-d views of the (rows, 1) network output and its gradient
         self.out_flat, self.dh_out = self.acts[-1].reshape(-1), self.dhs[-1].reshape(-1)
-        self.forward = [(w, b, act) for (w, b), act in zip(hidden, self.acts)]
+        self.forward = [
+            (w, b, act, floor) for (w, b), act, floor in zip(hidden, self.acts, floors)
+        ]
         below = [(None, None, None)] + [
             (act.T, w.T, dh) for act, (w, _), dh in zip(self.acts, hidden[1:], self.dhs)
         ]
@@ -262,20 +292,22 @@ def network_loss_and_grads(hidden, feats, target, out=None, work=None):
     fit). When it is bound to this hidden and this out, the same objects,
     the call walks its bound operands and writes every intermediate into
     its arrays (the gradients into work.grads when out is None), and feats
-    and target are taken unchecked: float64 arrays of work.rows rows.
-    Otherwise feats, target and the chain of layer shapes are checked,
-    any fault a DataError, and every array is new. No path changes a value.
+    and target are taken unchecked: float64 arrays of work.rows rows. Such
+    a call with an out, which is how sgd_refine steps, returns None for the
+    loss, which no step reads. Otherwise feats, target and the chain of
+    layer shapes are checked, any fault a DataError, and every array is new.
+    No path changes a value.
     """
-    if work is None or work.hidden is not hidden or work.out is not out:
+    bound = work is not None and work.hidden is hidden and work.out is out
+    if not bound:
         feats, target = check_design(feats, target)
         _check_chain(hidden, feats.shape[1])
         work = _LossWork(hidden, len(target), out)
-    n = work.rows
     _forward(work.forward, feats)
     resid = work.resid
     np.subtract(work.out_flat, target, out=resid)
-    loss = float(np.dot(resid, resid)) / n
-    np.multiply(resid, 2.0 / n, out=work.dh_out)
+    loss = None if bound and out is not None else float(np.dot(resid, resid)) / work.rows
+    np.multiply(resid, work.scale, out=work.dh_out)
     _activation_grad(work.act_flat, out=work.mask_flat)
     for dh, dpre, dw, db, act_t, w_t, dh_below in work.backward:
         np.multiply(dh, dpre, out=dpre)
@@ -286,9 +318,16 @@ def network_loss_and_grads(hidden, feats, target, out=None, work=None):
     return loss, work.grads
 
 
+def _train_work(hidden, n):
+    """_train_loss's arrays on n rows: per layer an (n, width) activation
+    and a zero floor laid out like it."""
+    return [(np.empty((n, w.shape[1])), np.zeros((n, w.shape[1]))) for w, _ in hidden]
+
+
 def _train_loss(hidden, feats, p, work) -> float:
-    """Mean squared loss on the full training set, computed in work."""
-    resid = _forward([(w, b, out) for (w, b), out in zip(hidden, work)], feats).ravel()
+    """Mean squared loss on the full training set, computed in work
+    (_train_work)."""
+    resid = _forward([(w, b, *arrays) for (w, b), arrays in zip(hidden, work)], feats).ravel()
     resid -= p
     return float(np.mean(np.square(resid, out=resid)))
 
@@ -340,7 +379,7 @@ def _init_hidden(feats, p, cfg: DplsConfig):
         b = b0 - qs
         b[0] = b0
         layers.append((w, b))
-        h = _forward([(w, b, None)], h)
+        h = _forward([(w, b, None, 0.0)], h)
     beta, b0 = _layer_solve(h, p)
     layers.append((beta.reshape(-1, 1), np.array([b0])))
     return layers
@@ -369,7 +408,7 @@ def _serve_losses(hidden, feats, p, requests, replies):
     replies[0].close()
     theta = np.empty(sum(a.size for layer in hidden for a in layer))
     views = _flat_views(theta, hidden)
-    work = [np.empty((len(p), w.shape[1])) for w, _ in hidden]
+    work = _train_work(hidden, len(p))
     with _raising():
         while requests[0].readinto(theta.view(np.uint8)) == theta.nbytes:
             replies[1].write(np.float64(_train_loss(views, feats, p, work)).tobytes())
@@ -420,11 +459,13 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
     Every trainable weight and bias is a view into one flat vector theta,
     and every gradient a view into grad, which has the same layout, so a
     step is one network_loss_and_grads call that writes grad and one update
-    of theta. Each epoch gathers its shuffled rows once, into buffers
-    allocated once per call. The batches, each a pair of contiguous slices
-    of those buffers with its _LossWork, are listed once per call; the two
-    works, one for full batches and one for the ragged tail of
-    n % batch_size rows, are bound to the views of theta and grad. With
+    of theta, by the learning rate bound once as a 0-d float64 array. Each
+    epoch gathers its shuffled rows once, into buffers allocated once per
+    call. The batches, each a pair of contiguous slices of those buffers
+    with its _LossWork, are listed once per call; the two works, one for
+    full batches and one for the ragged tail of n % batch_size rows, are
+    bound to the views of theta and grad, with their zero floors and 2 /
+    rows, and take no batch loss (the call returns None for it). With
     epochs = 0 only the initialization's loss is taken, and none of these
     is built.
 
@@ -439,7 +480,8 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
     again as they would in-process, so no warning comes early, and the
     helper is used no more. Otherwise, and from the first failure of the
     helper on (it died, or its loss raised or warned), the loss is computed
-    here in (n, width) work arrays. Either way the bits are the same.
+    here in (n, width) work arrays, each with its zero floor (_train_work).
+    Either way the bits are the same.
     """
     zbar, p = check_design(zbar, p)
     feats = model.features(zbar)
@@ -448,8 +490,8 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
     grad, step = np.empty_like(theta), np.empty_like(theta)
     grads = _flat_views(grad, model.hidden)
     rng = SeededRng(params.seed).child(2)
-    n, batch, lr = len(p), params.batch_size, params.learning_rate
-    work = [np.empty((n, w.shape[1])) for w, _ in hidden]
+    n, batch, lr = len(p), params.batch_size, np.array(params.learning_rate)
+    work = _train_work(hidden, n)
     if params.epochs:
         feats_epoch, p_epoch = np.empty(feats.shape), np.empty(n)
         sizes = {min(batch, n), n % batch} - {0}  # full batches, the ragged tail

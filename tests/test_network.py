@@ -195,13 +195,38 @@ def test_config_validation():
                          ("epochs", False), ("batch_size", 32.0), ("epochs", "3")):
         with pytest.raises(DataError, match=f"{field} must be an integer"):
             SgdParams(**{field: value})
-    assert SgdParams(batch_size=np.int64(8), epochs=np.int32(2)).batch_size == 8
+    for value in (True, np.bool_(False), "0.1", None, 1j):
+        with pytest.raises(DataError, match="learning_rate must be a real number"):
+            SgdParams(learning_rate=value)
+    params = SgdParams(learning_rate=np.float32(0.5), batch_size=np.int64(8),
+                       epochs=np.int32(2), seed=np.uint8(3))
+    assert params == SgdParams(learning_rate=0.5, batch_size=8, epochs=2, seed=3)
+    assert type(params.learning_rate) is float
+    assert all(type(v) is int for v in (params.batch_size, params.epochs, params.seed))
+    assert type(SgdParams(learning_rate=1).learning_rate) is float
 
 
-@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -np.inf, np.float32("inf")])
 def test_sgd_params_reject_a_non_finite_learning_rate(rate):
     with pytest.raises(DataError, match="learning_rate must be finite and non-negative"):
         SgdParams(learning_rate=rate, epochs=0)
+
+
+def test_model_takes_its_layers_as_float64_arrays():
+    model, zbar, p = _initialized_model((3,))
+    ints = tuple((np.rint(4 * w).astype(np.int64), np.rint(4 * b).astype(np.int64))
+                 for w, b in model.hidden)
+    floats = tuple((w.astype(np.float64), b.astype(np.float64)) for w, b in ints)
+    params = SgdParams(learning_rate=0.01, batch_size=8, epochs=3, seed=1)
+    ref = sgd_refine(DplsModel(first_layer=model.first_layer, hidden=floats), zbar, p, params)
+    for hidden in (ints, tuple((w.tolist(), b.tolist()) for w, b in ints)):
+        got = DplsModel(first_layer=model.first_layer, hidden=hidden)
+        assert all(a.dtype == np.float64 for layer in got.hidden for a in layer)
+        _assert_same_refinement(sgd_refine(got, zbar, p, params), ref, zbar)
+    # a float64 layer is kept as it is, not copied
+    kept = DplsModel(first_layer=model.first_layer, hidden=model.hidden)
+    assert all(a is b for layer, same in zip(kept.hidden, model.hidden)
+               for a, b in zip(layer, same))
 
 
 def test_fit_beats_linear_first_layer_on_kinked_target():
@@ -484,8 +509,11 @@ def test_one_work_serves_every_batch_view():
         batch = (feats[start:start + 8], target[start:start + 8])
         want = network_loss_and_grads(layers, *batch)
         got = network_loss_and_grads(layers, *batch, out=out, work=work)
-        _assert_same_loss_and_grads(got, want)
-        _assert_same_loss_and_grads(got, _ref_network_loss_and_grads(layers, *batch))
+        # a step work skips the batch loss, which sgd_refine never reads;
+        # the gradients keep the unbound call's bits
+        assert got[0] is None and got[1] is out
+        for ref in (want, _ref_network_loss_and_grads(layers, *batch)):
+            _assert_same_loss_and_grads((ref[0], got[1]), ref)
 
 
 @pytest.mark.parametrize("feats_shape,target_shape,message", [
@@ -532,8 +560,13 @@ def test_activation_mask_from_activations_matches_pre_activations():
     pre = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, tiny,
                     2.2250738585072014e-308, -2.2250738585072014e-308, -1e-310,
                     1.0, -1.0, 1e300, -1e300])
-    act = _activate(pre.copy())
+    act = _activate(pre.copy(), 0.0)
     assert _bits(act) == _bits(_ref_activation_apply(pre))
+    # against a zeros floor laid out like the activations, as a bound work
+    # and the per-epoch loss take it, bit for bit against np.maximum(pre, 0.0)
+    for shape in ((15,), (3, 5), (5, 3)):
+        floored = _activate(pre.reshape(shape).copy(), np.zeros(shape))
+        assert _bits(floored.ravel()) == _bits(np.maximum(pre, 0.0))
     ref = _ref_activation_grad(pre)
     got = _activation_grad(act)
     assert _bits(np.asarray(got, dtype=np.float64)) == _bits(ref)
@@ -561,6 +594,40 @@ def test_sgd_takes_one_loss_and_grads_call_per_step(monkeypatch, n, batch_size, 
                                          epochs=epochs, seed=0))
     assert len(calls) == epochs * -(-n // batch_size)
     assert sum(calls) == epochs * n
+
+
+def test_bound_steps_allocate_no_array(monkeypatch):
+    # every operand of a step and of its update is bound once per fit, so
+    # from one step call to the next (a step, then its update) less than
+    # one (batch, width) block is allocated. A broadcast bias add takes an
+    # iterator buffer of up to 8,192 values on every call, a whole block at
+    # 32 rows, so the batches here have 512 rows: 15,360 values a block
+    import tracemalloc
+
+    rows = 512
+    model, zbar, p = _initialized_model((30,), n=rows * 101)
+    real, peaks, mark = network.network_loss_and_grads, [], []
+
+    def traced(*args, **kwargs):
+        current, peak = tracemalloc.get_traced_memory()
+        if mark:
+            peaks.append(peak - mark[0])
+        tracemalloc.reset_peak()
+        mark[:] = [current]
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(network, "_usable_cpus", lambda: 1)  # no loss helper
+    monkeypatch.setattr(network, "network_loss_and_grads", traced)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        sgd_refine(model, zbar, p, SgdParams(batch_size=rows, epochs=1, seed=0))
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(peaks) == 100
+    assert max(peaks) < rows * 30 * 8
 
 
 def test_sgd_refine_without_epochs_builds_no_step_work(monkeypatch):
