@@ -4,8 +4,8 @@ plus the input rules the estimators share (the integer check, the
 predicts on), the part bounds of the work spread over CPUs (the CLI's row
 work and the lasso's CV paths), the package's one way to fork (_Children),
 the rule under which the lasso's CV parts and the SGD loss helper run in
-their children (_raising; the CSV write and read children do not run under
-it) and the PSD square-root factor.
+their children (_raising; not the CSV children), the PSD square-root factor
+and the fold count and held-out error of the lambda and q CVs.
 
 A process sees the CPUs it may run on (os.sched_getaffinity), except in a
 run_benchmark pool worker, which sees its share of them (_share_cpus), so
@@ -329,6 +329,15 @@ def psd_factor(sigma, n) -> np.ndarray:
     symmetrized sigma are set to zero; exact zeros stay zero (no jitter)."""
     vals, vecs = np.linalg.eigh((sigma + sigma.T) / 2.0)
     return vecs * np.sqrt(np.maximum(vals, 0.0) / n)
+
+
+CV_FOLDS = 5  # folds of linear's lambda CVs and of pls's q CV
+
+
+def _heldout_sse(design, target, coefs) -> np.ndarray:
+    """Held-out squared error of target against design @ coefs, one entry per
+    column of coefs: a CV fold scored at every grid point or q at once."""
+    return np.sum((target[:, None] - design @ coefs) ** 2, axis=0)
 
 
 def split_indices(

@@ -15,7 +15,7 @@ performed; callers control the scale of their designs. Ridge and lasso fit
 no constant (the structural form p = zbar @ a + noise). The solver and CV
 settings are module constants: the OLS rank tolerance _OLS_RTOL, the lasso
 sweep tolerance _LASSO_TOL and cap _LASSO_MAX_SWEEPS, and the
-_CV_FOLDS-fold, _CV_GRID-point lambda CV.
+_CV_GRID-point lambda CV over data.CV_FOLDS folds, scored like pls's q CV.
 
 The lasso CV's six homotopy paths (the folds, then the full data, whose
 path at the chosen lam starts the fit) hold the interpreter lock, so once
@@ -36,7 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _Children, _check_width, _raising, check_design, part_bounds
+from .data import (
+    CV_FOLDS, _Children, _check_width, _heldout_sse, _raising, check_design, part_bounds,
+)
 from .errors import ConvergenceError, DataError, SingularDesignError
 
 __all__ = [
@@ -53,7 +55,6 @@ _SPAN_RTOL = 1e-10
 _OLS_RTOL = 1e-10
 _LASSO_TOL = 1e-10
 _LASSO_MAX_SWEEPS = 1000
-_CV_FOLDS = 5
 _CV_GRID = 50
 # Least work one lasso CV part must hold to be worth a fork, a path's work
 # counted as d * min(n, d): about one kink per column that joins, at most n,
@@ -114,7 +115,7 @@ def fit_ridge(design, target, lam) -> LinearFit:
 
     The identity is sized to the design's column count. lam = 0 delegates to
     fit_ols and inherits its error rules; lam = "auto" picks lam by
-    _CV_FOLDS-fold cross-validation over a _CV_GRID-point logarithmic grid,
+    CV_FOLDS-fold cross-validation over a _CV_GRID-point logarithmic grid,
     its folds run one after another in this process.
     """
     from scipy import linalg
@@ -124,8 +125,8 @@ def fit_ridge(design, target, lam) -> LinearFit:
     if lam is None:
         grid, lam = _cv_grid(design, target), 0.0
         if grid is not None:
-            folds = [_fold_errors(design, target, grid, fold, "ridge") for fold in range(_CV_FOLDS)]
-            lam = float(grid[_cv_best(grid, folds)])
+            folds = [_fold_errors(design, target, grid, fold, "ridge") for fold in range(CV_FOLDS)]
+            lam = float(grid[_cv_best(folds)])
     if lam == 0.0:
         fit = fit_ols(design, target)
         return LinearFit(fit.coef, fit.intercept, "ridge", 0.0)
@@ -168,7 +169,7 @@ def fit_lasso(design, target, lam) -> LinearFit:
     objective unchanged, which certifies the solution. Exits when the
     objective decrease over a full sweep drops below _LASSO_TOL; needing
     more than _LASSO_MAX_SWEEPS sweeps raises ConvergenceError. lam = "auto"
-    picks lam by _CV_FOLDS-fold cross-validation over a _CV_GRID-point
+    picks lam by CV_FOLDS-fold cross-validation over a _CV_GRID-point
     logarithmic grid (_lasso_cv).
     """
     design, target = check_design(design, target)
@@ -284,8 +285,8 @@ def _cv_grid(design, target):
     1e-4 lam_max, lam_max = max|X'y|/n; None when lam_max is 0, where
     lam = 0 is the choice."""
     n = design.shape[0]
-    if n < 2 * _CV_FOLDS:
-        raise DataError(f"need at least {2 * _CV_FOLDS} rows for {_CV_FOLDS}-fold CV")
+    if n < 2 * CV_FOLDS:
+        raise DataError(f"need at least {2 * CV_FOLDS} rows for {CV_FOLDS}-fold CV")
     lam_max = float(np.max(np.abs(design.T @ target))) / n
     if lam_max <= 0.0:
         return None
@@ -295,7 +296,7 @@ def _cv_grid(design, target):
 def _fold_errors(design, target, grid, fold, method):
     """Held-out squared error of one fold at each grid point.
 
-    Folds are strided row slices (fold i takes rows i::_CV_FOLDS), which is
+    Folds are strided row slices (fold i takes rows i::CV_FOLDS), which is
     deterministic without threading an rng through every fit call. The
     fold's coefficients at all grid points come from one exact
     computation, the lasso homotopy path or one thin SVD of the fold, which
@@ -306,7 +307,7 @@ def _fold_errors(design, target, grid, fold, method):
     from scipy import linalg
 
     mask = np.zeros(design.shape[0], dtype=bool)
-    mask[fold::_CV_FOLDS] = True
+    mask[fold::CV_FOLDS] = True
     xt, yt = design[~mask], target[~mask]
     if method == "lasso":
         coefs = _lasso_path(xt, yt, grid)
@@ -314,24 +315,20 @@ def _fold_errors(design, target, grid, fold, method):
         left, sing, right_t = linalg.svd(xt, full_matrices=False)
         shrink = sing[:, None] / (sing[:, None] ** 2 + grid)
         coefs = right_t.T @ (shrink * (left.T @ yt)[:, None])
-    pred = design[mask] @ coefs
-    return np.sum((target[mask][:, None] - pred) ** 2, axis=0)
+    return _heldout_sse(design[mask], target[mask], coefs)
 
 
-def _cv_best(grid, fold_errors) -> int:
+def _cv_best(fold_errors) -> int:
     """Index of the least error summed over the folds, added in fold order;
     ties keep the first index, the most shrinkage in the descending grid."""
-    total = np.zeros(len(grid))
-    for errors in fold_errors:
-        total += errors
-    return int(np.argmin(total))
+    return int(np.argmin(np.sum(fold_errors, axis=0)))
 
 
 def _lasso_cv(design, target, moments):
     """The CV choice of lam, and the exact lasso solution at it if a
     forked child computed it, else None.
 
-    Six jobs, each one homotopy path over the grid: the _CV_FOLDS folds,
+    Six jobs, each one homotopy path over the grid: the CV_FOLDS folds,
     each giving its fold's errors, then the full-data path. They run in
     parts, one per usable CPU (data.part_bounds), once each part holds at
     least _LASSO_PART_CELLS of work (_run_parts). The full-data path comes
@@ -346,19 +343,19 @@ def _lasso_cv(design, target, moments):
         return 0.0, None
     jobs = [
         functools.partial(_fold_errors, design, target, grid, fold, "lasso")
-        for fold in range(_CV_FOLDS)
+        for fold in range(CV_FOLDS)
     ]
     jobs.append(functools.partial(_lasso_path, design, target, grid, moments))
-    shapes = [(len(grid),)] * _CV_FOLDS + [(design.shape[1], len(grid))]
+    shapes = [(len(grid),)] * CV_FOLDS + [(design.shape[1], len(grid))]
     work = len(jobs) * design.shape[1] * min(design.shape)
     bounds = part_bounds(len(jobs), work, _LASSO_PART_CELLS)
     if len(bounds) == 2:
-        bounds = [0, _CV_FOLDS]
+        bounds = [0, CV_FOLDS]
     results = _run_parts(jobs, shapes, bounds)
-    best = _cv_best(grid, [
-        errors if errors is not None else job() for errors, job in zip(results, jobs[:_CV_FOLDS])
+    best = _cv_best([
+        errors if errors is not None else job() for errors, job in zip(results, jobs[:CV_FOLDS])
     ])
-    path = results[_CV_FOLDS] if len(results) > _CV_FOLDS else None
+    path = results[CV_FOLDS] if len(results) > CV_FOLDS else None
     return float(grid[best]), None if path is None else path[:, best]
 
 

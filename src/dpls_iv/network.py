@@ -7,7 +7,7 @@ config) and a width-1 output layer are initialized by per-layer least
 squares on the previous layer's activated features, then refined jointly by
 mini-batch SGD on squared loss (with epochs = 0, the initialization stays).
 ReLU is the only activation. With q = "auto", q is chosen by
-pls.select_q_cv's fixed 5-fold CV (pls.CV_FOLDS) over q <= pls.AUTO_Q_CAP.
+pls.select_q_cv's fixed 5-fold CV (data.CV_FOLDS) over q <= pls.AUTO_Q_CAP.
 
 SGD works on one flat parameter vector theta, of which every trainable
 (weight, bias) is a view, and a flat gradient vector with the same layout:

@@ -4,17 +4,17 @@ The closed form, the estimator the network and the PLS baseline use, evaluates
 
     coef = W W' s_zp
 
-over the PLS weights W: a basis of the Krylov space spanned by s_zp,
+over the PLS weights W: a d x q basis of the Krylov space spanned by s_zp,
 S_zz s_zp, ..., S_zz^{q-1} s_zp that is orthonormal in the S_zz inner
-product (W' S_zz W = I), built by one Lanczos recurrence (Helland 1988;
-Eldén 2004). It equals R (R' S_zz R)^-1 R' s_zp for the raw Krylov matrix R
-without forming R, whose columns turn numerically dependent early. The
-tests hold it to deflation PLS (tests/pls_oracle.py), which deflates only
-the cross-product vector and drifts past q = 16 on experiment1, and there
-to the q-th conjugate-gradient iterate on S_zz b = s_zp in 60 digits.
+product (W' S_zz W = I), built as a matrix by one Lanczos recurrence
+(Helland 1988; Eldén 2004). It equals R (R' S_zz R)^-1 R' s_zp for the raw
+Krylov matrix R without forming R, whose columns turn numerically dependent
+early. The tests hold it to deflation PLS (tests/pls_oracle.py), which
+drifts past q = 16 on experiment1, and there to the q-th conjugate-gradient
+iterate on S_zz b = s_zp in 60 digits.
 
-select_q_cv picks q by CV_FOLDS-fold cross-validation over q <= q_max;
-callers with q = "auto" cap q_max at AUTO_Q_CAP.
+select_q_cv picks q <= q_max by CV_FOLDS-fold cross-validation, each fold
+scoring its whole coefficient path at once; q = "auto" caps q_max at AUTO_Q_CAP.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SeededRng, _check_width, check_design
+from .data import CV_FOLDS, SeededRng, _check_width, _heldout_sse, check_design, check_int
 from .errors import DataError, SingularDesignError
 
 __all__ = [
@@ -36,8 +36,6 @@ _RANK_RTOL = 1e-10
 
 # Largest q tried when q is chosen by cross-validation (q = "auto").
 AUTO_Q_CAP = 30
-# Folds of the cross-validation that chooses q.
-CV_FOLDS = 5
 
 
 @dataclass(frozen=True)
@@ -63,10 +61,9 @@ def sample_cov_pair(zbar, p) -> CovPair:
     means = zbar.mean(axis=0)
     p_mean = float(p.mean())
     zc = zbar - means
-    pc = p - p_mean
     s_zz = zc.T @ zc / (n - 1)
     s_zz = 0.5 * (s_zz + s_zz.T)
-    s_zp = zc.T @ pc / (n - 1)
+    s_zp = zc.T @ (p - p_mean) / (n - 1)
     return CovPair(s_zz=s_zz, s_zp=s_zp, means=means, p_mean=p_mean)
 
 
@@ -112,41 +109,39 @@ def compute_krylov(cov: CovPair, q: int) -> np.ndarray:
     the Krylov space span(s_zp, S_zz s_zp, ..., S_zz^{q-1} s_zp) in the S_zz
     inner product.
 
-    Each next direction is S_zz w for the last weight w. Its part along
-    every kept weight is removed twice, and it is normalized in the S_zz
-    norm; rank < q when that norm falls to _RANK_RTOL of its value before
-    the passes.
+    W and its image S_zz W fill two d x q arrays. Each next direction v is
+    S_zz w for the last weight w. Classical Gram-Schmidt run twice removes its
+    part along the k kept weights, v -= W[:, :k] (S_zz W[:, :k])' v, and v is
+    normalized in the S_zz norm; rank < q when that norm falls to _RANK_RTOL
+    of its value before the passes.
     """
-    if q < 1:
+    if check_int("q", q) < 1:
         raise DataError("q must be at least 1")
     s_zz, s_zp = cov.s_zz, cov.s_zp
     if not np.any(s_zp):
-        raise DataError(
-            "s_zp is the zero vector: no instrument-policy covariance"
-        )
-    weights = []
-    images = []  # S_zz @ w for each kept weight
-    v = s_zp.copy()
-    while len(weights) < q:
+        raise DataError("s_zp is the zero vector: no instrument-policy covariance")
+    weights = np.empty((len(s_zp), q), order="F")
+    images = np.empty_like(weights)  # S_zz @ weights
+    v, rank = s_zp.copy(), 0
+    while rank < q:
         norm0 = float(np.sqrt(max(v @ (s_zz @ v), 0.0)))
-        for _ in range(2):  # Gram-Schmidt in the S_zz inner product, twice
-            for w, image in zip(weights, images):
-                v -= (image @ v) * w
+        for _ in range(2):
+            v -= weights[:, :rank] @ (images[:, :rank].T @ v)
         sv = s_zz @ v
         nv = float(np.sqrt(max(v @ sv, 0.0)))
         if norm0 == 0.0 or nv <= _RANK_RTOL * norm0:
             break
-        weights.append(v / nv)
-        images.append(sv / nv)
-        v = images[-1].copy()
-    return np.column_stack(weights) if weights else np.zeros((len(s_zp), 0))
+        weights[:, rank] = v / nv
+        v = images[:, rank] = sv / nv
+        rank += 1
+    return np.ascontiguousarray(weights[:, :rank])
 
 
 def fit_pls_closed_form(zbar, p, q: int) -> PlsFit:
     """Krylov closed-form PLS of the policy on the augmented instruments."""
     cov = sample_cov_pair(zbar, p)
     d = len(cov.s_zp)
-    if not (1 <= q <= d):
+    if not (1 <= check_int("q", q) <= d):
         raise DataError(f"q must lie in [1, {d}]")
     weights = compute_krylov(cov, q)
     if weights.shape[1] < q:
@@ -160,8 +155,10 @@ def fit_pls_closed_form(zbar, p, q: int) -> PlsFit:
 def select_q_cv(zbar, p, q_max: int, rng: SeededRng) -> int:
     """Pick q by minimizing mean out-of-fold squared error over CV_FOLDS folds.
 
-    Folds are a seeded permutation sliced by stride. Each fold scores every
-    q up to its own Krylov rank from one set of weights. Only q up to q_top,
+    Folds are a seeded permutation sliced by stride. Each fold builds weights
+    W up to its own Krylov rank. Column q of their cumulative path
+    np.cumsum(W * (W' s_zp), axis=1) is the fold's fit with q components, and
+    data._heldout_sse scores every column at once. Only q up to q_top,
     the smallest Krylov rank of all rows and of every fold that has one, is
     eligible, so every eligible q is scored on the same held-out rows and
     fit_pls_closed_form can fit the pick on all rows; a fold may reach a
@@ -171,28 +168,23 @@ def select_q_cv(zbar, p, q_max: int, rng: SeededRng) -> int:
     n, d = zbar.shape
     if n < CV_FOLDS:
         raise DataError(f"need at least {CV_FOLDS} rows for {CV_FOLDS}-fold CV of q")
-    if not (1 <= q_max <= d):
+    if not (1 <= check_int("q_max", q_max) <= d):
         raise DataError(f"q_max must lie in [1, {d}]")
     perm = rng.permutation(n)
     sse = np.zeros(q_max)
     rows, q_top = 0, q_max
     for f in range(CV_FOLDS):
         test_idx = perm[f::CV_FOLDS]
-        mask = np.ones(n, dtype=bool)
-        mask[test_idx] = False
-        cov = sample_cov_pair(zbar[mask], p[mask])
+        cov = sample_cov_pair(np.delete(zbar, test_idx, axis=0), np.delete(p, test_idx))
         try:
             weights = compute_krylov(cov, q_max)
         except DataError:
             continue
-        zc_te = zbar[test_idx] - cov.means
-        proj = weights.T @ cov.s_zp
-        for qq in range(1, weights.shape[1] + 1):
-            coef = weights[:, :qq] @ proj[:qq]
-            pred = cov.p_mean + zc_te @ coef
-            sse[qq - 1] += float(np.sum((p[test_idx] - pred) ** 2))
+        path = np.cumsum(weights * (weights.T @ cov.s_zp), axis=1)
+        sse[: path.shape[1]] += _heldout_sse(zbar[test_idx] - cov.means,
+                                             p[test_idx] - cov.p_mean, path)
         rows += len(test_idx)
-        q_top = min(q_top, weights.shape[1])
+        q_top = min(q_top, path.shape[1])
     if not rows:
         raise DataError("no fold produced a usable PLS fit")
     q_top = min(q_top, compute_krylov(sample_cov_pair(zbar, p), q_max).shape[1])

@@ -67,6 +67,8 @@ class SyntheticSpec:
     def __post_init__(self):
         for name in ("n", "m", "m_redundant", "k", "k_null", "coef_seed", "edges_per_node"):
             check_int(name, getattr(self, name))
+        if self.n < 1:
+            raise DataError(f"n = {self.n} must be at least 1")
         for part, whole in (("m_redundant", "m"), ("k_null", "k")):
             value, bound = getattr(self, part), getattr(self, whole)
             if not 0 <= value <= bound:

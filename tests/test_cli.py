@@ -134,6 +134,15 @@ def test_simulate_with_no_covariates_names_k_null(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_with_a_negative_n_exits_2_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "spec.txt"
+    write_config(cfg, {**_SMALL_SPEC, "spec.n": "-5"})
+    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "data error: n = -5 must be at least 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_requires_data_path(tmp_path, capsys):
     rc = main(["fit", "--out-dir", str(tmp_path)])
     assert rc == 1

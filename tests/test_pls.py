@@ -17,6 +17,7 @@ from dpls_iv import (
     select_q_cv,
     split_dataset,
 )
+from dpls_iv.data import _heldout_sse
 from dpls_iv.pls import AUTO_Q_CAP, compute_krylov
 from pls_oracle import fit_pls_deflation
 from dpls_iv.pls import CovPair, sample_cov_pair
@@ -53,15 +54,34 @@ def test_krylov_rejects_zero_cross_covariance():
         compute_krylov(cov, 1)
 
 
+def _training_half(name, seed=0):
+    """zbar and p of the benchmark's training half of one default design."""
+    spec, gen = {"experiment1": (experiment1_spec, gen_experiment1),
+                 "experiment2": (experiment2_spec, gen_experiment2)}[name]
+    rng = SeededRng(seed)
+    ds, _truth = gen(spec(), rng.child(0))
+    train, _test = split_dataset(ds, 0.5, rng.child(1))
+    return augment_instruments(train.z, train.x), train.p
+
+
 def test_krylov_orthonormal_basis():
     zbar, p = _regression_data(0)
     cov = sample_cov_pair(zbar, p)
     weights = compute_krylov(cov, 4)
     assert weights.shape == (6, 4)
+    assert weights.flags.c_contiguous
     np.testing.assert_allclose(weights.T @ cov.s_zz @ weights, np.eye(4), atol=1e-10)
     raw = np.column_stack([np.linalg.matrix_power(cov.s_zz, j) @ cov.s_zp for j in range(4)])
     np.testing.assert_allclose(weights @ weights.T @ cov.s_zz @ raw, raw,
                                atol=1e-10 * np.abs(raw).max())
+
+
+@pytest.mark.parametrize("name", ["experiment1", "experiment2"])
+def test_krylov_basis_stays_orthonormal_up_to_the_auto_cap(name):
+    cov = sample_cov_pair(*_training_half(name))
+    weights = compute_krylov(cov, AUTO_Q_CAP)
+    assert weights.shape[1] == AUTO_Q_CAP
+    np.testing.assert_allclose(weights.T @ cov.s_zz @ weights, np.eye(AUTO_Q_CAP), atol=1e-10)
 
 
 def test_closed_form_reaches_the_auto_cap_on_experiment2():
@@ -157,6 +177,13 @@ def test_q_out_of_range():
             fit_pls_closed_form(zbar, p, bad)
         with pytest.raises(DataError):
             fit_pls_deflation(zbar, p, bad)
+    cov = sample_cov_pair(zbar, p)
+    for bad in (2.5, 2.0, True, "2", None):
+        with pytest.raises(DataError, match="^q must be an integer"):
+            fit_pls_closed_form(zbar, p, bad)
+        with pytest.raises(DataError, match="^q must be an integer"):
+            compute_krylov(cov, bad)
+    assert fit_pls_closed_form(zbar, p, np.int64(2)).q == 2
 
 
 def test_closed_form_detects_rank_collapse():
@@ -218,6 +245,9 @@ def test_select_q_argument_validation():
         select_q_cv(zbar, p[:-1], 3, SeededRng(0))
     with pytest.raises(DataError, match="must be a matrix"):
         select_q_cv(zbar[:, 0], p, 1, SeededRng(0))
+    for bad in (3.0, 2.5, True):
+        with pytest.raises(DataError, match="^q_max must be an integer"):
+            select_q_cv(zbar, p, bad, SeededRng(0))
 
 
 def test_select_q_needs_a_row_per_fold():
@@ -246,6 +276,34 @@ def test_select_q_stays_within_the_rank_of_all_rows():
         mask[perm[f::5]] = False
         assert compute_krylov(sample_cov_pair(z[mask], p[mask]), 2).shape[1] == 2
     assert select_q_cv(z, p, 2, SeededRng(0)) == 1
+
+
+@pytest.mark.parametrize("name", ["experiment1", "experiment2"])
+def test_select_q_path_scores_equal_per_q_closed_form_fits(name, monkeypatch):
+    # each fold scores its whole cumulative coefficient path at once: entry
+    # q - 1 must be the held-out error of the q-component fit on its rows
+    scores = []
+
+    def record(design, target, coefs):
+        scores.append(_heldout_sse(design, target, coefs))
+        return scores[-1]
+
+    monkeypatch.setattr("dpls_iv.pls._heldout_sse", record)
+    zbar, p = _training_half(name)
+    n, q_max = len(p), AUTO_Q_CAP
+    q = select_q_cv(zbar, p, q_max, SeededRng(0).child(7))
+    assert len(scores) == 5
+    perm = SeededRng(0).child(7).permutation(n)
+    for f, fold_scores in enumerate(scores):
+        test = perm[f::5]
+        train = np.setdiff1d(np.arange(n), test)
+        rank = compute_krylov(sample_cov_pair(zbar[train], p[train]), q_max).shape[1]
+        assert len(fold_scores) == rank == q_max
+        for qq in range(1, rank + 1):
+            fit = fit_pls_closed_form(zbar[train], p[train], qq)
+            ref = np.sum((p[test] - fit.predict(zbar[test])) ** 2)
+            assert fold_scores[qq - 1] == pytest.approx(ref, rel=1e-10)
+    assert q == np.argmin(np.sum(scores, axis=0)) + 1
 
 
 @st.composite

@@ -25,6 +25,10 @@ def _edges(graph):
 
 
 def test_spec_validation():
+    for n in (-5, 0):
+        with pytest.raises(DataError, match=rf"^n = {n} must be at least 1$"):
+            SyntheticSpec(n=n)
+    assert SyntheticSpec(n=1).n == 1
     with pytest.raises(DataError, match=r"^m_redundant = 6 must lie in \[0, m = 5\]$"):
         SyntheticSpec(m=5, m_redundant=6)
     with pytest.raises(DataError, match=r"^k_null = 4 must lie in \[0, k = 3\]$"):
