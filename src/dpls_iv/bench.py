@@ -196,17 +196,20 @@ def _aggregate(rows):
 def run_benchmark(cfg: ExperimentConfig) -> MetricsReport:
     """Run all replications; aggregation is keyed by replication index, so
     the report is identical whether replications ran serially or in a pool."""
-    reps = range(cfg.replications)
+    reps, results = range(cfg.replications), None
     if cfg.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor, process
 
         # fork starts every worker up front, so no more than there are tasks
         workers = min(cfg.jobs, cfg.replications)
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_share_cpus, initargs=(workers,)
-        ) as pool:
-            results = list(pool.map(_run_replication, [cfg] * cfg.replications, reps))
-    else:
+        try:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_share_cpus, initargs=(workers,)
+            ) as pool:
+                results = list(pool.map(_run_replication, [cfg] * cfg.replications, reps))
+        except process.BrokenProcessPool:
+            pass  # a worker died (killed, say, for memory): run them here
+    if results is None:
         results = [_run_replication(cfg, r) for r in reps]
     rows, failures, ledger = [], [], []
     pooled = {m: [] for m in cfg.methods}

@@ -2,10 +2,11 @@
 plus the input rules the estimators share (the integer check, the
 (design, target) check, the covariate block and the design width a fit
 predicts on), the part bounds of the work spread over CPUs (the CLI's row
-work and the lasso's CV paths), the package's one way to fork (_Children),
-the rule under which the lasso's CV parts and the SGD loss helper run in
-their children (_raising; not the CSV children), the PSD square-root factor
-and the fold count and held-out error of the lambda and q CVs.
+work and the lasso's CV paths), the package's one way to fork (_Children,
+whose one part runner is parts), the one wire format of every forked
+child (_send_cells, _receive_cells) and the one rule every child runs
+under (_raising), the PSD square-root factor and the fold count and
+held-out error of the lambda and q CVs.
 
 A process sees the CPUs it may run on (os.sched_getaffinity), except in a
 run_benchmark pool worker, which sees its share of them (_share_cpus), so
@@ -225,20 +226,21 @@ def part_bounds(rows: int, work: int, part_min: int) -> list[int]:
 
 
 class _Children:
-    """Forked children that leave through os._exit: 0 if their work
-    returned, 1 if it raised.
+    """Forked children, the package's one way to fork (run_benchmark's
+    process pool aside). Each runs its work under _raising and leaves
+    through os._exit: 0 if the work returned, 1 if it raised.
 
-    fork runs work() in a child; start runs work(spill) on a new unnamed
-    spill file in the default temporary directory, and result reaps that
-    child and hands back the file; pipe makes a pipe to talk to a child.
-    Each returns None when the system refuses the file, pipe or process,
-    and result returns None for that handle or a failed child; the caller
-    then does that work itself. Leaving the with block kills and reaps
-    every child not yet reaped and closes every spill file and pipe end,
-    so none outlives the call. Work is forked, not sent to a process pool:
-    on the 10k x 77 data.csv a pool slowed the CLI chain from 2.91 to
-    3.48 s, and the pickled part text raised simulate's peak from 68.6 to
-    103.3 MB.
+    parts is the one part runner, and pipe makes a pipe to a child that
+    fork started; raw float64 cells cross either way through _send_cells
+    and _receive_cells. Work whose spill file, pipe or child the system
+    refused, or whose child failed, falls to the caller, so whatever it
+    would warn or raise surfaces there, once. A child whose status cannot
+    be read (a host that ignores SIGCHLD has the kernel reap it) counts as
+    failed. Leaving the with block kills and reaps every child still
+    running and closes every spill file and pipe end, so none outlives the
+    call. Work is forked, not sent to a process pool: on the 10k x 77
+    data.csv a pool slowed the CLI chain from 2.91 to 3.48 s, and the
+    pickled part text raised simulate's peak from 68.6 to 103.3 MB.
     """
 
     def __init__(self):
@@ -252,13 +254,16 @@ class _Children:
         import signal
 
         for pid in self._pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            # one the kernel reaped is not signalled: its pid may be reused
+            with contextlib.suppress(ChildProcessError, ProcessLookupError):
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
         for file in self._files:
             file.close()
 
-    def fork(self, work):
-        """Fork a child that runs work(); its pid."""
+    def fork(self, work, *args):
+        """Fork a child that runs work(*args); its pid, or None if refused."""
         try:
             pid = os.fork()
         except OSError:
@@ -266,32 +271,39 @@ class _Children:
         if pid == 0:
             code = 1
             try:
-                work()
+                with _raising():
+                    work(*args)
                 code = 0
             finally:
                 os._exit(code)
         self._pids.append(pid)
         return pid
 
-    def start(self, work):
-        """Fork a child that runs work(spill) on a new spill file; its handle."""
-        try:
-            self._files.append(spill := tempfile.TemporaryFile())
-        except OSError:
-            return None
-        pid = self.fork(lambda: (work(spill), spill.flush()))
-        return None if pid is None else (pid, spill)
-
-    def result(self, handle):
-        """Reap a started child; its spill file rewound if it exited 0."""
-        if handle is None:
-            return None
-        pid, spill = handle
-        self._pids.remove(pid)
-        if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
-            return None
-        spill.seek(0)
-        return spill
+    def parts(self, bounds, work):
+        """Fork a child for each part bounds[i]..bounds[i + 1] but the first
+        that runs work(start, stop, spill) on a new unnamed spill file, then
+        yield (start, stop, spill) for every part in order: spill rewound if
+        that child exited 0, else None (always for part 0), for the caller
+        to do the part itself where it falls in the loop."""
+        children = [None]
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            try:
+                self._files.append(spill := tempfile.TemporaryFile())
+            except OSError:
+                children.append(None)
+                continue
+            # the child calls this at once, on this iteration's values
+            pid = self.fork(lambda: (work(start, stop, spill), spill.flush()))
+            children.append(None if pid is None else (pid, spill))
+        for child, start, stop in zip(children, bounds, bounds[1:]):
+            spill = None
+            if child is not None:
+                self._pids.remove(child[0])
+                with contextlib.suppress(ChildProcessError):  # no status: failed
+                    if os.waitstatus_to_exitcode(os.waitpid(child[0], 0)[1]) == 0:
+                        spill = child[1]
+                        spill.seek(0)
+            yield start, stop, spill
 
     def pipe(self):
         """A new pipe's ends: a buffered binary reader, whose read(k) returns
@@ -305,6 +317,18 @@ class _Children:
         return ends
 
 
+def _send_cells(file, cells) -> bool:
+    """Write an array's float64 cells raw, in C order; False if the file took fewer."""
+    raw = np.ascontiguousarray(cells, dtype=np.float64).reshape(-1).view(np.uint8)
+    return file.write(raw) == raw.nbytes
+
+
+def _receive_cells(file, out) -> bool:
+    """Fill the C-contiguous float64 array out from the file; False if it ends first."""
+    raw = out.reshape(-1).view(np.uint8)
+    return file.readinto(raw) == raw.nbytes
+
+
 def _raised_errstate():
     """np.errstate keywords that raise every floating-point error the
     current state does not ignore: one that would warn, call, print, log or
@@ -315,10 +339,9 @@ def _raised_errstate():
 @contextlib.contextmanager
 def _raising():
     """Every warning, and every floating-point error the current state does
-    not ignore, raised: the rule the lasso's CV parts and the SGD loss
-    helper run under in their children. Whatever that work would emit ends
-    the child instead, and the parent then does the work itself, so it
-    surfaces there, once."""
+    not ignore, raised: the rule every forked child runs under. Whatever its
+    work would emit ends the child instead, and the parent then does the
+    work itself, so it surfaces there, once."""
     with warnings.catch_warnings(), np.errstate(**_raised_errstate()):
         warnings.simplefilter("error")
         yield

@@ -11,11 +11,12 @@ list is built either way.
 
 Float formatting and parsing hold the interpreter lock, so large CSV tables
 are cut into contiguous parts, one per usable CPU (data.part_bounds), that
-forked children format or parse into spill files (data._Children) while this
-process does part 0. Every part still streams in row blocks or lines. A
-part is worth a fork from _CSV_PART_CELLS cells (write) or _CSV_PART_BYTES
-bytes (read); below that, and off Linux, one part runs in-process. The
-output bytes and the parsed tables do not depend on the number of parts.
+forked children format or parse into spill files (data._Children.parts)
+while this process does part 0. Every part still streams in row blocks or
+lines. A part is worth a fork from _CSV_PART_CELLS cells (write) or
+_CSV_PART_BYTES bytes (read); below that, and off Linux, one part runs
+in-process. The output bytes and the parsed tables do not depend on the
+number of parts.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from dataclasses import fields
 import numpy as np
 
 from .bench import MetricsReport
-from .data import Dataset, _Children, part_bounds
+from .data import Dataset, _Children, _receive_cells, _send_cells, part_bounds
 from .errors import DataError
 from .ivreg import (
     ControlFunctionFit,
@@ -102,7 +103,7 @@ def _write_part(fh, columns, start: int, stop: int, numbered: bool) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_spill(columns, start: int, stop: int, numbered: bool, spill) -> None:
+def _write_spill(columns, numbered: bool, start: int, stop: int, spill) -> None:
     """Child side of _write_rows: stream one part into its spill file."""
     with open(spill.fileno(), "w", encoding="utf-8", closefd=False) as out:
         _write_part(out, columns, start, stop, numbered)
@@ -114,17 +115,13 @@ def _write_rows(fh, columns, n: int, numbered: bool) -> None:
     Each part but the first is formatted by a forked child into its spill
     file while this process writes part 0 to fh; the parts are then appended
     in order. A part with no result (no spill file or child could be made,
-    or the child failed) is formatted here instead, so such a failure costs
-    time, not output.
+    or the child failed, or warned) is formatted here instead, so such a
+    failure costs time, not output.
     """
     bounds = part_bounds(n, n * _width(columns), _CSV_PART_CELLS)
     with _Children() as children:
-        handles = [None] + [
-            children.start(functools.partial(_write_spill, columns, start, stop, numbered))
-            for start, stop in zip(bounds[1:-1], bounds[2:])
-        ]
-        for handle, start, stop in zip(handles, bounds, bounds[1:]):
-            spill = children.result(handle)
+        work = functools.partial(_write_spill, columns, numbered)
+        for start, stop, spill in children.parts(bounds, work):
             if spill is None:
                 _write_part(fh, columns, start, stop, numbered)
             else:
@@ -304,15 +301,14 @@ def _load(lines, width: int) -> np.ndarray | None:
     return table
 
 
-def _send_part(path, start: int, stop: int, columns, spill) -> None:
-    """Child side of _parse_parts: parse one byte range and write to its
-    spill file the row count as an int64, then the float64 cells in role
-    order; nothing if _load fails."""
+def _send_part(path, columns, start: int, stop: int, spill) -> None:
+    """Child side of _parse_parts: parse one byte range and send its row
+    count, then its cells in role order; nothing if _load fails."""
     with _text_range(path, start, stop) as fh:
         table = _load(_nonblank_lines(fh), len(columns))
     if table is not None:
-        spill.write(np.int64(len(table)).tobytes())
-        spill.write(np.take(table, columns, axis=1).reshape(-1).view(np.uint8))
+        _send_cells(spill, len(table))
+        _send_cells(spill, np.take(table, columns, axis=1))
 
 
 def _parse_parts(path, cuts: list[int], lines, columns) -> np.ndarray | None:
@@ -326,26 +322,25 @@ def _parse_parts(path, cuts: list[int], lines, columns) -> np.ndarray | None:
     """
     width = len(columns)
     with _Children() as children:
-        handles = [
-            children.start(functools.partial(_send_part, path, start, stop, columns))
-            for start, stop in zip(cuts[1:-1], cuts[2:])
-        ]
-        first = _load(lines, width)
-        if first is None:
-            return None
-        spills = [children.result(handle) for handle in handles]
-        counts = [len(first)]
-        for spill in spills:
-            if spill is None or len(head := spill.read(8)) != 8:
+        spills, counts = [], []
+        for start, stop, spill in children.parts(
+                cuts, functools.partial(_send_part, path, columns)):
+            if start == 0:
+                if (first := _load(lines, width)) is None:
+                    return None
+                counts.append(len(first))
+                continue
+            count = np.empty(1)
+            if spill is None or not _receive_cells(spill, count):
                 return None
-            counts.append(int(np.frombuffer(head, dtype=np.int64)[0]))
+            spills.append(spill)
+            counts.append(int(count[0]))
         table = np.empty((sum(counts), width))
         np.take(first, columns, axis=1, out=table[:counts[0]], mode="clip")
         del first
         row = counts[0]
         for spill, count in zip(spills, counts[1:]):
-            cells = table[row:row + count].reshape(-1).view(np.uint8)
-            if spill.readinto(cells) != cells.nbytes:
+            if not _receive_cells(spill, table[row:row + count]):
                 return None
             row += count
         return table

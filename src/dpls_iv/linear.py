@@ -20,14 +20,13 @@ _CV_GRID-point lambda CV over data.CV_FOLDS folds, scored like pls's q CV.
 The lasso CV's six homotopy paths (the folds, then the full data, whose
 path at the chosen lam starts the fit) hold the interpreter lock, so once
 each part holds _LASSO_PART_CELLS of work they run in parts, one per usable
-CPU (data.part_bounds): forked children run every part but the first
-under data._raising and return each path's float64 cells raw through a
-spill file (data._Children), while this process runs part 0. A part that
-fails is run here, so a fit's bits, warnings and errors do not depend on
-the number of parts. Ridge's SVD folds and everything traced
-(fit_lasso's own call, soft_threshold in the CD sweep) stay in this
-process: at n = 500, forked ridge folds were slower (5.1 against
-6.8-8.3 ms).
+CPU (data.part_bounds): forked children (data._Children.parts) run every
+part but the first and send back each path's cells, while this process
+runs part 0. A part whose child failed, warned or raised is run here, so
+a fit's bits, warnings and errors do not depend on the number of parts.
+Ridge's SVD folds and everything traced (fit_lasso's own call,
+soft_threshold in the CD sweep) stay in this process: at n = 500, forked
+ridge folds were slower (5.1 against 6.8-8.3 ms).
 """
 from __future__ import annotations
 
@@ -37,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
-    CV_FOLDS, _Children, _check_width, _heldout_sse, _raising, check_design, part_bounds,
+    CV_FOLDS, _Children, _check_width, _heldout_sse, _receive_cells, _send_cells, check_design,
+    part_bounds,
 )
 from .errors import ConvergenceError, DataError, SingularDesignError
 
@@ -330,13 +330,14 @@ def _lasso_cv(design, target, moments):
 
     Six jobs, each one homotopy path over the grid: the CV_FOLDS folds,
     each giving its fold's errors, then the full-data path. They run in
-    parts, one per usable CPU (data.part_bounds), once each part holds at
-    least _LASSO_PART_CELLS of work (_run_parts). The full-data path comes
-    last, so a child runs it; with one part it is not run here. Column best
+    forked parts (data._Children.parts), one per usable CPU, once each part
+    holds at least _LASSO_PART_CELLS of work (data.part_bounds). The
+    full-data path comes last, so a child runs it; with one part it is not
+    run here, where a failed part's folds run in fold order. Column best
     of it has the bits of a path that stops at lam, because the kinks do
-    not depend on the grid. A fold no child did runs here, in fold order,
-    and without a child's full-data path fit_lasso runs the path only as
-    far as lam; so this process runs nothing the one-part fit would not.
+    not depend on the grid. Without a child's full-data path fit_lasso runs
+    the path only as far as lam; so this process runs nothing the one-part
+    fit would not.
     """
     grid = _cv_grid(design, target)
     if grid is None:
@@ -351,41 +352,21 @@ def _lasso_cv(design, target, moments):
     bounds = part_bounds(len(jobs), work, _LASSO_PART_CELLS)
     if len(bounds) == 2:
         bounds = [0, CV_FOLDS]
-    results = _run_parts(jobs, shapes, bounds)
-    best = _cv_best([
-        errors if errors is not None else job() for errors, job in zip(results, jobs[:CV_FOLDS])
-    ])
+    results = []
+    with _Children() as children:
+        for start, stop, spill in children.parts(bounds, functools.partial(_spill_results, jobs)):
+            for job, out in zip(jobs[start:stop], map(np.empty, shapes[start:stop])):
+                if spill is not None and _receive_cells(spill, out):
+                    results.append(out)
+                else:  # a fold runs here, the full-data path does not
+                    results.append(job() if len(results) < CV_FOLDS else None)
     path = results[CV_FOLDS] if len(results) > CV_FOLDS else None
+    best = _cv_best(results[:CV_FOLDS])
     return float(grid[best]), None if path is None else path[:, best]
 
 
-def _spill_results(jobs, spill) -> None:
-    """Child side of _run_parts: run jobs under data._raising and write
-    each result's float64 cells raw to the spill file."""
-    with _raising():
-        for job in jobs:
-            spill.write(job().tobytes())
-
-
-def _run_parts(jobs, shapes, bounds):
-    """The results of jobs[:bounds[-1]], float64 arrays of the given shapes.
-
-    Forked children (data._Children) run the parts bounds[i]..bounds[i + 1]
-    after the first into spill files while this process runs part 0. A job
-    of a part with no result (no spill file or child could be made, or the
-    child failed) gets None, for the caller to run here.
-    """
-    with _Children() as children:
-        handles = [
-            children.start(functools.partial(_spill_results, jobs[start:stop]))
-            for start, stop in zip(bounds[1:-1], bounds[2:])
-        ]
-        results = [job() for job in jobs[:bounds[1]]]
-        for handle, start, stop in zip(handles, bounds[1:-1], bounds[2:]):
-            spill = children.result(handle)
-            for shape in shapes[start:stop]:
-                out = np.empty(shape)
-                cells = out.reshape(-1).view(np.uint8)
-                got = spill is not None and spill.readinto(cells) == cells.nbytes
-                results.append(out if got else None)
-    return results
+def _spill_results(jobs, start, stop, spill) -> None:
+    """Child side of _lasso_cv: run jobs[start:stop] and send each result's
+    cells to the spill file."""
+    for job in jobs[start:stop]:
+        _send_cells(spill, job())

@@ -43,12 +43,13 @@ the epoch's end. When the process may use two CPUs (data._usable_cpus: a
 benchmark pool worker counts only its share) and the loss has at least
 _LOSS_HELPER_CELLS cells, a forked helper (_LossHelper, one per
 sgd_refine call) computes it while this process runs the next epoch's
-steps; a thread would hold the interpreter lock. The loss is then taken
-with the bits, warnings and errors that computing it here would give.
+steps; a thread would hold the interpreter lock. It runs under data._raising
+and sends raw float64 cells (data._send_cells), like every forked child.
+The loss is then taken with the bits, warnings and errors that computing it
+here would give.
 """
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -56,8 +57,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import (
-    SeededRng, _Children, _check_width, _raised_errstate, _raising, _usable_cpus, check_design,
-    check_int,
+    SeededRng, _Children, _check_width, _raised_errstate, _receive_cells, _send_cells,
+    _usable_cpus, check_design, check_int,
 )
 from .errors import DataError, NumericalError
 from .linear import fit_ols
@@ -398,20 +399,17 @@ def dpls_fit(zbar, p, cfg: DplsConfig) -> DplsModel:
 
 
 def _serve_losses(hidden, feats, p, requests, replies):
-    """Helper side of _LossHelper: read each theta sent down requests and
-    write back the full-data loss at it, as 8 bytes, until requests ends.
-
-    The helper works under data._raising: a loss that would warn or raise
-    ends it, and the parent then computes that loss itself.
-    """
+    """Helper side of _LossHelper: receive each theta sent down requests and
+    send back the full-data loss at it, until requests ends. A loss that
+    would warn or raise ends the helper (data._raising), and the parent
+    then computes that loss itself."""
     requests[1].close()
     replies[0].close()
     theta = np.empty(sum(a.size for layer in hidden for a in layer))
     views = _flat_views(theta, hidden)
     work = _train_work(hidden, len(p))
-    with _raising():
-        while requests[0].readinto(theta.view(np.uint8)) == theta.nbytes:
-            replies[1].write(np.float64(_train_loss(views, feats, p, work)).tobytes())
+    while _receive_cells(requests[0], theta):
+        _send_cells(replies[1], _train_loss(views, feats, p, work))
 
 
 class _LossHelper:
@@ -428,7 +426,7 @@ class _LossHelper:
         requests, replies = children.pipe(), children.pipe()
         if requests is None or replies is None:
             return None
-        pid = children.fork(functools.partial(_serve_losses, hidden, feats, p, requests, replies))
+        pid = children.fork(_serve_losses, hidden, feats, p, requests, replies)
         requests[0].close()
         replies[1].close()
         return None if pid is None else cls(requests[1], replies[0])
@@ -437,15 +435,15 @@ class _LossHelper:
         """Ask for the loss at theta; False if the helper is gone or took
         only part of it."""
         try:
-            return self._requests.write(theta.view(np.uint8)) == theta.nbytes
+            return _send_cells(self._requests, theta)
         except OSError:
             return False
 
     def receive(self) -> float | None:
         """The loss at the oldest theta sent and not yet answered; None if
         the helper died, or raised on that loss."""
-        reply = self._replies.read(8)
-        return float(np.frombuffer(reply)[0]) if len(reply) == 8 else None
+        loss = np.empty(1)
+        return float(loss[0]) if _receive_cells(self._replies, loss) else None
 
 
 def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:

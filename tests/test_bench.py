@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from dpls_iv import (
     run_benchmark,
     split_dataset,
 )
-from dpls_iv import data, synthetic
+from dpls_iv import bench, cli, data, synthetic
 
 
 def _linear_noiseless_spec(monkeypatch):
@@ -118,6 +121,40 @@ def test_process_pool_starts_no_more_workers_than_replications(monkeypatch):
     run_benchmark(_small_cfg(replications=3, jobs=2))
     assert sizes == [2, 2]
     assert pooled.rows == serial.rows
+
+
+_TEST_PID = os.getpid()
+_run_replication = bench._run_replication
+
+
+def _dies_in_a_worker(cfg, rep):
+    """_run_replication, but a pool worker given replication 1 dies, as an
+    out-of-memory kill would end it."""
+    if rep == 1 and os.getpid() != _TEST_PID:
+        os._exit(1)
+    return _run_replication(cfg, rep)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the workers inherit the patched replication")
+def test_a_dead_pool_worker_leaves_the_replications_to_the_caller(monkeypatch, tmp_path, capsys):
+    serial = run_benchmark(_small_cfg(replications=2, methods=("ols",)))
+    monkeypatch.setattr(bench, "_run_replication", _dies_in_a_worker)
+    pooled = run_benchmark(_small_cfg(replications=2, methods=("ols",), jobs=2))
+    assert pooled.rows == serial.rows and pooled.aggregates == serial.aggregates
+    assert pooled.failures == serial.failures == ()
+    config = tmp_path / "study.txt"
+    config.write_text("spec.n = 100\nspec.m = 5\nspec.m_redundant = 0\n"
+                      "spec.k = 2\nspec.k_null = 0\n", encoding="utf-8")
+    reports = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert cli.main(["benchmark", "--config", str(config), "--replications", "2",
+                         "--jobs", jobs, "--method", "ols", "--out-dir", str(out)]) == 0
+        reports[jobs] = {name: (out / name).read_bytes()
+                         for name in ("metrics.csv", "bias_cdf.csv", "summary.txt")}
+    assert reports["2"] == reports["1"]
+    assert "benchmark: 2 of 2 cells succeeded" in capsys.readouterr().out
 
 
 def test_per_method_failure_recorded_and_run_continues():

@@ -1,5 +1,9 @@
 import os
 import re
+import signal
+import tempfile
+import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -345,3 +349,132 @@ def test_a_pool_worker_uses_its_share_of_the_cpus(monkeypatch, cpus, workers, sh
     data._share_cpus(workers)
     assert data._usable_cpus() == share
     assert len(part_bounds(100, 100, 1)) - 1 == share
+
+
+# ------------------------------------------------------------ forked parts
+
+_forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="parts are forked")
+_BOUNDS = [0, 2, 3, 6, 7]
+
+
+def _open_fds():
+    return set(os.listdir("/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cells(start, stop):
+    return np.arange(start, stop) / 3.0
+
+
+def _send_range(start, stop, spill):
+    data._send_cells(spill, _cells(start, stop))
+
+
+def _run_parts(work, bounds=_BOUNDS):
+    """(start, stop, the cells received or None) of each part, in the order
+    the runner yields them."""
+    got = []
+    with data._Children() as children:
+        for start, stop, spill in children.parts(bounds, work):
+            cells = None
+            if spill is not None:
+                cells = np.empty(stop - start)
+                assert data._receive_cells(spill, cells)
+                assert spill.read() == b""  # nothing sent past the cells
+            got.append((start, stop, cells))
+    return got
+
+
+@_forks
+def test_parts_come_back_in_order_with_their_cells():
+    fds = _open_fds()
+    got = _run_parts(_send_range)
+    assert [(start, stop) for start, stop, _ in got] == list(zip(_BOUNDS, _BOUNDS[1:]))
+    assert got[0][2] is None  # part 0 is the caller's
+    for start, stop, cells in got[1:]:
+        assert cells.tobytes() == _cells(start, stop).tobytes()
+    assert _run_parts(_send_range, [0, 5]) == [(0, 5, None)]  # one part forks nothing
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+def _refuse(*args, **kwargs):
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@_forks
+@pytest.mark.parametrize("failure", ["raised", "killed", "fork", "spill"])
+def test_a_part_whose_child_failed_or_was_refused_comes_back_none(monkeypatch, failure):
+    def work(start, stop, spill):
+        _send_range(start, stop, spill)
+        if start == 3 and failure == "raised":
+            raise ValueError("part failed")
+        if start == 3 and failure == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    if failure == "fork":
+        monkeypatch.setattr(os, "fork", _refuse)
+    elif failure == "spill":
+        monkeypatch.setattr(tempfile, "TemporaryFile", _refuse)
+    fds = _open_fds()
+    got = _run_parts(work)
+    assert [(start, stop) for start, stop, _ in got] == list(zip(_BOUNDS, _BOUNDS[1:]))
+    none = [start for start, _, cells in got if cells is None]
+    assert none == ([0, 3] if failure in ("raised", "killed") else _BOUNDS[:-1])
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+def _warns(start, stop, spill):
+    warnings.warn("a child's warning", UserWarning)
+    _send_range(start, stop, spill)
+
+
+def _overflows(start, stop, spill):
+    np.float64(1e308) * np.float64(10.0)
+    _send_range(start, stop, spill)
+
+
+@_forks
+@pytest.mark.parametrize("work", [_warns, _overflows], ids=["warning", "floating_point"])
+def test_a_childs_warning_or_floating_point_error_ends_it(work):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the caller's own filters do not reach the child
+        assert [cells for _, _, cells in _run_parts(work)] == [None] * 4
+    with np.errstate(over="ignore"):  # an error the caller ignores is not raised
+        assert [cells is None for _, _, cells in _run_parts(_overflows)] == [True] + [False] * 3
+    _assert_no_child_left()
+
+
+@_forks
+def test_returning_from_inside_the_loop_leaves_no_child_or_file():
+    def first_part():
+        with data._Children() as children:
+            for start, stop, spill in children.parts(_BOUNDS, lambda *args: time.sleep(60)):
+                return start, stop, spill
+
+    fds = _open_fds()
+    assert first_part() == (0, 2, None)
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+@_forks
+def test_parts_survive_an_ignored_sigchld():
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        fds = _open_fds()
+        got = _run_parts(_send_range)  # no status to read: every part is the caller's
+        assert got == [(start, stop, None) for start, stop in zip(_BOUNDS, _BOUNDS[1:])]
+        with data._Children() as children:  # one left running is killed, one gone is skipped
+            children.fork(time.sleep, 60)
+            children.fork(int)
+            time.sleep(0.05)
+        assert _open_fds() == fds
+        _assert_no_child_left()
+    finally:
+        signal.signal(signal.SIGCHLD, previous)

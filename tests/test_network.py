@@ -708,6 +708,24 @@ def test_loss_helper_matches_reference_loop_bit_for_bit(helper, case):
 
 
 @_forks
+def test_loss_helper_survives_an_ignored_sigchld(monkeypatch, helper):
+    # a host that ignores SIGCHLD has the helper reaped by the kernel
+    build, params = _HELPER_CASES["30"]
+    model, zbar, p = build()
+    expected = _in_process(monkeypatch, lambda: sgd_refine(model, zbar, p, params))
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        fds = _open_fds()
+        got = sgd_refine(model, zbar, p, params)
+        assert len(helper) == 1 and helper[0] is not None
+        _assert_same_refinement(got, expected, zbar)
+        assert _open_fds() == fds
+        _assert_no_child_left()
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+
+
+@_forks
 def test_loss_helper_diverges_like_reference_loop(helper):
     model, zbar, p = _fixed_first_layer_model()
     fds = _open_fds()

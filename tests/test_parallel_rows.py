@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from dpls_iv import (
-    Dataset, PosteriorDraws, SeededRng, augment_instruments, dataio, experiment1_spec,
+    Dataset, PosteriorDraws, SeededRng, augment_instruments, data, dataio, experiment1_spec,
     experiment2_spec, fit_lasso, gen_experiment1, gen_experiment2, ivreg, linear,
 )
 from dpls_iv.data import part_bounds
@@ -39,21 +39,26 @@ def _byte_bounds(monkeypatch, path, parts):
         return part_bounds(size, size, 1)
 
 
+def _counting_forks(monkeypatch):
+    """A list of the pids (None for a refused fork) of every child forked
+    from now on."""
+    pids = []
+    original = data._Children.fork
+
+    def counting(self, work, *args):
+        pids.append(pid := original(self, work, *args))
+        return pid
+
+    monkeypatch.setattr(data._Children, "fork", counting)
+    return pids
+
+
 @pytest.fixture
 def forked(monkeypatch):
-    """Force CSV parts on tiny inputs; returns a list of the handles started."""
+    """Force CSV parts on tiny inputs; returns a list of the children forked."""
     monkeypatch.setattr(dataio, "_CSV_PART_CELLS", 1)
     monkeypatch.setattr(dataio, "_CSV_PART_BYTES", 1)
-    handles = []
-    original = dataio._Children.start
-
-    def counting(self, work):
-        handle = original(self, work)
-        handles.append(handle)
-        return handle
-
-    monkeypatch.setattr(dataio._Children, "start", counting)
-    return handles
+    return _counting_forks(monkeypatch)
 
 
 def _one_part(monkeypatch, call):
@@ -133,6 +138,29 @@ def test_csv_write_formats_a_dead_childs_part_itself(tmp_path, monkeypatch, fork
     assert (tmp_path / "parts.csv").read_bytes() == expected.read_bytes()
     assert sorted(os.listdir(tmp_path)) == ["one.csv", "parts.csv"]
     assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+def test_csv_write_formats_a_warning_childs_part_itself_and_warns_once(
+        tmp_path, monkeypatch, forked):
+    ds = _dataset(6)
+    expected = tmp_path / "one.csv"
+    _one_part(monkeypatch, lambda: dataio.csv_write(expected, ds))
+    write_part = dataio._write_part
+
+    def warning_part(fh, columns, start, stop, numbered):
+        if start > 0:
+            warnings.warn(f"rows {start}..{stop - 1}", UserWarning)
+        write_part(fh, columns, start, stop, numbered)
+
+    monkeypatch.setattr(dataio, "_write_part", warning_part)
+    _use_cpus(monkeypatch, 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dataio.csv_write(tmp_path / "parts.csv", ds)
+    assert len(forked) == 1
+    assert [str(w.message) for w in caught] == ["rows 3..5"]  # from this process, once
+    assert (tmp_path / "parts.csv").read_bytes() == expected.read_bytes()
     _assert_no_child_left()
 
 
@@ -344,6 +372,36 @@ def test_csv_read_header_error_leaves_no_child(tmp_path, monkeypatch, forked):
     _assert_no_child_left()
 
 
+# ------------------------------------------------------------ ignored SIGCHLD
+
+
+@pytest.fixture
+def sigchld_ignored():
+    """SIGCHLD ignored, as a host program may set it: the kernel reaps every
+    child, so no child's status can be read."""
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+
+
+def test_csv_write_and_read_survive_an_ignored_sigchld(tmp_path, monkeypatch, forked,
+                                                         sigchld_ignored):
+    ds = _dataset(12)
+    expected = tmp_path / "one.csv"
+    _one_part(monkeypatch, lambda: dataio.csv_write(expected, ds))
+    _use_cpus(monkeypatch, 3)
+    fds = _open_fds()
+    dataio.csv_write(tmp_path / "parts.csv", ds)
+    assert len(forked) == 2
+    assert (tmp_path / "parts.csv").read_bytes() == expected.read_bytes()
+    assert _outcome(expected) == np.column_stack([ds.y, ds.p, ds.z, ds.x]).tobytes()
+    assert len(forked) == 4
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
 # ---------------------------------------------------------------------- band
 
 
@@ -448,17 +506,9 @@ def _design(dgp):
 
 @pytest.fixture
 def lasso_parts(monkeypatch):
-    """Lasso CV parts on tiny designs; returns a list of the handles started."""
+    """Lasso CV parts on tiny designs; returns a list of the children forked."""
     monkeypatch.setattr(linear, "_LASSO_PART_CELLS", 1)
-    handles = []
-    original = linear._Children.start
-
-    def counting(self, work):
-        handles.append(handle := original(self, work))
-        return handle
-
-    monkeypatch.setattr(linear._Children, "start", counting)
-    return handles
+    return _counting_forks(monkeypatch)
 
 
 def _bits(fit):
@@ -494,6 +544,17 @@ def test_lasso_cv_runs_a_failed_part_itself(monkeypatch, lasso_parts, failure):
         monkeypatch.setattr(tempfile, "TemporaryFile", _refuse)
     fds = _open_fds()
     assert _bits(fit_lasso(zbar, p, "auto")) == (lam, coef.tobytes())
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+def test_lasso_cv_survives_an_ignored_sigchld(monkeypatch, lasso_parts, sigchld_ignored):
+    zbar, p = _design("experiment1")
+    lam, coef = _serial_lasso(zbar, p)
+    _use_cpus(monkeypatch, 3)
+    fds = _open_fds()
+    assert _bits(fit_lasso(zbar, p, "auto")) == (lam, coef.tobytes())
+    assert len(lasso_parts) == 2
     assert _open_fds() == fds
     _assert_no_child_left()
 
