@@ -127,9 +127,9 @@ def rmse(actual, predicted) -> float:
 def fit_first_stage(method: str, zbar, p, q, rng: SeededRng):
     """Fit one baseline treatment model: ols, ridge, lasso or pls.
 
-    Linear baselines are fit in the structural form p = zbar @ a + noise,
-    which carries no constant term; PLS centers by construction. q is the
-    PLS component count or "auto", which picks it by 5-fold CV on the
+    OLS, ridge and lasso fit no constant, though the designs' treatment has
+    one, which PLS (PlsFit.means) and the network fit (ROADMAP item 16). q
+    is the PLS component count or "auto", picked by 5-fold CV on the
     rng.child(7) stream. The network (dpls_iv) is fit by dpls_iv_fit.
     """
     if method == "ols":

@@ -3,10 +3,10 @@ plus the input rules the estimators share (the integer check, the
 (design, target) check, the covariate block and the design width a fit
 predicts on), the part bounds of the work spread over CPUs (the CLI's row
 work and the lasso's CV paths), the package's one way to fork (_Children,
-whose one part runner is parts), the one wire format of every forked
-child (_send_cells, _receive_cells) and the one rule every child runs
-under (_raising), the PSD square-root factor and the fold count and
-held-out error of the lambda and q CVs.
+whose one part runner is parts; a part's spill must end with _END), the
+one wire format of every forked child (_send_cells, _receive_cells) and
+the one rule every child runs under (_raising), the PSD square-root
+factor and the fold count and held-out error of the lambda and q CVs.
 
 A process sees the CPUs it may run on (os.sched_getaffinity), except in a
 run_benchmark pool worker, which sees its share of them (_share_cpus), so
@@ -228,20 +228,22 @@ def part_bounds(rows: int, work: int, part_min: int) -> list[int]:
 class _Children:
     """Forked children, the package's one way to fork (run_benchmark's
     process pool aside). Each runs its work under _raising and leaves
-    through os._exit: 0 if the work returned, 1 if it raised.
-
-    parts is the one part runner, and pipe makes a pipe to a child that
-    fork started; raw float64 cells cross either way through _send_cells
-    and _receive_cells. Work whose spill file, pipe or child the system
-    refused, or whose child failed, falls to the caller, so whatever it
-    would warn or raise surfaces there, once. A child whose status cannot
-    be read (a host that ignores SIGCHLD has the kernel reap it) counts as
-    failed. Leaving the with block kills and reaps every child still
-    running and closes every spill file and pipe end, so none outlives the
-    call. Work is forked, not sent to a process pool: on the 10k x 77
-    data.csv a pool slowed the CLI chain from 2.91 to 3.48 s, and the
-    pickled part text raised simulate's peak from 68.6 to 103.3 MB.
+    through os._exit, whose status nothing reads: a part's result is its
+    spill file if that ends with _END, which no UTF-8 text holds and no
+    arithmetic makes (a NaN), so a host that ignores SIGCHLD, whose kernel
+    reaps the children, changes nothing. parts is the one part runner, and
+    pipe makes a pipe to a child that fork started; raw float64 cells cross
+    either way through _send_cells and _receive_cells. Work whose spill
+    file, pipe or child the system refused, or whose child failed, falls to
+    the caller, so whatever it would warn or raise surfaces there, once.
+    Leaving the with block kills and reaps every child still running and
+    closes every spill file and pipe end, so none outlives the call. Work
+    is forked, not sent to a process pool: on the 10k x 77 data.csv a pool
+    slowed the CLI chain from 2.91 to 3.48 s, and the pickled part text
+    raised simulate's peak from 68.6 to 103.3 MB.
     """
+
+    _END = b"\xff" * 8
 
     def __init__(self):
         self._pids: list[int] = []
@@ -269,22 +271,20 @@ class _Children:
         except OSError:
             return None
         if pid == 0:
-            code = 1
             try:
                 with _raising():
                     work(*args)
-                code = 0
-            finally:
-                os._exit(code)
+            finally:  # no status is read: a part's spill is its result
+                os._exit(0)
         self._pids.append(pid)
         return pid
 
     def parts(self, bounds, work):
         """Fork a child for each part bounds[i]..bounds[i + 1] but the first
         that runs work(start, stop, spill) on a new unnamed spill file, then
-        yield (start, stop, spill) for every part in order: spill rewound if
-        that child exited 0, else None (always for part 0), for the caller
-        to do the part itself where it falls in the loop."""
+        appends _END; yield (start, stop, spill) for each part in order, spill
+        rewound and less _END if it ends with it, else None (always for part
+        0), for the caller to do the part itself where it falls in the loop."""
         children = [None]
         for start, stop in zip(bounds[1:-1], bounds[2:]):
             try:
@@ -293,16 +293,19 @@ class _Children:
                 children.append(None)
                 continue
             # the child calls this at once, on this iteration's values
-            pid = self.fork(lambda: (work(start, stop, spill), spill.flush()))
+            pid = self.fork(lambda: (work(start, stop, spill), spill.write(self._END), spill.flush()))
             children.append(None if pid is None else (pid, spill))
         for child, start, stop in zip(children, bounds, bounds[1:]):
             spill = None
             if child is not None:
                 self._pids.remove(child[0])
-                with contextlib.suppress(ChildProcessError):  # no status: failed
-                    if os.waitstatus_to_exitcode(os.waitpid(child[0], 0)[1]) == 0:
-                        spill = child[1]
-                        spill.seek(0)
+                with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored: reaped
+                    os.waitpid(child[0], 0)
+                end = child[1].seek(0, os.SEEK_END) - len(self._END)
+                if os.pread(child[1].fileno(), len(self._END), max(end, 0)) == self._END:
+                    spill = child[1]
+                    spill.truncate(end)
+                    spill.seek(0)
             yield start, stop, spill
 
     def pipe(self):

@@ -313,36 +313,33 @@ def _send_part(path, columns, start: int, stop: int, spill) -> None:
 
 def _parse_parts(path, cuts: list[int], lines, columns) -> np.ndarray | None:
     """The data lines of the byte ranges cuts[i]..cuts[i + 1] - 1 as one
-    table in role order, or None if any part fails.
+    table in role order, or None if _load rejects a part here.
 
-    lines is the rest of this process's own range, part 0, after its header.
-    Children parse the other ranges into spill files, read after part 0 is
-    parsed straight into the result. This process never holds more than one
-    line of text, and beyond the result only part 0's table.
+    lines is the rest of part 0 after its header. Children parse the other
+    ranges into spill files; part 0, and any part with no child's result,
+    is parsed here. This process holds at most one line of text, and beyond
+    the result only the tables of the parts it parsed.
     """
-    width = len(columns)
-    with _Children() as children:
-        spills, counts = [], []
+    with _Children() as children, contextlib.ExitStack() as ranges:
+        parts = []  # (spill, or the table parsed here; its row count)
         for start, stop, spill in children.parts(
                 cuts, functools.partial(_send_part, path, columns)):
-            if start == 0:
-                if (first := _load(lines, width)) is None:
-                    return None
-                counts.append(len(first))
-                continue
             count = np.empty(1)
-            if spill is None or not _receive_cells(spill, count):
+            if spill is not None and _receive_cells(spill, count):
+                parts.append((spill, int(count[0])))
+                continue
+            if start:  # part 0's lines are given
+                lines = _nonblank_lines(ranges.enter_context(_text_range(path, start, stop)))
+            if (part := _load(lines, len(columns))) is None:
                 return None
-            spills.append(spill)
-            counts.append(int(count[0]))
-        table = np.empty((sum(counts), width))
-        np.take(first, columns, axis=1, out=table[:counts[0]], mode="clip")
-        del first
-        row = counts[0]
-        for spill, count in zip(spills, counts[1:]):
-            if not _receive_cells(spill, table[row:row + count]):
+            parts.append((part, len(part)))
+        rows = np.cumsum([count for _, count in parts])
+        table = np.empty((rows[-1], len(columns)))
+        for (part, _), out in zip(parts, np.split(table, rows[:-1])):
+            if isinstance(part, np.ndarray):
+                np.take(part, columns, axis=1, out=out, mode="clip")
+            elif not _receive_cells(part, out):
                 return None
-            row += count
         return table
 
 
@@ -386,13 +383,13 @@ def csv_read(path) -> Dataset:
     boundaries into parts, one per usable CPU when it is large (_line_cuts,
     _parse_parts), and one np.loadtxt call parses the non-blank data lines of
     each part, so a whitespace-only line, which loadtxt alone would reject
-    as a one-cell row, is skipped there too.
-    When any part fails (a bad cell, the wrong width, a non-finite value, a
-    byte that is not UTF-8, a dead child), _parse_lines rescans the whole
-    file in this process: it names the first bad line, or accepts the cells
-    that float() reads and loadtxt does not (digit separators, non-ASCII
-    digits). A pipe or FIFO cannot be read twice, so there a failed parse,
-    or a byte that is not UTF-8, is reported without the line or offset.
+    as a one-cell row, is skipped there too. Only when _load rejects a part
+    in this process (a bad cell, the wrong width, a non-finite value, a
+    byte that is not UTF-8) does _parse_lines rescan the whole file here:
+    it names the first bad line, or accepts the cells that float() reads
+    and loadtxt does not (digit separators, non-ASCII digits). A pipe or
+    FIFO cannot be read twice, so there a failed parse, or a byte that is
+    not UTF-8, is reported without the line or offset.
     """
     try:
         size = os.path.getsize(path)

@@ -10,11 +10,11 @@ at b = 0. Below that the solution is piecewise linear in lam, and the
 LARS-lasso homotopy follows it exactly; one coordinate-descent sweep from
 that point certifies each lasso fit. Cross-validated penalties score every
 grid point of a fold from one exact computation: the homotopy path for the
-lasso, one thin SVD for ridge. No internal rescaling of columns is
-performed; callers control the scale of their designs. Ridge and lasso fit
-no constant (the structural form p = zbar @ a + noise). The solver and CV
-settings are module constants: the OLS rank tolerance _OLS_RTOL, the lasso
-sweep tolerance _LASSO_TOL and cap _LASSO_MAX_SWEEPS, and the
+lasso, one thin SVD for ridge. Columns are not rescaled; callers control the
+scale of their designs. Ridge and lasso fit no constant, nor OLS unless
+asked, though the designs' treatment has one (ROADMAP item 16). The solver
+and CV settings are module constants: the OLS rank tolerance _OLS_RTOL, the
+lasso sweep tolerance _LASSO_TOL and cap _LASSO_MAX_SWEEPS, and the
 _CV_GRID-point lambda CV over data.CV_FOLDS folds, scored like pls's q CV.
 
 The lasso CV's six homotopy paths (the folds, then the full data, whose

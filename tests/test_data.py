@@ -375,8 +375,8 @@ def _send_range(start, stop, spill):
 
 
 def _run_parts(work, bounds=_BOUNDS):
-    """(start, stop, the cells received or None) of each part, in the order
-    the runner yields them."""
+    """(start, stop, the bytes of the cells received or None) of each part,
+    in the order the runner yields them."""
     got = []
     with data._Children() as children:
         for start, stop, spill in children.parts(bounds, work):
@@ -384,19 +384,21 @@ def _run_parts(work, bounds=_BOUNDS):
             if spill is not None:
                 cells = np.empty(stop - start)
                 assert data._receive_cells(spill, cells)
-                assert spill.read() == b""  # nothing sent past the cells
+                assert spill.read() == b""  # nothing sent past the cells, no end mark
+                cells = cells.tobytes()
             got.append((start, stop, cells))
     return got
+
+
+# every part but part 0, the caller's, back from its child with its cells
+_EVERY_CHILDS_PART = [(0, 2, None)] + [
+    (start, stop, _cells(start, stop).tobytes()) for start, stop in zip(_BOUNDS[1:], _BOUNDS[2:])]
 
 
 @_forks
 def test_parts_come_back_in_order_with_their_cells():
     fds = _open_fds()
-    got = _run_parts(_send_range)
-    assert [(start, stop) for start, stop, _ in got] == list(zip(_BOUNDS, _BOUNDS[1:]))
-    assert got[0][2] is None  # part 0 is the caller's
-    for start, stop, cells in got[1:]:
-        assert cells.tobytes() == _cells(start, stop).tobytes()
+    assert _run_parts(_send_range) == _EVERY_CHILDS_PART
     assert _run_parts(_send_range, [0, 5]) == [(0, 5, None)]  # one part forks nothing
     assert _open_fds() == fds
     _assert_no_child_left()
@@ -407,14 +409,17 @@ def _refuse(*args, **kwargs):
 
 
 @_forks
-@pytest.mark.parametrize("failure", ["raised", "killed", "fork", "spill"])
+@pytest.mark.parametrize("failure", ["raised", "killed", "exited", "fork", "spill"])
 def test_a_part_whose_child_failed_or_was_refused_comes_back_none(monkeypatch, failure):
     def work(start, stop, spill):
         _send_range(start, stop, spill)
+        spill.flush()  # the whole result is in the spill, but not the end mark
         if start == 3 and failure == "raised":
             raise ValueError("part failed")
         if start == 3 and failure == "killed":
             os.kill(os.getpid(), signal.SIGKILL)
+        if start == 3 and failure == "exited":
+            os._exit(0)
 
     if failure == "fork":
         monkeypatch.setattr(os, "fork", _refuse)
@@ -424,7 +429,7 @@ def test_a_part_whose_child_failed_or_was_refused_comes_back_none(monkeypatch, f
     got = _run_parts(work)
     assert [(start, stop) for start, stop, _ in got] == list(zip(_BOUNDS, _BOUNDS[1:]))
     none = [start for start, _, cells in got if cells is None]
-    assert none == ([0, 3] if failure in ("raised", "killed") else _BOUNDS[:-1])
+    assert none == ([0, 3] if failure in ("raised", "killed", "exited") else _BOUNDS[:-1])
     assert _open_fds() == fds
     _assert_no_child_left()
 
@@ -468,8 +473,7 @@ def test_parts_survive_an_ignored_sigchld():
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
         fds = _open_fds()
-        got = _run_parts(_send_range)  # no status to read: every part is the caller's
-        assert got == [(start, stop, None) for start, stop in zip(_BOUNDS, _BOUNDS[1:])]
+        assert _run_parts(_send_range) == _EVERY_CHILDS_PART  # no status is read
         with data._Children() as children:  # one left running is killed, one gone is skipped
             children.fork(time.sleep, 60)
             children.fork(int)

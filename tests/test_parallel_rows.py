@@ -83,6 +83,13 @@ def _outcome(path):
     return np.column_stack([ds.y, ds.p, ds.z, ds.x]).tobytes()
 
 
+def _forbid_rescan(monkeypatch):
+    def no_rescan(lines, header):
+        raise AssertionError("a part failed and sent the file to the line rescan")
+
+    monkeypatch.setattr(dataio, "_parse_lines", no_rescan)
+
+
 def _open_fds():
     return set(os.listdir("/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"))
 
@@ -210,11 +217,7 @@ def test_csv_read_parts_give_the_one_part_table(tmp_path, monkeypatch, forked, n
     path.write_bytes(_gapped_text(ds, newline).encode("utf-8"))
     expected = _one_part(monkeypatch, lambda: _outcome(path))
     assert expected == np.column_stack([ds.y, ds.p, ds.z, ds.x]).tobytes()
-
-    def no_rescan(lines, header):
-        raise AssertionError("a part failed and sent the file to the line rescan")
-
-    monkeypatch.setattr(dataio, "_parse_lines", no_rescan)
+    _forbid_rescan(monkeypatch)
     _use_cpus(monkeypatch, cpus)
     fds = _open_fds()
     assert _outcome(path) == expected
@@ -235,13 +238,16 @@ def test_csv_read_line_cuts_follow_newlines(tmp_path, monkeypatch):
         assert all(text[c - 1:c] == b"\n" for c in cuts[1:-1])
 
 
-@pytest.mark.parametrize("edit, message", [
+_bad_cells = pytest.mark.parametrize("edit, message", [
     (lambda cells: cells[:-1], "line 15: expected 5 cells, found 4"),
     (lambda cells: cells[:2] + [" abc "] + cells[3:], "line 15, column z_1: non-numeric cell 'abc'"),
     (lambda cells: cells[:4] + ["nan"] + cells[5:], "line 15, column x_1: non-finite value 'nan'"),
 ], ids=["cell_count", "non_numeric", "nan"])
-def test_csv_read_bad_cell_in_a_later_part_gives_the_one_part_message(
-        tmp_path, monkeypatch, forked, edit, message):
+
+
+def _bad_cell_file(tmp_path, monkeypatch, edit, message):
+    """A CSV whose line 15, in the second of two parts, is edited to be bad;
+    read in one part, it gives message."""
     lines = _csv_text(_dataset(20, m=2)).splitlines()
     lines[14] = ",".join(edit(lines[14].split(",")))
     path = tmp_path / "bad.csv"
@@ -249,12 +255,31 @@ def test_csv_read_bad_cell_in_a_later_part_gives_the_one_part_message(
     cut = dataio._line_cuts(path, _byte_bounds(monkeypatch, path, 2))[1]
     assert len("\n".join(lines[:14]).encode()) > cut  # line 15 is in the child's part
     assert _one_part(monkeypatch, lambda: _outcome(path)) == message
+    return path
+
+
+@_bad_cells
+def test_csv_read_bad_cell_in_a_later_part_gives_the_one_part_message(
+        tmp_path, monkeypatch, forked, edit, message):
+    path = _bad_cell_file(tmp_path, monkeypatch, edit, message)
     _use_cpus(monkeypatch, 2)
     fds = _open_fds()
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         dataio.csv_read(path)
     assert len(forked) == 1
     assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+@_bad_cells
+def test_csv_read_bad_cell_in_a_dead_childs_part_gives_the_one_part_message(
+        tmp_path, monkeypatch, forked, edit, message):
+    path = _bad_cell_file(tmp_path, monkeypatch, edit, message)
+    monkeypatch.setattr(dataio, "_send_part", lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+    _use_cpus(monkeypatch, 2)
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        dataio.csv_read(path)
+    assert len(forked) == 1
     _assert_no_child_left()
 
 
@@ -325,32 +350,37 @@ def test_csv_read_byte_order_mark_keeps_the_offset_of_a_non_utf8_byte(
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("child", ["killed", "silent"])
-def test_csv_read_falls_back_to_the_rescan_when_a_child_dies(tmp_path, monkeypatch, forked, child):
+@pytest.mark.parametrize("child", ["killed", "silent", "exited"])
+def test_csv_read_parses_a_dead_childs_part_itself(tmp_path, monkeypatch, forked, child):
     ds = _dataset(30)
     path = tmp_path / "data.csv"
     path.write_text(_csv_text(ds), encoding="utf-8")
     expected = _one_part(monkeypatch, lambda: _outcome(path))
-    rescans = []
-    original = dataio._parse_lines
-    monkeypatch.setattr(dataio, "_parse_lines",
-                        lambda lines, header: rescans.append(1) or original(lines, header))
-    die = (lambda *args: os.kill(os.getpid(), signal.SIGKILL)) if child == "killed" else (
-        lambda *args: None)
+    _forbid_rescan(monkeypatch)
+    send_part = dataio._send_part
+
+    def exits_before_the_end_mark(*args):
+        send_part(*args)
+        args[-1].flush()  # the spill holds the whole part
+        os._exit(0)
+
+    die = {"killed": lambda *args: os.kill(os.getpid(), signal.SIGKILL),
+           "silent": lambda *args: None, "exited": exits_before_the_end_mark}[child]
     monkeypatch.setattr(dataio, "_send_part", die)
     _use_cpus(monkeypatch, 3)
     fds = _open_fds()
     assert _outcome(path) == expected
-    assert len(forked) == 2 and rescans == [1]
+    assert len(forked) == 2
     assert _open_fds() == fds
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("refused", ["fork", "pipe", "spill"])
-def test_csv_read_rescans_when_it_cannot_fork(tmp_path, monkeypatch, forked, refused):
+def test_csv_read_parses_a_part_itself_when_it_cannot_fork(tmp_path, monkeypatch, forked, refused):
     path = tmp_path / "data.csv"
     path.write_text(_csv_text(_dataset(30)), encoding="utf-8")
     expected = _one_part(monkeypatch, lambda: _outcome(path))
+    _forbid_rescan(monkeypatch)
     if refused == "spill":
         monkeypatch.setattr(tempfile, "TemporaryFile", _refuse)
     else:
@@ -386,18 +416,34 @@ def sigchld_ignored():
         signal.signal(signal.SIGCHLD, previous)
 
 
+def _calls_here(monkeypatch, module, name, arg):
+    """A list of the given argument of each call of module.name that this
+    process makes from now on; a forked child's calls land in its own copy."""
+    calls, original = [], getattr(module, name)
+
+    def recording(*args):
+        calls.append(args[arg])
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
 def test_csv_write_and_read_survive_an_ignored_sigchld(tmp_path, monkeypatch, forked,
                                                          sigchld_ignored):
     ds = _dataset(12)
     expected = tmp_path / "one.csv"
     _one_part(monkeypatch, lambda: dataio.csv_write(expected, ds))
     _use_cpus(monkeypatch, 3)
+    written = _calls_here(monkeypatch, dataio, "_write_part", 2)
+    loaded = _calls_here(monkeypatch, dataio, "_load", 1)
+    _forbid_rescan(monkeypatch)
     fds = _open_fds()
     dataio.csv_write(tmp_path / "parts.csv", ds)
-    assert len(forked) == 2
+    assert len(forked) == 2 and written == [0]  # the caller redid no part
     assert (tmp_path / "parts.csv").read_bytes() == expected.read_bytes()
     assert _outcome(expected) == np.column_stack([ds.y, ds.p, ds.z, ds.x]).tobytes()
-    assert len(forked) == 4
+    assert len(forked) == 4 and len(loaded) == 1  # part 0 only
     assert _open_fds() == fds
     _assert_no_child_left()
 
@@ -552,9 +598,10 @@ def test_lasso_cv_survives_an_ignored_sigchld(monkeypatch, lasso_parts, sigchld_
     zbar, p = _design("experiment1")
     lam, coef = _serial_lasso(zbar, p)
     _use_cpus(monkeypatch, 3)
+    folds = _calls_here(monkeypatch, linear, "_fold_errors", 3)
     fds = _open_fds()
     assert _bits(fit_lasso(zbar, p, "auto")) == (lam, coef.tobytes())
-    assert len(lasso_parts) == 2
+    assert len(lasso_parts) == 2 and folds == [0, 1]  # part 0's folds only
     assert _open_fds() == fds
     _assert_no_child_left()
 
