@@ -5,13 +5,31 @@ splits it, fits every requested method's treatment model on the training
 half, and pushes the resulting treatment predictions through the one
 outcome stage (ivreg.iv_fit) so outcome numbers differ only through the
 first stage, and scores each cell out of sample (r_squared, rmse). Per-cell
-failures are recorded and the study continues. A process pool, when jobs > 1,
-starts at most one worker per replication, and each worker uses its share
-of the usable CPUs, usable CPUs // workers and at least 1
-(data._share_cpus), for the parts and helpers it forks: the lasso CV paths
-and the SGD loss helper. Without that share, two workers on two CPUs each
-forked lasso parts, and eight experiment1 replications with jobs = 2 took
-0.61-0.64 s against 0.52-0.62 s with it (medians of five, one BLAS thread).
+failures are recorded and the study continues.
+
+A replication that fits both lasso and dpls_iv forks the lasso CV's paths
+before its first fit (linear._LassoCv.early), fits lasso last, and puts
+its rows back in method order, so the paths run beside the network fit,
+the only fit long enough to hide them. On two CPUs this took a traced
+experiment1 replication's fit_lasso from 30.8 to 2.0 ms and the untraced
+replication from 90 to 63 ms. Without the network an early child only
+adds its fork and its wait: (ols, ridge, lasso) went from 37-40 to
+55-63 ms with one and (lasso,) from 29-31 to 50-65 ms; on one CPU an
+early fork took all five methods from 97-99 to 109-124 ms (medians of 20
+experiment1 seeds, four runs each, one BLAS thread, a two-CPU VM). So
+neither forks early.
+
+A process pool starts when more than one worker would, min(jobs,
+replications) of them, and each worker uses its share of the usable CPUs,
+usable CPUs // workers and at least 1 (data._share_cpus), for the parts
+and helpers it forks: the lasso CV paths and the SGD loss helper. Without
+that share, two workers on two CPUs each forked lasso parts, and eight
+experiment1 replications with jobs = 2 took 0.61-0.64 s against
+0.52-0.62 s with it (medians of five, one BLAS thread). One worker would
+run the replications as this process does, a fork and a pickle later, so
+they run here: one experiment1 replication in a one-worker pool took
+91.7-97.6 ms against 79.9-93.1 ms in this process (medians of 20 seeds,
+four runs each).
 """
 from __future__ import annotations
 
@@ -19,11 +37,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SeededRng, _share_cpus, augment_instruments, check_int, split_dataset
+from .data import (
+    SeededRng, _Children, _share_cpus, augment_instruments, check_int, split_dataset,
+)
 from .errors import DataError, DegenerateDataError, NumericalError
 from .ivreg import _check_mode, dpls_iv_fit
 from .ivreg import iv_fit as _outcome_stage
-from .linear import fit_lasso, fit_ols, fit_ridge
+from .linear import _LassoCv, fit_lasso, fit_ols, fit_ridge
 from .network import DplsConfig
 from .pls import AUTO_Q_CAP, fit_pls_closed_form, select_q_cv
 from .synthetic import SyntheticSpec, gen_experiment1, gen_experiment2
@@ -146,6 +166,12 @@ def fit_first_stage(method: str, zbar, p, q, rng: SeededRng):
 
 
 def _run_replication(cfg: ExperimentConfig, rep: int):
+    """Fit and score every method of one replication. When it fits the
+    network, whose fit is the one long enough to hide them, the lasso CV's
+    paths start in forked children first (linear._LassoCv.early) and lasso
+    is fit last; rows, failures and bias samples come out in cfg.methods
+    order all the same, and each method draws from its own rng child, so
+    the fit order changes no number."""
     seed = cfg.base_seed + rep
     rng = SeededRng(seed)
     gen = gen_experiment1 if cfg.dgp == "experiment1" else gen_experiment2
@@ -153,28 +179,44 @@ def _run_replication(cfg: ExperimentConfig, rep: int):
     train, test = split_dataset(ds, cfg.test_fraction, rng.child(1))
     zbar_tr = augment_instruments(train.z, train.x)
     truth_coefs = np.concatenate([truth.alpha, truth.alpha_x])
-    rows, failures, bias = [], [], {}
-    for method in cfg.methods:
-        try:
-            if method == "dpls_iv":
-                fit = dpls_iv_fit(train, cfg.dpls, mode=cfg.mode, censored=cfg.censored)
-            else:
-                first = fit_first_stage(
-                    method, zbar_tr, train.p, cfg.dpls.first_layer_q, rng
-                )
-                fit = _outcome_stage(first, train, mode=cfg.mode, censored=cfg.censored)
-            p_hat_te = fit.predict_treatment(test.z, test.x)
-            y_hat_te = fit.predict_outcome(test.z, test.x)
-            rows.append((method, rep, "treatment_r2", r_squared(test.p, p_hat_te)))
-            rows.append((method, rep, "treatment_rmse", rmse(test.p, p_hat_te)))
-            rows.append((method, rep, "outcome_r2", r_squared(test.y, y_hat_te)))
-            rows.append((method, rep, "outcome_rmse", rmse(test.y, y_hat_te)))
-            abs_bias = np.abs(fit.first_stage.coef - truth_coefs)
-            rows.append((method, rep, "coef_abs_bias_sum", float(abs_bias.sum())))
-            bias[method] = np.sort(abs_bias)
-        except (DataError, NumericalError) as exc:
-            failures.append((rep, method, f"{type(exc).__name__}: {exc}"))
-    return seed, rows, failures, bias
+    rows, failures, bias = {m: [] for m in cfg.methods}, {}, {}
+    with _Children() as children:
+        lasso_cv = None
+        if {"lasso", "dpls_iv"} <= set(cfg.methods):
+            lasso_cv = _LassoCv.early(zbar_tr, train.p, children)
+        order = cfg.methods
+        if lasso_cv is not None:
+            order = [m for m in cfg.methods if m != "lasso"] + ["lasso"]
+        for method in order:
+            try:
+                if method == "dpls_iv":
+                    fit = dpls_iv_fit(train, cfg.dpls, mode=cfg.mode, censored=cfg.censored)
+                else:
+                    if method == "lasso" and lasso_cv is not None:
+                        first = fit_lasso(zbar_tr, train.p, lasso_cv)
+                    else:
+                        first = fit_first_stage(
+                            method, zbar_tr, train.p, cfg.dpls.first_layer_q, rng
+                        )
+                    fit = _outcome_stage(first, train, mode=cfg.mode, censored=cfg.censored)
+                p_hat_te = fit.predict_treatment(test.z, test.x)
+                y_hat_te = fit.predict_outcome(test.z, test.x)
+                add = rows[method].append
+                add((method, rep, "treatment_r2", r_squared(test.p, p_hat_te)))
+                add((method, rep, "treatment_rmse", rmse(test.p, p_hat_te)))
+                add((method, rep, "outcome_r2", r_squared(test.y, y_hat_te)))
+                add((method, rep, "outcome_rmse", rmse(test.y, y_hat_te)))
+                abs_bias = np.abs(fit.first_stage.coef - truth_coefs)
+                add((method, rep, "coef_abs_bias_sum", float(abs_bias.sum())))
+                bias[method] = np.sort(abs_bias)
+            except (DataError, NumericalError) as exc:
+                failures[method] = f"{type(exc).__name__}: {exc}"
+    return (
+        seed,
+        [row for method in cfg.methods for row in rows[method]],
+        [(rep, method, failures[method]) for method in cfg.methods if method in failures],
+        {method: bias[method] for method in cfg.methods if method in bias},
+    )
 
 
 def _aggregate(rows):
@@ -197,11 +239,12 @@ def run_benchmark(cfg: ExperimentConfig) -> MetricsReport:
     """Run all replications; aggregation is keyed by replication index, so
     the report is identical whether replications ran serially or in a pool."""
     reps, results = range(cfg.replications), None
-    if cfg.jobs > 1:
+    # fork starts every worker up front, so no more than there are tasks;
+    # and one worker would run them as this process does, a fork later
+    workers = min(cfg.jobs, cfg.replications)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor, process
 
-        # fork starts every worker up front, so no more than there are tasks
-        workers = min(cfg.jobs, cfg.replications)
         try:
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=_share_cpus, initargs=(workers,)

@@ -22,15 +22,20 @@ path at the chosen lam starts the fit) hold the interpreter lock, so once
 each part holds _LASSO_PART_CELLS of work they run in parts, one per usable
 CPU (data.part_bounds): forked children (data._Children.parts) run every
 part but the first and send back each path's cells, while this process
-runs part 0. A part whose child failed, warned or raised is run here, so
-a fit's bits, warnings and errors do not depend on the number of parts.
-Ridge's SVD folds and everything traced (fit_lasso's own call,
-soft_threshold in the CD sweep) stay in this process: at n = 500, forked
-ridge folds were slower (5.1 against 6.8-8.3 ms).
+runs part 0. The CV is split into a start that forks (_LassoCv) and a
+result that collects, so a caller with other work may start it early,
+every path in a child (_LassoCv.early), and hand it to fit_lasso later, as
+a benchmark replication does before its network fit. A part whose child
+failed, warned or raised is run here, so a fit's bits, warnings and errors
+do not depend on the number of parts or on when they started. Ridge's SVD
+folds and everything traced (fit_lasso's own call, soft_threshold in the
+CD sweep) stay in this process: at n = 500, forked ridge folds were slower
+(5.1 against 6.8-8.3 ms).
 """
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +66,8 @@ _CV_GRID = 50
 # each over all d correlations. With one BLAS thread, two parts of the six
 # paths broke even at d = 20 and saved 1.2 ms at d = 25 and 14 ms at
 # 500 x 75 (38 -> 24 ms); tall narrow designs do not pay (1000 x 10:
-# 3.1 -> 3.8 ms).
+# 3.1 -> 3.8 ms). An early start (_LassoCv.early) forks on the same rule,
+# with this process's part 0 emptied into the children.
 _LASSO_PART_CELLS = 2**11
 
 
@@ -170,13 +176,16 @@ def fit_lasso(design, target, lam) -> LinearFit:
     objective decrease over a full sweep drops below _LASSO_TOL; needing
     more than _LASSO_MAX_SWEEPS sweeps raises ConvergenceError. lam = "auto"
     picks lam by CV_FOLDS-fold cross-validation over a _CV_GRID-point
-    logarithmic grid (_lasso_cv).
+    logarithmic grid (_LassoCv); lam may also be that CV of this design
+    and target, started earlier (_LassoCv.early), which gives the same fit.
     """
     design, target = check_design(design, target)
-    lam, start = _penalty(lam), None
-    moments = _lasso_moments(design, target)
-    if lam is None:
-        lam, start = _lasso_cv(design, target, moments)
+    moments, start = _lasso_moments(design, target), None
+    if isinstance(lam, _LassoCv):
+        lam, start = lam.result()
+    elif (lam := _penalty(lam)) is None:
+        with _Children() as children:
+            lam, start = _LassoCv(design, target, children, moments).result()
     if start is None:
         start = _lasso_path(design, target, [lam], moments)[:, 0]
     coef = _lasso_cd(design, target, lam, start, moments)
@@ -324,49 +333,85 @@ def _cv_best(fold_errors) -> int:
     return int(np.argmin(np.sum(fold_errors, axis=0)))
 
 
-def _lasso_cv(design, target, moments):
-    """The CV choice of lam, and the exact lasso solution at it if a
-    forked child computed it, else None.
+class _LassoCv:
+    """The lambda CV of fit_lasso(design, target, "auto"), started: its six
+    jobs, each one homotopy path over the grid (the CV_FOLDS folds, each
+    giving its fold's errors, then the full-data path), forked in parts
+    (data._Children.parts) under the caller's children when it is made,
+    and collected by result().
 
-    Six jobs, each one homotopy path over the grid: the CV_FOLDS folds,
-    each giving its fold's errors, then the full-data path. They run in
-    forked parts (data._Children.parts), one per usable CPU, once each part
-    holds at least _LASSO_PART_CELLS of work (data.part_bounds). The
-    full-data path comes last, so a child runs it; with one part it is not
-    run here, where a failed part's folds run in fold order. Column best
-    of it has the bits of a path that stops at lam, because the kinks do
-    not depend on the grid. Without a child's full-data path fit_lasso runs
-    the path only as far as lam; so this process runs nothing the one-part
-    fit would not.
+    By default the parts are one per usable CPU once each part holds at
+    least _LASSO_PART_CELLS of work (data.part_bounds), and result() runs
+    part 0 here. The full-data path comes last, so a child runs it; with
+    one part it is not run here, where a failed part's folds run in fold
+    order. Column best of it has the bits of a path that stops at lam,
+    because the kinks do not depend on the grid. Without a child's
+    full-data path fit_lasso runs the path only as far as lam; so this
+    process runs nothing the one-part fit would not. Other bounds (early)
+    cut the same six jobs elsewhere.
     """
-    grid = _cv_grid(design, target)
-    if grid is None:
-        return 0.0, None
-    jobs = [
-        functools.partial(_fold_errors, design, target, grid, fold, "lasso")
-        for fold in range(CV_FOLDS)
-    ]
-    jobs.append(functools.partial(_lasso_path, design, target, grid, moments))
-    shapes = [(len(grid),)] * CV_FOLDS + [(design.shape[1], len(grid))]
-    work = len(jobs) * design.shape[1] * min(design.shape)
-    bounds = part_bounds(len(jobs), work, _LASSO_PART_CELLS)
-    if len(bounds) == 2:
-        bounds = [0, CV_FOLDS]
-    results = []
-    with _Children() as children:
-        for start, stop, spill in children.parts(bounds, functools.partial(_spill_results, jobs)):
-            for job, out in zip(jobs[start:stop], map(np.empty, shapes[start:stop])):
+
+    def __init__(self, design, target, children, moments=None, bounds=None):
+        self.grid = _cv_grid(design, target)
+        if self.grid is None:
+            return
+        self._jobs = [
+            functools.partial(_fold_errors, design, target, self.grid, fold, "lasso")
+            for fold in range(CV_FOLDS)
+        ]
+        self._jobs.append(functools.partial(_lasso_path, design, target, self.grid, moments))
+        self._shapes = [(len(self.grid),)] * CV_FOLDS + [(design.shape[1], len(self.grid))]
+        if bounds is None:
+            bounds = _lasso_cv_bounds(design)
+            if len(bounds) == 2:
+                bounds = [0, CV_FOLDS]
+        parts = children.parts(bounds, functools.partial(_spill_results, self._jobs))
+        self._parts = itertools.chain([next(parts)], parts)  # every child forked
+
+    @classmethod
+    def early(cls, design, target, children):
+        """The CV started for fit_lasso(design, target, cv) to collect, its
+        six jobs cut over one child fewer than the parts fit_lasso would
+        make, so this process keeps its CPU, and no job, for the caller's
+        other work; None, having forked nothing, where fewer than two parts
+        are due or the CV would raise, which fit_lasso(design, target,
+        "auto") then does."""
+        try:
+            design, target = check_design(design, target)
+            parts = len(_lasso_cv_bounds(design)) - 1
+            if parts < 2:
+                return None
+            jobs = CV_FOLDS + 1
+            bounds = [0] + [jobs * i // (parts - 1) for i in range(parts)]
+            return cls(design, target, children, bounds=bounds)
+        except DataError:
+            return None
+
+    def result(self):
+        """The CV choice of lam, and the exact lasso solution at it if a
+        forked child computed it, else None."""
+        if self.grid is None:
+            return 0.0, None
+        results = []
+        for start, stop, spill in self._parts:
+            for job, out in zip(self._jobs[start:stop], map(np.empty, self._shapes[start:stop])):
                 if spill is not None and _receive_cells(spill, out):
                     results.append(out)
                 else:  # a fold runs here, the full-data path does not
                     results.append(job() if len(results) < CV_FOLDS else None)
-    path = results[CV_FOLDS] if len(results) > CV_FOLDS else None
-    best = _cv_best(results[:CV_FOLDS])
-    return float(grid[best]), None if path is None else path[:, best]
+        path = results[CV_FOLDS] if len(results) > CV_FOLDS else None
+        best = _cv_best(results[:CV_FOLDS])
+        return float(self.grid[best]), None if path is None else path[:, best]
+
+
+def _lasso_cv_bounds(design) -> list[int]:
+    """data.part_bounds of the lasso CV's six paths on this design."""
+    jobs = CV_FOLDS + 1
+    return part_bounds(jobs, jobs * design.shape[1] * min(design.shape), _LASSO_PART_CELLS)
 
 
 def _spill_results(jobs, start, stop, spill) -> None:
-    """Child side of _lasso_cv: run jobs[start:stop] and send each result's
+    """Child side of _LassoCv: run jobs[start:stop] and send each result's
     cells to the spill file."""
     for job in jobs[start:stop]:
         _send_cells(spill, job())

@@ -121,6 +121,13 @@ def test_process_pool_starts_no_more_workers_than_replications(monkeypatch):
     run_benchmark(_small_cfg(replications=3, jobs=2))
     assert sizes == [2, 2]
     assert pooled.rows == serial.rows
+    # one worker would run the one replication as this process does: no pool
+    alone = run_benchmark(_small_cfg(replications=1, jobs=4))
+    assert sizes == [2, 2]
+    one = run_benchmark(_small_cfg(replications=1))
+    assert (alone.rows, alone.failures, alone.seed_ledger) == (one.rows, one.failures,
+                                                              one.seed_ledger)
+    assert alone.aggregates == one.aggregates
 
 
 _TEST_PID = os.getpid()

@@ -1,7 +1,9 @@
 """Work split across CPUs gives the one-part bytes, tables and fits.
 
 CSV writes and reads and the lasso's CV paths run in forked parts, and the
-posterior band in threads, once the input passes private size thresholds.
+posterior band in threads, once the input passes private size thresholds;
+a benchmark replication that fits the network starts its lasso CV paths
+in forked children before its first fit.
 These tests lower the thresholds and fake the number of usable CPUs, so
 small inputs take the parallel path, and compare every result with the
 one-part run of the same code, or with a serial reference.
@@ -18,8 +20,9 @@ import numpy as np
 import pytest
 
 from dpls_iv import (
-    Dataset, PosteriorDraws, SeededRng, augment_instruments, data, dataio, experiment1_spec,
-    experiment2_spec, fit_lasso, gen_experiment1, gen_experiment2, ivreg, linear,
+    KNOWN_METHODS, Dataset, DplsConfig, ExperimentConfig, PosteriorDraws, SeededRng, SgdParams,
+    augment_instruments, bench, data, dataio, experiment1_spec, experiment2_spec, fit_lasso,
+    gen_experiment1, gen_experiment2, ivreg, linear, run_benchmark,
 )
 from dpls_iv.data import part_bounds
 from dpls_iv.errors import DataError
@@ -658,4 +661,148 @@ def test_lasso_cv_warnings_surface_once_in_the_caller(monkeypatch, lasso_parts, 
     _use_cpus(monkeypatch, cpus)
     assert fit_and_warnings() == expected
     assert len(lasso_parts) == cpus - 1
+    _assert_no_child_left()
+
+
+# ------------------------------------------ a replication's early lasso CV
+
+
+def _study(dgp, methods=KNOWN_METHODS, replications=2):
+    """A small study of the given design whose lasso CV forks once the
+    lasso_parts fixture lowers the threshold."""
+    build = {"experiment1": experiment1_spec, "experiment2": experiment2_spec}[dgp]
+    return ExperimentConfig(
+        dgp=dgp, spec=build(n=120, m=12, m_redundant=3, k=8, k_null=4), methods=methods,
+        dpls=DplsConfig(layer_widths=(4,), sgd=SgdParams(epochs=3)), replications=replications,
+    )
+
+
+def _report_bits(report):
+    """Every part of a MetricsReport, floats by repr, so equal means bit-equal."""
+    samples = {m: s.tobytes() for m, s in report.bias_samples.items()}
+    return repr((report.rows, report.failures, report.aggregates, report.seed_ledger)), samples
+
+
+@pytest.mark.parametrize("methods", [
+    ("lasso", "ols", "dpls_iv"), ("ridge", "lasso", "dpls_iv", "pls"), ("dpls_iv", "ols", "lasso"),
+    ("lasso", "ridge"), ("pls", "lasso"),
+], ids="-".join)
+@pytest.mark.parametrize("dgp", ["experiment1", "experiment2"])
+def test_study_report_does_not_depend_on_where_the_lasso_paths_ran(
+        monkeypatch, lasso_parts, dgp, methods):
+    cfg = _study(dgp, methods)
+    reports = []
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        reports.append(_report_bits(run_benchmark(cfg)))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    # per replication, one child on two CPUs and two on three, started
+    # early with the network or at lasso's turn without it
+    assert len(lasso_parts) == cfg.replications * (1 + 2)
+    _assert_no_child_left()
+
+
+def _forks_at_each_fit(monkeypatch, forks):
+    """A list of the number of children forked so far at each call of
+    bench.fit_first_stage, bench.fit_lasso and bench.dpls_iv_fit."""
+    counts = []
+    for name in ("fit_first_stage", "fit_lasso", "dpls_iv_fit"):
+        original = getattr(bench, name)
+
+        def recording(*args, _original=original, **kwargs):
+            counts.append(len(forks))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(bench, name, recording)
+    return counts
+
+
+def test_study_forks_the_lasso_paths_before_its_first_fit(monkeypatch, lasso_parts):
+    _use_cpus(monkeypatch, 2)
+    at_fits = _forks_at_each_fit(monkeypatch, lasso_parts)
+    folds = _calls_here(monkeypatch, linear, "_fold_errors", 4)  # each fold's method
+    fds = _open_fds()
+    run_benchmark(_study("experiment1", replications=1))
+    assert len(at_fits) == len(KNOWN_METHODS) and set(at_fits) == {1}
+    assert len(lasso_parts) == 1
+    assert folds == ["ridge"] * 5  # the child ran every lasso fold
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+def test_study_without_the_network_forks_at_lassos_turn(monkeypatch, lasso_parts):
+    _use_cpus(monkeypatch, 2)
+    at_fits = _forks_at_each_fit(monkeypatch, lasso_parts)
+    folds = _calls_here(monkeypatch, linear, "_fold_errors", 4)  # each fold's method
+    run_benchmark(_study("experiment1", ("ols", "ridge", "lasso"), replications=1))
+    assert len(at_fits) == 4 and set(at_fits) == {0} and len(lasso_parts) == 1
+    assert folds == ["ridge"] * 5 + ["lasso"] * 3  # fit_lasso's own split: part 0 here
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["killed", "raised", "fork", "spill"])
+def test_study_runs_a_failed_early_childs_paths_itself(monkeypatch, lasso_parts, failure):
+    cfg = _study("experiment1")
+    _use_cpus(monkeypatch, 1)
+    expected = _report_bits(run_benchmark(cfg))
+    _use_cpus(monkeypatch, 2)
+    if failure == "killed":
+        monkeypatch.setattr(linear, "_spill_results",
+                            lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+    elif failure == "raised":
+        monkeypatch.setattr(linear, "_spill_results", _refuse)
+    elif failure == "fork":
+        monkeypatch.setattr(os, "fork", _refuse)
+    else:
+        monkeypatch.setattr(tempfile, "TemporaryFile", _refuse)
+    fds = _open_fds()
+    assert _report_bits(run_benchmark(cfg)) == expected
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+def test_study_method_error_leaves_no_early_child(monkeypatch, lasso_parts):
+    _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(bench, "dpls_iv_fit", _refuse)
+    fds = _open_fds()
+    with pytest.raises(BlockingIOError):
+        run_benchmark(_study("experiment1", replications=1))
+    assert len(lasso_parts) == 1
+    assert _open_fds() == fds  # no spill file left open
+    _assert_no_child_left()
+
+
+def test_study_lasso_path_warning_surfaces_once_with_the_one_cpu_text(monkeypatch, lasso_parts):
+    cfg = _study("experiment1", replications=1)
+    monkeypatch.setattr(linear, "_lasso_path", _warning_paths("warning"))
+
+    def report_and_path_warnings():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_benchmark(cfg)
+        paths = [str(w.message) for w in caught if str(w.message).startswith("path over")]
+        return _report_bits(report), paths
+
+    _use_cpus(monkeypatch, 1)
+    expected = report_and_path_warnings()
+    assert len(expected[1]) == 6  # five folds, then the full-data path to lam
+    _use_cpus(monkeypatch, 2)
+    assert report_and_path_warnings() == expected
+    assert len(lasso_parts) == 1
+    _assert_no_child_left()
+
+
+def test_study_too_small_for_the_lasso_cv_fails_at_lassos_turn(monkeypatch, lasso_parts):
+    cfg = ExperimentConfig(
+        spec=experiment1_spec(n=16, m=2, m_redundant=0, k=1, k_null=0), replications=2,
+        dpls=DplsConfig(sgd=SgdParams(epochs=3)),
+    )
+    _use_cpus(monkeypatch, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the outcome stage clamps on 8 training rows
+        report = run_benchmark(cfg)
+    message = "DataError: need at least 10 rows for 5-fold CV"
+    assert report.failures == tuple(
+        (rep, method, message) for rep in (0, 1) for method in ("ridge", "lasso"))
+    assert lasso_parts == []  # the early start raised nothing and forked nothing
     _assert_no_child_left()
