@@ -10,33 +10,38 @@ ReLU is the only activation. With q = "auto", q is chosen by
 pls.select_q_cv's fixed 5-fold CV (data.CV_FOLDS) over q <= pls.AUTO_Q_CAP.
 
 SGD works on one flat parameter vector theta, of which every trainable
-(weight, bias) is a view, and a flat gradient vector with the same layout:
-a step is one network_loss_and_grads call that writes the gradient and one
-theta -= lr * grad. Each epoch stages its shuffled rows once, with np.take
-into buffers allocated once per fit, and the list of its batches, each a
-pair of contiguous slices of those buffers and the _LossWork for that many
-rows, is built once per fit too. _forward is the one layer loop behind
-layer initialization, predict, the training loss and the gradients, over
-(weight, bias, out, floor) tuples. It writes each activation over its
-pre-activation, and the backward pass reads the activation mask off the
-activation, which is positive exactly where the pre-activation is.
+(weight, bias) is a view, and a flat gradient vector with the same layout: a
+step is one network_loss_and_grads call that writes the gradient and one
+theta -= lr * grad. Each epoch stages its shuffled rows once, with
+ndarray.take into buffers allocated once per fit, and the list of its
+batches, each a pair of contiguous slices of those buffers and the _LossWork
+for that many rows, is built once per fit too. _forward is the one layer
+loop behind layer initialization, predict, the training loss and the
+gradients, over (weight, bias, out, floor) tuples. It writes each activation
+over its pre-activation, and the backward pass reads the activation mask off
+the activation, which is positive exactly where the pre-activation is.
 
 A step works on 32 x 30 arrays, so numpy's per-call overhead, not
-arithmetic, sets its cost. Its products are np.dot, which costs less per
-call than np.matmul and gives the same bits. A _LossWork binds every
-operand of a step once per fit, as per-layer tuples (weights and their
-transposes, bias, activation, zero floor, mask and gradient buffers,
-gradient views into grad), so a step walks them and rebuilds no view,
-list or slice; the masks are float64, computed for all layers in one call.
-A step's ReLU takes the larger of each activation and the zeros bound
-with it (numpy's two-array loop; predict and the initialization pass the
-scalar 0.0), and its two scalars, 2 / rows and the learning rate, are
-bound as 0-d float64 arrays: both cost less per call than the scalar
-forms and give the same bits. A step takes no batch loss: sgd_refine
-does not read it, so its bound calls get None for it. Each operand keeps
-its layout, because a product's bits can depend on it, and the bias is
-added after each product, never folded into it, which would change the
-summation order.
+arithmetic, sets its cost, and a step calls numpy's C routines directly. Its
+products are ndarray.dot: np.dot's routine without np.dot's
+__array_function__ dispatch, and cheaper per call than np.matmul, to the
+same bits. The ReLU and the mask are each one ufunc call, made in place with
+out= as a keyword (numpy 2.4 deprecates a third positional argument to
+np.maximum). A _LossWork binds every operand of a step once per fit, as
+per-layer tuples (weights and their transposes, bias, activation, zero
+floor, mask and gradient buffers, gradient views into grad), so a step walks
+them and rebuilds no view, list or slice; the masks are float64, computed
+for all layers in one call against the bound zeros. A step's ReLU takes the
+larger of each activation and the zeros bound with it (numpy's two-array
+loop; predict and the initialization pass the scalar 0.0), the width-1
+output layer's bias is bound as a 0-d view, which numpy adds as a scalar
+rather than by a broadcast, and the two scalars, 2 / rows and the learning
+rate, are bound as 0-d float64 arrays: each costs less per call than the
+other form and gives the same bits. A step takes no batch loss: sgd_refine
+does not read it, so its bound calls get None for it. Each operand keeps its
+layout, because a product's bits can depend on it, and the bias is added
+after each product, never folded into it, which would change the summation
+order.
 
 Each epoch's full-data loss (_train_loss) is taken at a copy of theta at
 the epoch's end. When the process may use two CPUs (data._usable_cpus: a
@@ -82,27 +87,6 @@ __all__ = [
 # and reaping cost 4 ms, and 20 epochs at 4,300 rows still came out ahead
 # in 17 of 20 (72.7 -> 67.4 ms).
 _LOSS_HELPER_CELLS = 2**17
-
-
-def _activate(t, floor):
-    """Apply the ReLU to the float array t in place and return t.
-
-    floor is 0.0, or a zeros array laid out like t. Against such an array
-    numpy takes its two-array loop, not the slower scalar one, and the bits
-    are the same: NaN, signed zeros, infinities and subnormals included.
-    """
-    return np.maximum(t, floor, out=t)
-
-
-def _activation_grad(act, out=None):
-    """Derivative wrt the pre-activation, read off the activation act.
-
-    An activation is > 0 exactly where its pre-activation is, and NaN
-    compares false. The subgradient at 0 is 0. The mask is bool, or 1.0
-    and 0.0 in a float64 out, which multiplies on numpy's faster float loop;
-    either multiplies to the same bits.
-    """
-    return np.greater(act, 0.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -159,13 +143,13 @@ def _forward(layers, h):
 
     layers holds one (weight, bias, out, floor) tuple per trainable layer.
     Each pre-activation is computed into out (a fresh array when out is
-    None), which then holds the layer's activation (_activate, in place,
-    against floor: 0.0, or the zeros bound with out).
+    None), which then holds the layer's activation: the ReLU, in place,
+    against floor (0.0, or the zeros bound with out).
     """
     for w, b, out, floor in layers:
-        h = np.dot(h, w, out=out)
+        h = h.dot(w, out=out)
         h += b
-        _activate(h, floor)
+        np.maximum(h, floor, out=h)
     return h
 
 
@@ -240,16 +224,20 @@ class _LossWork:
     gradient wrt the activation (dhs), then the residual vector and 2 / rows
     as a 0-d float64 array (scale), which numpy multiplies by faster than a
     Python float, to the same bits. The activations are views into one flat
-    array, and the floors and masks into two more laid out alike, so one
-    call computes every layer's mask; each mask is then overwritten with
-    the gradient wrt its pre-activation. The gradients go into out, or into
-    arrays of the work's own when out is None (grads).
+    array, and the floors (views into zeros) and masks into two more laid
+    out alike, so one call computes every layer's mask against zeros; each
+    mask is then overwritten with the gradient wrt its pre-activation. The
+    gradients go into out, or into arrays of the work's own when out is None
+    (grads).
 
-    Each layer's operands are bound once, as tuples: forward holds _forward's
-    (weight, bias, activation, floor) tuples, and backward, from the last
+    Each layer's operands are bound once, as tuples: forward holds
+    _forward's (weight, bias, activation, floor) tuples, the output layer's
+    bias a 0-d view of its (1,) bias, so an edit to that bias is seen by the
+    next call and the add is a scalar one. backward holds, from the last
     layer to the first, (dh, mask, dW, db, input activation transposed,
     weight transposed, dh of the layer below). The first layer's input is
-    the batch, which is not bound, and it has no layer below: those are None.
+    the batch, which is not bound, and it has no layer below: those are
+    None.
     """
 
     def __init__(self, hidden, rows, out=None):
@@ -260,17 +248,19 @@ class _LossWork:
             (np.empty(w.shape), np.empty(w.shape[1])) for w, _ in hidden
         ]
         self.act_flat = np.empty(rows * sum(widths))
-        self.mask_flat = np.empty_like(self.act_flat)
+        self.mask_flat, self.zeros = np.empty_like(self.act_flat), np.zeros_like(self.act_flat)
         self.acts = _views(self.act_flat, shapes)
-        floors = _views(np.zeros_like(self.act_flat), shapes)
+        floors = _views(self.zeros, shapes)
         masks = _views(self.mask_flat, shapes)
         self.dhs = [np.empty(shape) for shape in shapes]
         self.resid = np.empty(rows)
         self.scale = np.array(2.0 / rows)
         # 1-d views of the (rows, 1) network output and its gradient
         self.out_flat, self.dh_out = self.acts[-1].reshape(-1), self.dhs[-1].reshape(-1)
+        biases = [b for _, b in hidden[:-1]] + [np.reshape(hidden[-1][1], ())]
         self.forward = [
-            (w, b, act, floor) for (w, b), act, floor in zip(hidden, self.acts, floors)
+            (w, b, act, floor)
+            for (w, _), b, act, floor in zip(hidden, biases, self.acts, floors)
         ]
         below = [(None, None, None)] + [
             (act.T, w.T, dh) for act, (w, _), dh in zip(self.acts, hidden[1:], self.dhs)
@@ -307,15 +297,17 @@ def network_loss_and_grads(hidden, feats, target, out=None, work=None):
     _forward(work.forward, feats)
     resid = work.resid
     np.subtract(work.out_flat, target, out=resid)
-    loss = None if bound and out is not None else float(np.dot(resid, resid)) / work.rows
+    loss = None if bound and out is not None else float(resid.dot(resid)) / work.rows
     np.multiply(resid, work.scale, out=work.dh_out)
-    _activation_grad(work.act_flat, out=work.mask_flat)
+    # an activation is > 0 exactly where its pre-activation is (NaN compares
+    # false, and the subgradient at 0 is 0): the mask is 1.0 or 0.0
+    np.greater(work.act_flat, work.zeros, out=work.mask_flat)
     for dh, dpre, dw, db, act_t, w_t, dh_below in work.backward:
         np.multiply(dh, dpre, out=dpre)
-        np.dot(feats.T if act_t is None else act_t, dpre, out=dw)
+        (feats.T if act_t is None else act_t).dot(dpre, out=dw)
         np.add.reduce(dpre, axis=0, out=db)
         if w_t is not None:
-            np.dot(dpre, w_t, out=dh_below)
+            dpre.dot(w_t, out=dh_below)
     return loss, work.grads
 
 
@@ -518,6 +510,8 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
 
     def run_steps():
         for feats_batch, p_batch, batch_work in batches:
+            # through the module global, with out and work as keywords:
+            # step counters and test stubs replace that global
             network_loss_and_grads(hidden, feats_batch, p_batch, out=grads, work=batch_work)
             np.subtract(theta, np.multiply(grad, lr, out=step), out=theta)
 
@@ -533,8 +527,8 @@ def sgd_refine(model: DplsModel, zbar, p, params: SgdParams) -> DplsModel:
                 order = rng.permutation(n)
                 # order is a permutation, so clip never acts; it spares take
                 # the temporary copy that mode="raise" makes of out
-                np.take(feats, order, axis=0, out=feats_epoch, mode="clip")
-                np.take(p, order, out=p_epoch, mode="clip")
+                feats.take(order, axis=0, out=feats_epoch, mode="clip")
+                p.take(order, out=p_epoch, mode="clip")
                 if flight is not None:
                     try:
                         with np.errstate(**raised):

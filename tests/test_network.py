@@ -17,7 +17,7 @@ from dpls_iv import (
 )
 from dpls_iv.data import augment_instruments
 from dpls_iv import network
-from dpls_iv.network import _activate, sgd_refine
+from dpls_iv.network import sgd_refine
 from dpls_iv.synthetic import experiment1_spec, gen_experiment1
 
 
@@ -514,6 +514,14 @@ def test_one_work_serves_every_batch_view():
         assert got[0] is None and got[1] is out
         for ref in (want, _ref_network_loss_and_grads(layers, *batch)):
             _assert_same_loss_and_grads((ref[0], got[1]), ref)
+    # the work adds the output layer's bias as a 0-d view of it, so an edit
+    # in place, as a step makes to theta, reaches the next bound call
+    before = out[-1][1].copy()
+    layers[-1][1][0] += 0.75
+    want = network_loss_and_grads(layers, *batch)
+    got = network_loss_and_grads(layers, *batch, out=out, work=work)
+    _assert_same_loss_and_grads((want[0], got[1]), want)
+    assert _bits(out[-1][1]) != _bits(before)
 
 
 @pytest.mark.parametrize("feats_shape,target_shape,message", [
@@ -554,26 +562,29 @@ def test_predict_matches_reference_forward(order):
 
 
 def test_activation_mask_from_activations_matches_pre_activations():
-    from dpls_iv.network import _activation_grad
-
+    # the exact calls the code makes: the ReLU is np.maximum in place,
+    # against 0.0 (predict, the initialization) or a zeros floor laid out
+    # like the activations (a bound work, the per-epoch loss); the mask is
+    # np.greater of the activations against the work's bound zeros, into a
+    # float64 mask. Each must keep the reference bits on every special value
     tiny = np.nextafter(0.0, -1.0)  # the negative subnormal nearest zero
     pre = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, tiny,
                     2.2250738585072014e-308, -2.2250738585072014e-308, -1e-310,
                     1.0, -1.0, 1e300, -1e300])
-    act = _activate(pre.copy(), 0.0)
-    assert _bits(act) == _bits(_ref_activation_apply(pre))
-    # against a zeros floor laid out like the activations, as a bound work
-    # and the per-epoch loss take it, bit for bit against np.maximum(pre, 0.0)
+    ref_act, ref_mask = _ref_activation_apply(pre), _ref_activation_grad(pre)
+    act = pre.copy()
+    np.maximum(act, 0.0, out=act)
+    assert _bits(act) == _bits(ref_act)
     for shape in ((15,), (3, 5), (5, 3)):
-        floored = _activate(pre.reshape(shape).copy(), np.zeros(shape))
-        assert _bits(floored.ravel()) == _bits(np.maximum(pre, 0.0))
-    ref = _ref_activation_grad(pre)
-    got = _activation_grad(act)
-    assert _bits(np.asarray(got, dtype=np.float64)) == _bits(ref)
+        act, zeros, mask = pre.reshape(shape).copy(), np.zeros(shape), np.empty(shape)
+        np.maximum(act, zeros, out=act)
+        assert _bits(act.ravel()) == _bits(ref_act)
+        np.greater(act, zeros, out=mask)
+        assert _bits(mask.ravel()) == _bits(ref_mask)
     # as a factor on signed and infinite upstream gradients too
     dh = np.array([-2.0, 3.0, -0.0, np.inf, -np.inf] * 3)
     with np.errstate(invalid="ignore"):  # inf * 0
-        assert _bits(dh * got) == _bits(dh * ref)
+        assert _bits(dh * mask.ravel()) == _bits(dh * ref_mask)
 
 
 @pytest.mark.parametrize("n,batch_size,epochs", [(50, 16, 3), (50, 64, 2), (7, 1, 2), (9, 3, 0)])
@@ -628,6 +639,23 @@ def test_bound_steps_allocate_no_array(monkeypatch):
             tracemalloc.stop()
     assert len(peaks) == 100
     assert max(peaks) < rows * 30 * 8
+
+
+def test_sgd_steps_call_neither_np_dot_nor_np_take(monkeypatch):
+    # the steps and the epoch staging call ndarray.dot and ndarray.take,
+    # numpy's C routines, without the __array_function__ dispatch that
+    # np.dot and np.take add to every call
+    model, zbar, p = _initialized_model((4, 3))
+    params = SgdParams(learning_rate=0.02, batch_size=16, epochs=3, seed=3)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a dispatched numpy call in sgd_refine")
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "dot", refused)
+        m.setattr(np, "take", refused)
+        got = _in_process(m, lambda: sgd_refine(model, zbar, p, params))
+    _assert_same_refinement(got, _ref_sgd_refine(model, zbar, p, params), zbar)
 
 
 def test_sgd_refine_without_epochs_builds_no_step_work(monkeypatch):
