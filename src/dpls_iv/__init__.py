@@ -9,10 +9,10 @@ second stage, an asymptotic-normal posterior sampler, two synthetic data
 designs, and a replicated benchmark harness round out the library; the
 `dpls-iv` command line exposes simulate / fit / benchmark / predict.
 """
-# scipy, the process and thread pools and signal are imported inside the
+# scipy, the band's thread pool and signal are imported inside the
 # functions that call them, never at module level: scipy about triples the
 # package's import time and doubles its resident size, `predict` never calls
-# it, and most runs never start a pool or kill a child.
+# it, and most runs never start a thread pool or kill a child.
 from .bench import (
     KNOWN_METHODS,
     ExperimentConfig,

@@ -19,26 +19,25 @@ early fork took all five methods from 97-99 to 109-124 ms (medians of 20
 experiment1 seeds, four runs each, one BLAS thread, a two-CPU VM). So
 neither forks early.
 
-A process pool starts when more than one worker would, min(jobs,
-replications) of them, and each worker uses its share of the usable CPUs,
-usable CPUs // workers and at least 1 (data._share_cpus), for the parts
-and helpers it forks: the lasso CV paths and the SGD loss helper. Without
-that share, two workers on two CPUs each forked lasso parts, and eight
-experiment1 replications with jobs = 2 took 0.61-0.64 s against
-0.52-0.62 s with it (medians of five, one BLAS thread). One worker would
-run the replications as this process does, a fork and a pickle later, so
-they run here: one experiment1 replication in a one-worker pool took
-91.7-97.6 ms against 79.9-93.1 ms in this process (medians of 20 seeds,
-four runs each).
+With jobs > 1, min(jobs, replications) forked children run contiguous
+ranges of replications (data._Children.parts; this process keeps none),
+pickling the results into their spills, each on usable CPUs // children
+(at least 1; data._share_cpus) for its lasso parts and loss helper: with
+all CPUs each, eight experiment1 replications at jobs = 2 took 0.61-0.64
+s against 0.52-0.62 s. A range whose child was refused, died, warned or
+raised runs here, so it surfaces as serially; neither default design
+warns, but the tests' 16-row one warns in every replication, and ten took
+0.73 s at jobs = 2 against 0.49 s at 1. One worker forks nothing.
 """
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import (
-    SeededRng, _Children, _share_cpus, augment_instruments, check_int, split_dataset,
+    SeededRng, _child_bounds, _Children, _share_cpus, augment_instruments, check_int, split_dataset
 )
 from .errors import DataError, DegenerateDataError, NumericalError
 from .ivreg import _check_mode, dpls_iv_fit
@@ -46,7 +45,7 @@ from .ivreg import iv_fit as _outcome_stage
 from .linear import _LassoCv, fit_lasso, fit_ols, fit_ridge
 from .network import DplsConfig
 from .pls import AUTO_Q_CAP, fit_pls_closed_form, select_q_cv
-from .synthetic import SyntheticSpec, gen_experiment1, gen_experiment2
+from .synthetic import SyntheticSpec, experiment1_spec, gen_experiment1, gen_experiment2
 
 __all__ = [
     "ExperimentConfig",
@@ -66,7 +65,7 @@ class ExperimentConfig:
     """Benchmark settings; spec carries the DGP, dpls the network knobs."""
 
     dgp: str = "experiment1"
-    spec: SyntheticSpec = field(default_factory=SyntheticSpec)
+    spec: SyntheticSpec = field(default_factory=experiment1_spec)
     methods: tuple[str, ...] = KNOWN_METHODS
     dpls: DplsConfig = field(default_factory=DplsConfig)
     mode: str = "rescale_gmm"
@@ -237,23 +236,19 @@ def _aggregate(rows):
 
 def run_benchmark(cfg: ExperimentConfig) -> MetricsReport:
     """Run all replications; aggregation is keyed by replication index, so
-    the report is identical whether replications ran serially or in a pool."""
-    reps, results = range(cfg.replications), None
-    # fork starts every worker up front, so no more than there are tasks;
-    # and one worker would run them as this process does, a fork later
+    the report is identical whether they ran here or in forked parts."""
+    reps, results = range(cfg.replications), []
     workers = min(cfg.jobs, cfg.replications)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor, process
 
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_share_cpus, initargs=(workers,)
-            ) as pool:
-                results = list(pool.map(_run_replication, [cfg] * cfg.replications, reps))
-        except process.BrokenProcessPool:
-            pass  # a worker died (killed, say, for memory): run them here
-    if results is None:
-        results = [_run_replication(cfg, r) for r in reps]
+    def child_part(start, stop, spill):  # on this child's share of the CPUs
+        _share_cpus(workers)
+        pickle.dump([_run_replication(cfg, rep) for rep in range(start, stop)], spill)
+
+    bounds = _child_bounds(cfg.replications, workers) if workers > 1 else [0, cfg.replications]
+    with _Children() as children:
+        for start, stop, spill in children.parts(bounds, child_part):
+            results += (pickle.load(spill) if spill is not None
+                        else [_run_replication(cfg, rep) for rep in range(start, stop)])
     rows, failures, ledger = [], [], []
     pooled = {m: [] for m in cfg.methods}
     for rep, (seed, rep_rows, rep_failures, rep_bias) in zip(reps, results):

@@ -110,7 +110,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--mode", choices=MODES, default=None)
         if name == "benchmark":
             p.add_argument("--replications", type=int, default=None)
-            p.add_argument("--jobs", type=int, default=None)
+            p.add_argument("--jobs", type=int, default=None, help="replications run in forked"
+                           " children; a range that warns reruns serially, maybe slower than 1")
         if name == "predict":
             p.add_argument("--draws", type=int, default=None,
                            help="coefficient draws for the y_lo/y_hi columns, "

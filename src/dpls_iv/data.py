@@ -4,13 +4,13 @@ plus the input rules the estimators share (the integer check, the
 predicts on), the part bounds of the work spread over CPUs (the CLI's row
 work and the lasso's CV paths), the package's one way to fork (_Children,
 whose one part runner is parts; a part's spill must end with _END), the
-one wire format of every forked child (_send_cells, _receive_cells) and
-the one rule every child runs under (_raising), the PSD square-root
-factor and the fold count and held-out error of the lambda and q CVs.
+float64 wire format of forked cells (_send_cells, _receive_cells) and the
+one rule every child runs under (_raising), the PSD square-root factor
+and the fold count and held-out error of the lambda and q CVs.
 
 A process sees the CPUs it may run on (os.sched_getaffinity), except in a
-run_benchmark pool worker, which sees its share of them (_share_cpus), so
-the workers' parts and helpers do not crowd each other.
+run_benchmark part child, which sees its share of them (_share_cpus), so
+the children's parts and helpers do not crowd each other.
 
 Matrices are dense row-major float64 throughout; the largest designs this
 package targets are on the order of 10^4 x 10^2, so no sparse path exists.
@@ -202,16 +202,15 @@ _cpu_share: int | None = None
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may use: those it may run on, which only Linux
-    reports (os.sched_getaffinity), so 1 elsewhere; in a pool worker, its
-    share of them."""
+    """The CPUs this process may run on, which only Linux reports (1
+    elsewhere; os.sched_getaffinity), or a benchmark part child's share."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     return cpus if _cpu_share is None else min(cpus, _cpu_share)
 
 
 def _share_cpus(workers: int) -> None:
-    """Pool initializer: this worker of `workers` uses usable CPUs // workers
-    of them, at least 1."""
+    """Called first in each of run_benchmark's `workers` part children: this
+    child uses usable CPUs // workers of them, at least 1."""
     global _cpu_share
     _cpu_share = max(1, _usable_cpus() // workers)
 
@@ -225,15 +224,21 @@ def part_bounds(rows: int, work: int, part_min: int) -> list[int]:
     return [rows * i // parts for i in range(parts + 1)]
 
 
+def _child_bounds(jobs: int, children: int) -> list[int]:
+    """Part bounds that leave this process an empty part 0 and cut `jobs`
+    jobs over `children` children, none empty if jobs >= children."""
+    return [0] + [jobs * i // children for i in range(children + 1)]
+
+
 class _Children:
-    """Forked children, the package's one way to fork (run_benchmark's
-    process pool aside). Each runs its work under _raising and leaves
-    through os._exit, whose status nothing reads: a part's result is its
-    spill file if that ends with _END, which no UTF-8 text holds and no
-    arithmetic makes (a NaN), so a host that ignores SIGCHLD, whose kernel
-    reaps the children, changes nothing. parts is the one part runner, and
-    pipe makes a pipe to a child that fork started; raw float64 cells cross
-    either way through _send_cells and _receive_cells. Work whose spill
+    """Forked children, the package's one way to fork. Each runs its work
+    under _raising and leaves through os._exit, whose status nothing reads:
+    a part's result is its spill file if that ends with _END, which no UTF-8
+    text holds and no arithmetic makes (a NaN), so a host that ignores
+    SIGCHLD, whose kernel reaps the children, changes nothing. parts is the
+    one part runner, and pipe makes a pipe to a child that fork started; raw
+    float64 cells cross through _send_cells and _receive_cells (benchmark
+    parts pickle their results, which hold failure text). Work whose spill
     file, pipe or child the system refused, or whose child failed, falls to
     the caller, so whatever it would warn or raise surfaces there, once.
     Leaving the with block kills and reaps every child still running and

@@ -166,7 +166,7 @@ def _header_columns(header: list[str], number: int) -> tuple[np.ndarray, int]:
         for prefix in ("z_", "x_"):
             if name.startswith(prefix):
                 suffix = name[len(prefix):]
-                if not suffix.isdigit() or int(suffix) < 1:
+                if not (suffix.isascii() and suffix.isdigit()) or int(suffix) < 1:
                     raise DataError(
                         f"line {number}: column '{name}' needs a positive integer suffix"
                     )

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
-    CV_FOLDS, _Children, _check_width, _heldout_sse, _receive_cells, _send_cells, check_design,
-    part_bounds,
+    CV_FOLDS, _check_width, _child_bounds, _Children, _heldout_sse, _receive_cells, _send_cells,
+    check_design, part_bounds,
 )
 from .errors import ConvergenceError, DataError, SingularDesignError
 
@@ -381,9 +381,7 @@ class _LassoCv:
             parts = len(_lasso_cv_bounds(design)) - 1
             if parts < 2:
                 return None
-            jobs = CV_FOLDS + 1
-            bounds = [0] + [jobs * i // (parts - 1) for i in range(parts)]
-            return cls(design, target, children, bounds=bounds)
+            return cls(design, target, children, bounds=_child_bounds(CV_FOLDS + 1, parts - 1))
         except DataError:
             return None
 

@@ -45,11 +45,11 @@ order.
 
 Each epoch's full-data loss (_train_loss) is taken at a copy of theta at
 the epoch's end. When the process may use two CPUs (data._usable_cpus: a
-benchmark pool worker counts only its share) and the loss has at least
+benchmark part child counts only its share) and the loss has at least
 _LOSS_HELPER_CELLS cells, a forked helper (_LossHelper, one per
 sgd_refine call) computes it while this process runs the next epoch's
 steps; a thread would hold the interpreter lock. It runs under data._raising
-and sends raw float64 cells (data._send_cells), like every forked child.
+and sends raw float64 cells (data._send_cells), as the lasso CV parts do.
 The loss is then taken with the bits, warnings and errors that computing it
 here would give.
 """

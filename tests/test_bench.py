@@ -1,5 +1,7 @@
-import multiprocessing
+import dataclasses
+import functools
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from dpls_iv import (
     SgdParams,
     SyntheticSpec,
     augment_instruments,
+    experiment1_spec,
     experiment2_spec,
     fit_ols,
     gen_experiment1,
@@ -94,62 +97,79 @@ def test_parallel_merge_matches_serial():
         )
 
 
-def test_process_pool_starts_no_more_workers_than_replications(monkeypatch):
-    """Under fork every worker starts up front; a stub pool records the size
-    and maps serially, so no real pool is started."""
-    import concurrent.futures
-
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers, initializer, initargs):
-            assert initializer is data._share_cpus and initargs == (max_workers,)
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    serial = run_benchmark(_small_cfg(replications=2))
-    pooled = run_benchmark(_small_cfg(replications=2, jobs=64))
-    run_benchmark(_small_cfg(replications=3, jobs=2))
-    assert sizes == [2, 2]
-    assert pooled.rows == serial.rows
-    # one worker would run the one replication as this process does: no pool
-    alone = run_benchmark(_small_cfg(replications=1, jobs=4))
-    assert sizes == [2, 2]
-    one = run_benchmark(_small_cfg(replications=1))
-    assert (alone.rows, alone.failures, alone.seed_ledger) == (one.rows, one.failures,
-                                                              one.seed_ledger)
-    assert alone.aggregates == one.aggregates
+_forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="parts are forked")
 
 
 _TEST_PID = os.getpid()
 _run_replication = bench._run_replication
 
 
-def _dies_in_a_worker(cfg, rep):
-    """_run_replication, but a pool worker given replication 1 dies, as an
-    out-of-memory kill would end it."""
-    if rep == 1 and os.getpid() != _TEST_PID:
+def _checks_its_share(ran_here, share, cfg, rep):
+    """_run_replication, but a part child first asserts that it sees share[0]
+    CPUs, and fails, leaving its part to this process, if it does not;
+    ran_here lists what this process ran."""
+    if os.getpid() == _TEST_PID:
+        ran_here.append(rep)
+    else:
+        assert data._usable_cpus() == share[0]
+    return _run_replication(cfg, rep)
+
+
+@_forks
+def test_parts_fork_no_more_children_than_replications(monkeypatch):
+    """A child per worker, min(jobs, replications) of them, each on usable
+    CPUs // workers of them (six CPUs, so each count gives its own share),
+    and none for one worker, which runs the replications as this process
+    does, a fork later."""
+    forks, ran_here, share = [], [], [None]
+    fork = data._Children.fork
+
+    def counted(self, work, *args):
+        forks.append(work)
+        return fork(self, work, *args)
+
+    monkeypatch.setattr(data._Children, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+    monkeypatch.setattr(bench, "_run_replication",
+                        functools.partial(_checks_its_share, ran_here, share))
+    serial = run_benchmark(_small_cfg(replications=3))
+    one = run_benchmark(_small_cfg(replications=1))
+    alone = run_benchmark(_small_cfg(replications=1, jobs=4))
+    assert forks == [] and ran_here == [0, 1, 2, 0, 0]
+    assert (alone.rows, alone.failures, alone.seed_ledger) == (one.rows, one.failures,
+                                                              one.seed_ledger)
+    assert alone.aggregates == one.aggregates
+    for replications, jobs in ((2, 64), (3, 2), (3, 3)):
+        del forks[:]
+        share[0] = 6 // min(jobs, replications)
+        pooled = run_benchmark(_small_cfg(replications=replications, jobs=jobs))
+        assert len(forks) == min(jobs, replications)
+        assert ran_here == [0, 1, 2, 0, 0]  # every child saw its share
+        assert pooled.rows == serial.rows[:len(pooled.rows)]
+        assert pooled.seed_ledger == serial.seed_ledger[:replications]
+
+
+def _dies_in_a_child(ran_here, cfg, rep):
+    """_run_replication, but a part child given replication 1 dies, as an
+    out-of-memory kill would end it; ran_here lists what this process ran."""
+    if os.getpid() == _TEST_PID:
+        ran_here.append(rep)
+    elif rep == 1:
         os._exit(1)
     return _run_replication(cfg, rep)
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the workers inherit the patched replication")
-def test_a_dead_pool_worker_leaves_the_replications_to_the_caller(monkeypatch, tmp_path, capsys):
-    serial = run_benchmark(_small_cfg(replications=2, methods=("ols",)))
-    monkeypatch.setattr(bench, "_run_replication", _dies_in_a_worker)
-    pooled = run_benchmark(_small_cfg(replications=2, methods=("ols",), jobs=2))
+@_forks
+def test_a_dead_part_child_leaves_its_replications_alone_to_the_caller(
+        monkeypatch, tmp_path, capsys):
+    serial = run_benchmark(_small_cfg(replications=3, methods=("ols",)))
+    ran_here = []
+    monkeypatch.setattr(bench, "_run_replication", functools.partial(_dies_in_a_child, ran_here))
+    pooled = run_benchmark(_small_cfg(replications=3, methods=("ols",), jobs=3))
+    assert ran_here == [1]  # the other children's replications are not redone
     assert pooled.rows == serial.rows and pooled.aggregates == serial.aggregates
     assert pooled.failures == serial.failures == ()
+    assert pooled.seed_ledger == serial.seed_ledger
     config = tmp_path / "study.txt"
     config.write_text("spec.n = 100\nspec.m = 5\nspec.m_redundant = 0\n"
                       "spec.k = 2\nspec.k_null = 0\n", encoding="utf-8")
@@ -162,6 +182,32 @@ def test_a_dead_pool_worker_leaves_the_replications_to_the_caller(monkeypatch, t
                          for name in ("metrics.csv", "bias_cdf.csv", "summary.txt")}
     assert reports["2"] == reports["1"]
     assert "benchmark: 2 of 2 cells succeeded" in capsys.readouterr().out
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every child reaped
+
+
+@_forks
+def test_parts_surface_the_warnings_of_a_serial_run():
+    """The outcome stage clamps on 8 training rows and warns. A child that
+    would warn leaves its part to this process, so the warnings reach the
+    caller as a serial run gives them."""
+    cfg = dict(spec=experiment1_spec(n=16, m=2, m_redundant=0, k=1, k_null=0),
+               replications=2, dpls=DplsConfig(sgd=SgdParams(epochs=3)))
+    seen = {}
+    for jobs in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_benchmark(ExperimentConfig(**cfg, jobs=jobs))
+        seen[jobs] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        seen[jobs, "rows"] = report.rows, report.failures
+    assert seen[1] and seen[2] == seen[1]
+    assert seen[2, "rows"] == seen[1, "rows"]
+
+
+def test_the_default_config_is_the_experiment1_design():
+    spec, reference = ExperimentConfig().spec, experiment1_spec()
+    for f in dataclasses.fields(SyntheticSpec):  # eq=False: compare field by field
+        assert getattr(spec, f.name) == getattr(reference, f.name), f.name
 
 
 def test_per_method_failure_recorded_and_run_continues():

@@ -188,6 +188,17 @@ def test_fit_rejects_malformed_csv(tmp_path, capsys):
     assert "non-numeric cell" in capsys.readouterr().err
 
 
+def test_fit_rejects_a_header_suffix_of_non_ascii_digits(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("y,p,z_\u00b2\n1,2,3\n4,5,6\n", encoding="utf-8")
+    cfg = tmp_path / "fit.txt"
+    write_config(cfg, {"data": str(bad)})
+    rc = main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "data error: line 1: column 'z_\u00b2' needs a positive integer suffix\n")
+
+
 def test_fit_rejects_unknown_method_in_config(tmp_path, sim_dir, capsys):
     cfg = tmp_path / "fit.txt"
     write_config(cfg, {"data": str(sim_dir / "data.csv"), "method": "frob"})

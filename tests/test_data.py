@@ -343,7 +343,7 @@ def test_part_bounds_give_no_more_parts_than_cpus_rows_or_part_min_allow(
 
 
 @pytest.mark.parametrize("cpus, workers, share", [(2, 2, 1), (8, 3, 2), (1, 4, 1), (4, 1, 4)])
-def test_a_pool_worker_uses_its_share_of_the_cpus(monkeypatch, cpus, workers, share):
+def test_a_part_child_uses_its_share_of_the_cpus(monkeypatch, cpus, workers, share):
     monkeypatch.setattr(data, "_cpu_share", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     data._share_cpus(workers)

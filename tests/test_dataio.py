@@ -293,6 +293,12 @@ def test_csv_read_rejects_bad_suffixes(tmp_path):
     path.write_text("y,p,x_a\n1,2,3\n")
     with pytest.raises(DataError, match="column 'x_a' needs a positive integer suffix"):
         csv_read(path)
+    # Unicode digits that are not ASCII: int() rejects a superscript and
+    # reads an Arabic-Indic digit, so neither may pass
+    for name in ("z_\u00b2", "z_\u0661", "x_\u00b3"):
+        path.write_text(f"y,p,{name}\n1,2,3\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"column '{name}' needs a positive integer suffix"):
+            csv_read(path)
 
 
 def test_csv_read_rejects_unknown_column(tmp_path):
