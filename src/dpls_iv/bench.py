@@ -7,27 +7,35 @@ outcome stage (ivreg.iv_fit) so outcome numbers differ only through the
 first stage, and scores each cell out of sample (r_squared, rmse). Per-cell
 failures are recorded and the study continues.
 
-A replication that fits both lasso and dpls_iv forks the lasso CV's paths
-before its first fit (linear._LassoCv.early), fits lasso last, and puts
-its rows back in method order, so the paths run beside the network fit,
-the only fit long enough to hide them. On two CPUs this took a traced
-experiment1 replication's fit_lasso from 30.8 to 2.0 ms and the untraced
-replication from 90 to 63 ms. Without the network an early child only
-adds its fork and its wait: (ols, ridge, lasso) went from 37-40 to
-55-63 ms with one and (lasso,) from 29-31 to 50-65 ms; on one CPU an
-early fork took all five methods from 97-99 to 109-124 ms (medians of 20
-experiment1 seeds, four runs each, one BLAS thread, a two-CPU VM). So
-neither forks early.
+A replication that fits dpls_iv and ridge or lasso forks their lambda
+CVs before its first fit (linear._LambdaCv.early: ridge's five SVD folds,
+then lasso's five fold paths and its full-data path), fits ridge, then
+lasso, last, and puts its rows back in method order, so the CVs run
+beside the network fit, the only fit long enough to hide them. On two
+CPUs the lasso paths alone took a traced experiment1 replication's
+fit_lasso from 30.8 to 2.0 ms and the untraced replication from 90 to 63
+ms. A lasso kink that factors once left the child time to spare, and
+ridge's folds joined it: together the two took the untraced study_exp1
+unit_ref_mean from 2.83 to 2.18 (medians of 10 alternating 30 s pairs;
+the kink with ridge's folds left here: 2.45-2.52 in 3 runs).
+Without the network an early child only adds its fork and its wait:
+(ols, ridge, lasso) went from 37-40 to 55-63 ms with one and (lasso,)
+from 29-31 to 50-65 ms; on one CPU an early fork took all five methods
+from 97-99 to 109-124 ms (medians of 20 experiment1 seeds, four runs
+each, one BLAS thread, a two-CPU VM). So neither forks early.
 
 With jobs > 1, min(jobs, replications) forked children run contiguous
 ranges of replications (data._Children.parts; this process keeps none),
 pickling the results into their spills, each on usable CPUs // children
 (at least 1; data._share_cpus) for its lasso parts and loss helper: with
 all CPUs each, eight experiment1 replications at jobs = 2 took 0.61-0.64
-s against 0.52-0.62 s. A range whose child was refused, died, warned or
-raised runs here, so it surfaces as serially; neither default design
-warns, but the tests' 16-row one warns in every replication, and ten took
-0.73 s at jobs = 2 against 0.49 s at 1. One worker forks nothing.
+s against 0.52-0.62 s. The scipy modules every replication needs are
+imported before anything forks, so no child imports them cold. A range
+whose child was refused, died, warned or raised runs here, so it
+surfaces as serially; neither default design warns, but the tests'
+16-row one warns in every replication, and ten took 0.63 s at jobs = 2
+against 0.52 s at 1, the children's work redone here (0.99 s when each
+child imported scipy itself). One worker forks nothing.
 """
 from __future__ import annotations
 
@@ -42,7 +50,7 @@ from .data import (
 from .errors import DataError, DegenerateDataError, NumericalError
 from .ivreg import _check_mode, dpls_iv_fit
 from .ivreg import iv_fit as _outcome_stage
-from .linear import _LassoCv, fit_lasso, fit_ols, fit_ridge
+from .linear import _LambdaCv, fit_lasso, fit_ols, fit_ridge
 from .network import DplsConfig
 from .pls import AUTO_Q_CAP, fit_pls_closed_form, select_q_cv
 from .synthetic import SyntheticSpec, experiment1_spec, gen_experiment1, gen_experiment2
@@ -166,11 +174,11 @@ def fit_first_stage(method: str, zbar, p, q, rng: SeededRng):
 
 def _run_replication(cfg: ExperimentConfig, rep: int):
     """Fit and score every method of one replication. When it fits the
-    network, whose fit is the one long enough to hide them, the lasso CV's
-    paths start in forked children first (linear._LassoCv.early) and lasso
-    is fit last; rows, failures and bias samples come out in cfg.methods
-    order all the same, and each method draws from its own rng child, so
-    the fit order changes no number."""
+    network, whose fit is the one long enough to hide them, the ridge and
+    lasso lambda CVs start in forked children first (linear._LambdaCv.early)
+    and ridge, then lasso, are fit last; rows, failures and bias samples
+    come out in cfg.methods order all the same, and each method draws from
+    its own rng child, so the fit order changes no number."""
     seed = cfg.base_seed + rep
     rng = SeededRng(seed)
     gen = gen_experiment1 if cfg.dgp == "experiment1" else gen_experiment2
@@ -180,19 +188,17 @@ def _run_replication(cfg: ExperimentConfig, rep: int):
     truth_coefs = np.concatenate([truth.alpha, truth.alpha_x])
     rows, failures, bias = {m: [] for m in cfg.methods}, {}, {}
     with _Children() as children:
-        lasso_cv = None
-        if {"lasso", "dpls_iv"} <= set(cfg.methods):
-            lasso_cv = _LassoCv.early(zbar_tr, train.p, children)
-        order = cfg.methods
-        if lasso_cv is not None:
-            order = [m for m in cfg.methods if m != "lasso"] + ["lasso"]
-        for method in order:
+        cv = None
+        if "dpls_iv" in cfg.methods:
+            cv = _LambdaCv.early(zbar_tr, train.p, cfg.methods, children)
+        late = () if cv is None else cv.methods
+        for method in [m for m in cfg.methods if m not in late] + list(late):
             try:
                 if method == "dpls_iv":
                     fit = dpls_iv_fit(train, cfg.dpls, mode=cfg.mode, censored=cfg.censored)
                 else:
-                    if method == "lasso" and lasso_cv is not None:
-                        first = fit_lasso(zbar_tr, train.p, lasso_cv)
+                    if method in late:
+                        first = (fit_ridge if method == "ridge" else fit_lasso)(zbar_tr, train.p, cv)
                     else:
                         first = fit_first_stage(
                             method, zbar_tr, train.p, cfg.dpls.first_layer_q, rng
@@ -237,6 +243,12 @@ def _aggregate(rows):
 def run_benchmark(cfg: ExperimentConfig) -> MetricsReport:
     """Run all replications; aggregation is keyed by replication index, so
     the report is identical whether they ran here or in forked parts."""
+    # Every replication needs these: imported here, before anything forks,
+    # no child imports them cold and no rerun imports them again.
+    import scipy.linalg  # noqa: F401
+    import scipy.special  # noqa: F401
+    if cfg.dgp == "experiment2":
+        import scipy.sparse.csgraph  # noqa: F401
     reps, results = range(cfg.replications), []
     workers = min(cfg.jobs, cfg.replications)
 

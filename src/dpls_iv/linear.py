@@ -22,15 +22,17 @@ path at the chosen lam starts the fit) hold the interpreter lock, so once
 each part holds _LASSO_PART_CELLS of work they run in parts, one per usable
 CPU (data.part_bounds): forked children (data._Children.parts) run every
 part but the first and send back each path's cells, while this process
-runs part 0. The CV is split into a start that forks (_LassoCv) and a
-result that collects, so a caller with other work may start it early,
-every path in a child (_LassoCv.early), and hand it to fit_lasso later, as
-a benchmark replication does before its network fit. A part whose child
-failed, warned or raised is run here, so a fit's bits, warnings and errors
-do not depend on the number of parts or on when they started. Ridge's SVD
-folds and everything traced (fit_lasso's own call, soft_threshold in the
-CD sweep) stay in this process: at n = 500, forked ridge folds were slower
-(5.1 against 6.8-8.3 ms).
+runs part 0. A path factors the active columns' Gram matrix once a kink
+and solves it for two columns only. A CV is split into a start that forks
+(_LambdaCv) and a collection, so a caller with other work may start the
+ridge and lasso CVs early, every job in a child (_LambdaCv.early), and
+hand them to fit_ridge and fit_lasso later, as a benchmark replication
+does before its network fit. A part whose child failed, warned or raised
+is run here, so a fit's bits, warnings and errors do not depend on the
+number of parts or on when they started. Everything traced (fit_ridge's
+and fit_lasso's own calls, soft_threshold in the CD sweep) stays in this
+process, and so do ridge's SVD folds unless started early: at n = 500,
+forked ridge folds on their own were slower (5.1 against 6.8-8.3 ms).
 """
 from __future__ import annotations
 
@@ -63,12 +65,16 @@ _LASSO_MAX_SWEEPS = 1000
 _CV_GRID = 50
 # Least work one lasso CV part must hold to be worth a fork, a path's work
 # counted as d * min(n, d): about one kink per column that joins, at most n,
-# each over all d correlations. With one BLAS thread, two parts of the six
-# paths broke even at d = 20 and saved 1.2 ms at d = 25 and 14 ms at
-# 500 x 75 (38 -> 24 ms); tall narrow designs do not pay (1000 x 10:
-# 3.1 -> 3.8 ms). An early start (_LassoCv.early) forks on the same rule,
+# each over all d correlations. A forked part costs 3-5 ms before its first
+# path. With one BLAS thread, fit_lasso(..., "auto") in two parts against
+# one (medians of 41 interleaved pairs, random designs) took +9.8 ms at
+# 200 x 40, broke even at 200 x 50 and 500 x 50 (-0.1, -1.1 ms), and saved
+# 4.2 ms at 200 x 60 and 6.3 ms at 500 x 75; tall narrow designs do not pay
+# (1000 x 10: +2.8 ms). So a tall design forks from d = 53 (2**11, from
+# d = 27, was set when each kink solved for d + 2 columns). An early start
+# (_LambdaCv.early) forks on the same rule, ridge's folds counted as jobs,
 # with this process's part 0 emptied into the children.
-_LASSO_PART_CELLS = 2**11
+_LASSO_PART_CELLS = 2**13
 
 
 @dataclass(frozen=True)
@@ -122,17 +128,18 @@ def fit_ridge(design, target, lam) -> LinearFit:
     The identity is sized to the design's column count. lam = 0 delegates to
     fit_ols and inherits its error rules; lam = "auto" picks lam by
     CV_FOLDS-fold cross-validation over a _CV_GRID-point logarithmic grid,
-    its folds run one after another in this process.
+    its folds run one after another in this process; lam may also be that
+    CV of this design and target, started earlier in forked children
+    (_LambdaCv.early), which gives the same fit.
     """
     from scipy import linalg
 
     design, target = check_design(design, target)
-    lam = _penalty(lam)
-    if lam is None:
-        grid, lam = _cv_grid(design, target), 0.0
-        if grid is not None:
-            folds = [_fold_errors(design, target, grid, fold, "ridge") for fold in range(CV_FOLDS)]
-            lam = float(grid[_cv_best(folds)])
+    if isinstance(lam, _LambdaCv):
+        lam = lam.ridge()
+    elif (lam := _penalty(lam)) is None:
+        with _Children() as children:  # one part, run here
+            lam = _LambdaCv(design, target, ("ridge",), children, bounds=[0, CV_FOLDS]).ridge()
     if lam == 0.0:
         fit = fit_ols(design, target)
         return LinearFit(fit.coef, fit.intercept, "ridge", 0.0)
@@ -176,16 +183,16 @@ def fit_lasso(design, target, lam) -> LinearFit:
     objective decrease over a full sweep drops below _LASSO_TOL; needing
     more than _LASSO_MAX_SWEEPS sweeps raises ConvergenceError. lam = "auto"
     picks lam by CV_FOLDS-fold cross-validation over a _CV_GRID-point
-    logarithmic grid (_LassoCv); lam may also be that CV of this design
-    and target, started earlier (_LassoCv.early), which gives the same fit.
+    logarithmic grid (_LambdaCv); lam may also be that CV of this design
+    and target, started earlier (_LambdaCv.early), which gives the same fit.
     """
     design, target = check_design(design, target)
     moments, start = _lasso_moments(design, target), None
-    if isinstance(lam, _LassoCv):
-        lam, start = lam.result()
+    if isinstance(lam, _LambdaCv):
+        lam, start = lam.lasso()
     elif (lam := _penalty(lam)) is None:
         with _Children() as children:
-            lam, start = _LassoCv(design, target, children, moments).result()
+            lam, start = _LambdaCv(design, target, ("lasso",), children, moments).lasso()
     if start is None:
         start = _lasso_path(design, target, [lam], moments)[:, 0]
     coef = _lasso_cd(design, target, lam, start, moments)
@@ -231,10 +238,20 @@ def _lasso_path(xc, yc, lams, moments=None):
     the active set spans the rows) cannot join: its correlation is a fixed
     combination of the active ones and stays within +-lam. Returns the
     (d, len(lams)) coefficients; grid points at or above lam_max are zero.
+
+    Each kink factors G_AA = R'R once (LAPACK potrf) and solves it for the
+    two columns (v, u) only; one triangular solve W = R'^-1 G_A' then gives
+    every column's Schur-complement residual, gdiag - sum(W * W), for the
+    span test. A 1 x 1 system is divided out, as scipy.linalg.solve does,
+    so the bits are those of solving G_AA [. | v | u] = [G_A' | c_A | s_A]
+    with it. A non-finite system raises ValueError and a factor that fails
+    LinAlgError, as that solve did.
     """
     from scipy import linalg
 
     gram, cross = _lasso_moments(xc, yc) if moments is None else moments
+    potrf, potrs, trtrs = linalg.get_lapack_funcs(("potrf", "potrs", "trtrs"), (gram,))
+    finite = np.isfinite(gram).all() and np.isfinite(cross).all()  # else check each system
     d = len(cross)
     gdiag = np.diag(gram)
     lams = np.asarray(lams, dtype=np.float64)
@@ -243,12 +260,22 @@ def _lasso_path(xc, yc, lams, moments=None):
     lam, filled, changed, side = np.inf, 0, -1, 0.0
     while filled < len(lams):
         if active:
-            rhs = np.column_stack([gram[active], cross[active], signs])
-            sol = linalg.solve(gram[np.ix_(active, active)], rhs, assume_a="pos")
-            v, u = sol[:, d], sol[:, d + 1]
-            resid = cross - gram[:, active] @ v  # c(lam) = resid + lam * slope
-            slope = gram[:, active] @ u
-            spanned = gdiag - np.einsum("ij,ij->j", gram[active], sol[:, :d])
+            g_a = gram[:, active]  # G_A; its active rows are G_AA
+            rhs = np.column_stack([cross[active], signs])
+            if not (finite or np.isfinite(g_a).all() and np.isfinite(rhs).all()):
+                raise ValueError("array must not contain infs or NaNs")
+            factor, info = potrf(g_a[active])
+            if info:
+                raise linalg.LinAlgError("the active columns' Gram matrix is not positive definite")
+            if len(active) == 1:
+                sol = rhs / g_a[active]
+            else:
+                sol, _ = potrs(factor, rhs)
+            v, u = sol[:, 0], sol[:, 1]
+            resid = cross - g_a @ v  # c(lam) = resid + lam * slope
+            slope = g_a @ u
+            w, _ = trtrs(factor, g_a.T, trans=1, overwrite_b=1)  # R'W = G_A'
+            spanned = gdiag - np.einsum("ij,ij->j", w, w)
             free = spanned > _SPAN_RTOL * gdiag
             free[active] = False
         else:
@@ -333,83 +360,112 @@ def _cv_best(fold_errors) -> int:
     return int(np.argmin(np.sum(fold_errors, axis=0)))
 
 
-class _LassoCv:
-    """The lambda CV of fit_lasso(design, target, "auto"), started: its six
-    jobs, each one homotopy path over the grid (the CV_FOLDS folds, each
-    giving its fold's errors, then the full-data path), forked in parts
+class _LambdaCv:
+    """The lambda CVs of fit_ridge(design, target, "auto") and
+    fit_lasso(design, target, "auto") for the given methods ("ridge",
+    "lasso" or both, in that order), started: their jobs (ridge's CV_FOLDS
+    SVD folds, then lasso's folds and its full-data homotopy path, all over
+    the one grid, _cv_grid, each fold giving its errors) forked in parts
     (data._Children.parts) under the caller's children when it is made,
-    and collected by result().
+    and collected in job order, only as far as each needs, by ridge() and
+    lasso().
 
-    By default the parts are one per usable CPU once each part holds at
-    least _LASSO_PART_CELLS of work (data.part_bounds), and result() runs
-    part 0 here. The full-data path comes last, so a child runs it; with
-    one part it is not run here, where a failed part's folds run in fold
-    order. Column best of it has the bits of a path that stops at lam,
-    because the kinks do not depend on the grid. Without a child's
-    full-data path fit_lasso runs the path only as far as lam; so this
-    process runs nothing the one-part fit would not. Other bounds (early)
-    cut the same six jobs elsewhere.
+    The bounds cut the jobs into parts; part 0 runs here. By default (the
+    lasso CV alone) the parts are one per usable CPU once each part holds
+    at least _LASSO_PART_CELLS of work (data.part_bounds). The full-data
+    path comes last, so a child runs it; with one part it is not run here,
+    where a failed part's folds run in job order. Column best of it has the
+    bits of a path that stops at lam, because the kinks do not depend on
+    the grid. Without a child's full-data path fit_lasso runs the path only
+    as far as lam; so this process runs nothing the one-part fit would not.
+    Other bounds (early, and fit_ridge's one part) cut the same jobs
+    elsewhere.
     """
 
-    def __init__(self, design, target, children, moments=None, bounds=None):
-        self.grid = _cv_grid(design, target)
+    def __init__(self, design, target, methods, children, moments=None, bounds=None):
+        self.methods, self.grid = methods, _cv_grid(design, target)
         if self.grid is None:
             return
         self._jobs = [
-            functools.partial(_fold_errors, design, target, self.grid, fold, "lasso")
-            for fold in range(CV_FOLDS)
+            functools.partial(_fold_errors, design, target, self.grid, fold, method)
+            for method in self.methods for fold in range(CV_FOLDS)
         ]
-        self._jobs.append(functools.partial(_lasso_path, design, target, self.grid, moments))
-        self._shapes = [(len(self.grid),)] * CV_FOLDS + [(design.shape[1], len(self.grid))]
+        self._folds = len(self._jobs)
+        self._shapes = [(len(self.grid),)] * self._folds
+        if "lasso" in self.methods:
+            self._jobs.append(functools.partial(_lasso_path, design, target, self.grid, moments))
+            self._shapes.append((design.shape[1], len(self.grid)))
         if bounds is None:
-            bounds = _lasso_cv_bounds(design)
+            bounds = _cv_bounds(design, len(self._jobs))
             if len(bounds) == 2:
-                bounds = [0, CV_FOLDS]
+                bounds = [0, self._folds]
         parts = children.parts(bounds, functools.partial(_spill_results, self._jobs))
-        self._parts = itertools.chain([next(parts)], parts)  # every child forked
+        parts = itertools.chain([next(parts)], parts)  # every child forked
+        # no reference back to self, so no cycle outlives the CV
+        self._pending = _collected(parts, self._jobs, self._shapes, self._folds)
+        self._results = []
 
     @classmethod
-    def early(cls, design, target, children):
-        """The CV started for fit_lasso(design, target, cv) to collect, its
-        six jobs cut over one child fewer than the parts fit_lasso would
-        make, so this process keeps its CPU, and no job, for the caller's
-        other work; None, having forked nothing, where fewer than two parts
-        are due or the CV would raise, which fit_lasso(design, target,
-        "auto") then does."""
+    def early(cls, design, target, methods, children):
+        """The CVs of the given methods started for fit_ridge and fit_lasso
+        to collect, their jobs cut over one child fewer than the parts that
+        data.part_bounds gives them, so this process keeps its CPU, and no
+        job, for the caller's other work; None, having forked nothing,
+        where no method is given, fewer than two parts are due or the CV
+        would raise, which the fit then does."""
+        methods = tuple(m for m in ("ridge", "lasso") if m in methods)
+        jobs = CV_FOLDS * len(methods) + ("lasso" in methods)
         try:
             design, target = check_design(design, target)
-            parts = len(_lasso_cv_bounds(design)) - 1
+            parts = len(_cv_bounds(design, jobs)) - 1
             if parts < 2:
                 return None
-            return cls(design, target, children, bounds=_child_bounds(CV_FOLDS + 1, parts - 1))
+            return cls(design, target, methods, children, bounds=_child_bounds(jobs, parts - 1))
         except DataError:
             return None
 
-    def result(self):
-        """The CV choice of lam, and the exact lasso solution at it if a
-        forked child computed it, else None."""
+    def _first(self, count):
+        """The first `count` results (fewer if the parts end first)."""
+        self._results += itertools.islice(self._pending, max(count - len(self._results), 0))
+        return self._results[:count]
+
+    def ridge(self) -> float:
+        """The CV choice of ridge's lam."""
+        if self.grid is None:
+            return 0.0
+        return float(self.grid[_cv_best(self._first(CV_FOLDS))])
+
+    def lasso(self):
+        """The CV choice of lasso's lam, and the exact lasso solution at it
+        if a forked child computed it, else None."""
         if self.grid is None:
             return 0.0, None
-        results = []
-        for start, stop, spill in self._parts:
-            for job, out in zip(self._jobs[start:stop], map(np.empty, self._shapes[start:stop])):
-                if spill is not None and _receive_cells(spill, out):
-                    results.append(out)
-                else:  # a fold runs here, the full-data path does not
-                    results.append(job() if len(results) < CV_FOLDS else None)
-        path = results[CV_FOLDS] if len(results) > CV_FOLDS else None
-        best = _cv_best(results[:CV_FOLDS])
+        results = self._first(len(self._jobs))
+        best = _cv_best(results[self._folds - CV_FOLDS:self._folds])
+        path = results[self._folds] if len(results) > self._folds else None
         return float(self.grid[best]), None if path is None else path[:, best]
 
 
-def _lasso_cv_bounds(design) -> list[int]:
-    """data.part_bounds of the lasso CV's six paths on this design."""
-    jobs = CV_FOLDS + 1
+def _collected(parts, jobs, shapes, folds):
+    """Each job's result in job order, from _LambdaCv's parts: its child's
+    cells, else the job run here if it is one of the first `folds` (a fold),
+    or None (the full-data path)."""
+    for start, stop, spill in parts:
+        for index in range(start, stop):
+            out = np.empty(shapes[index])
+            if spill is not None and _receive_cells(spill, out):
+                yield out
+            else:
+                yield jobs[index]() if index < folds else None
+
+
+def _cv_bounds(design, jobs) -> list[int]:
+    """data.part_bounds of `jobs` lambda CV jobs on this design."""
     return part_bounds(jobs, jobs * design.shape[1] * min(design.shape), _LASSO_PART_CELLS)
 
 
 def _spill_results(jobs, start, stop, spill) -> None:
-    """Child side of _LassoCv: run jobs[start:stop] and send each result's
+    """Child side of _LambdaCv: run jobs[start:stop] and send each result's
     cells to the spill file."""
     for job in jobs[start:stop]:
         _send_cells(spill, job())

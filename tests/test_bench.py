@@ -1,6 +1,9 @@
 import dataclasses
 import functools
+import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -202,6 +205,40 @@ def test_parts_surface_the_warnings_of_a_serial_run():
         seen[jobs, "rows"] = report.rows, report.failures
     assert seen[1] and seen[2] == seen[1]
     assert seen[2, "rows"] == seen[1, "rows"]
+
+
+# A fresh interpreter runs a two-part study and prints, for each fork it
+# makes, which of the scipy modules every replication needs were imported.
+_SCIPY_AT_EACH_FORK = """
+import json, os, sys
+from dpls_iv import DplsConfig, ExperimentConfig, SgdParams, run_benchmark
+from dpls_iv import experiment1_spec, experiment2_spec
+needed = {needed!r}
+seen = []
+os.register_at_fork(before=lambda: seen.append([m for m in needed if m in sys.modules]))
+spec = {{"experiment1": experiment1_spec, "experiment2": experiment2_spec}}[{dgp!r}]
+run_benchmark(ExperimentConfig(
+    dgp={dgp!r}, spec=spec(n=120, m=12, m_redundant=3, k=8, k_null=4), replications=2, jobs=2,
+    dpls=DplsConfig(layer_widths=(4,), sgd=SgdParams(epochs=3))))
+print(json.dumps(seen))
+"""
+
+
+@_forks
+@pytest.mark.parametrize("dgp, needed", [
+    ("experiment1", ["scipy.linalg", "scipy.special"]),
+    ("experiment2", ["scipy.linalg", "scipy.special", "scipy.sparse.csgraph"]),
+])
+def test_parts_fork_after_the_scipy_imports_every_replication_needs(dgp, needed):
+    """No part child imports them cold, nor does this process again for a
+    part it reruns."""
+    src = os.path.dirname(os.path.dirname(bench.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = _SCIPY_AT_EACH_FORK.format(dgp=dgp, needed=needed)
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    seen = json.loads(run.stdout.splitlines()[-1])
+    assert seen and all(imported == needed for imported in seen)
 
 
 def test_the_default_config_is_the_experiment1_design():

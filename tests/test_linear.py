@@ -9,8 +9,12 @@ from dpls_iv import (
     fit_ols,
     fit_ridge,
 )
-from dpls_iv import linear
+from dpls_iv import (
+    SeededRng, augment_instruments, experiment1_spec, experiment2_spec, gen_experiment1,
+    gen_experiment2, linear, split_dataset,
+)
 from dpls_iv.linear import _fold_errors, _lasso_path, soft_threshold
+from lasso_oracle import lasso_path_by_solves
 
 
 def test_ols_identity_design():
@@ -224,6 +228,65 @@ def test_lasso_path_degenerate_design_is_finite_and_optimal(make):
     coefs = _lasso_path(design, y, lams)
     assert np.all(np.isfinite(coefs))
     assert _kkt_violation(design, y, lams, coefs) <= 1e-10
+
+
+def _training_half(dgp, seed):
+    """A benchmark replication's training half of a default design: (zbar, p)."""
+    gen, spec = {"experiment1": (gen_experiment1, experiment1_spec),
+                 "experiment2": (gen_experiment2, experiment2_spec)}[dgp]
+    rng = SeededRng(seed)
+    ds, _ = gen(spec(), rng.child(0))
+    train, _ = split_dataset(ds, 0.5, rng.child(1))
+    return augment_instruments(train.z, train.x), train.p
+
+
+def _cv_paths(path, design, y):
+    """The lasso CV's six paths by the given path function: each fold's,
+    then the full data's, over the CV grid."""
+    grid = linear._cv_grid(design, y)
+    paths = []
+    for fold in range(5):
+        mask = np.zeros(len(y), dtype=bool)
+        mask[fold::5] = True
+        paths.append(path(design[~mask], y[~mask], grid))
+    return paths + [path(design, y, grid)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dgp", ["experiment1", "experiment2"])
+def test_lasso_path_has_the_bits_of_a_solve_per_kink(dgp, seed):
+    design, y = _training_half(dgp, seed)
+    for ours, reference in zip(_cv_paths(_lasso_path, design, y),
+                               _cv_paths(lasso_path_by_solves, design, y)):
+        assert ours.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("make", [_duplicated_column, _zero_column, _wide])
+def test_degenerate_lasso_path_has_the_bits_of_a_solve_per_kink(make):
+    rng = np.random.default_rng(9)
+    design = make(rng)
+    y = design[:, :3] @ np.array([1.5, -1.0, 0.5]) + rng.normal(size=len(design))
+    for ours, reference in zip(_cv_paths(_lasso_path, design, y),
+                               _cv_paths(lasso_path_by_solves, design, y)):
+        assert ours.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lasso_path_on_a_non_finite_design_raises_value_error(bad):
+    """At its first kink, as scipy.linalg.solve's finiteness check did."""
+    rng = np.random.default_rng(9)
+    design, y = rng.normal(size=(40, 5)), rng.normal(size=40)
+    design[3, 2] = bad
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        _lasso_path(design, y, [1.0, 0.1])
+
+
+def test_lasso_path_raises_linalg_error_when_the_factor_fails():
+    """Moments whose Gram matrix is not positive definite in the upper
+    triangle the factor reads; symmetric moments of a design never are."""
+    gram, cross = np.array([[1.0, 2.0], [0.5, 1.0]]), np.array([1.0, 0.9])
+    with pytest.raises(np.linalg.LinAlgError):
+        _lasso_path(None, None, [0.5, 0.01], (gram, cross))
 
 
 def test_lasso_auto_penalty_on_wide_folds():

@@ -2,12 +2,13 @@
 
 CSV writes and reads and the lasso's CV paths run in forked parts, and the
 posterior band in threads, once the input passes private size thresholds;
-a benchmark replication that fits the network starts its lasso CV paths
-in forked children before its first fit.
+a benchmark replication that fits the network starts its ridge CV folds
+and lasso CV paths in forked children before its first fit.
 These tests lower the thresholds and fake the number of usable CPUs, so
 small inputs take the parallel path, and compare every result with the
 one-part run of the same code, or with a serial reference.
 """
+import gc
 import os
 import re
 import signal
@@ -15,6 +16,7 @@ import sys
 import tempfile
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ import pytest
 from dpls_iv import (
     KNOWN_METHODS, Dataset, DplsConfig, ExperimentConfig, PosteriorDraws, SeededRng, SgdParams,
     augment_instruments, bench, data, dataio, experiment1_spec, experiment2_spec, fit_lasso,
-    gen_experiment1, gen_experiment2, ivreg, linear, run_benchmark,
+    fit_ridge, gen_experiment1, gen_experiment2, ivreg, linear, run_benchmark,
 )
 from dpls_iv.data import part_bounds
 from dpls_iv.errors import DataError
@@ -577,11 +579,9 @@ def test_lasso_cv_parts_give_the_serial_fit(monkeypatch, lasso_parts, dgp, cpus)
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("failure", ["killed", "raised", "fork", "spill"])
-def test_lasso_cv_runs_a_failed_part_itself(monkeypatch, lasso_parts, failure):
-    zbar, p = _design("experiment1")
-    lam, coef = _serial_lasso(zbar, p)
-    _use_cpus(monkeypatch, 3)
+def _fail_cv_children(monkeypatch, failure):
+    """Make every lambda CV child fail the given way: killed, raised, its
+    fork refused or its spill file refused."""
     if failure == "killed":
         monkeypatch.setattr(linear, "_spill_results",
                             lambda *args: os.kill(os.getpid(), signal.SIGKILL))
@@ -591,6 +591,14 @@ def test_lasso_cv_runs_a_failed_part_itself(monkeypatch, lasso_parts, failure):
         monkeypatch.setattr(os, "fork", _refuse)
     else:
         monkeypatch.setattr(tempfile, "TemporaryFile", _refuse)
+
+
+@pytest.mark.parametrize("failure", ["killed", "raised", "fork", "spill"])
+def test_lasso_cv_runs_a_failed_part_itself(monkeypatch, lasso_parts, failure):
+    zbar, p = _design("experiment1")
+    lam, coef = _serial_lasso(zbar, p)
+    _use_cpus(monkeypatch, 3)
+    _fail_cv_children(monkeypatch, failure)
     fds = _open_fds()
     assert _bits(fit_lasso(zbar, p, "auto")) == (lam, coef.tobytes())
     assert _open_fds() == fds
@@ -664,7 +672,7 @@ def test_lasso_cv_warnings_surface_once_in_the_caller(monkeypatch, lasso_parts, 
     _assert_no_child_left()
 
 
-# ------------------------------------------ a replication's early lasso CV
+# -------------------------------------- a replication's early lambda CVs
 
 
 def _study(dgp, methods=KNOWN_METHODS, replications=2):
@@ -685,6 +693,7 @@ def _report_bits(report):
 
 @pytest.mark.parametrize("methods", [
     ("lasso", "ols", "dpls_iv"), ("ridge", "lasso", "dpls_iv", "pls"), ("dpls_iv", "ols", "lasso"),
+    ("ridge", "ols", "dpls_iv"), ("dpls_iv", "pls", "ridge"), KNOWN_METHODS,
     ("lasso", "ridge"), ("pls", "lasso"),
 ], ids="-".join)
 @pytest.mark.parametrize("dgp", ["experiment1", "experiment2"])
@@ -697,16 +706,17 @@ def test_study_report_does_not_depend_on_where_the_lasso_paths_ran(
         reports.append(_report_bits(run_benchmark(cfg)))
     assert reports[1] == reports[0] and reports[2] == reports[0]
     # per replication, one child on two CPUs and two on three, started
-    # early with the network or at lasso's turn without it
+    # early with the network (ridge's folds too) or at lasso's turn without it
     assert len(lasso_parts) == cfg.replications * (1 + 2)
     _assert_no_child_left()
 
 
 def _forks_at_each_fit(monkeypatch, forks):
     """A list of the number of children forked so far at each call of
-    bench.fit_first_stage, bench.fit_lasso and bench.dpls_iv_fit."""
+    bench.fit_first_stage, bench.fit_ridge, bench.fit_lasso and
+    bench.dpls_iv_fit."""
     counts = []
-    for name in ("fit_first_stage", "fit_lasso", "dpls_iv_fit"):
+    for name in ("fit_first_stage", "fit_ridge", "fit_lasso", "dpls_iv_fit"):
         original = getattr(bench, name)
 
         def recording(*args, _original=original, **kwargs):
@@ -717,17 +727,72 @@ def _forks_at_each_fit(monkeypatch, forks):
     return counts
 
 
-def test_study_forks_the_lasso_paths_before_its_first_fit(monkeypatch, lasso_parts):
+def _folds_logged(monkeypatch, log):
+    """linear._fold_errors, each call appending "pid method" to the file at
+    log first, so calls in forked children are seen too."""
+    original = linear._fold_errors
+
+    def logging(design, target, grid, fold, method):
+        with open(log, "a", encoding="utf-8") as file:
+            file.write(f"{os.getpid()} {method}\n")
+        return original(design, target, grid, fold, method)
+
+    monkeypatch.setattr(linear, "_fold_errors", logging)
+
+
+def test_study_forks_the_lasso_paths_before_its_first_fit(monkeypatch, lasso_parts, tmp_path):
     _use_cpus(monkeypatch, 2)
     at_fits = _forks_at_each_fit(monkeypatch, lasso_parts)
-    folds = _calls_here(monkeypatch, linear, "_fold_errors", 4)  # each fold's method
+    cvs = _calls_here(monkeypatch, bench, "fit_ridge", 2)  # the lam each call gets
+    _folds_logged(monkeypatch, log := tmp_path / "folds.log")
     fds = _open_fds()
     run_benchmark(_study("experiment1", replications=1))
     assert len(at_fits) == len(KNOWN_METHODS) and set(at_fits) == {1}
     assert len(lasso_parts) == 1
-    assert folds == ["ridge"] * 5  # the child ran every lasso fold
+    assert len(cvs) == 1 and isinstance(cvs[0], linear._LambdaCv)  # fit_ridge ran here
+    # the child ran every ridge fold, then every lasso fold
+    assert log.read_text().split("\n") == [f"{lasso_parts[0]} ridge"] * 5 + [
+        f"{lasso_parts[0]} lasso"] * 5 + [""]
     assert _open_fds() == fds
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("methods", [("ridge", "dpls_iv"), ("dpls_iv", "lasso")], ids="-".join)
+def test_study_forks_the_one_cv_it_fits_before_its_first_fit(monkeypatch, lasso_parts, methods):
+    _use_cpus(monkeypatch, 2)
+    at_fits = _forks_at_each_fit(monkeypatch, lasso_parts)
+    folds = _calls_here(monkeypatch, linear, "_fold_errors", 4)
+    run_benchmark(_study("experiment1", methods, replications=1))
+    assert at_fits == [1, 1] and len(lasso_parts) == 1 and folds == []
+
+
+def test_a_lone_ridge_fit_runs_its_folds_here(monkeypatch, lasso_parts):
+    zbar, p = _design("experiment1")
+    folds = _calls_here(monkeypatch, linear, "_fold_errors", 4)
+    expected = fit_ridge(zbar, p, "auto")
+    _use_cpus(monkeypatch, 3)
+    assert _bits(fit_ridge(zbar, p, "auto")) == _bits(expected)
+    assert folds == ["ridge"] * 10 and lasso_parts == []
+
+
+def test_a_collected_early_cv_needs_no_cycle_collection(monkeypatch, lasso_parts):
+    """Nothing a started CV holds refers back to it, so it goes when its
+    last reference does: a study's replications pile up no spill files,
+    arrays or generators for the cycle collector."""
+    zbar, p = _design("experiment1")
+    _use_cpus(monkeypatch, 2)
+    gc.disable()
+    try:
+        with data._Children() as children:
+            cv = linear._LambdaCv.early(zbar, p, ("ridge", "lasso"), children)
+            fit_ridge(zbar, p, cv)
+            fit_lasso(zbar, p, cv)
+        gone = weakref.ref(cv)
+        del cv
+        assert gone() is None
+    finally:
+        gc.enable()
+    assert len(lasso_parts) == 1
 
 
 def test_study_without_the_network_forks_at_lassos_turn(monkeypatch, lasso_parts):
@@ -735,30 +800,36 @@ def test_study_without_the_network_forks_at_lassos_turn(monkeypatch, lasso_parts
     at_fits = _forks_at_each_fit(monkeypatch, lasso_parts)
     folds = _calls_here(monkeypatch, linear, "_fold_errors", 4)  # each fold's method
     run_benchmark(_study("experiment1", ("ols", "ridge", "lasso"), replications=1))
-    assert len(at_fits) == 4 and set(at_fits) == {0} and len(lasso_parts) == 1
+    # fit_first_stage for each method, and the fit_ridge and fit_lasso it calls
+    assert len(at_fits) == 5 and set(at_fits) == {0} and len(lasso_parts) == 1
     assert folds == ["ridge"] * 5 + ["lasso"] * 3  # fit_lasso's own split: part 0 here
+    _assert_no_child_left()
+
+
+def _failed_early_child_runs_here(monkeypatch, failure, methods):
+    """A study whose early children all fail gives the one-CPU report, and
+    each replication's folds run here, ridge's at its turn, then lasso's."""
+    cfg = _study("experiment1", methods)
+    _use_cpus(monkeypatch, 1)
+    expected = _report_bits(run_benchmark(cfg))
+    _use_cpus(monkeypatch, 2)
+    folds = _calls_here(monkeypatch, linear, "_fold_errors", 4)
+    _fail_cv_children(monkeypatch, failure)
+    fds = _open_fds()
+    assert _report_bits(run_benchmark(cfg)) == expected
+    assert folds == [m for m in ("ridge", "lasso") if m in methods for _ in range(5)] * 2
+    assert _open_fds() == fds
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("failure", ["killed", "raised", "fork", "spill"])
 def test_study_runs_a_failed_early_childs_paths_itself(monkeypatch, lasso_parts, failure):
-    cfg = _study("experiment1")
-    _use_cpus(monkeypatch, 1)
-    expected = _report_bits(run_benchmark(cfg))
-    _use_cpus(monkeypatch, 2)
-    if failure == "killed":
-        monkeypatch.setattr(linear, "_spill_results",
-                            lambda *args: os.kill(os.getpid(), signal.SIGKILL))
-    elif failure == "raised":
-        monkeypatch.setattr(linear, "_spill_results", _refuse)
-    elif failure == "fork":
-        monkeypatch.setattr(os, "fork", _refuse)
-    else:
-        monkeypatch.setattr(tempfile, "TemporaryFile", _refuse)
-    fds = _open_fds()
-    assert _report_bits(run_benchmark(cfg)) == expected
-    assert _open_fds() == fds
-    _assert_no_child_left()
+    _failed_early_child_runs_here(monkeypatch, failure, KNOWN_METHODS)
+
+
+@pytest.mark.parametrize("failure", ["killed", "raised", "fork", "spill"])
+def test_study_runs_a_failed_early_childs_ridge_folds_itself(monkeypatch, lasso_parts, failure):
+    _failed_early_child_runs_here(monkeypatch, failure, ("ridge", "dpls_iv"))
 
 
 def test_study_method_error_leaves_no_early_child(monkeypatch, lasso_parts):
@@ -772,22 +843,42 @@ def test_study_method_error_leaves_no_early_child(monkeypatch, lasso_parts):
     _assert_no_child_left()
 
 
+def _report_and_warnings(cfg, pattern):
+    """run_benchmark(cfg)'s bits and the text of each warning it gave that
+    matches the pattern."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_benchmark(cfg)
+    return _report_bits(report), [str(w.message) for w in caught
+                                  if re.match(pattern, str(w.message))]
+
+
 def test_study_lasso_path_warning_surfaces_once_with_the_one_cpu_text(monkeypatch, lasso_parts):
     cfg = _study("experiment1", replications=1)
     monkeypatch.setattr(linear, "_lasso_path", _warning_paths("warning"))
-
-    def report_and_path_warnings():
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = run_benchmark(cfg)
-        paths = [str(w.message) for w in caught if str(w.message).startswith("path over")]
-        return _report_bits(report), paths
-
     _use_cpus(monkeypatch, 1)
-    expected = report_and_path_warnings()
+    expected = _report_and_warnings(cfg, "path over")
     assert len(expected[1]) == 6  # five folds, then the full-data path to lam
     _use_cpus(monkeypatch, 2)
-    assert report_and_path_warnings() == expected
+    assert _report_and_warnings(cfg, "path over") == expected
+    assert len(lasso_parts) == 1
+    _assert_no_child_left()
+
+
+def test_study_cv_fold_warnings_surface_once_with_the_one_cpu_text(monkeypatch, lasso_parts):
+    cfg = _study("experiment1", replications=1)
+    original = linear._fold_errors
+
+    def warning_fold(design, target, grid, fold, method):
+        warnings.warn(f"{method} fold {fold}", UserWarning)
+        return original(design, target, grid, fold, method)
+
+    monkeypatch.setattr(linear, "_fold_errors", warning_fold)
+    _use_cpus(monkeypatch, 1)
+    expected = _report_and_warnings(cfg, "(ridge|lasso) fold")
+    assert expected[1] == [f"{m} fold {i}" for m in ("ridge", "lasso") for i in range(5)]
+    _use_cpus(monkeypatch, 2)
+    assert _report_and_warnings(cfg, "(ridge|lasso) fold") == expected
     assert len(lasso_parts) == 1
     _assert_no_child_left()
 
