@@ -27,7 +27,7 @@ each, one BLAS thread, a two-CPU VM). So neither forks early.
 With jobs > 1, min(jobs, replications) forked children run contiguous
 ranges of replications (data._Children.parts; this process keeps none),
 pickling the results into their spills, each on usable CPUs // children
-(at least 1; data._share_cpus) for its lasso parts and loss helper: with
+(at least 1; data._share_cpus) for its early CVs and loss helper: with
 all CPUs each, eight experiment1 replications at jobs = 2 took 0.61-0.64
 s against 0.52-0.62 s. The scipy modules every replication needs are
 imported before anything forks, so no child imports them cold. A range

@@ -2,7 +2,7 @@
 plus the input rules the estimators share (the integer check, the
 (design, target) check, the covariate block and the design width a fit
 predicts on), the part bounds of the work spread over CPUs (the CLI's row
-work and the lasso's CV paths), the package's one way to fork (_Children,
+work and the early lambda CVs), the package's one way to fork (_Children,
 whose one part runner is parts; a part's spill must end with _END), the
 float64 wire format of forked cells (_send_cells, _receive_cells) and the
 one rule every child runs under (_raising), the PSD square-root factor
@@ -47,13 +47,16 @@ def check_int(name: str, value) -> int:
 
 def check_design(design, target) -> tuple[np.ndarray, np.ndarray]:
     """design and target as float64: a matrix with at least one row and one
-    column, and a vector with one entry per row of it."""
+    column, and a vector with one entry per row of it, every entry finite."""
     design = np.asarray(design, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if design.ndim != 2 or 0 in design.shape:
         raise DataError("design must be a matrix with at least one row and one column")
     if target.shape != (len(design),):
         raise DataError("target must be a vector with one entry per row of the design")
+    for name, cells in (("design", design), ("target", target)):
+        if not np.isfinite(cells).all():
+            raise DataError(f"{name} contains non-finite entries")
     return design, target
 
 

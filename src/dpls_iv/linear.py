@@ -17,34 +17,28 @@ and CV settings are module constants: the OLS rank tolerance _OLS_RTOL, the
 lasso sweep tolerance _LASSO_TOL and cap _LASSO_MAX_SWEEPS, and the
 _CV_GRID-point lambda CV over data.CV_FOLDS folds, scored like pls's q CV.
 
-The lasso CV's six homotopy paths (the folds, then the full data, whose
-path at the chosen lam starts the fit) hold the interpreter lock, so once
-each part holds _LASSO_PART_CELLS of work they run in parts, one per usable
-CPU (data.part_bounds): forked children (data._Children.parts) run every
-part but the first and send back each path's cells, while this process
-runs part 0. A path factors the active columns' Gram matrix once a kink
-and solves it for two columns only. A CV is split into a start that forks
-(_LambdaCv) and a collection, so a caller with other work may start the
-ridge and lasso CVs early, every job in a child (_LambdaCv.early), and
-hand them to fit_ridge and fit_lasso later, as a benchmark replication
-does before its network fit. A part whose child failed, warned or raised
-is run here, so a fit's bits, warnings and errors do not depend on the
-number of parts or on when they started. Everything traced (fit_ridge's
-and fit_lasso's own calls, soft_threshold in the CD sweep) stays in this
-process, and so do ridge's SVD folds unless started early: at n = 500,
-forked ridge folds on their own were slower (5.1 against 6.8-8.3 ms).
+A lambda CV scores its CV_FOLDS folds one after another here (_cv_lam).
+It forks only to overlap other work (a lone CV's gain was small and mixed:
+_LASSO_PART_CELLS): a caller may start the ridge and lasso CVs early,
+every job in a forked child (_LambdaCv.early), and hand them to fit_ridge
+and fit_lasso later, as a benchmark replication does before its network
+fit. A fold whose child failed, warned or raised runs here at its turn,
+so a fit's bits, warnings and errors do not depend on where its CV ran.
+Everything traced (fit_ridge's and fit_lasso's own calls, soft_threshold
+in the CD sweep) stays in this process.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import (
-    CV_FOLDS, _check_width, _child_bounds, _Children, _heldout_sse, _receive_cells, _send_cells,
-    check_design, part_bounds,
+    CV_FOLDS, _check_width, _child_bounds, _heldout_sse, _receive_cells, _send_cells, check_design,
+    part_bounds,
 )
 from .errors import ConvergenceError, DataError, SingularDesignError
 
@@ -63,17 +57,16 @@ _OLS_RTOL = 1e-10
 _LASSO_TOL = 1e-10
 _LASSO_MAX_SWEEPS = 1000
 _CV_GRID = 50
-# Least work one lasso CV part must hold to be worth a fork, a path's work
-# counted as d * min(n, d): about one kink per column that joins, at most n,
-# each over all d correlations. A forked part costs 3-5 ms before its first
-# path. With one BLAS thread, fit_lasso(..., "auto") in two parts against
-# one (medians of 41 interleaved pairs, random designs) took +9.8 ms at
-# 200 x 40, broke even at 200 x 50 and 500 x 50 (-0.1, -1.1 ms), and saved
-# 4.2 ms at 200 x 60 and 6.3 ms at 500 x 75; tall narrow designs do not pay
-# (1000 x 10: +2.8 ms). So a tall design forks from d = 53 (2**11, from
-# d = 27, was set when each kink solved for d + 2 columns). An early start
-# (_LambdaCv.early) forks on the same rule, ridge's folds counted as jobs,
-# with this process's part 0 emptied into the children.
+# Least work each part of an early start (_LambdaCv.early) must hold to be
+# worth a fork, a path's work counted as d * min(n, d) (about one kink per
+# column that joins, at most n, each over all d correlations), each ridge
+# fold as one job of that size. A fork costs 3-5 ms before its first path:
+# lasso CVs split in two parts against one (one BLAS thread, medians of 41
+# interleaved pairs) took +9.8 ms at 200 x 40, broke even at 200 x 50 and
+# 500 x 50, and saved 6.3 ms at 500 x 75 (1000 x 10: +2.8 ms), so a tall
+# design forks from d = 53. A lone CV runs here: forked alone, ridge's folds
+# took 6.8-8.3 against 5.1 ms at n = 500, the lasso's saved 0-20 ms at
+# 500 x 75 and 1000 x 75 (41 pairs, two CPUs, two runs).
 _LASSO_PART_CELLS = 2**13
 
 
@@ -128,9 +121,9 @@ def fit_ridge(design, target, lam) -> LinearFit:
     The identity is sized to the design's column count. lam = 0 delegates to
     fit_ols and inherits its error rules; lam = "auto" picks lam by
     CV_FOLDS-fold cross-validation over a _CV_GRID-point logarithmic grid,
-    its folds run one after another in this process; lam may also be that
-    CV of this design and target, started earlier in forked children
-    (_LambdaCv.early), which gives the same fit.
+    its folds run one after another in this process (_cv_lam); lam may
+    also be that CV of this design and target, started earlier in forked
+    children (_LambdaCv.early), which gives the same fit.
     """
     from scipy import linalg
 
@@ -138,8 +131,7 @@ def fit_ridge(design, target, lam) -> LinearFit:
     if isinstance(lam, _LambdaCv):
         lam = lam.ridge()
     elif (lam := _penalty(lam)) is None:
-        with _Children() as children:  # one part, run here
-            lam = _LambdaCv(design, target, ("ridge",), children, bounds=[0, CV_FOLDS]).ridge()
+        lam = _cv_lam(design, target, "ridge")
     if lam == 0.0:
         fit = fit_ols(design, target)
         return LinearFit(fit.coef, fit.intercept, "ridge", 0.0)
@@ -149,11 +141,12 @@ def fit_ridge(design, target, lam) -> LinearFit:
 
 
 def _penalty(lam) -> float | None:
-    """lam as a finite real >= 0, or None for "auto" (cross-validated)."""
-    if isinstance(lam, str):
-        if lam != "auto":
-            raise DataError("lam must be a non-negative real or 'auto'")
+    """lam as a finite real >= 0, or None for "auto" (cross-validated); a
+    bool or a non-real value is refused, as by SgdParams.learning_rate."""
+    if isinstance(lam, str) and lam == "auto":
         return None
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
+        raise DataError("lam must be a non-negative real or 'auto'")
     lam = float(lam)
     if lam < 0:
         raise DataError("lam must be non-negative")
@@ -183,16 +176,16 @@ def fit_lasso(design, target, lam) -> LinearFit:
     objective decrease over a full sweep drops below _LASSO_TOL; needing
     more than _LASSO_MAX_SWEEPS sweeps raises ConvergenceError. lam = "auto"
     picks lam by CV_FOLDS-fold cross-validation over a _CV_GRID-point
-    logarithmic grid (_LambdaCv); lam may also be that CV of this design
-    and target, started earlier (_LambdaCv.early), which gives the same fit.
+    logarithmic grid (_cv_lam), the path then run only as far as lam; lam
+    may also be that CV of this design and target, started earlier in
+    forked children (_LambdaCv.early), which gives the same fit.
     """
     design, target = check_design(design, target)
     moments, start = _lasso_moments(design, target), None
     if isinstance(lam, _LambdaCv):
         lam, start = lam.lasso()
     elif (lam := _penalty(lam)) is None:
-        with _Children() as children:
-            lam, start = _LambdaCv(design, target, ("lasso",), children, moments).lasso()
+        lam = _cv_lam(design, target, "lasso")
     if start is None:
         start = _lasso_path(design, target, [lam], moments)[:, 0]
     coef = _lasso_cd(design, target, lam, start, moments)
@@ -360,99 +353,85 @@ def _cv_best(fold_errors) -> int:
     return int(np.argmin(np.sum(fold_errors, axis=0)))
 
 
-class _LambdaCv:
-    """The lambda CVs of fit_ridge(design, target, "auto") and
-    fit_lasso(design, target, "auto") for the given methods ("ridge",
-    "lasso" or both, in that order), started: their jobs (ridge's CV_FOLDS
-    SVD folds, then lasso's folds and its full-data homotopy path, all over
-    the one grid, _cv_grid, each fold giving its errors) forked in parts
-    (data._Children.parts) under the caller's children when it is made,
-    and collected in job order, only as far as each needs, by ridge() and
-    lasso().
+def _cv_lam(design, target, method) -> float:
+    """fit_ridge's or fit_lasso's CV choice of lam (method "ridge" or
+    "lasso"), its folds scored one after another here; 0 with no grid."""
+    grid = _cv_grid(design, target)
+    if grid is None:
+        return 0.0
+    folds = [_fold_errors(design, target, grid, fold, method) for fold in range(CV_FOLDS)]
+    return float(grid[_cv_best(folds)])
 
-    The bounds cut the jobs into parts; part 0 runs here. By default (the
-    lasso CV alone) the parts are one per usable CPU once each part holds
-    at least _LASSO_PART_CELLS of work (data.part_bounds). The full-data
-    path comes last, so a child runs it; with one part it is not run here,
-    where a failed part's folds run in job order. Column best of it has the
-    bits of a path that stops at lam, because the kinks do not depend on
-    the grid. Without a child's full-data path fit_lasso runs the path only
-    as far as lam; so this process runs nothing the one-part fit would not.
-    Other bounds (early, and fit_ridge's one part) cut the same jobs
-    elsewhere.
+
+class _LambdaCv:
+    """The lambda CVs of fit_ridge and fit_lasso(design, target, "auto")
+    for the given methods ("ridge", "lasso" or both, in that order), started
+    by early: their jobs (ridge's CV_FOLDS SVD folds, then lasso's folds and
+    its full-data path, all over the grid) forked over `parts` children
+    (data._Children.parts; this process keeps none), then collected in job
+    order, only as far as each needs, by ridge() and lasso(). A failed
+    child's folds run here at their turn, and fit_lasso then runs the path
+    itself, only as far as lam. Column best of a child's path has the bits
+    of a path that stops at lam: the kinks do not depend on the grid.
     """
 
-    def __init__(self, design, target, methods, children, moments=None, bounds=None):
-        self.methods, self.grid = methods, _cv_grid(design, target)
-        if self.grid is None:
-            return
+    def __init__(self, design, target, methods, grid, children, parts):
+        self.methods, self.grid = methods, grid
         self._jobs = [
-            functools.partial(_fold_errors, design, target, self.grid, fold, method)
-            for method in self.methods for fold in range(CV_FOLDS)
+            functools.partial(_fold_errors, design, target, grid, fold, method)
+            for method in methods for fold in range(CV_FOLDS)
         ]
-        self._folds = len(self._jobs)
-        self._shapes = [(len(self.grid),)] * self._folds
-        if "lasso" in self.methods:
-            self._jobs.append(functools.partial(_lasso_path, design, target, self.grid, moments))
-            self._shapes.append((design.shape[1], len(self.grid)))
-        if bounds is None:
-            bounds = _cv_bounds(design, len(self._jobs))
-            if len(bounds) == 2:
-                bounds = [0, self._folds]
+        folds = len(self._jobs)
+        if "lasso" in methods:
+            self._jobs.append(functools.partial(_lasso_path, design, target, grid))
+        bounds = _child_bounds(len(self._jobs), parts)
         parts = children.parts(bounds, functools.partial(_spill_results, self._jobs))
         parts = itertools.chain([next(parts)], parts)  # every child forked
         # no reference back to self, so no cycle outlives the CV
-        self._pending = _collected(parts, self._jobs, self._shapes, self._folds)
+        self._pending = _collected(parts, self._jobs, folds, (design.shape[1], len(grid)))
         self._results = []
 
     @classmethod
     def early(cls, design, target, methods, children):
-        """The CVs of the given methods started for fit_ridge and fit_lasso
-        to collect, their jobs cut over one child fewer than the parts that
-        data.part_bounds gives them, so this process keeps its CPU, and no
-        job, for the caller's other work; None, having forked nothing,
-        where no method is given, fewer than two parts are due or the CV
-        would raise, which the fit then does."""
+        """The CVs of the given methods started under the caller's children,
+        cut over one child fewer than the parts data.part_bounds gives them,
+        so this process keeps its CPU for the caller's other work; None,
+        forking nothing, where no method is given, fewer than two parts are
+        due, or _cv_grid gives no grid or raises (the fit then does)."""
         methods = tuple(m for m in ("ridge", "lasso") if m in methods)
         jobs = CV_FOLDS * len(methods) + ("lasso" in methods)
         try:
             design, target = check_design(design, target)
             parts = len(_cv_bounds(design, jobs)) - 1
-            if parts < 2:
-                return None
-            return cls(design, target, methods, children, bounds=_child_bounds(jobs, parts - 1))
+            grid = _cv_grid(design, target) if parts > 1 else None
         except DataError:
             return None
+        return None if grid is None else cls(design, target, methods, grid, children, parts - 1)
 
     def _first(self, count):
-        """The first `count` results (fewer if the parts end first)."""
+        """The first `count` results."""
         self._results += itertools.islice(self._pending, max(count - len(self._results), 0))
         return self._results[:count]
 
     def ridge(self) -> float:
         """The CV choice of ridge's lam."""
-        if self.grid is None:
-            return 0.0
         return float(self.grid[_cv_best(self._first(CV_FOLDS))])
 
     def lasso(self):
         """The CV choice of lasso's lam, and the exact lasso solution at it
         if a forked child computed it, else None."""
-        if self.grid is None:
-            return 0.0, None
-        results = self._first(len(self._jobs))
-        best = _cv_best(results[self._folds - CV_FOLDS:self._folds])
-        path = results[self._folds] if len(results) > self._folds else None
+        *folds, path = self._first(len(self._jobs))
+        best = _cv_best(folds[-CV_FOLDS:])
         return float(self.grid[best]), None if path is None else path[:, best]
 
 
-def _collected(parts, jobs, shapes, folds):
+def _collected(parts, jobs, folds, path_shape):
     """Each job's result in job order, from _LambdaCv's parts: its child's
     cells, else the job run here if it is one of the first `folds` (a fold),
-    or None (the full-data path)."""
+    or None (the full-data path, of path_shape)."""
     for start, stop, spill in parts:
         for index in range(start, stop):
-            out = np.empty(shapes[index])
+            out = np.empty(path_shape if index == folds else path_shape[1:])
             if spill is not None and _receive_cells(spill, out):
                 yield out
             else:

@@ -49,7 +49,7 @@ benchmark part child counts only its share) and the loss has at least
 _LOSS_HELPER_CELLS cells, a forked helper (_LossHelper, one per
 sgd_refine call) computes it while this process runs the next epoch's
 steps; a thread would hold the interpreter lock. It runs under data._raising
-and sends raw float64 cells (data._send_cells), as the lasso CV parts do.
+and sends raw float64 cells (data._send_cells), as the early lambda CVs do.
 The loss is then taken with the bits, warnings and errors that computing it
 here would give.
 """

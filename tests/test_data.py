@@ -27,9 +27,12 @@ from dpls_iv import (
     augment_instruments,
     dpls_fit,
     experiment1_spec,
+    fit_lasso,
     fit_ols,
     fit_pls_closed_form,
+    fit_ridge,
     identity_constants,
+    network_loss_and_grads,
     sample_posterior,
     select_q_cv,
     split_dataset,
@@ -325,6 +328,36 @@ def test_every_design_stage_rejects_a_bad_pair_with_one_message(bad, phrase):
             fit()
         messages.add(str(err.value))
     assert len(messages) == 1
+
+
+@pytest.mark.parametrize("where", ["design", "target"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+def test_every_design_stage_refuses_a_non_finite_entry_naming_it(where, bad):
+    # scipy used to raise a bare ValueError here, the lasso to run its
+    # sweeps to the cap, PLS to return a NaN fit and q CV to pick q = 1
+    rng = SeededRng(5)
+    zbar, p = rng.child(0).normal(size=(40, 5)), rng.child(1).normal(size=40)
+    if where == "design":
+        zbar[7, 2] = bad
+    else:
+        p[7] = bad
+    hidden = [(np.ones((5, 3)), np.zeros(3)), (np.ones((3, 1)), np.zeros(1))]
+    cfg = DplsConfig(layer_widths=(3,), sgd=SgdParams(epochs=0))
+    for fit in (
+        lambda: fit_ols(zbar, p),
+        lambda: fit_ridge(zbar, p, 0.1),
+        lambda: fit_ridge(zbar, p, "auto"),
+        lambda: fit_lasso(zbar, p, 0.1),
+        lambda: fit_lasso(zbar, p, "auto"),
+        lambda: fit_pls_closed_form(zbar, p, 2),
+        lambda: select_q_cv(zbar, p, 3, SeededRng(0)),
+        lambda: dpls_fit(zbar, p, cfg),
+        lambda: network_loss_and_grads(hidden, zbar, p),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^{where} contains non-finite entries$"):
+                fit()
 
 
 @given(rows=st.integers(0, 10**6), work=st.integers(0, 10**9),

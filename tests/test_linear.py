@@ -71,6 +71,14 @@ def test_ridge_rejects_negative_penalty():
         (float("inf"), "lam must be finite, got inf"),
         ("abc", "lam must be a non-negative real or 'auto'"),
         (-1.0, "lam must be non-negative"),
+        # not real numbers: True used to fit at lam = 1.0, None and a list
+        # to raise a bare TypeError
+        (True, "lam must be a non-negative real or 'auto'"),
+        (np.bool_(True), "lam must be a non-negative real or 'auto'"),
+        (None, "lam must be a non-negative real or 'auto'"),
+        ([0.5], "lam must be a non-negative real or 'auto'"),
+        (np.array(0.5), "lam must be a non-negative real or 'auto'"),
+        (0.5 + 0j, "lam must be a non-negative real or 'auto'"),
     ],
 )
 def test_penalty_rule_rejects_bad_lam_with_data_error(fit, lam, message):

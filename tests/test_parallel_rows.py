@@ -1,9 +1,10 @@
 """Work split across CPUs gives the one-part bytes, tables and fits.
 
-CSV writes and reads and the lasso's CV paths run in forked parts, and the
-posterior band in threads, once the input passes private size thresholds;
-a benchmark replication that fits the network starts its ridge CV folds
-and lasso CV paths in forked children before its first fit.
+CSV writes and reads run in forked parts, and the posterior band in
+threads, once the input passes private size thresholds; a benchmark
+replication that fits the network starts its ridge CV folds and lasso CV
+paths in forked children before its first fit, and a lone lambda CV forks
+nothing.
 These tests lower the thresholds and fake the number of usable CPUs, so
 small inputs take the parallel path, and compare every result with the
 one-part run of the same code, or with a serial reference.
@@ -525,7 +526,7 @@ def test_band_worker_threads_run_under_the_callers_errstate(monkeypatch):
             draws.band(design, 0.9)
 
 
-# ------------------------------------------------------------ lasso CV paths
+# ------------------------------------------------------------ lone lambda CVs
 
 
 def _serial_lasso(design, target):
@@ -547,6 +548,14 @@ def _serial_lasso(design, target):
     return lam, linear._lasso_cd(design, target, lam, start, moments)
 
 
+def _serial_ridge(design, target):
+    """fit_ridge(lam="auto")'s bits computed in one process: the five SVD
+    folds over the grid in fold order, then the fit at the chosen lam."""
+    grid = linear._cv_grid(design, target)
+    errors = sum(linear._fold_errors(design, target, grid, fold, "ridge") for fold in range(5))
+    return _bits(fit_ridge(design, target, float(grid[int(np.argmin(errors))])))
+
+
 def _design(dgp):
     """A small training design of each benchmark DGP: (zbar, p)."""
     gen, spec = {"experiment1": (gen_experiment1, experiment1_spec),
@@ -557,7 +566,8 @@ def _design(dgp):
 
 @pytest.fixture
 def lasso_parts(monkeypatch):
-    """Lasso CV parts on tiny designs; returns a list of the children forked."""
+    """Early lambda CV forks on tiny designs; returns a list of the children
+    forked."""
     monkeypatch.setattr(linear, "_LASSO_PART_CELLS", 1)
     return _counting_forks(monkeypatch)
 
@@ -568,14 +578,17 @@ def _bits(fit):
 
 @pytest.mark.parametrize("dgp", ["experiment1", "experiment2"])
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_lasso_cv_parts_give_the_serial_fit(monkeypatch, lasso_parts, dgp, cpus):
+def test_lone_lambda_cvs_fork_nothing_and_give_the_serial_fits(monkeypatch, lasso_parts, dgp,
+                                                                cpus):
     zbar, p = _design(dgp)
     lam, coef = _serial_lasso(zbar, p)
+    ridge = _serial_ridge(zbar, p)
     _use_cpus(monkeypatch, cpus)
     fds = _open_fds()
     assert _bits(fit_lasso(zbar, p, "auto")) == (lam, coef.tobytes())
-    assert len(lasso_parts) == cpus - 1
-    assert _open_fds() == fds  # no spill file left open
+    assert _bits(fit_ridge(zbar, p, "auto")) == ridge
+    assert lasso_parts == []
+    assert _open_fds() == fds
     _assert_no_child_left()
 
 
@@ -593,48 +606,6 @@ def _fail_cv_children(monkeypatch, failure):
         monkeypatch.setattr(tempfile, "TemporaryFile", _refuse)
 
 
-@pytest.mark.parametrize("failure", ["killed", "raised", "fork", "spill"])
-def test_lasso_cv_runs_a_failed_part_itself(monkeypatch, lasso_parts, failure):
-    zbar, p = _design("experiment1")
-    lam, coef = _serial_lasso(zbar, p)
-    _use_cpus(monkeypatch, 3)
-    _fail_cv_children(monkeypatch, failure)
-    fds = _open_fds()
-    assert _bits(fit_lasso(zbar, p, "auto")) == (lam, coef.tobytes())
-    assert _open_fds() == fds
-    _assert_no_child_left()
-
-
-def test_lasso_cv_survives_an_ignored_sigchld(monkeypatch, lasso_parts, sigchld_ignored):
-    zbar, p = _design("experiment1")
-    lam, coef = _serial_lasso(zbar, p)
-    _use_cpus(monkeypatch, 3)
-    folds = _calls_here(monkeypatch, linear, "_fold_errors", 3)
-    fds = _open_fds()
-    assert _bits(fit_lasso(zbar, p, "auto")) == (lam, coef.tobytes())
-    assert len(lasso_parts) == 2 and folds == [0, 1]  # part 0's folds only
-    assert _open_fds() == fds
-    _assert_no_child_left()
-
-
-def test_lasso_cv_parts_call_soft_threshold_as_the_serial_fit(monkeypatch, lasso_parts):
-    zbar, p = _design("experiment2")
-    calls = []
-    original = linear.soft_threshold
-
-    def counting(v, t):
-        calls.append(threading.get_ident())
-        return original(v, t)
-
-    monkeypatch.setattr(linear, "soft_threshold", counting)
-    _serial_lasso(zbar, p)
-    serial = len(calls)
-    _use_cpus(monkeypatch, 2)
-    calls.clear()
-    fit_lasso(zbar, p, "auto")
-    assert len(lasso_parts) == 1 and len(calls) == serial > 0
-
-
 def _warning_paths(kind):
     """A _lasso_path that emits one warning of the given kind, naming the
     rows and grid points of its call."""
@@ -648,28 +619,6 @@ def _warning_paths(kind):
         return path(xc, yc, lams, moments)
 
     return warning_path
-
-
-@pytest.mark.parametrize("kind", ["warning", "floating_point"])
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_lasso_cv_warnings_surface_once_in_the_caller(monkeypatch, lasso_parts, kind, cpus):
-    zbar, p = _design("experiment1")
-    monkeypatch.setattr(linear, "_lasso_path", _warning_paths(kind))
-
-    def fit_and_warnings():
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fit = fit_lasso(zbar, p, "auto")
-        return _bits(fit), [(w.category, str(w.message)) for w in caught]
-
-    with monkeypatch.context() as m:
-        m.setattr(linear, "_LASSO_PART_CELLS", 2**62)
-        expected = fit_and_warnings()
-    assert len(expected[1]) == 6  # five folds, then the full-data path to lam
-    _use_cpus(monkeypatch, cpus)
-    assert fit_and_warnings() == expected
-    assert len(lasso_parts) == cpus - 1
-    _assert_no_child_left()
 
 
 # -------------------------------------- a replication's early lambda CVs
@@ -706,9 +655,43 @@ def test_study_report_does_not_depend_on_where_the_lasso_paths_ran(
         reports.append(_report_bits(run_benchmark(cfg)))
     assert reports[1] == reports[0] and reports[2] == reports[0]
     # per replication, one child on two CPUs and two on three, started
-    # early with the network (ridge's folds too) or at lasso's turn without it
-    assert len(lasso_parts) == cfg.replications * (1 + 2)
+    # early with the network (ridge's folds too); none without it
+    assert len(lasso_parts) == cfg.replications * (1 + 2) * ("dpls_iv" in methods)
     _assert_no_child_left()
+
+
+def test_study_early_cv_survives_an_ignored_sigchld(monkeypatch, lasso_parts, sigchld_ignored):
+    cfg = _study("experiment1", replications=1)
+    _use_cpus(monkeypatch, 1)
+    expected = _report_bits(run_benchmark(cfg))
+    _use_cpus(monkeypatch, 2)
+    folds = _calls_here(monkeypatch, linear, "_fold_errors", 3)
+    fds = _open_fds()
+    assert _report_bits(run_benchmark(cfg)) == expected
+    assert len(lasso_parts) == 1 and folds == []  # the caller redid no fold
+    assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+def test_study_calls_soft_threshold_here_as_on_one_cpu(monkeypatch, lasso_parts):
+    cfg = _study("experiment2", replications=1)
+    calls = []
+    original = linear.soft_threshold
+
+    def counting(v, t):
+        calls.append((os.getpid(), threading.get_ident()))
+        return original(v, t)
+
+    monkeypatch.setattr(linear, "soft_threshold", counting)
+    _use_cpus(monkeypatch, 1)
+    run_benchmark(cfg)
+    serial = len(calls)
+    _use_cpus(monkeypatch, 2)
+    calls.clear()
+    run_benchmark(cfg)
+    # the CD sweep stays in this process, on the calling thread
+    assert len(lasso_parts) == 1 and len(calls) == serial > 0
+    assert set(calls) == {(os.getpid(), threading.get_ident())}
 
 
 def _forks_at_each_fit(monkeypatch, forks):
@@ -766,13 +749,15 @@ def test_study_forks_the_one_cv_it_fits_before_its_first_fit(monkeypatch, lasso_
     assert at_fits == [1, 1] and len(lasso_parts) == 1 and folds == []
 
 
-def test_a_lone_ridge_fit_runs_its_folds_here(monkeypatch, lasso_parts):
+@pytest.mark.parametrize("method", ["ridge", "lasso"])
+def test_a_lone_lambda_cv_runs_its_folds_here(monkeypatch, lasso_parts, method):
     zbar, p = _design("experiment1")
+    fit = {"ridge": fit_ridge, "lasso": fit_lasso}[method]
     folds = _calls_here(monkeypatch, linear, "_fold_errors", 4)
-    expected = fit_ridge(zbar, p, "auto")
+    expected = fit(zbar, p, "auto")
     _use_cpus(monkeypatch, 3)
-    assert _bits(fit_ridge(zbar, p, "auto")) == _bits(expected)
-    assert folds == ["ridge"] * 10 and lasso_parts == []
+    assert _bits(fit(zbar, p, "auto")) == _bits(expected)
+    assert folds == [method] * 10 and lasso_parts == []
 
 
 def test_a_collected_early_cv_needs_no_cycle_collection(monkeypatch, lasso_parts):
@@ -795,14 +780,14 @@ def test_a_collected_early_cv_needs_no_cycle_collection(monkeypatch, lasso_parts
     assert len(lasso_parts) == 1
 
 
-def test_study_without_the_network_forks_at_lassos_turn(monkeypatch, lasso_parts):
+def test_study_without_the_network_forks_nothing(monkeypatch, lasso_parts):
     _use_cpus(monkeypatch, 2)
     at_fits = _forks_at_each_fit(monkeypatch, lasso_parts)
     folds = _calls_here(monkeypatch, linear, "_fold_errors", 4)  # each fold's method
     run_benchmark(_study("experiment1", ("ols", "ridge", "lasso"), replications=1))
     # fit_first_stage for each method, and the fit_ridge and fit_lasso it calls
-    assert len(at_fits) == 5 and set(at_fits) == {0} and len(lasso_parts) == 1
-    assert folds == ["ridge"] * 5 + ["lasso"] * 3  # fit_lasso's own split: part 0 here
+    assert at_fits == [0] * 5 and lasso_parts == []
+    assert folds == ["ridge"] * 5 + ["lasso"] * 5  # one after another, here
     _assert_no_child_left()
 
 
