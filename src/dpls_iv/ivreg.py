@@ -6,13 +6,16 @@ y_tilde for the latent scale using only the censoring fraction and the
 outcome variance; the policy coefficients are then recovered by linear GMM
 of y_tilde on [p_hat, x] with a heteroskedasticity-robust sandwich. A
 control-function fit (regress on [p, p - p_hat, x]) is provided as an
-alternative second stage, and an asymptotic-normal posterior sampler covers
-interval summaries; its predictive band walks the design in row blocks and
-sorts each block's rows on every usable CPU. Its memory does not grow with
-the rows, but it does with the draws: they take draws x (1 + k) floats, and
-a block holds max(3, 2^20 // draws) rows of draws latent cells each. iv_fit
-is the one outcome stage: it runs over any fitted first stage, network or
-linear baseline alike, and its fit holds exactly what the fit record holds.
+alternative second stage. No outcome step makes a NaN estimate of a
+non-finite input: the constants refuse such a y, and the other steps check
+their (design, target) pairs with data.check_design. An asymptotic-normal
+posterior sampler covers interval summaries; its predictive band walks the
+design in row blocks and sorts each block's rows on every usable CPU. Its
+memory does not grow with the rows, but it does with the draws: they take
+draws x (1 + k) floats, and a block holds max(3, 2^20 // draws) rows of
+draws latent cells each. iv_fit is the one outcome stage: it runs over any
+fitted first stage, network or linear baseline alike, and its fit holds
+exactly what the fit record holds.
 """
 from __future__ import annotations
 
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
-    Dataset, SeededRng, augment_instruments, check_int, covariate_block, part_bounds,
-    psd_factor,
+    Dataset, SeededRng, augment_instruments, check_design, check_int, covariate_block,
+    part_bounds, psd_factor,
 )
 from .errors import DataError, DegenerateDataError
 from .linear import LinearFit, fit_ols
@@ -70,6 +73,15 @@ class TobitConstants:
     phi_hat: float
     c_k: float
 
+    def __post_init__(self):
+        for name, ok in (("psi1", 0.0 < self.psi1 <= 1.0), ("psi2", abs(self.psi2) < np.inf),
+                         ("sigma_star", 0.0 < self.sigma_star < np.inf),
+                         ("phi_hat", 0.0 <= self.phi_hat < np.inf),
+                         ("c_k", 0.0 < self.c_k < np.inf)):
+            if not ok:
+                raise DataError(f"constants {name} is {getattr(self, name)}: each must be "
+                                "finite, 0 < psi1 <= 1, sigma_star > 0, c_k > 0 and phi_hat >= 0")
+
 
 def identity_constants() -> TobitConstants:
     """Constants for an uncensored outcome; recentering becomes the identity."""
@@ -86,8 +98,8 @@ def estimate_tobit_constants(y) -> TobitConstants:
     from scipy.special import ndtri
 
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or len(y) < 2:
-        raise DataError("y must be a vector with at least 2 entries")
+    if y.ndim != 1 or len(y) < 2 or not np.isfinite(y).all():
+        raise DataError("y must be a vector of at least 2 entries, every one finite")
     ss = float(np.sum((y - y.mean()) ** 2))
     if ss == 0.0:
         raise DegenerateDataError("outcome has zero variance")
@@ -115,8 +127,6 @@ def estimate_tobit_constants(y) -> TobitConstants:
 
 def recenter_outcome(y, constants: TobitConstants) -> np.ndarray:
     """y_tilde = (y - psi2) / psi1; affine, hence exactly invertible."""
-    if constants.psi1 <= 0.0:
-        raise DataError("psi1 must be positive")
     y = np.asarray(y, dtype=np.float64)
     return (y - constants.psi2) / constants.psi1
 
@@ -143,13 +153,13 @@ class TobitGmmFit:
                             .format(*shapes))
 
 
-def _gmm_design(p, x) -> np.ndarray:
-    """The outcome-stage design [p, x] of a treatment p and covariates x."""
-    p = np.asarray(p, dtype=np.float64).ravel()
-    x = covariate_block(x, len(p))
-    if x.ndim != 2 or x.shape[0] != len(p):
+def _outcome_design(columns, x) -> np.ndarray:
+    """The outcome-stage design [columns..., x]; each column has x's rows."""
+    columns = [np.asarray(c, dtype=np.float64).ravel() for c in columns]
+    x = covariate_block(x, len(columns[0]))
+    if x.ndim != 2 or {len(c) for c in columns} != {x.shape[0]}:
         raise DataError("treatment and covariates must have matching row counts")
-    return np.column_stack([p, x])
+    return np.column_stack([*columns, x])
 
 
 def gmm_beta(p_hat, x, y_tilde, p_observed) -> tuple[np.ndarray, np.ndarray]:
@@ -157,12 +167,10 @@ def gmm_beta(p_hat, x, y_tilde, p_observed) -> tuple[np.ndarray, np.ndarray]:
     the residuals against [p_observed, x]: the moment residuals the variance
     estimator needs (residuals against the projected treatment fold the
     first-stage error into the error variance and overstate it)."""
-    design = _gmm_design(p_hat, x)
-    y_tilde = np.asarray(y_tilde, dtype=np.float64).ravel()
-    if len(y_tilde) != len(design):
-        raise DataError("p_hat, x, y_tilde must have matching row counts")
+    design = _outcome_design([p_hat], x)
+    observed, y_tilde = check_design(_outcome_design([p_observed], design[:, 1:]), y_tilde)
     beta = fit_ols(design, y_tilde).coef
-    return beta, y_tilde - _gmm_design(p_observed, design[:, 1:]) @ beta
+    return beta, y_tilde - observed @ beta
 
 
 def _robust_inverse(a: np.ndarray) -> np.ndarray:
@@ -186,12 +194,9 @@ def sandwich_variance(p_hat, x, residuals, zbar) -> np.ndarray:
     A = (1/n) sum e_i^2 zbar_i zbar_i' of gmm_beta's residuals e. It reduces
     to the classical robust OLS form when zbar equals the design.
     """
-    design = _gmm_design(p_hat, x)
-    zbar = np.asarray(zbar, dtype=np.float64)
-    n, d = zbar.shape
-    residuals = np.asarray(residuals, dtype=np.float64)
-    if residuals.shape != (n,) or len(design) != n:
-        raise DataError("zbar rows must match the fitted sample")
+    design, residuals = check_design(_outcome_design([p_hat], x), residuals)
+    zbar, _ = check_design(zbar, residuals)
+    n = len(zbar)
     ezsq = residuals**2
     a_hat = (zbar * ezsq[:, None]).T @ zbar / n
     a_inv = _robust_inverse(a_hat)
@@ -239,14 +244,8 @@ def control_function_fit(p, p_hat, x, y) -> ControlFunctionFit:
     The residual column absorbs the endogenous part of p; a constant p_hat
     makes p and eta_hat collinear and the fit fails accordingly.
     """
-    p = np.asarray(p, dtype=np.float64).ravel()
-    p_hat = np.asarray(p_hat, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    x = covariate_block(x, len(p))
-    if x.ndim != 2 or not (len(p) == len(p_hat) == len(y) == x.shape[0]):
-        raise DataError("p, p_hat, x, y must have matching row counts")
-    eta = p - p_hat
-    design = np.column_stack([p, eta, x])
+    design = _outcome_design([p, p_hat], x)
+    design[:, 1] = design[:, 0] - design[:, 1]
     ls = fit_ols(design, y)
     return ControlFunctionFit(
         beta=float(ls.coef[0]),

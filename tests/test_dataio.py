@@ -820,6 +820,11 @@ _BAD_RECORDS = {
            ("gmm_beta_element", "rescale_gmm",
             lambda d, v: d["gmm"]["beta"].__setitem__(1, v), "a fit record array")]
        for name, value in [("string", "0.9"), ("true", True)]},
+    **{f"constants_{field}_{name}": (
+        "rescale_gmm", lambda d, f=field, v=value: d["constants"].update({f: v}),
+        f"constants {field} is {value}: each must be finite")
+       for field, name, value in [("psi1", "negative", -1.0), ("psi1", "zero", 0.0),
+                                  ("sigma_star", "negative", -3.0), ("c_k", "zero", 0.0)]},
     "history_string": ("rescale_gmm", lambda d: _network(d).update(history="12"),
                        "network history must be an array of numbers"),
     "history_bool": ("rescale_gmm", lambda d: _network(d)["history"].__setitem__(0, True),

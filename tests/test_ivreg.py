@@ -128,6 +128,39 @@ def test_outcome_stages_reject_an_empty_covariate_block_of_the_wrong_rows():
     assert control_function_fit(p, p_hat, np.empty(0), y).beta_x.shape == (0,)
 
 
+# each public outcome step and the names of its array arguments
+_OUTCOME_STEPS = {
+    "estimate_tobit_constants": (estimate_tobit_constants, ("y",)),
+    "gmm_beta": (gmm_beta, ("p_hat", "x", "y_tilde", "p_observed")),
+    "sandwich_variance": (sandwich_variance, ("p_hat", "x", "residuals", "zbar")),
+    "control_function_fit": (control_function_fit, ("p", "p_hat", "x", "y")),
+}
+
+
+@pytest.mark.parametrize("step, arg", [(step, arg) for step, (_, args) in _OUTCOME_STEPS.items()
+                                       for arg in args])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+def test_every_outcome_step_refuses_a_non_finite_entry(step, arg, bad):
+    # sandwich_variance used to return a NaN covariance, estimate_tobit_constants
+    # NaN constants and gmm_beta NaN residuals for a NaN observed treatment
+    rng = SeededRng(23)
+    p = rng.child(0).normal(size=40)
+    x = rng.child(1).normal(size=(40, 2))
+    p_hat = p + 0.5 * rng.child(2).normal(size=40)
+    y = np.maximum(p + rng.child(3).normal(size=40), 0.0)
+    inputs = dict(p=p, p_hat=p_hat, p_observed=p, x=x, y=y, y_tilde=y,
+                  residuals=rng.child(4).normal(size=40),
+                  zbar=np.column_stack([x, rng.child(5).normal(size=(40, 3))]))
+    fit, names = _OUTCOME_STEPS[step]
+    args = {name: inputs[name].copy() for name in names}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit(**args)
+        args[arg].flat[7] = bad
+        with pytest.raises(DataError, match="finite"):
+            fit(**args)
+
+
 def test_gmm_reduces_to_ols_without_endogeneity():
     rng = SeededRng(3)
     p = rng.child(0).normal(size=80)
