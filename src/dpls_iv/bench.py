@@ -52,7 +52,7 @@ from .ivreg import _check_mode, dpls_iv_fit
 from .ivreg import iv_fit as _outcome_stage
 from .linear import _LambdaCv, fit_lasso, fit_ols, fit_ridge
 from .network import DplsConfig
-from .pls import AUTO_Q_CAP, fit_pls_closed_form, select_q_cv
+from .pls import fit_pls_closed_form, select_q_cv
 from .synthetic import SyntheticSpec, experiment1_spec, gen_experiment1, gen_experiment2
 
 __all__ = [
@@ -151,13 +151,13 @@ def rmse(actual, predicted) -> float:
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
-def fit_first_stage(method: str, zbar, p, q, rng: SeededRng):
+def fit_first_stage(method: str, zbar, p, q):
     """Fit one baseline treatment model: ols, ridge, lasso or pls.
 
     OLS, ridge and lasso fit no constant, though the designs' treatment has
     one, which PLS (PlsFit.means) and the network fit (ROADMAP item 16). q
-    is the PLS component count or "auto", picked by 5-fold CV on the
-    rng.child(7) stream. The network (dpls_iv) is fit by dpls_iv_fit.
+    is the PLS component count or "auto", picked by select_q_cv as the
+    network's first layer picks it. The network is fit by dpls_iv_fit.
     """
     if method == "ols":
         return fit_ols(zbar, p)
@@ -167,7 +167,7 @@ def fit_first_stage(method: str, zbar, p, q, rng: SeededRng):
         return fit_lasso(zbar, p, lam="auto")
     if method == "pls":
         if q == "auto":
-            q = select_q_cv(zbar, p, min(zbar.shape[1], AUTO_Q_CAP), rng.child(7))
+            q = select_q_cv(zbar, p)
         return fit_pls_closed_form(zbar, p, q)
     raise DataError(f"unknown first-stage method: {method}")
 
@@ -177,8 +177,8 @@ def _run_replication(cfg: ExperimentConfig, rep: int):
     network, whose fit is the one long enough to hide them, the ridge and
     lasso lambda CVs start in forked children first (linear._LambdaCv.early)
     and ridge, then lasso, are fit last; rows, failures and bias samples
-    come out in cfg.methods order all the same, and each method draws from
-    its own rng child, so the fit order changes no number."""
+    come out in cfg.methods order all the same, and only the network draws
+    random numbers, from its own seed, so the fit order changes no number."""
     seed = cfg.base_seed + rep
     rng = SeededRng(seed)
     gen = gen_experiment1 if cfg.dgp == "experiment1" else gen_experiment2
@@ -200,9 +200,8 @@ def _run_replication(cfg: ExperimentConfig, rep: int):
                     if method in late:
                         first = (fit_ridge if method == "ridge" else fit_lasso)(zbar_tr, train.p, cv)
                     else:
-                        first = fit_first_stage(
-                            method, zbar_tr, train.p, cfg.dpls.first_layer_q, rng
-                        )
+                        first = fit_first_stage(method, zbar_tr, train.p,
+                                                cfg.dpls.first_layer_q)
                     fit = _outcome_stage(first, train, mode=cfg.mode, censored=cfg.censored)
                 p_hat_te = fit.predict_treatment(test.z, test.x)
                 y_hat_te = fit.predict_outcome(test.z, test.x)

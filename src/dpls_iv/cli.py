@@ -243,7 +243,7 @@ def _cmd_fit(args) -> int:
         fit = dpls_iv_fit(ds, dpls, mode=mode, censored=censored)
     else:
         zbar = augment_instruments(ds.z, ds.x)
-        first = fit_first_stage(method, zbar, ds.p, dpls.first_layer_q, SeededRng(seed))
+        first = fit_first_stage(method, zbar, ds.p, dpls.first_layer_q)
         fit = iv_fit(first, ds, mode=mode, censored=censored)
     with _outputs(args.out_dir, cfg):
         dataio.write_fit(os.path.join(args.out_dir, "fit.json"), fit)

@@ -6,7 +6,7 @@ work and the early lambda CVs), the package's one way to fork (_Children,
 whose one part runner is parts; a part's spill must end with _END), the
 float64 wire format of forked cells (_send_cells, _receive_cells) and the
 one rule every child runs under (_raising), the PSD square-root factor
-and the fold count and held-out error of the lambda and q CVs.
+and the fold rule and held-out error of the lambda and q CVs.
 
 A process sees the CPUs it may run on (os.sched_getaffinity), except in a
 run_benchmark part child, which sees its share of them (_share_cpus), so
@@ -365,7 +365,9 @@ def psd_factor(sigma, n) -> np.ndarray:
     return vecs * np.sqrt(np.maximum(vals, 0.0) / n)
 
 
-CV_FOLDS = 5  # folds of linear's lambda CVs and of pls's q CV
+# Folds of every CV (linear's lambda CVs, pls's q CV): fold f holds out rows
+# f::CV_FOLDS, deterministic without threading an rng through every fit.
+CV_FOLDS = 5
 
 
 def _heldout_sse(design, target, coefs) -> np.ndarray:

@@ -298,10 +298,13 @@ class DplsIvFit:
 
         The latent index is formed from the fitted coefficients and, when
         the outcome stage was censored, passed through the known max(., 0)
-        transform. Supplying realized treatments p lets the control-function
-        mode use its residual term; otherwise the residual is taken as zero.
+        transform. Realized treatments p, one finite entry per row of z in
+        either mode (data.check_design), let the control-function mode use its
+        residual term; otherwise the residual is taken as zero.
         """
-        p_hat = self.predict_treatment(z, x)
+        zbar = augment_instruments(z, x)
+        p_hat = self.first_stage.predict(zbar)
+        p = None if p is None else check_design(zbar, p)[1]
         x = covariate_block(x, len(p_hat))
         coef_x = self.gmm.beta[1:] if self.gmm is not None else self.cf.beta_x
         k = x.shape[1]
@@ -314,7 +317,6 @@ class DplsIvFit:
         elif p is None:
             index = p_hat * self.cf.beta
         else:
-            p = np.asarray(p, dtype=np.float64).ravel()
             index = p * self.cf.beta + (p - p_hat) * self.cf.beta_eta
         if x.size:
             index = index + x @ coef_x

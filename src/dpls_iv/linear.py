@@ -90,9 +90,9 @@ class LinearFit:
 def fit_ols(design, target, fit_intercept: bool = False) -> LinearFit:
     """Least squares via pivoted QR with an explicit rank check.
 
-    Raises SingularDesignError when any pivoted diagonal of R falls below
-    _OLS_RTOL times the leading one; callers wanting a ridge fallback catch
-    it. fit_intercept centres the columns and the target first.
+    Raises SingularDesignError when d > n or any pivoted diagonal of R falls
+    below _OLS_RTOL times the leading one; callers wanting a ridge fallback
+    catch it. fit_intercept centres the columns and the target first.
     """
     from scipy import linalg
 
@@ -102,9 +102,9 @@ def fit_ols(design, target, fit_intercept: bool = False) -> LinearFit:
         means, y_mean = design.mean(axis=0), float(target.mean())
         xc, yc = design - means, target - y_mean
     q, r, piv = linalg.qr(xc, mode="economic", pivoting=True)
-    d = design.shape[1]
+    n, d = design.shape
     diag = np.abs(np.diag(r))
-    if diag[0] == 0.0 or np.any(diag < _OLS_RTOL * diag[0]):
+    if d > n or diag[0] == 0.0 or np.any(diag < _OLS_RTOL * diag[0]):
         raise SingularDesignError(
             f"design is rank-deficient (effective rank < {d})"
         )
@@ -325,13 +325,12 @@ def _cv_grid(design, target):
 def _fold_errors(design, target, grid, fold, method):
     """Held-out squared error of one fold at each grid point.
 
-    Folds are strided row slices (fold i takes rows i::CV_FOLDS), which is
-    deterministic without threading an rng through every fit call. The
-    fold's coefficients at all grid points come from one exact
-    computation, the lasso homotopy path or one thin SVD of the fold, which
-    gives every ridge solution as V diag(s / (s^2 + lam)) U'y; so no fit
-    inside CV can stop short of its optimum. The fold is then scored
-    against the whole grid in one matrix product.
+    Fold i holds out rows i::CV_FOLDS, the package's one fold rule
+    (data.CV_FOLDS). The fold's coefficients at all grid points come from
+    one exact computation, the lasso homotopy path or one thin SVD of the
+    fold, which gives every ridge solution as V diag(s / (s^2 + lam)) U'y;
+    so no fit inside CV can stop short of its optimum. The fold is then
+    scored against the whole grid in one matrix product.
     """
     from scipy import linalg
 

@@ -6,8 +6,8 @@ directions rests on the PLS estimator alone. Hidden layers (widths from
 config) and a width-1 output layer are initialized by per-layer least
 squares on the previous layer's activated features, then refined jointly by
 mini-batch SGD on squared loss (with epochs = 0, the initialization stays).
-ReLU is the only activation. With q = "auto", q is chosen by
-pls.select_q_cv's fixed 5-fold CV (data.CV_FOLDS) over q <= pls.AUTO_Q_CAP.
+ReLU is the only activation. With q = "auto", q is pls.select_q_cv's pick,
+the one the PLS baseline makes on the same rows.
 
 SGD works on one flat parameter vector theta, of which every trainable
 (weight, bias) is a view, and a flat gradient vector with the same layout: a
@@ -67,7 +67,7 @@ from .data import (
 )
 from .errors import DataError, NumericalError
 from .linear import fit_ols
-from .pls import AUTO_Q_CAP, PlsFit, fit_pls_closed_form, select_q_cv
+from .pls import PlsFit, fit_pls_closed_form, select_q_cv
 
 __all__ = [
     "SgdParams",
@@ -383,8 +383,7 @@ def dpls_fit(zbar, p, cfg: DplsConfig) -> DplsModel:
     zbar, p = check_design(zbar, p)
     q = cfg.first_layer_q
     if q == "auto":
-        q_max = min(zbar.shape[1], AUTO_Q_CAP)
-        q = select_q_cv(zbar, p, q_max, SeededRng(cfg.sgd.seed).child(0))
+        q = select_q_cv(zbar, p)
     first = fit_pls_closed_form(zbar, p, q)
     hidden = _init_hidden(_pls_features(first, zbar), p, cfg)
     return sgd_refine(DplsModel(first_layer=first, hidden=tuple(hidden)), zbar, p, cfg.sgd)

@@ -13,8 +13,8 @@ early. The tests hold it to deflation PLS (tests/pls_oracle.py), which
 drifts past q = 16 on experiment1, and there to the q-th conjugate-gradient
 iterate on S_zz b = s_zp in 60 digits.
 
-select_q_cv picks q <= q_max by CV_FOLDS-fold cross-validation, each fold
-scoring its whole coefficient path at once; q = "auto" caps q_max at AUTO_Q_CAP.
+select_q_cv picks q <= min(d, AUTO_Q_CAP) by CV_FOLDS-fold cross-validation
+on data's strided folds, each fold scoring its whole coefficient path at once.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CV_FOLDS, SeededRng, _check_width, _heldout_sse, check_design, check_int
+from .data import CV_FOLDS, _check_width, _heldout_sse, check_design, check_int
 from .errors import DataError, SingularDesignError
 
 __all__ = [
@@ -152,29 +152,27 @@ def fit_pls_closed_form(zbar, p, q: int) -> PlsFit:
                   p_mean=cov.p_mean)
 
 
-def select_q_cv(zbar, p, q_max: int, rng: SeededRng) -> int:
-    """Pick q by minimizing mean out-of-fold squared error over CV_FOLDS folds.
+def select_q_cv(zbar, p) -> int:
+    """Pick q <= min(d, AUTO_Q_CAP) by minimizing mean out-of-fold squared
+    error over CV_FOLDS folds, fold f holding out rows f::CV_FOLDS.
 
-    Folds are a seeded permutation sliced by stride. Each fold builds weights
-    W up to its own Krylov rank. Column q of their cumulative path
-    np.cumsum(W * (W' s_zp), axis=1) is the fold's fit with q components, and
-    data._heldout_sse scores every column at once. Only q up to q_top,
-    the smallest Krylov rank of all rows and of every fold that has one, is
-    eligible, so every eligible q is scored on the same held-out rows and
-    fit_pls_closed_form can fit the pick on all rows; a fold may reach a
-    higher rank than all rows do. Ties break toward the smaller q.
+    Each fold builds weights W up to its own Krylov rank. Column q of their
+    cumulative path np.cumsum(W * (W' s_zp), axis=1) is the fold's fit with
+    q components, and data._heldout_sse scores every column at once. Only q
+    up to q_top, the smallest Krylov rank of all rows and of every fold that
+    has one, is eligible, so every eligible q is scored on the same held-out
+    rows and fit_pls_closed_form can fit the pick on all rows; a fold may
+    reach a higher rank than all rows do. Ties break toward the smaller q.
     """
     zbar, p = check_design(zbar, p)
     n, d = zbar.shape
     if n < CV_FOLDS:
         raise DataError(f"need at least {CV_FOLDS} rows for {CV_FOLDS}-fold CV of q")
-    if not (1 <= check_int("q_max", q_max) <= d):
-        raise DataError(f"q_max must lie in [1, {d}]")
-    perm = rng.permutation(n)
+    q_max = min(d, AUTO_Q_CAP)
     sse = np.zeros(q_max)
     rows, q_top = 0, q_max
     for f in range(CV_FOLDS):
-        test_idx = perm[f::CV_FOLDS]
+        test_idx = np.arange(f, n, CV_FOLDS)
         cov = sample_cov_pair(np.delete(zbar, test_idx, axis=0), np.delete(p, test_idx))
         try:
             weights = compute_krylov(cov, q_max)

@@ -17,6 +17,7 @@ from dpls_iv import (
     SgdParams,
     SyntheticSpec,
     augment_instruments,
+    dpls_fit,
     experiment1_spec,
     experiment2_spec,
     fit_ols,
@@ -79,6 +80,22 @@ def test_coef_bias_is_the_abs_error_against_the_truth():
     values = {metric: value for _, _, metric, value in report.rows}
     assert values["coef_abs_bias_sum"] == abs_bias.sum()
     np.testing.assert_array_equal(report.bias_samples["ols"], np.sort(abs_bias))
+
+
+@pytest.mark.parametrize("dgp", ["experiment1", "experiment2"])
+@pytest.mark.parametrize("seed", range(3))
+def test_pls_baseline_and_network_pick_one_q(dgp, seed):
+    # on a replication's training half, as _run_replication draws it: the
+    # baseline and the network's first layer select q by one CV on one set
+    # of rows, so they pick the same q
+    spec, gen = {"experiment1": (experiment1_spec, gen_experiment1),
+                 "experiment2": (experiment2_spec, synthetic.gen_experiment2)}[dgp]
+    rng = SeededRng(seed)
+    ds, _ = gen(spec(), rng.child(0))
+    train, _ = split_dataset(ds, ExperimentConfig().test_fraction, rng.child(1))
+    zbar = augment_instruments(train.z, train.x)
+    network = dpls_fit(zbar, train.p, DplsConfig(sgd=SgdParams(epochs=0)))
+    assert bench.fit_first_stage("pls", zbar, train.p, "auto").q == network.first_layer.q
 
 
 def test_identical_config_identical_report():

@@ -322,7 +322,7 @@ def test_every_design_stage_rejects_a_bad_pair_with_one_message(bad, phrase):
     for fit in (
         lambda: dpls_fit(zbar, p, cfg),
         lambda: fit_ols(zbar, p),
-        lambda: select_q_cv(zbar, p, 3, SeededRng(0)),
+        lambda: select_q_cv(zbar, p),
     ):
         with pytest.raises(DataError, match=phrase) as err:
             fit()
@@ -350,7 +350,7 @@ def test_every_design_stage_refuses_a_non_finite_entry_naming_it(where, bad):
         lambda: fit_lasso(zbar, p, 0.1),
         lambda: fit_lasso(zbar, p, "auto"),
         lambda: fit_pls_closed_form(zbar, p, 2),
-        lambda: select_q_cv(zbar, p, 3, SeededRng(0)),
+        lambda: select_q_cv(zbar, p),
         lambda: dpls_fit(zbar, p, cfg),
         lambda: network_loss_and_grads(hidden, zbar, p),
     ):

@@ -639,7 +639,7 @@ def _method_fit(method, mode, censored):
         return _small_fit(mode, censored)[1]
     ds, _ = gen_experiment1(experiment1_spec(n=200), SeededRng(41))
     zbar = augment_instruments(ds.z, ds.x)
-    first = fit_first_stage(method, zbar, ds.p, "auto", SeededRng(0))
+    first = fit_first_stage(method, zbar, ds.p, "auto")
     return iv_fit(first, ds, mode=mode, censored=censored)
 
 

@@ -342,12 +342,27 @@ def test_pipeline_censored_outcome_prediction_is_nonnegative():
     assert fit.gmm.corrected_matrix is not None
 
 
+@pytest.mark.parametrize("mode", ivreg.MODES)
+def test_predict_outcome_refuses_a_p_without_one_finite_entry_per_row(mode):
+    spec = SyntheticSpec(n=300, m=6, m_redundant=0, k=2, k_null=0, coef_seed=2)
+    ds, _ = gen_experiment1(spec, SeededRng(15))
+    first = fit_first_stage("ols", augment_instruments(ds.z, ds.x), ds.p, "auto")
+    fit = iv_fit(first, ds, mode=mode)
+    assert np.isfinite(fit.predict_outcome(ds.z, ds.x, p=ds.p)).all()
+    with pytest.raises(DataError, match="one entry per row"):
+        fit.predict_outcome(ds.z, ds.x, p=ds.p[:-1])
+    p = ds.p.copy()
+    p[7] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        fit.predict_outcome(ds.z, ds.x, p=p)
+
+
 @pytest.mark.parametrize("censored", [True, False])
 def test_outcome_steps_by_hand_give_iv_fits_gmm_stage_bit_for_bit(censored):
     spec = SyntheticSpec(n=300, m=6, m_redundant=0, k=2, k_null=0, coef_seed=2)
     ds, _ = gen_experiment1(spec, SeededRng(15))
     zbar = augment_instruments(ds.z, ds.x)
-    first = fit_first_stage("ols", zbar, ds.p, "auto", SeededRng(0))
+    first = fit_first_stage("ols", zbar, ds.p, "auto")
     fit = iv_fit(first, ds, mode="rescale_gmm", censored=censored)
     assert fit.n_train == 300
     c = estimate_tobit_constants(ds.y) if censored else identity_constants()
@@ -366,7 +381,7 @@ def test_iv_fit_refuses_a_first_stage_of_another_width(method):
     ds, _ = gen_experiment1(spec, SeededRng(16))
     zbar = augment_instruments(ds.z, ds.x)
     assert zbar.shape[1] == 8
-    first = fit_first_stage(method, zbar[:, :5], ds.p, 2, SeededRng(0))
+    first = fit_first_stage(method, zbar[:, :5], ds.p, 2)
     for mode in ivreg.MODES:
         with pytest.raises(DataError, match="fit expects 5 design columns, data has 8"):
             iv_fit(first, ds, mode=mode)

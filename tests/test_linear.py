@@ -38,6 +38,14 @@ def test_ols_duplicate_column_raises():
         fit_ols(design, col)
 
 
+def test_ols_with_more_columns_than_rows_raises():
+    # a wide design's R is wide: it has no triangular solve, so the rank
+    # check must refuse it
+    rng = np.random.default_rng(0)
+    with pytest.raises(SingularDesignError, match="rank-deficient"):
+        fit_ols(rng.normal(size=(10, 20)), rng.normal(size=10))
+
+
 def test_ols_shape_validation():
     with pytest.raises(DataError):
         fit_ols(np.ones((4, 2)), np.ones(3))

@@ -218,13 +218,8 @@ def test_select_q_recovers_latent_dimension():
     hits = 0
     for s in range(10):
         zbar, p = _latent_data(s)
-        hits += select_q_cv(zbar, p, 8, SeededRng(100 + s)) == 3
+        hits += select_q_cv(zbar, p) == 3
     assert hits >= 8
-
-
-def test_select_q_respects_q_max_one():
-    zbar, p = _regression_data(9)
-    assert select_q_cv(zbar, p, 1, SeededRng(0)) == 1
 
 
 def test_select_q_on_pure_noise_prefers_one():
@@ -233,27 +228,22 @@ def test_select_q_on_pure_noise_prefers_one():
         rng = SeededRng(200 + s)
         zbar = rng.child(0).normal(size=(400, 10))
         p = rng.child(1).normal(size=400)
-        ones += select_q_cv(zbar, p, 6, rng.child(2)) == 1
+        ones += select_q_cv(zbar, p) == 1
     assert ones >= 6
 
 
 def test_select_q_argument_validation():
     zbar, p = _regression_data(10, d=4)
-    with pytest.raises(DataError):
-        select_q_cv(zbar, p, 5, SeededRng(0))
     with pytest.raises(DataError, match="one entry per row"):
-        select_q_cv(zbar, p[:-1], 3, SeededRng(0))
+        select_q_cv(zbar, p[:-1])
     with pytest.raises(DataError, match="must be a matrix"):
-        select_q_cv(zbar[:, 0], p, 1, SeededRng(0))
-    for bad in (3.0, 2.5, True):
-        with pytest.raises(DataError, match="^q_max must be an integer"):
-            select_q_cv(zbar, p, bad, SeededRng(0))
+        select_q_cv(zbar[:, 0], p)
 
 
 def test_select_q_needs_a_row_per_fold():
     zbar, p = _regression_data(10, n=4, d=2)
     with pytest.raises(DataError, match="at least 5 rows"):
-        select_q_cv(zbar, p, 1, SeededRng(0))
+        select_q_cv(zbar, p)
 
 
 def _factorial(d, reps):
@@ -266,16 +256,16 @@ def _factorial(d, reps):
 
 
 def test_select_q_stays_within_the_rank_of_all_rows():
-    z = _factorial(2, 5)
+    z = _factorial(2, 7)
     p = z @ np.array([1.0, 0.2]) + 0.01 * SeededRng(0).normal(size=len(z))
     assert compute_krylov(sample_cov_pair(z, p), 2).shape[1] == 1
-    # every fold of 16 rows reaches rank 2, and their errors alone favor q = 2
-    perm = SeededRng(0).permutation(len(z))
+    # every strided fold's training rows (22 or 23 of 28) are unbalanced and
+    # reach rank 2, and their errors alone favor q = 2
     for f in range(5):
         mask = np.ones(len(z), dtype=bool)
-        mask[perm[f::5]] = False
+        mask[f::5] = False
         assert compute_krylov(sample_cov_pair(z[mask], p[mask]), 2).shape[1] == 2
-    assert select_q_cv(z, p, 2, SeededRng(0)) == 1
+    assert select_q_cv(z, p) == 1
 
 
 @pytest.mark.parametrize("name", ["experiment1", "experiment2"])
@@ -291,11 +281,10 @@ def test_select_q_path_scores_equal_per_q_closed_form_fits(name, monkeypatch):
     monkeypatch.setattr("dpls_iv.pls._heldout_sse", record)
     zbar, p = _training_half(name)
     n, q_max = len(p), AUTO_Q_CAP
-    q = select_q_cv(zbar, p, q_max, SeededRng(0).child(7))
+    q = select_q_cv(zbar, p)
     assert len(scores) == 5
-    perm = SeededRng(0).child(7).permutation(n)
     for f, fold_scores in enumerate(scores):
-        test = perm[f::5]
+        test = np.arange(f, n, 5)
         train = np.setdiff1d(np.arange(n), test)
         rank = compute_krylov(sample_cov_pair(zbar[train], p[train]), q_max).shape[1]
         assert len(fold_scores) == rank == q_max
@@ -328,16 +317,15 @@ def _designs(draw, shapes=("tall", "wide", "duplicated", "factorial")):
     if shape == "duplicated":
         copies = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d))
         zbar = np.column_stack([zbar, zbar[:, copies]])
-    return zbar, p, rng.child(3)
+    return zbar, p
 
 
 @settings(max_examples=150, deadline=None)
 @given(design=_designs())
 def test_select_q_returns_a_q_that_fits_on_all_rows(design):
-    zbar, p, rng = design
-    q_max = min(zbar.shape[1], AUTO_Q_CAP)
-    q = select_q_cv(zbar, p, q_max, rng)
-    assert 1 <= q <= q_max
+    zbar, p = design
+    q = select_q_cv(zbar, p)
+    assert 1 <= q <= min(zbar.shape[1], AUTO_Q_CAP)
     assert fit_pls_closed_form(zbar, p, q).q == q
 
 
@@ -346,14 +334,13 @@ def test_select_q_returns_a_q_that_fits_on_all_rows(design):
 def test_select_q_picks_a_q_that_every_usable_fold_scored(design):
     # on a wide design the folds' Krylov ranks differ, and a q above the
     # smallest would be scored on fewer held-out rows than a q below it
-    zbar, p, rng = design
+    zbar, p = design
     n, d = zbar.shape
     q_max = min(d, AUTO_Q_CAP)
-    perm = SeededRng(rng.seed, rng.path).permutation(n)  # the folds select_q_cv draws
-    q = select_q_cv(zbar, p, q_max, rng)
+    q = select_q_cv(zbar, p)
     for f in range(5):
         mask = np.ones(n, dtype=bool)
-        mask[perm[f::5]] = False
+        mask[f::5] = False
         try:
             rank = compute_krylov(sample_cov_pair(zbar[mask], p[mask]), q_max).shape[1]
         except DataError:
